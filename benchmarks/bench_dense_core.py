@@ -2,9 +2,8 @@
 
 Measures worms-per-second for ``engine="dense"`` (the structure-of-
 arrays flit core of :mod:`repro.sim.dense`, with multi-tick frontier
-batching and the ordered convoy resolver) against the coroutine
-reference model on dynamic wormhole workloads, and writes
-``BENCH_dense.json`` at the repo root.
+batching) against the coroutine reference model on dynamic wormhole
+workloads, and writes ``BENCH_dense.json`` at the repo root.
 
 Every cell runs the *same* dyadic workload (power-of-two bandwidth and
 flit size, quantized arrivals) through both engines and **asserts exact
@@ -169,8 +168,6 @@ def _window_summary(stats: dict) -> dict:
     hist = stats.get("window_hist") or {}
     ticks = sum(int(k) * v for k, v in hist.items())
     windows = stats.get("windows") or 0
-    rounds = stats.get("rounds") or 0
-    batches = rounds + windows  # every committed vectorized dispatch
     return {
         "windows": windows,
         "window_aborts": stats.get("window_aborts"),
@@ -179,12 +176,9 @@ def _window_summary(stats: dict) -> dict:
         "max_window_ticks": max((int(k) for k in hist), default=0),
         "batched_events": stats.get("batched_events"),
         "scalar_events": stats.get("events"),
-        "resolver_events": stats.get("resolver_events"),
-        "resolver_rounds": stats.get("resolver_rounds"),
-        "rounds": rounds,
         "array_ops": stats.get("array_ops"),
         "array_ops_per_batch": (
-            round(stats.get("array_ops", 0) / batches, 1) if batches else 0.0
+            round(stats.get("array_ops", 0) / windows, 1) if windows else 0.0
         ),
         "max_batch_width": stats.get("max_batch_width"),
     }

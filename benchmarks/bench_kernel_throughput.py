@@ -12,7 +12,9 @@ root:
 
 2. **Dynamic-run throughput** — worms/sec through a full
    ``run_dynamic`` on the two kernels with everything else equal,
-   isolating the kernel's effect on a real simulation.
+   isolating the kernel's effect on a real simulation (the legacy
+   kernel is swapped in through the ``Environment`` attribute of
+   :mod:`repro.sim.runner`).
 
 3. **Sweep wall time** — a Fig. 7.8-style load sweep run three ways:
    serially on the *pre-optimization code path* (legacy kernel +
@@ -45,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.labeling import canonical_labeling
 from repro.labeling.reference import ReferenceRouting
+import repro.sim.runner as sim_runner
 from repro.parallel import SweepJob, run_sweep
 from repro.sim import LegacyEnvironment, SimConfig  # lint: ignore[no-legacy-environment]
 from repro.sim.kernel import Environment
@@ -75,6 +78,16 @@ SWEEP_WORKERS = 4
 
 def _noop() -> None:
     pass
+
+
+def _on_legacy_kernel(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the runner's reference-engine
+    calendars built on the seed heap-only kernel."""
+    sim_runner.Environment = LegacyEnvironment  # lint: ignore[no-legacy-environment]
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        sim_runner.Environment = Environment
 
 
 def _best_of(fn, repeats: int):
@@ -140,7 +153,7 @@ def bench_dynamic_run(params: dict, repeats: int = 2) -> dict:
     cfg = _dynamic_config(params["messages"], params["interarrival_us"])
 
     legacy_wall, legacy = _best_of(
-        lambda: run_dynamic(mesh, "dual-path", cfg, env_factory=LegacyEnvironment),  # lint: ignore[no-legacy-environment]
+        lambda: _on_legacy_kernel(run_dynamic, mesh, "dual-path", cfg),
         repeats,
     )
     fast_wall, fast = _best_of(lambda: run_dynamic(mesh, "dual-path", cfg), repeats)
@@ -173,9 +186,8 @@ def _run_seed_path(job: SweepJob):
         labeling=ReferenceRouting(canonical_labeling(job.topology)),
         validate=True,
     )
-    return run_dynamic(
-        job.topology, job.scheme, job.config,
-        router=router, env_factory=LegacyEnvironment,  # lint: ignore[no-legacy-environment]
+    return _on_legacy_kernel(
+        run_dynamic, job.topology, job.scheme, job.config, router=router
     )
 
 

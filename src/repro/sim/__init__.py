@@ -5,14 +5,14 @@ reference flit-level wormhole model in :mod:`repro.sim.reference` (the
 vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
 parity-tested counterpart); routing adapters in
 :mod:`repro.sim.traffic`; the experiment drivers in
-:mod:`repro.sim.runner`, which take ``engine="reference"`` or
-``engine="dense"``.
+:mod:`repro.sim.runner`, one per run type, each taking
+``engine="reference"``, ``"dense"`` or ``"auto"``.
 """
 
 from .config import InvalidConfigError, SimConfig
 from .dense import DenseEngine, EngineCounters
 from .kernel import Environment, Event, LegacyEnvironment, Process, Timeout
-from .network import (
+from .reference import (
     AdaptivePathWorm,
     Channel,
     Delivery,

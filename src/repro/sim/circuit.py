@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .network import WormholeNetwork
+from .reference import WormholeNetwork
 
 
 class CircuitMessage:

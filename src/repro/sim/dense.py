@@ -19,6 +19,10 @@ each tick is one pass over its bucket; consecutive path-worm steps
 coalesce into array chunks that a single vectorized pass advances —
 acquire, trailing release, delivery latch and next-tick scheduling as
 bulk array ops — instead of one Python callback per worm per flit.
+When every worm is a path worm (``windowed``), a span of upcoming
+ticks proven interaction-free commits as one multi-tick frontier
+window; a tick that no window can commit runs through the same
+classic per-tick dispatch.
 
 Parity contract
 ---------------
@@ -69,7 +73,7 @@ _CALL = 5    # (kind, fn, args): inline callback (injection, fault event)
 _DEFER = 6   # (kind, fn, args): callback via the immediate lane (retry)
 _BREL = 7    # (kind, ws, hops): vectorized release chunk
 _BFIN = 8    # (kind, ws): vectorized finish chunk
-_ARR = 9     # (kind, w): path worm starts its arrival drain (tick-vector mode)
+_ARR = 9     # (kind, w): path worm starts its arrival drain (window mode)
 
 
 def _ragged(starts, counts):
@@ -100,20 +104,12 @@ class EngineCounters:
     #: widest single vectorized pass (the high-water chunk width)
     max_batch_width: int = 0
     #: chunked events diverted to the ordered scalar path because two
-    #: worms touched the same channel in the same tick (classic-mode
-    #: chunks only; tick-vector rounds resolve convoys in-place)
+    #: worms touched the same channel in the same tick
     scalar_fallback_events: int = 0
-    #: vectorized dispatch rounds executed (tick-vector mode)
-    rounds: int = 0
-    #: NumPy array-op dispatches issued by the vector core (counted per
-    #: code path, so ``array_ops / rounds`` is the measured per-round
-    #: dispatch floor)
+    #: NumPy array-op dispatches issued by the frontier windows (counted
+    #: per code path, so ``array_ops / windows`` is the measured
+    #: per-commit dispatch floor)
     array_ops: int = 0
-    #: events settled by the ordered convoy resolver (same-round
-    #: channel interactions that previously fell back to scalar kernels)
-    resolver_events: int = 0
-    #: rounds that engaged the convoy resolver
-    resolver_rounds: int = 0
     #: multi-tick frontier windows committed
     windows: int = 0
     #: frontier windows abandoned to per-tick dispatch mid-validation
@@ -173,14 +169,17 @@ class _TreeHandle:
 class DenseEngine:
     """Structure-of-arrays flit simulation core.
 
-    Drop-in for the injection surface of
-    :class:`~repro.sim.reference.WormholeNetwork` (``inject_path``,
-    ``inject_adaptive_path``, ``inject_tree``, ``config``), so
-    :func:`repro.sim.runner.inject_specs` drives either engine
-    unchanged.  Passing a ``fault_state`` selects the fault-aware
-    scalar kernels (mirroring the faulty reference worms, including
-    delivery dedup, kill accounting and ``drop_handler`` callbacks);
-    without one the vectorized fast path runs.
+    Drop-in for the engine surface of
+    :class:`~repro.sim.reference.WormholeNetwork`: injection
+    (``inject_path``, ``inject_adaptive_path``, ``inject_tree``,
+    ``config``), delays in seconds (``schedule``,
+    ``schedule_deferred``), ``run_to_completion``, ``now``, the worm
+    counts, ``delivery_latencies`` and ``origin_time``, so
+    :func:`repro.sim.runner.inject_specs` and every run function of
+    :mod:`repro.sim.runner` use either engine unchanged.  Passing a ``fault_state`` selects the
+    fault-aware scalar kernels (mirroring the faulty reference worms,
+    including delivery dedup, kill accounting and ``drop_handler``
+    callbacks); without one the vectorized fast path runs.
     """
 
     #: chunks narrower than this advance through the scalar path (the
@@ -207,12 +206,10 @@ class DenseEngine:
         self.fault_state = fault_state
         self.stats = stats
         self.vectorize = vectorize and not self.faulty
-        #: tick-level vectorized dispatch; only valid for runs whose
-        #: every worm is a path worm (``worm_style`` star / vc-star) —
-        #: the drivers in :mod:`repro.sim.runner` gate it on the spec
-        self.tickvec = False
-        self._inject_hook: tuple | None = None
-        self._round_defers: list = []
+        #: multi-tick frontier windows; only valid for runs whose every
+        #: worm is a path worm (``worm_style`` star / vc-star) —
+        #: :mod:`repro.sim.runner` gates it on the spec
+        self.windowed = False
         self.active_worms = 0
         self.total_worms = 0
 
@@ -221,7 +218,7 @@ class DenseEngine:
         self.tick_heap: list[int] = []
         self._pending: list = []
 
-        # multi-tick frontier batching (tick-vector mode): adaptive
+        # multi-tick frontier batching (window mode): adaptive
         # window width, consecutive-abort count and attempt cooldown
         # (exponential under sustained contention)
         self._win_k = 8
@@ -281,7 +278,9 @@ class DenseEngine:
 
         # fault-aware state (mirrors FaultyWormholeNetwork)
         self.drop_handler = None
-        self.origin_tick: int | None = None
+        #: when set (seconds, a retransmission's original injection
+        #: time), new worms are stamped with it instead of the clock
+        self.origin_time: float | None = None
         if self.faulty:
             if node_index is None:
                 raise ValueError("fault-aware dense engine needs node_index")
@@ -317,42 +316,26 @@ class DenseEngine:
     def _at(self, dt: int, entry) -> None:
         self._bucket(self.tick + dt).append(entry)
 
-    def _sched_entry(self, tick: int, entry) -> None:
-        """Insert ``entry`` into ``tick``'s bucket.  During a
-        tick-vector scan the insert is deferred to the emission pass so
-        it lands among the batched rows' own follow-ups at this call's
-        calendar position — bucket order must equal the reference
-        kernel's chronological scheduling order, which contention
-        resolution is sensitive to."""
-        h = self._inject_hook
-        if h is not None:
-            self._round_defers.append((len(h[0]), tick, entry))
-        else:
-            self._bucket(tick).append(entry)
+    def schedule(self, delay: float, fn, *args) -> None:
+        """Run ``fn(*args)`` inline ``delay`` seconds from now, rounded
+        to whole flit ticks (``SimConfig.ticks``)."""
+        self._at(self.config.ticks(delay), (_CALL, fn, args))
 
-    def call_at(self, tick: int, fn, *args) -> None:
-        """Run ``fn(*args)`` inline at absolute ``tick`` (>= 1)."""
-        self._sched_entry(tick, (_CALL, fn, args))
-
-    def call_in(self, dt: int, fn, *args) -> None:
-        """Run ``fn(*args)`` inline ``dt`` ticks from now."""
-        self._sched_entry(self.tick + dt, (_CALL, fn, args))
-
-    def call_in_deferred(self, dt: int, fn, *args) -> None:
-        """Like :meth:`call_in`, but on arrival the call joins the end
+    def schedule_deferred(self, delay: float, fn, *args) -> None:
+        """Like :meth:`schedule`, but on arrival the call joins the end
         of the tick's immediate lane — the dense equivalent of waiting
         on a kernel ``Timeout`` (fire at the stamp, run the waiters
         after the already-queued immediates)."""
-        self._sched_entry(self.tick + dt, (_DEFER, fn, args))
+        self._at(self.config.ticks(delay), (_DEFER, fn, args))
 
     def _sched_step(self, w: int) -> None:
         """Schedule the next flit step of ``w`` one tick out.
         Consecutive path-worm steps coalesce into one chunk entry."""
         if self.vectorize and self.w_kind[w] == _PATH:
             b = self._bucket(self.tick + 1)
-            if self.tickvec and self.w_idx[w] == self.w_len[w]:
-                # tag arrivals at scheduling time so the tick-vector
-                # scan never needs a per-entry cursor read
+            if self.windowed and self.w_idx[w] == self.w_len[w]:
+                # tag arrivals at scheduling time so the window scan
+                # never needs a per-entry cursor read
                 b.append((_ARR, w))
             elif b and type(b[-1]) is list:
                 b[-1].append(w)
@@ -557,7 +540,8 @@ class DenseEngine:
         self.w_len[w] = length
         self.w_flits[w] = self.config.flits_per_message if flits is None else flits
         self.w_mid[w] = message_id
-        self.w_inj[w] = self.tick if self.origin_tick is None else self.origin_tick
+        origin = self.origin_time
+        self.w_inj[w] = self.tick if origin is None else round(origin / self.tf)
         self.active_worms += 1
         self.total_worms += 1
         c = self.counters
@@ -690,16 +674,7 @@ class DenseEngine:
         if n == 0:  # degenerate: source-only path
             self._finish(w)
             return w
-        h = self._inject_hook
-        if h is not None:
-            # tick-vector scan in progress: record the first step as an
-            # op at the injection's calendar position instead of
-            # advancing inline — the batched pass executes it in order
-            h[0].append(w)
-            h[1].append(0)
-            h[2].append(-1)
-        else:
-            self._advance_path(w)
+        self._advance_path(w)
         return w
 
     def inject_adaptive_path(
@@ -1167,42 +1142,42 @@ class DenseEngine:
     # Main loop.
     # ------------------------------------------------------------------
 
-    def run(self) -> bool:
+    def run_to_completion(self) -> bool:
         """Run the calendar dry.  Returns True if every worm finished;
         False indicates deadlock (blocked worms, no pending events)."""
         buckets = self.buckets
         heap = self.tick_heap
         c = self.counters
-        tickvec = self.tickvec
+        windowed = self.windowed
         while heap:
             t = heapq.heappop(heap)
             pending = buckets.pop(t)
             self.tick = t
             self._pending = pending
             c.ticks += 1
-            if tickvec:
+            if windowed:
                 # multi-tick frontier batching: a window of upcoming
                 # ticks may be provably interaction-free (no touched
                 # channel has waiters, every acquire fits) and drain in
-                # one vectorized commit
+                # one vectorized commit; a tick no window can commit
+                # runs through the ordered classic dispatcher
                 if not self._win_cool:
                     if self._run_window(t, pending):
                         continue
                 else:
                     self._win_cool -= 1
-                self._run_tick_vec(pending)
-            else:
-                self._run_classic(pending, 0)
+            self._run_classic(pending)
         self._pending = []
         return self.active_worms == 0
 
-    def _run_classic(self, pending: list, i: int) -> None:
-        """Dispatch ``pending[i:]`` (live — entries may append) one
-        event at a time, in exact reference order."""
+    def _run_classic(self, pending: list) -> None:
+        """Dispatch ``pending`` (live — entries may append) one event
+        at a time, in exact reference order."""
         c = self.counters
         step_path = self._step_path
         step_adaptive = self._step_adaptive
         faulty = self.faulty
+        i = 0
         while i < len(pending):
             e = pending[i]
             i += 1
@@ -1253,7 +1228,7 @@ class DenseEngine:
                 pending.append((_CALL, e[1], e[2]))
 
     # ------------------------------------------------------------------
-    # Multi-tick frontier batching (tick-vector mode).
+    # Multi-tick frontier batching (window mode).
     # ------------------------------------------------------------------
     #
     # An unblocked path worm's trajectory is a straight line: a worm at
@@ -1477,8 +1452,8 @@ class DenseEngine:
         # ticks back, ordered by (arrival tick, frontier row); then (b)
         # the frontier walk in row order — step releases interleaved
         # with day-1 drains of worms that arrived the tick before; then
-        # (c) the post-round pending drains of worms arriving this very
-        # tick, in row order.  The (tick, category, key1, key2) sort
+        # (c) the immediate-lane drains of worms arriving this very
+        # tick, appended behind the walk, in row order.  The (tick, category, key1, key2) sort
         # below reproduces that order in closed form.
         dm_r = self.rp_dest[pos_r]
         dm_b = self.rp_dest[pos_b]
@@ -1612,459 +1587,6 @@ class DenseEngine:
         return True
 
     # ------------------------------------------------------------------
-    # Tick-vector dispatch (path-worm-only runs).
-    # ------------------------------------------------------------------
-    #
-    # One tick is processed in rounds; a round is the slice of the
-    # bucket present when it starts (releases that wake waiters and
-    # same-tick drain releases append behind it and form the next
-    # round, exactly as the reference's immediate lane runs after the
-    # already-queued events).  Each round makes three passes:
-    #
-    # 1. scan — gather step/release ops in calendar order; injections
-    #    (_CALL) run inline and record their first step through
-    #    ``_inject_hook`` so it keeps its calendar position.
-    # 2. classify + batch — a channel is *dirty* this round if it has
-    #    waiters, is touched by more than one op, or is a busy mover
-    #    target; everything else is *clean*.  Clean ops touch disjoint
-    #    free channels, so they commute: one set of array ops applies
-    #    all their acquisitions and releases at once.
-    # 3. emit — walk the ops once more in calendar order: dirty ops run
-    #    the exact scalar kernels at their original position (blocking,
-    #    FIFO wakes and kernel-order emission included), clean ops just
-    #    append their pre-computed deliveries and next-tick steps.
-    #
-    # Order-sensitive interactions only ever involve dirty channels,
-    # and every op touching one executes in exact calendar order, so
-    # the dispatch stays event-for-event equal to the reference.
-
-    def _run_tick_vec(self, pending: list) -> None:
-        c = self.counters
-        start = 0
-        while start < len(pending):
-            end = len(pending)
-            ow: list[int] = []
-            ocode: list[int] = []
-            oarg: list[int] = []
-            self._round_defers = []
-            self._inject_hook = (ow, ocode, oarg)
-            i = start
-            fallback = False
-            while i < end:
-                e = pending[i]
-                i += 1
-                if type(e) is list:
-                    ow.extend(e)
-                    k = len(e)
-                    ocode.extend([0] * k)
-                    oarg.extend([-1] * k)
-                    continue
-                k = e[0]
-                if k == _REL:
-                    ow.append(e[1])
-                    ocode.append(1)
-                    oarg.append(e[2])
-                elif k == _ARR:
-                    ow.append(e[1])
-                    ocode.append(2)
-                    oarg.append(-1)
-                elif k == _STEP:
-                    w = e[1]
-                    if self.w_kind[w] != _PATH:
-                        i -= 1
-                        fallback = True
-                        break
-                    ow.append(w)
-                    ocode.append(0)
-                    oarg.append(-1)
-                elif k == _FIN:
-                    self._finish(e[1])
-                    c.events += 1
-                elif k == _CALL:
-                    e[1](*e[2])
-                    c.events += 1
-                else:
-                    i -= 1
-                    fallback = True
-                    break
-            self._inject_hook = None
-            self._exec_ops(ow, ocode, oarg)
-            if fallback:
-                # foreign entry (tree/adaptive/deferred work): finish
-                # the tick through the ordered scalar dispatcher
-                self._run_classic(pending, i)
-                return
-            start = end
-
-    def _exec_ops(self, ow: list, ocode: list, oarg: list) -> None:
-        n_ops = len(ow)
-        defs = self._round_defers
-        if not n_ops:
-            for _, dtk, dent in defs:
-                self._bucket(dtk).append(dent)
-            return
-        c = self.counters
-        nd = len(defs)
-        if n_ops < self.BATCH_MIN:
-            di = 0
-            for r, (w, kd, a) in enumerate(zip(ow, ocode, oarg)):
-                while di < nd and defs[di][0] <= r:
-                    _, dtk, dent = defs[di]
-                    di += 1
-                    self._bucket(dtk).append(dent)
-                if kd == 0:
-                    self._advance_path(w)
-                elif kd == 1:
-                    self._release_path_hop(w, a)
-                else:
-                    self._arrive_path(w)
-            while di < nd:
-                _, dtk, dent = defs[di]
-                di += 1
-                self._bucket(dtk).append(dent)
-            c.events += n_ops
-            return
-        c.rounds += 1
-        c.array_ops += 18
-        wv = np.array(ow, dtype=np.int64)
-        code = np.array(ocode, dtype=np.int8)
-        arg = np.array(oarg, dtype=np.int64)
-        mvmask = code == 0
-        relmask = code == 1
-        off = self.w_off[wv]
-        idx = self.w_idx[wv]
-        F = self.w_flits[wv]
-        wlen = self.w_len[wv]
-        # positions are computed unmasked: rows of the wrong kind read
-        # garbage that every later use masks out, and the reads stay in
-        # bounds (the route pool keeps a slack slot, and negative
-        # offsets stay within numpy's wrap-around range)
-        target = self.rp_chan[off + idx]
-        tail_hop = idx - F
-        has_tail = mvmask & (tail_hop >= 0)
-        tailpos = off + tail_hop
-        tailch = self.rp_chan[tailpos]
-        rpos = off + arg
-        relch = self.rp_chan[rpos]
-        busy = self.in_use[target] >= self.cap[target]
-        acq = target[mvmask]
-        touched = np.concatenate([acq, tailch[has_tail], relch[relmask]])
-        srt = np.sort(touched)
-        dup = srt[1:][srt[1:] == srt[:-1]]
-        fast = dup.size == 0
-        if fast and self._waiter_total:
-            # releases into channels with waiters must run the scalar
-            # wake path; a blocked mover merely joins the queue, so
-            # only the release streams force the full census below
-            h = self.has_waiters
-            fast = not (
-                bool(h[tailch[has_tail]].any())
-                or bool(h[relch[relmask]].any())
-            )
-        rinfo = None
-        if fast:
-            # common case: every touched channel is touched exactly
-            # once — busy mover targets block deterministically (no
-            # release can free them this round), everything else
-            # commutes
-            rd = np.zeros(n_ops, dtype=bool)
-            blkrow = mvmask & busy
-            c.array_ops += 2
-        else:
-            # a channel is order-sensitive (dirty) when it has waiters,
-            # several same-kind touches, or contested capacity (full
-            # with at least one acquire and one release this round).
-            # Every row touching a dirty channel is routed through the
-            # ordered convoy resolver: the emission walk below settles
-            # those rows in exact calendar order against a lazy
-            # occupancy ledger, reproducing the scalar kernels'
-            # check-block-acquire-release order, FIFO waiter wakeups
-            # and same-round queue-jumps without per-row array reads.
-            c.resolver_rounds += 1
-            uniq, inv = np.unique(touched, return_inverse=True)
-            na = int(acq.size)
-            mvrows = np.flatnonzero(mvmask)
-            tailrows = np.flatnonzero(has_tail)
-            relrows = np.flatnonzero(relmask)
-            nt = tailrows.size
-            acq_cnt = np.bincount(inv[:na], minlength=uniq.size)
-            rel_cnt = np.bincount(inv[na:], minlength=uniq.size)
-            acq_pos = np.bincount(
-                inv[:na], weights=mvrows, minlength=uniq.size
-            )
-            rel_pos = np.bincount(
-                inv[na:],
-                weights=np.concatenate([tailrows, relrows]),
-                minlength=uniq.size,
-            )
-            multi_u = (acq_cnt > 1) | (rel_cnt > 1)
-            full_u = self.in_use[uniq] >= self.cap[uniq]
-            # a full channel with no release this round rejects every
-            # acquire: its movers block deterministically in row order
-            # (joining any existing waiter queue is fine — FIFO
-            # position only depends on enqueue order)
-            blk_u = full_u & (rel_cnt == 0)
-            pairable = (acq_cnt == 1) & (rel_cnt == 1) & ~multi_u & full_u
-            # <= so a worm whose head reaches its own held tail channel
-            # blocks exactly as the reference does (check-then-release)
-            acq_first = acq_pos <= rel_pos
-            pair_u = pairable & ~acq_first  # release hands the slot on
-            # acquire runs first and loses: the mover blocks, and the
-            # release must resolve in order so its wake catches the
-            # fresh waiter enqueued earlier in the emission walk
-            blk2_u = pairable & acq_first
-            bad_u = multi_u
-            if self._waiter_total:
-                # releases into channels with waiters take the ordered
-                # wake path; acquires need no care — the reference lets
-                # a same-round acquire beat woken waiters, which only
-                # retry next round
-                bad_u = bad_u | self.has_waiters[uniq]
-            mv_inv = inv[:na]
-            tail_inv = inv[na : na + nt]
-            rel_inv = inv[na + nt :]
-            mv_blk = blk_u[mv_inv] | blk2_u[mv_inv]
-            blkrow = np.zeros(n_ops, dtype=bool)
-            blkrow[mvmask] = mv_blk
-            rd = np.zeros(n_ops, dtype=bool)
-            rd[mvmask] = (
-                multi_u[mv_inv] | (busy[mvmask] & ~pair_u[mv_inv])
-            ) & ~mv_blk
-            rd[has_tail] |= bad_u[tail_inv] | blk2_u[tail_inv]
-            rd[relmask] |= bad_u[rel_inv] | blk2_u[rel_inv]
-            pu = np.flatnonzero(pair_u)
-            if pu.size:
-                qa = acq_pos[pu].astype(np.int64).tolist()
-                pr = rel_pos[pu].astype(np.int64).tolist()
-                for q, p in sorted(zip(qa, pr)):
-                    # the handoff needs its release to actually run: a
-                    # blocked or resolver-routed releasing *mover* may
-                    # keep the slot, while a pure release always
-                    # releases (a wake-path release still frees it)
-                    if blkrow[p] or (rd[p] and ocode[p] != 1):
-                        rd[q] = True
-            res = np.flatnonzero(rd)
-            rinfo = list(
-                zip(
-                    target[res].tolist(),
-                    tail_hop[res].tolist(),
-                    tailch[res].tolist(),
-                    tailpos[res].tolist(),
-                    relch[res].tolist(),
-                    rpos[res].tolist(),
-                    idx[res].tolist(),
-                    wlen[res].tolist(),
-                    self.w_mid[wv[res]].tolist(),
-                    self.w_inj[wv[res]].tolist(),
-                    self.rp_dest[tailpos[res]].tolist(),
-                    self.rp_dest[rpos[res]].tolist(),
-                )
-            )
-            c.resolver_events += len(rinfo)
-            c.array_ops += 34
-        scalar_rows = rd | (code == 2)
-        # batch the clean state transitions (channels are unique across
-        # every clean acquire and release, so plain fancy indexing is a
-        # correct scatter)
-        cm = mvmask & ~rd & ~blkrow
-        cmw = wv[cm]
-        if cmw.size:
-            self.in_use[target[cm]] += 1
-            self.w_idx[cmw] = idx[cm] + 1
-        # a blocked mover does not advance, so it keeps (and does not
-        # release) its tail channel
-        ct = has_tail & ~rd & ~blkrow
-        if ct.any():
-            self.in_use[tailch[ct]] -= 1
-        cr = relmask & ~rd
-        if cr.any():
-            self.in_use[relch[cr]] -= 1
-        dlv = (ct & self.rp_dest[tailpos]) | (cr & self.rp_dest[rpos])
-        dpos = np.where(ct, tailpos, rpos)
-        nend = cm & (idx + 1 == wlen)
-        n_scalar = int(scalar_rows.sum())
-        n_clean = n_ops - n_scalar
-        c.events += n_scalar - (len(rinfo) if rinfo is not None else 0)
-        c.array_ops += 10
-        if n_clean:
-            c.batched_events += n_clean
-            c.batches += 1
-            if n_clean > c.max_batch_width:
-                c.max_batch_width = n_clean
-        # emission pass, in calendar order.  Runs of clean,
-        # non-delivering, non-ending movers dominate and are appended to
-        # the next tick's chunk as C-speed list slices; only "special"
-        # rows — scalar, releasing, delivering, or route-ending — are
-        # visited one by one.  Clean releases emit nothing at t+1, so a
-        # chunk stays open across them.
-        tick1 = self.tick + 1
-        b1 = None
-        chunk = None
-        special = scalar_rows | relmask | dlv | nend | blkrow
-        spl = np.flatnonzero(special).tolist()
-        rd_l = rd.tolist()
-        blk_l = blkrow.tolist()
-        dlv_l = dlv.tolist()
-        nend_l = nend.tolist()
-        # convoy-resolver state: a lazy per-channel occupancy ledger
-        # ([in_use, cap], first touch reads the arrays once) plus the
-        # deferred cursor updates, scattered back in bulk after the walk
-        occ: dict = {}
-        adv_w: list[int] = []
-        adv_i: list[int] = []
-        ri = 0
-        in_use_ = self.in_use
-        cap_ = self.cap
-        rp_head = self.rp_head
-        prev = 0
-        di = 0
-        for r in spl:
-            while di < nd and defs[di][0] <= r:
-                # replay a scheduling call captured during the scan at
-                # its calendar position (splitting any open clean run
-                # so bucket order matches the reference kernel's)
-                dp, dtk, dent = defs[di]
-                di += 1
-                if dp > prev:
-                    run = ow[prev:dp]
-                    if chunk is not None:
-                        chunk.extend(run)
-                    else:
-                        chunk = run
-                        if b1 is None:
-                            b1 = self._bucket(tick1)
-                        b1.append(chunk)
-                    prev = dp
-                self._bucket(dtk).append(dent)
-                chunk = None
-            if r > prev:
-                run = ow[prev:r]
-                if chunk is not None:
-                    chunk.extend(run)
-                else:
-                    chunk = run
-                    if b1 is None:
-                        b1 = self._bucket(tick1)
-                    b1.append(chunk)
-            prev = r + 1
-            w = ow[r]
-            kd = ocode[r]
-            if rd_l[r]:
-                # ordered convoy resolver: settle this row against the
-                # occupancy ledger at its exact calendar position,
-                # mirroring the scalar kernels' check-block-acquire-
-                # release order, FIFO wakes and queue-jump semantics
-                tgt, th, tc, tp, rc, rpp, ix, wl, mid, inj, tdf, rdf = rinfo[ri]
-                ri += 1
-                if kd == 1:
-                    e = occ.get(rc)
-                    if e is None:
-                        e = occ[rc] = [int(in_use_[rc]), 0]
-                    e[0] -= 1
-                    if self._waiter_total:
-                        self._wake(rc)
-                    if rdf:
-                        self._deliver(mid, rp_head[rpp], inj)
-                else:
-                    e = occ.get(tgt)
-                    if e is None:
-                        e = occ[tgt] = [int(in_use_[tgt]), int(cap_[tgt])]
-                    elif not e[1]:
-                        e[1] = int(cap_[tgt])
-                    if e[0] >= e[1]:
-                        self._block(w, tgt)
-                    else:
-                        e[0] += 1
-                        if th >= 0:
-                            te = occ.get(tc)
-                            if te is None:
-                                te = occ[tc] = [int(in_use_[tc]), 0]
-                            te[0] -= 1
-                            if self._waiter_total:
-                                self._wake(tc)
-                            if tdf:
-                                self._deliver(mid, rp_head[tp], inj)
-                        ni = ix + 1
-                        adv_w.append(w)
-                        adv_i.append(ni)
-                        if ni == wl:
-                            if b1 is None:
-                                b1 = self._bucket(tick1)
-                            b1.append((_ARR, w))
-                            chunk = None
-                        elif chunk is not None:
-                            chunk.append(w)
-                        else:
-                            chunk = [w]
-                            if b1 is None:
-                                b1 = self._bucket(tick1)
-                            b1.append(chunk)
-            elif kd == 2:
-                chunk = None
-                self._arrive_path(w)
-            elif blk_l[r]:
-                # deterministically rejected acquire: enqueue as a
-                # waiter (row order preserves FIFO) and emit nothing
-                self._block(w, int(target[r]))
-            elif kd == 0:
-                if dlv_l[r]:
-                    self._deliver(
-                        int(self.w_mid[w]),
-                        self.rp_head[int(dpos[r])],
-                        int(self.w_inj[w]),
-                    )
-                if nend_l[r]:
-                    if b1 is None:
-                        b1 = self._bucket(tick1)
-                    b1.append((_ARR, w))
-                    chunk = None
-                elif chunk is not None:
-                    chunk.append(w)
-                else:
-                    chunk = [w]
-                    if b1 is None:
-                        b1 = self._bucket(tick1)
-                    b1.append(chunk)
-            elif dlv_l[r]:
-                self._deliver(
-                    int(self.w_mid[w]),
-                    self.rp_head[int(dpos[r])],
-                    int(self.w_inj[w]),
-                )
-        while di < nd:
-            dp, dtk, dent = defs[di]
-            di += 1
-            if dp > prev:
-                run = ow[prev:dp]
-                if chunk is not None:
-                    chunk.extend(run)
-                else:
-                    chunk = run
-                    if b1 is None:
-                        b1 = self._bucket(tick1)
-                    b1.append(chunk)
-                prev = dp
-            self._bucket(dtk).append(dent)
-            chunk = None
-        if n_ops > prev:
-            run = ow[prev:]
-            if chunk is not None:
-                chunk.extend(run)
-            else:
-                if b1 is None:
-                    b1 = self._bucket(tick1)
-                b1.append(run)
-        if occ:
-            ks = np.fromiter(occ.keys(), dtype=np.int64, count=len(occ))
-            self.in_use[ks] = np.fromiter(
-                (e[0] for e in occ.values()), dtype=np.int32, count=len(occ)
-            )
-            c.array_ops += 2
-        if adv_w:
-            self.w_idx[np.array(adv_w, dtype=np.int64)] = adv_i
-            c.array_ops += 2
-
-    # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
 
@@ -2076,26 +1598,13 @@ class DenseEngine:
         out["route_pool_used"] = int(self.rp_used)
         return out
 
-    def latencies(self, cutoff: float) -> list[float]:
-        """Per-delivery latency (seconds) for messages after the warmup
-        ``cutoff``, in delivery order."""
+    def delivery_latencies(self) -> list[tuple[int, float]]:
+        """``(message_id, latency)`` per delivery (latency in seconds),
+        in delivery order."""
         tf = self.tf
         # computed as delivered_at - injected_at (not (t - inj) * tf) so
         # the floats match the reference model's Delivery.latency
         return [
-            t * tf - inj * tf
+            (mid, t * tf - inj * tf)
             for mid, inj, t in zip(self.d_mid, self.d_inj, self.d_tick)
-            if mid > cutoff
-        ]
-
-    def deliveries(self):
-        """The delivery stream as reference-model ``Delivery`` objects."""
-        from .reference import Delivery
-
-        tf = self.tf
-        return [
-            Delivery(mid, node, inj * tf, t * tf)
-            for mid, node, inj, t in zip(
-                self.d_mid, self.d_node, self.d_inj, self.d_tick
-            )
         ]

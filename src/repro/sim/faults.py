@@ -132,22 +132,6 @@ class FaultPlan:
         events.sort(key=lambda ev: ev.time)
         return cls(events=tuple(events), horizon=horizon)
 
-    def quantized(self, config: SimConfig) -> "FaultPlan":
-        """The same schedule with every event time snapped to the
-        flit-time grid (``SimConfig.quantize``).  Quantization is
-        monotone, so the events stay time-sorted and ties keep plan
-        order — this is what puts a reference-engine resilient run on
-        the dense engine's integer flit clock."""
-        if not self.events:
-            return self
-        return FaultPlan(
-            events=tuple(
-                FaultEvent(config.quantize(ev.time), ev.kind, ev.target, ev.down)
-                for ev in self.events
-            ),
-            horizon=self.horizon,
-        )
-
     def to_json(self) -> dict:
         """The plan as a JSON-serializable dict (inverse of
         :meth:`from_json`).
@@ -239,13 +223,17 @@ class FaultState:
         self._version = 0
         self._blocked_cache: tuple | None = None  # (version, frozenset)
 
-    def install(self, net: "FaultyWormholeNetwork") -> None:
-        """Schedule every plan event on the network's calendar."""
-        schedule = net.env.schedule
+    def install(self, net) -> None:
+        """Schedule every plan event on the calendar of ``net`` (a
+        :class:`FaultyWormholeNetwork` or a fault-aware
+        :class:`~repro.sim.dense.DenseEngine`).  Both engines put a
+        delay on the flit grid the same way, so under
+        ``quantize_arrivals`` the events land on identical ticks, in
+        plan order."""
         for ev in self.plan.events:
-            schedule(ev.time, self._apply, net, ev)
+            net.schedule(ev.time, self._apply, net, ev)
 
-    def _apply(self, net: "FaultyWormholeNetwork", ev: FaultEvent) -> None:
+    def _apply(self, net, ev: FaultEvent) -> None:
         self._version += 1
         self._blocked_cache = None
         group = self.down_links if ev.kind == "link" else self.down_nodes

@@ -8,8 +8,9 @@ access, so the kernel is reimplemented here: an event calendar
 yield :class:`Timeout` or :class:`Event` objects, in the style CSIM and
 simpy share.
 
-The wormhole network model (:mod:`repro.sim.network`) uses the callback
-interface for speed; the traffic generators and examples use processes.
+The wormhole network model (:mod:`repro.sim.reference`) uses the
+callback interface for speed; the traffic generators and examples use
+processes.
 
 Fast path
 ---------
@@ -27,7 +28,10 @@ to a single-calendar kernel while the dominant events cost O(1).
 :class:`LegacyEnvironment` retains the original heap-only calendar.
 It exists for benchmarking (``benchmarks/bench_kernel_throughput.py``
 measures the fast path's speedup against it) and for parity tests; it
-is not used by the simulators.
+is not used by the simulators.  The benchmark and the parity tests
+swap it in for a whole run by replacing the ``Environment`` attribute
+of :mod:`repro.sim.runner`, whose run functions build every
+reference-engine calendar through it.
 """
 
 from __future__ import annotations

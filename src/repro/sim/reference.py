@@ -5,7 +5,6 @@ message stepping through the event kernel.  It is the parity baseline
 for the vectorized structure-of-arrays engine in
 :mod:`repro.sim.dense`, exactly as :mod:`repro.exact.reference` and
 :mod:`repro.labeling.reference` anchor their optimised counterparts.
-(:mod:`repro.sim.network` re-exports these names for compatibility.)
 
 Messages are *worms*: the header acquires one channel per flit time and
 the body follows in a pipeline; a blocked worm stays in the network,
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 
 from .config import SimConfig
-from .kernel import Environment
+from .kernel import Environment, Timeout
 
 
 class Channel:
@@ -211,6 +210,33 @@ class WormholeNetwork:
 
     def finish(self, worm) -> None:
         self.active_worms -= 1
+
+    # ------------------------------------------------------------------
+    # Engine surface shared with repro.sim.dense.DenseEngine: the run
+    # functions of repro.sim.runner use either engine through these.
+    # ------------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.env.now
+
+    def _delay(self, delay: float) -> float:
+        return self.config.quantize(delay) if self.config.quantize_arrivals else delay
+
+    def schedule(self, delay: float, fn, *args) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now (snapped to the
+        flit-time grid under ``config.quantize_arrivals``)."""
+        self.env.schedule(self._delay(delay), fn, *args)
+
+    def schedule_deferred(self, delay: float, fn, *args) -> None:
+        """Like :meth:`schedule`, but wait on a kernel ``Timeout``: the
+        call runs from the immediate lane, after the entries already
+        queued at that time (the retry-timeout semantics)."""
+        Timeout(self.env, self._delay(delay)).wait(lambda _ev: fn(*args))
+
+    def delivery_latencies(self) -> list[tuple[int, float]]:
+        """``(message_id, latency)`` per delivery, in delivery order."""
+        return [(d.message_id, d.latency) for d in self.deliveries]
 
     def run_to_completion(self, until: float | None = None) -> bool:
         """Run the calendar dry.  Returns True if every worm finished;

@@ -13,7 +13,13 @@ demonstrations run through it.
 Every driver takes ``engine=``: ``"reference"`` steps one worm object
 per event through the kernel (:mod:`repro.sim.reference`), ``"dense"``
 advances all worms as flat arrays on an integer flit clock
-(:mod:`repro.sim.dense`).  Both consume the same RNG draw sequence; with
+(:mod:`repro.sim.dense`), and ``"auto"`` picks one per run
+(:func:`choose_engine`).  Each run type has one body for both
+engines: it talks to the engine only through the surface the two share
+— ``schedule``/``schedule_deferred`` (delays in seconds),
+``run_to_completion``, ``now``, the worm counts, ``delivery_latencies``
+and, for fault runs, ``drop_handler``, ``delivered_by_message`` and
+``origin_time``.  Both engines consume the same RNG draw sequence; with
 ``SimConfig(quantize_arrivals=True)`` they agree event for event (the
 parity suite asserts identical delivery streams).  Worm styles without
 a dense kernel (``vct-tree``) transparently fall back to the reference
@@ -32,8 +38,8 @@ from ..wormhole.fault_tolerance import Unroutable
 from .config import SimConfig
 from .dense import DenseEngine
 from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
-from .kernel import Environment, Timeout
-from .network import WormholeNetwork
+from .kernel import Environment
+from .reference import WormholeNetwork
 from .stats import SimStats, Summary, batch_means
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 
@@ -54,16 +60,6 @@ AUTO_MIN_HOPS = 96
 
 class DeadlockDetected(RuntimeError):
     """The simulation stalled with unfinished worms and no events."""
-
-
-def _check_engine(engine: str, env_factory=Environment) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine in ("dense", "auto") and env_factory is not Environment:
-        raise ValueError(
-            f"engine={engine!r} runs its own integer-tick calendar; "
-            "env_factory only applies to the reference engine"
-        )
 
 
 def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple[str, dict]:
@@ -144,6 +140,8 @@ def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple
     return decision, features
 
 
+
+
 @dataclass(frozen=True)
 class DynamicResult:
     """Outcome of one dynamic run."""
@@ -155,8 +153,9 @@ class DynamicResult:
     worms: int = 0
     #: simulation engine that produced this result
     engine: str = "reference"
-    #: dense-engine counters (``DenseEngine.cache_stats()``); None for
-    #: reference runs
+    #: dense-engine counters (``DenseEngine.cache_stats()``) and the
+    #: ``engine="auto"`` decision record under ``"auto"``; None for
+    #: reference runs without an auto decision
     engine_stats: dict | None = None
 
     @property
@@ -230,67 +229,97 @@ def _make_router(topology, scheme, config, fault_state=None) -> Router:
     )
 
 
-def _dense_fallback(router: Router) -> bool:
-    """Whether the routed worm style lacks a dense kernel (VCT trees
-    buffer whole messages at nodes, which the flat channel-occupancy
-    model does not represent)."""
-    # capability check: "vct-tree" here is the worm_style, which happens
-    # to share its spelling with the scheme name
-    return router.spec.worm_style == "vct-tree"  # lint: ignore[no-registry-bypass]
-
-
-def run_dynamic(
-    topology: Topology,
-    scheme: str,
+def _resolve_engine(
+    engine: str,
+    topology,
+    router: Router,
     config: SimConfig,
-    router: Router | None = None,
-    env_factory=Environment,
-    engine: str = "reference",
-) -> DynamicResult:
-    """Simulate Poisson multicast traffic under one routing scheme.
+    faulty: bool | None = None,
+    burst: bool = False,
+) -> tuple[str, SimConfig, dict | None]:
+    """Resolve ``engine`` for one run: returns ``(engine, config,
+    auto)`` where ``auto`` is the ``engine="auto"`` decision record
+    (None otherwise).
 
-    Raises :class:`DeadlockDetected` if the network wedges (only
-    possible for the deliberately deadlock-prone tree schemes on single
-    channels).
-
-    ``env_factory`` selects the simulation kernel; the default fast
-    kernel and :class:`~repro.sim.kernel.LegacyEnvironment` produce
-    bit-identical results (the benchmark and parity suites exercise
-    both).
-    """
-    _check_engine(engine, env_factory)
+    ``burst`` marks a static scenario: with no arrival process to
+    feature-ize, ``auto`` picks the reference kernel.  A worm style
+    without a dense kernel (``vct-tree``: VCT trees buffer whole
+    messages at nodes, which the flat channel-occupancy model does not
+    represent) runs on the reference engine, on the dense engine's
+    flit-time grid."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    style = router.spec.worm_style
     auto: dict | None = None
     if engine == "auto":
-        router = router or _make_router(topology, scheme, config)
-        engine, auto = choose_engine(topology, router, config)
-    if engine == "dense":
-        router = router or _make_router(topology, scheme, config)
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
+        if burst:
+            engine = "reference"
+            auto = {
+                "worm_style": style,
+                "nodes": topology.num_nodes,
+                "decision": engine,
+                "reason": "static-burst",
+            }
         else:
-            return _run_dynamic_dense(topology, scheme, config, router, auto=auto)
-    env = env_factory()
-    net = WormholeNetwork(env, config)
-    rng = random.Random(config.seed)
-    router = router or _make_router(topology, scheme, config)
+            engine, auto = choose_engine(topology, router, config, faulty)
+    # capability check: "vct-tree" here is the worm_style, which happens
+    # to share its spelling with the scheme name
+    if engine == "dense" and style == "vct-tree":  # lint: ignore[no-registry-bypass]
+        engine = "reference"
+        config = config.replace(quantize_arrivals=True)
+    return engine, config, auto
+
+
+def _build_engine(
+    engine: str,
+    topology,
+    router: Router,
+    config: SimConfig,
+    fault_state: FaultState | None = None,
+    stats: SimStats | None = None,
+):
+    """A fresh engine of the resolved kind; a ``fault_state`` selects
+    the fault-aware variant."""
+    if engine == "reference":
+        env = Environment()
+        if fault_state is None:
+            return WormholeNetwork(env, config)
+        return FaultyWormholeNetwork(env, config, fault_state, stats)
+    eng = DenseEngine(
+        config,
+        fault_state=fault_state,
+        stats=stats,
+        node_index=topology.index_map() if fault_state is not None else None,
+    )
+    # frontier windows need every worm to be a path worm
+    eng.windowed = eng.vectorize and router.spec.worm_style in ("star", "vc-star")
+    return eng
+
+
+def _engine_stats(net, auto: dict | None) -> dict | None:
+    """Dense counters plus the ``auto`` decision record, if any."""
+    stats: dict = net.cache_stats() if isinstance(net, DenseEngine) else {}
+    if auto is not None:
+        stats["auto"] = auto
+    return stats or None
+
+
+def _run_to_completion(net) -> None:
+    if not net.run_to_completion():
+        raise DeadlockDetected(
+            f"{net.active_worms} worms blocked with an empty event calendar"
+        )
+
+
+def _destination_sampler(topology, rng: random.Random, k: int):
+    """The §7.2 destination draw: ``k`` distinct nodes other than the
+    source, uniform, returned in index order."""
     nodes = list(topology.nodes())
     n = len(nodes)
-    state = {"injected": 0}
-    # capacity for path worms: pooled double channels when the network
-    # is double-channel; tree worms always use their own tagged copies.
-    path_capacity = config.channels_per_link
-
-    # hot-loop locals: the workload generator runs once per message.
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
     index_map = topology.index_map()
-    schedule = env.schedule
-    q = config.quantize if config.quantize_arrivals else None
+    randrange = rng.randrange
 
-    def draw_destinations(source):
+    def draw(source):
         chosen: set = set()
         src_i = index_map[source]
         while len(chosen) < k:
@@ -298,6 +327,42 @@ def run_dynamic(
             if i != src_i:
                 chosen.add(i)
         return tuple(nodes[i] for i in sorted(chosen))
+
+    return draw
+
+
+#: latency summary of a run that delivered nothing after warmup
+_NO_LATENCY = Summary(float("nan"), float("inf"), 0, 0)
+
+
+def run_dynamic(
+    topology: Topology,
+    scheme: str,
+    config: SimConfig,
+    router: Router | None = None,
+    engine: str = "reference",
+) -> DynamicResult:
+    """Simulate Poisson multicast traffic under one routing scheme.
+
+    Raises :class:`DeadlockDetected` if the network wedges (only
+    possible for the deliberately deadlock-prone tree schemes on single
+    channels).
+    """
+    router = router or _make_router(topology, scheme, config)
+    engine, config, auto = _resolve_engine(engine, topology, router, config)
+    net = _build_engine(engine, topology, router, config)
+    rng = random.Random(config.seed)
+    state = {"injected": 0}
+    # capacity for path worms: pooled double channels when the network
+    # is double-channel; tree worms always use their own tagged copies.
+    path_capacity = config.channels_per_link
+
+    # hot-loop locals: the workload generator runs once per message.
+    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
+    expovariate = rng.expovariate
+    arrival_rate = 1.0 / config.mean_interarrival
+    num_messages = config.num_messages
+    schedule = net.schedule
 
     def inject_from(node):
         if state["injected"] >= num_messages:
@@ -308,99 +373,22 @@ def run_dynamic(
         # the source — the trusted constructor skips re-checking that.
         request = MulticastRequest.trusted(topology, node, draw_destinations(node))
         inject_specs(net, mid, router(request), path_capacity, router)
-        delay = expovariate(arrival_rate)
-        schedule(q(delay) if q else delay, inject_from, node)
+        schedule(expovariate(arrival_rate), inject_from, node)
 
-    for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+    for node in topology.nodes():
+        schedule(expovariate(arrival_rate), inject_from, node)
 
-    completed = net.run_to_completion()
-    if not completed:
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
-
+    _run_to_completion(net)
     cutoff = config.num_messages * config.warmup_fraction
-    latencies = [d.latency for d in net.deliveries if d.message_id > cutoff]
+    delivered = net.delivery_latencies()
     return DynamicResult(
-        latency=batch_means(latencies),
+        latency=batch_means([lat for mid, lat in delivered if mid > cutoff]),
         injected_messages=state["injected"],
-        deliveries=len(net.deliveries),
-        sim_time=env.now,
+        deliveries=len(delivered),
+        sim_time=net.now,
         worms=net.total_worms,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_dynamic_dense(
-    topology: Topology,
-    scheme: str,
-    config: SimConfig,
-    router: Router,
-    auto: dict | None = None,
-) -> DynamicResult:
-    """:func:`run_dynamic` on the structure-of-arrays engine.
-
-    Duplicates the reference driver's RNG draw order exactly; delays
-    land on the integer flit clock via :meth:`SimConfig.ticks` (the
-    same grid ``quantize_arrivals`` puts the reference engine on)."""
-    eng = DenseEngine(config)
-    # every worm in a star/vc-star run is a path worm, which licenses
-    # the engine's tick-level vectorized dispatch
-    eng.tickvec = eng.vectorize and router.spec.worm_style in ("star", "vc-star")
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-    path_capacity = config.channels_per_link
-
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
-    index_map = topology.index_map()
-    ticks = config.ticks
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
-        inject_specs(eng, mid, router(request), path_capacity, router)
-        eng.call_in(ticks(expovariate(arrival_rate)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    stats = eng.cache_stats()
-    if auto is not None:
-        stats["auto"] = auto
-    return DynamicResult(
-        latency=batch_means(eng.latencies(cutoff)),
-        injected_messages=state["injected"],
-        deliveries=len(eng.d_mid),
-        sim_time=eng.now,
-        worms=eng.total_worms,
-        engine="dense",
-        engine_stats=stats,
+        engine=engine,
+        engine_stats=_engine_stats(net, auto),
     )
 
 
@@ -438,7 +426,6 @@ def run_resilient(
     scheme: str,
     config: SimConfig,
     plan: FaultPlan | None = None,
-    env_factory=Environment,
     engine: str = "reference",
 ) -> FaultResult:
     """:func:`run_dynamic` under fault injection with resilient
@@ -459,48 +446,28 @@ def run_resilient(
     zero fault rates the result matches :func:`run_dynamic` event for
     event (the parity suite asserts this).
     """
-    _check_engine(engine, env_factory)
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
-    auto: dict | None = None
-    if engine == "auto":
-        engine, auto = choose_engine(
-            topology,
-            _make_router(topology, scheme, config, FaultState(plan)),
-            config,
-            faulty=config.faulty or bool(plan.events),
-        )
-    if engine == "dense":
-        fault_state = FaultState(plan)
-        router = _make_router(topology, scheme, config, fault_state)
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
-        else:
-            return _run_resilient_dense(
-                topology, scheme, config, plan, fault_state, router, auto=auto
-            )
-    env = env_factory()
-    stats = SimStats()
-    if config.quantize_arrivals:
-        plan = plan.quantized(config)
     fault_state = FaultState(plan)
-    net = FaultyWormholeNetwork(env, config, fault_state, stats)
-    rng = random.Random(config.seed)
     router = _make_router(topology, scheme, config, fault_state)
+    engine, config, auto = _resolve_engine(
+        engine, topology, router, config, faulty=config.faulty or bool(plan.events)
+    )
+    stats = SimStats()
+    net = _build_engine(engine, topology, router, config, fault_state, stats)
+    # the fault schedule lands on the calendar before any injection, so
+    # same-time fault events dispatch first
     fault_state.install(net)
-    nodes = list(topology.nodes())
-    n = len(nodes)
+    rng = random.Random(config.seed)
     state = {"injected": 0}
     path_capacity = config.channels_per_link
 
-    randrange = rng.randrange
+    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
     expovariate = rng.expovariate
     arrival_rate = 1.0 / config.mean_interarrival
     num_messages = config.num_messages
-    k = config.num_destinations
     index_map = topology.index_map()
-    schedule = env.schedule
-    q = config.quantize if config.quantize_arrivals else None
+    schedule = net.schedule
 
     # per-message delivery obligations and retry bookkeeping
     expected: dict[int, frozenset] = {}
@@ -508,15 +475,6 @@ def run_resilient(
     origins: dict = {}
     attempts: dict = {}
     pending_retry: set = set()
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
 
     def handle_drop(message_id, dropped, reason):
         # coalesce: dual-path injects two worms per message, and both
@@ -531,9 +489,7 @@ def run_resilient(
         delay = backoff_delay(
             used, base=config.retry_timeout, factor=config.retry_backoff
         )
-        Timeout(env, q(delay) if q else delay).wait(
-            lambda ev, mid=message_id: retry(mid)
-        )
+        net.schedule_deferred(delay, retry, message_id)
 
     def retry(message_id):
         pending_retry.discard(message_id)
@@ -553,6 +509,8 @@ def run_resilient(
             source,
             tuple(sorted(remaining, key=index_map.__getitem__)),
         )
+        # the retransmission keeps the message's original injection
+        # time, so its latency spans the whole retry history
         net.origin_time = origins[message_id]
         try:
             inject_specs(net, message_id, router(request), path_capacity, router)
@@ -572,7 +530,7 @@ def run_resilient(
         request = MulticastRequest.trusted(topology, node, draw_destinations(node))
         expected[mid] = frozenset(request.destinations)
         sources[mid] = node
-        origins[mid] = env.now
+        origins[mid] = net.now
         if fault_state.node_down(node):
             stats.injection_failures += 1
             handle_drop(mid, expected[mid], "source node down")
@@ -582,174 +540,32 @@ def run_resilient(
             except Unroutable:
                 stats.injection_failures += 1
                 handle_drop(mid, expected[mid], "unroutable")
-        delay = expovariate(arrival_rate)
-        schedule(q(delay) if q else delay, inject_from, node)
+        schedule(expovariate(arrival_rate), inject_from, node)
 
-    for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+    for node in topology.nodes():
+        schedule(expovariate(arrival_rate), inject_from, node)
 
-    completed = net.run_to_completion()
-    if not completed:
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
-
+    _run_to_completion(net)
     cutoff = config.num_messages * config.warmup_fraction
-    latencies = [d.latency for d in net.deliveries if d.message_id > cutoff]
+    delivered = net.delivery_latencies()
+    latencies = [lat for mid, lat in delivered if mid > cutoff]
     total_expected = sum(len(dests) for dests in expected.values())
     # delivered was counted per unique (message, destination) pair;
     # whatever the retry budget never reached is dropped.
     stats.dropped = total_expected - stats.delivered
-    empty = Summary(float("nan"), float("inf"), 0, 0)
+    engine_stats = _engine_stats(net, auto)
+    if engine == "dense":
+        stats.engine_counters = engine_stats
     return FaultResult(
-        latency=batch_means(latencies) if latencies else empty,
+        latency=batch_means(latencies) if latencies else _NO_LATENCY,
         injected_messages=state["injected"],
-        deliveries=len(net.deliveries),
-        sim_time=env.now,
+        deliveries=len(delivered),
+        sim_time=net.now,
         worms=net.total_worms,
         stats=stats,
         expected_deliveries=total_expected,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_resilient_dense(
-    topology: Topology,
-    scheme: str,
-    config: SimConfig,
-    plan: FaultPlan,
-    fault_state: FaultState,
-    router: Router,
-    auto: dict | None = None,
-) -> FaultResult:
-    """:func:`run_resilient` on the structure-of-arrays engine (the
-    fault-aware scalar kernels plus the vectorized fault mask)."""
-    stats = SimStats()
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    index_map = topology.index_map()
-    eng = DenseEngine(
-        config, fault_state=fault_state, stats=stats, node_index=index_map
-    )
-    state = {"injected": 0}
-    path_capacity = config.channels_per_link
-
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
-    ticks = config.ticks
-
-    # the fault schedule lands on the calendar before any injection, so
-    # same-tick fault events dispatch first (as in the reference driver)
-    for ev in plan.events:
-        eng.call_at(ticks(ev.time), fault_state._apply, eng, ev)
-
-    expected: dict[int, frozenset] = {}
-    sources: dict = {}
-    origins: dict = {}
-    attempts: dict = {}
-    pending_retry: set = set()
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
-
-    def handle_drop(message_id, dropped, reason):
-        if message_id in pending_retry:
-            return
-        used = attempts.get(message_id, 0)
-        if used >= config.max_retries:
-            return
-        attempts[message_id] = used + 1
-        pending_retry.add(message_id)
-        delay = backoff_delay(
-            used, base=config.retry_timeout, factor=config.retry_backoff
-        )
-        eng.call_in_deferred(ticks(delay), retry, message_id)
-
-    def retry(message_id):
-        pending_retry.discard(message_id)
-        remaining = expected[message_id] - eng.delivered_by_message.get(
-            message_id, set()
-        )
-        if not remaining:
-            return
-        source = sources[message_id]
-        if fault_state.node_down(source):
-            handle_drop(message_id, remaining, "source node down")
-            return
-        stats.retries += 1
-        request = MulticastRequest.trusted(
-            topology,
-            source,
-            tuple(sorted(remaining, key=index_map.__getitem__)),
-        )
-        eng.origin_tick = origins[message_id]
-        try:
-            inject_specs(eng, message_id, router(request), path_capacity, router)
-        except Unroutable:
-            stats.injection_failures += 1
-            handle_drop(message_id, remaining, "unroutable")
-        finally:
-            eng.origin_tick = None
-
-    eng.drop_handler = handle_drop
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
-        expected[mid] = frozenset(request.destinations)
-        sources[mid] = node
-        origins[mid] = eng.tick
-        if fault_state.node_down(node):
-            stats.injection_failures += 1
-            handle_drop(mid, expected[mid], "source node down")
-        else:
-            try:
-                inject_specs(eng, mid, router(request), path_capacity, router)
-            except Unroutable:
-                stats.injection_failures += 1
-                handle_drop(mid, expected[mid], "unroutable")
-        eng.call_in(ticks(expovariate(arrival_rate)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    latencies = eng.latencies(cutoff)
-    total_expected = sum(len(dests) for dests in expected.values())
-    stats.dropped = total_expected - stats.delivered
-    stats.engine_counters = eng.cache_stats()
-    if auto is not None:
-        stats.engine_counters["auto"] = auto
-    empty = Summary(float("nan"), float("inf"), 0, 0)
-    return FaultResult(
-        latency=batch_means(latencies) if latencies else empty,
-        injected_messages=state["injected"],
-        deliveries=len(eng.d_mid),
-        sim_time=eng.now,
-        worms=eng.total_worms,
-        stats=stats,
-        expected_deliveries=total_expected,
-        engine="dense",
-        engine_stats=stats.engine_counters,
+        engine=engine,
+        engine_stats=engine_stats,
     )
 
 
@@ -809,29 +625,16 @@ def run_mixed(
     """
     if not 0.0 <= unicast_fraction <= 1.0:
         raise ValueError("unicast_fraction must be in [0, 1]")
-    _check_engine(engine)
-    router = Router(topology, scheme, channels_per_link=config.channels_per_link)
+    router = _make_router(topology, scheme, config)
+    engine, config, auto = _resolve_engine(engine, topology, router, config)
     from ..labeling import canonical_labeling
 
     labeling = router.labeling or canonical_labeling(topology)
-    auto: dict | None = None
-    if engine == "auto":
-        engine, auto = choose_engine(topology, router, config)
-    if engine == "dense":
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
-        else:
-            return _run_mixed_dense(
-                topology, router, labeling, config, unicast_fraction, auto=auto
-            )
-    env = Environment()
-    net = WormholeNetwork(env, config)
+    net = _build_engine(engine, topology, router, config)
     rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
+    n = topology.num_nodes
     state = {"injected": 0}
     kinds: dict[int, str] = {}
-    q = config.quantize if config.quantize_arrivals else None
 
     def inject_from(node):
         if state["injected"] >= config.num_messages:
@@ -858,112 +661,25 @@ def run_mixed(
             dests = tuple(topology.node_at(i) for i in sorted(chosen))
             request = MulticastRequest(topology, node, dests)
             inject_specs(net, mid, router(request), config.channels_per_link, router)
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+        net.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
-    for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+    for node in topology.nodes():
+        net.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
-    if not net.run_to_completion():
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
+    _run_to_completion(net)
     cutoff = config.num_messages * config.warmup_fraction
-    uni = [
-        d.latency
-        for d in net.deliveries
-        if d.message_id > cutoff and kinds[d.message_id] == "unicast"
-    ]
-    multi = [
-        d.latency
-        for d in net.deliveries
-        if d.message_id > cutoff and kinds[d.message_id] == "multicast"
-    ]
-    empty = Summary(float("nan"), float("inf"), 0, 0)
+    latencies: dict[str, list[float]] = {"unicast": [], "multicast": []}
+    for mid, lat in net.delivery_latencies():
+        if mid > cutoff:
+            latencies[kinds[mid]].append(lat)
+    uni, multi = latencies["unicast"], latencies["multicast"]
     return MixedResult(
-        unicast_latency=batch_means(uni) if uni else empty,
-        multicast_latency=batch_means(multi) if multi else empty,
+        unicast_latency=batch_means(uni) if uni else _NO_LATENCY,
+        multicast_latency=batch_means(multi) if multi else _NO_LATENCY,
         injected_messages=state["injected"],
-        sim_time=env.now,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_mixed_dense(
-    topology: Topology,
-    router: Router,
-    labeling,
-    config: SimConfig,
-    unicast_fraction: float,
-    auto: dict | None = None,
-) -> MixedResult:
-    """:func:`run_mixed` on the structure-of-arrays engine."""
-    eng = DenseEngine(config)
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-    kinds: dict[int, str] = {}
-    ticks = config.ticks
-
-    def inject_from(node):
-        if state["injected"] >= config.num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        src_i = topology.index(node)
-        if rng.random() < unicast_fraction:
-            kinds[mid] = "unicast"
-            while True:
-                i = rng.randrange(n)
-                if i != src_i:
-                    break
-            dest = topology.node_at(i)
-            path = labeling.route_path(node, dest)
-            eng.inject_path(mid, path, {dest}, capacity=config.channels_per_link)
-        else:
-            kinds[mid] = "multicast"
-            chosen: set = set()
-            while len(chosen) < config.num_destinations:
-                i = rng.randrange(n)
-                if i != src_i:
-                    chosen.add(i)
-            dests = tuple(topology.node_at(i) for i in sorted(chosen))
-            request = MulticastRequest(topology, node, dests)
-            inject_specs(eng, mid, router(request), config.channels_per_link, router)
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-    cutoff = config.num_messages * config.warmup_fraction
-    tf = config.flit_time
-    uni = [
-        t * tf - inj * tf
-        for mid, inj, t in zip(eng.d_mid, eng.d_inj, eng.d_tick)
-        if mid > cutoff and kinds[mid] == "unicast"
-    ]
-    multi = [
-        t * tf - inj * tf
-        for mid, inj, t in zip(eng.d_mid, eng.d_inj, eng.d_tick)
-        if mid > cutoff and kinds[mid] == "multicast"
-    ]
-    empty = Summary(float("nan"), float("inf"), 0, 0)
-    stats = eng.cache_stats()
-    if auto is not None:
-        stats["auto"] = auto
-    return MixedResult(
-        unicast_latency=batch_means(uni) if uni else empty,
-        multicast_latency=batch_means(multi) if multi else empty,
-        injected_messages=state["injected"],
-        sim_time=eng.now,
-        engine="dense",
-        engine_stats=stats,
+        sim_time=net.now,
+        engine=engine,
+        engine_stats=_engine_stats(net, auto),
     )
 
 
@@ -990,33 +706,17 @@ def run_static_scenario(
     the network dry.  ``completed=False`` demonstrates deadlock (e.g.
     Fig. 6.1's two broadcasts under ``scheme='ecube-tree'``)."""
     config = config or SimConfig()
-    _check_engine(engine)
-    router = Router(topology, scheme, channels_per_link=config.channels_per_link)
-    if engine == "auto":
-        # no arrival process to feature-ize: a static scenario is one
-        # burst at time zero, which the reference kernel handles best
-        engine = "reference"
-    if engine == "dense" and not _dense_fallback(router):
-        eng = DenseEngine(config)
-        for mid, request in enumerate(requests, start=1):
-            inject_specs(eng, mid, router(request), config.channels_per_link, router)
-        completed = eng.run()
-        return ScenarioResult(
-            completed=completed,
-            blocked_worms=eng.active_worms,
-            deliveries=len(eng.d_mid),
-            sim_time=eng.now,
-            engine="dense",
-            engine_stats=eng.cache_stats(),
-        )
-    env = Environment()
-    net = WormholeNetwork(env, config)
+    router = _make_router(topology, scheme, config)
+    engine, config, auto = _resolve_engine(engine, topology, router, config, burst=True)
+    net = _build_engine(engine, topology, router, config)
     for mid, request in enumerate(requests, start=1):
         inject_specs(net, mid, router(request), config.channels_per_link, router)
     completed = net.run_to_completion()
     return ScenarioResult(
         completed=completed,
         blocked_worms=net.active_worms,
-        deliveries=len(net.deliveries),
-        sim_time=env.now,
+        deliveries=len(net.delivery_latencies()),
+        sim_time=net.now,
+        engine=engine,
+        engine_stats=_engine_stats(net, auto),
     )

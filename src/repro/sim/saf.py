@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .config import SimConfig
 from .kernel import Environment
-from .network import Delivery
+from .reference import Delivery
 
 
 @dataclass

@@ -11,12 +11,12 @@ from repro.topology import Hypercube, Mesh2D
 
 # the fast dense-engine gate CI runs on every PR (`pytest -m
 # dense_parity`): exact two-engine parity, the engine="auto" policy and
-# the convoy-resolver property tests; applied here so the files
+# the frontier-window property tests; applied here so the files
 # themselves stay marker-free
 DENSE_PARITY_FILES = {
     "test_dense_parity.py",
     "test_engine_auto.py",
-    "test_dense_resolver_property.py",
+    "test_dense_window_property.py",
 }
 
 

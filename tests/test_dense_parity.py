@@ -12,14 +12,18 @@ approximate agreement.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.models.request import MulticastRequest
 from repro.sim import (
     InvalidConfigError,
     SimConfig,
     run_dynamic,
     run_mixed,
     run_resilient,
+    run_static_scenario,
 )
 from repro.sim.runner import DeadlockDetected
 from repro.topology import Hypercube, KAryNCube, Mesh2D
@@ -236,6 +240,80 @@ def test_mixed_traffic_parity():
 
 
 # ----------------------------------------------------------------------
+# Static scenarios: the §6 bursts injected at time zero
+# ----------------------------------------------------------------------
+
+
+def _fig_6_1():
+    """Two e-cube broadcasts on a 3-cube (Fig. 6.1)."""
+    cube = Hypercube(3)
+    return cube, [
+        MulticastRequest(cube, 0, tuple(v for v in cube.nodes() if v != 0)),
+        MulticastRequest(cube, 1, tuple(v for v in cube.nodes() if v != 1)),
+    ]
+
+
+def _fig_6_4():
+    """Two X-first multicasts on a 3x4 mesh (Fig. 6.4)."""
+    mesh = Mesh2D(4, 3)
+    return mesh, [
+        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
+        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
+    ]
+
+
+def _scenario_both(topology, scheme, requests, cfg):
+    ref = run_static_scenario(topology, scheme, requests, cfg, engine="reference")
+    dense = run_static_scenario(topology, scheme, requests, cfg, engine="dense")
+    assert (ref.engine, dense.engine) == ("reference", "dense")
+    assert (dense.completed, dense.blocked_worms, dense.deliveries, dense.sim_time) == (
+        ref.completed, ref.blocked_worms, ref.deliveries, ref.sim_time)
+    return ref, dense
+
+
+@pytest.mark.parametrize("scenario,scheme", [
+    pytest.param(_fig_6_1, "ecube-tree", id="fig6.1-ecube-tree"),
+    pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
+])
+def test_static_deadlock_parity(scenario, scheme):
+    """Both engines wedge on the §6.1 deadlocks with the same worms
+    blocked."""
+    topology, requests = scenario()
+    ref, dense = _scenario_both(topology, scheme, requests, SimConfig(**BASE))
+    assert not ref.completed and not dense.completed
+    assert dense.blocked_worms == ref.blocked_worms > 0
+
+
+@pytest.mark.parametrize("scheme,channels", [
+    pytest.param("dual-path", 1, id="dual-path"),
+    pytest.param("tree-xfirst", 2, id="tree-xfirst-double"),
+])
+def test_static_fix_parity(scheme, channels):
+    """The §6.2 fixes complete the Fig. 6.4 pattern on both engines."""
+    mesh, requests = _fig_6_4()
+    ref, _ = _scenario_both(
+        mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)
+    )
+    assert ref.completed and ref.deliveries == 4
+
+
+def test_static_burst_parity_batches():
+    """A 64-source fixed-path burst on a 6-cube matches the reference
+    and runs at least one vectorized chunk pass."""
+    cube = Hypercube(6)
+    rng = random.Random(1)
+    requests = [
+        MulticastRequest(
+            cube, s, tuple(sorted(rng.sample([v for v in cube.nodes() if v != s], 16)))
+        )
+        for s in cube.nodes()
+    ]
+    ref, dense = _scenario_both(cube, "fixed-path", requests, SimConfig(**BASE))
+    assert ref.completed and ref.deliveries == 64 * 16
+    assert dense.engine_stats["batches"] > 0
+
+
+# ----------------------------------------------------------------------
 # Engine selection plumbing and the counters API
 # ----------------------------------------------------------------------
 
@@ -261,17 +339,6 @@ def test_unknown_engine_rejected():
     cfg = SimConfig(**BASE, num_messages=10)
     with pytest.raises(ValueError, match="unknown engine"):
         run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="sparse")
-
-
-def test_dense_rejects_custom_env_factory():
-    from repro.sim.kernel import LegacyEnvironment
-
-    cfg = SimConfig(**BASE, num_messages=10)
-    with pytest.raises(ValueError, match="env_factory"):
-        run_dynamic(
-            Mesh2D(4, 4), "dual-path", cfg,
-            env_factory=LegacyEnvironment, engine="dense",
-        )
 
 
 def test_vct_tree_falls_back_to_reference():

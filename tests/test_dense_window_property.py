@@ -1,14 +1,15 @@
-"""Property tests: the ordered-vectorized convoy resolver vs the scalar
+"""Property tests: frontier windows plus classic dispatch vs the scalar
 reference kernels.
 
-Each example builds one randomized convoy round — path worms sharing
-ring segments, so duplicate same-round channel touches, full channels
-and FIFO waiter queues all arise — and runs it twice through a raw
-:class:`DenseEngine`: once with the tick-vector resolver forced on
-(``BATCH_MIN`` dropped to 1 so even narrow convoys take the vectorized
-path), once with vectorization off (pure scalar kernels, the reference
-dispatch order).  The delivery streams must be identical event for
-event, as must the final clock and the deadlock verdict.
+Each example builds one randomized convoy — path worms sharing ring
+segments, so duplicate same-tick channel touches, full channels and
+FIFO waiter queues all arise — and runs it twice through a raw
+:class:`DenseEngine`: once with the frontier-window gate on
+(``BATCH_MIN`` dropped to 1 so even narrow chunks take the vectorized
+path), where every tick no window can commit runs through the classic
+dispatcher, and once with vectorization off (pure scalar kernels, the
+reference dispatch order).  The delivery streams must be identical
+event for event, as must the final clock and the deadlock verdict.
 """
 
 from hypothesis import given, settings
@@ -46,18 +47,13 @@ def _build(eng: DenseEngine, ring: int, worms, cap: int) -> None:
         # final node always delivers; dpick marks one interior node too
         dests = {nodes[-1], nodes[1 + (dpick % hops)]}
         if when:
-            eng.call_in(when, eng.inject_path, mid, nodes, dests, None, cap)
+            eng.schedule(when * eng.tf, eng.inject_path, mid, nodes, dests, None, cap)
         else:
             eng.inject_path(mid, nodes, dests, capacity=cap)
 
 
-def _run(ring, worms, cap, flits, *, resolver: bool):
-    eng = DenseEngine(_config(flits), vectorize=resolver)
-    if resolver:
-        eng.tickvec = True
-        eng.BATCH_MIN = 1  # force the vectorized path for narrow convoys
-    _build(eng, ring, worms, cap)
-    completed = eng.run()
+def _outcome(eng: DenseEngine) -> tuple:
+    completed = eng.run_to_completion()
     return (
         completed,
         list(eng.d_mid),
@@ -68,6 +64,15 @@ def _run(ring, worms, cap, flits, *, resolver: bool):
     )
 
 
+def _run(ring, worms, cap, flits, *, windowed: bool):
+    eng = DenseEngine(_config(flits), vectorize=windowed)
+    if windowed:
+        eng.windowed = True
+        eng.BATCH_MIN = 1  # force the vectorized path for narrow chunks
+    _build(eng, ring, worms, cap)
+    return _outcome(eng)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     ring=st.integers(4, 12),
@@ -75,9 +80,9 @@ def _run(ring, worms, cap, flits, *, resolver: bool):
     cap=st.integers(1, 2),
     flits=st.integers(1, 5),
 )
-def test_resolver_matches_scalar_kernels(ring, worms, cap, flits):
-    vec = _run(ring, worms, cap, flits, resolver=True)
-    ref = _run(ring, worms, cap, flits, resolver=False)
+def test_windows_match_scalar_kernels(ring, worms, cap, flits):
+    vec = _run(ring, worms, cap, flits, windowed=True)
+    ref = _run(ring, worms, cap, flits, windowed=False)
     assert vec == ref
 
 
@@ -95,34 +100,26 @@ def test_single_channel_fifo_queue(worms, flits):
     must drain in exact FIFO order under both dispatchers."""
     ring = 8
     convoy = [(0, 4, when, d or 1) for when, d in worms]
-    vec = _run(ring, convoy, 1, flits, resolver=True)
-    ref = _run(ring, convoy, 1, flits, resolver=False)
+    vec = _run(ring, convoy, 1, flits, windowed=True)
+    ref = _run(ring, convoy, 1, flits, windowed=False)
     assert vec == ref
 
 
-def test_wide_convoy_exercises_vector_path():
-    """A convoy wider than the production BATCH_MIN runs the resolver's
-    wide path without any threshold override and still matches."""
+def test_wide_convoy_commits_windows():
+    """A convoy wider than the production BATCH_MIN commits frontier
+    windows without any threshold override and still matches."""
     # 140 lightly-overlapping segments (stride 6 < length) on a large
     # ring: most rows advance together, the overlaps still convoy
     worms = [((i * 6) % 1024, 8 + (i % 5), i % 3, 1 + (i % 6)) for i in range(140)]
     ring = 1024
 
     eng = DenseEngine(_config(3))
-    eng.tickvec = True
+    eng.windowed = True
     _build(eng, ring, worms, 2)
-    completed = eng.run()
-    vec = (completed, list(eng.d_mid), list(eng.d_tick), list(eng.d_inj), eng.tick)
-    assert eng.counters.batched_events > 0  # the wide path actually ran
+    vec = _outcome(eng)
+    assert eng.counters.windows > 0  # a window actually committed
+    assert eng.counters.batched_events > 0
 
     ref_eng = DenseEngine(_config(3), vectorize=False)
     _build(ref_eng, ring, worms, 2)
-    ref_completed = ref_eng.run()
-    ref = (
-        ref_completed,
-        list(ref_eng.d_mid),
-        list(ref_eng.d_tick),
-        list(ref_eng.d_inj),
-        ref_eng.tick,
-    )
-    assert vec == ref
+    assert vec == _outcome(ref_eng)

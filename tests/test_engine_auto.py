@@ -169,6 +169,9 @@ class TestOtherDriversAuto:
         reqs = [MulticastRequest(topo, 0, (3, 5))]
         res = run_static_scenario(topo, "fixed-path", reqs, engine="auto")
         assert res.completed
+        assert res.engine == "reference"
+        assert res.engine_stats["auto"]["decision"] == "reference"
+        assert res.engine_stats["auto"]["reason"] == "static-burst"
 
 
 class TestSweepAuto:

@@ -11,7 +11,9 @@ This suite proves that equivalence —
   implementations in :mod:`repro.labeling.reference`, property-based
   over meshes, hypercubes and k-ary n-cubes;
 * the two-lane kernel against the heap-only legacy kernel, including
-  the FIFO wake-order of ``Event.succeed`` waiter batches;
+  the FIFO wake-order of ``Event.succeed`` waiter batches (whole runs
+  swap the legacy kernel in through the ``Environment`` attribute of
+  :mod:`repro.sim.runner`);
 * :func:`repro.parallel.run_sweep` against a serial loop.
 """
 
@@ -32,6 +34,7 @@ from repro.labeling.reference import (
     reference_route_step,
 )
 from repro.parallel import SweepJob, derive_seed, replicate, run_sweep
+import repro.sim.runner as sim_runner
 from repro.sim import LegacyEnvironment, SimConfig
 from repro.sim.kernel import Environment
 from repro.sim.runner import run_dynamic
@@ -181,7 +184,7 @@ def test_fast_and_legacy_kernel_schedule_order_interleaved():
 
 
 @pytest.mark.parametrize("scheme", ["dual-path", "multi-path", "tree-xfirst"])
-def test_dynamic_results_identical_across_kernels(scheme):
+def test_dynamic_results_identical_across_kernels(scheme, monkeypatch):
     mesh = Mesh2D(6, 6)
     cfg = SimConfig(
         num_messages=150,
@@ -191,14 +194,15 @@ def test_dynamic_results_identical_across_kernels(scheme):
         seed=7,
     )
     fast = run_dynamic(mesh, scheme, cfg)
-    legacy = run_dynamic(mesh, scheme, cfg, env_factory=LegacyEnvironment)
+    monkeypatch.setattr(sim_runner, "Environment", LegacyEnvironment)
+    legacy = run_dynamic(mesh, scheme, cfg)
     assert fast.latency == legacy.latency
     assert fast.sim_time == legacy.sim_time
     assert fast.deliveries == legacy.deliveries
     assert fast.worms == legacy.worms
 
 
-def test_reference_routing_path_is_bit_identical():
+def test_reference_routing_path_is_bit_identical(monkeypatch):
     """The benchmark's reconstructed pre-optimization path (legacy
     kernel + uncached routing + per-message validation) produces the
     same simulation as the optimized default path."""
@@ -215,10 +219,9 @@ def test_reference_routing_path_is_bit_identical():
         labeling=ReferenceRouting(canonical_labeling(mesh)),
         validate=True,
     )
-    baseline = run_dynamic(
-        mesh, "dual-path", cfg, router=router, env_factory=LegacyEnvironment
-    )
     fast = run_dynamic(mesh, "dual-path", cfg)
+    monkeypatch.setattr(sim_runner, "Environment", LegacyEnvironment)
+    baseline = run_dynamic(mesh, "dual-path", cfg, router=router)
     assert baseline.latency == fast.latency
     assert baseline.sim_time == fast.sim_time
 
