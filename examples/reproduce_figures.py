@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Regenerate every Chapter 7 figure at reduced scale.
+"""Regenerate every Chapter 7 figure.
 
 The programmatic face of the benchmark suite: runs all eleven
 experiments through :mod:`repro.experiments` and prints each measured
-table.  Increase ``SCALE`` (or use ``python -m repro reproduce <fig>
---scale 1.0``) for tighter replication.
+table at the figure functions' default replication (``SCALE = 1.0``).
+Lower ``SCALE`` (or use ``python -m repro reproduce <fig> --scale 0.2``)
+for a quicker, noisier pass.
 
 Run:  python examples/reproduce_figures.py
 """
@@ -15,7 +16,7 @@ import time
 
 from repro.experiments import EXPERIMENTS, reproduce
 
-SCALE = 0.15
+SCALE = 1.0
 
 
 def main() -> None:

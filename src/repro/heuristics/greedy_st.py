@@ -46,31 +46,132 @@ def build_virtual_tree(
 ) -> list[tuple[Node, Node]]:
     """Steps 3-4 of Fig. 5.4: greedily grow the virtual Steiner tree by
     attaching each destination (in list order) at its nearest point on
-    an existing virtual edge.  Returns the virtual edge list E(T)."""
+    an existing virtual edge.  Returns the virtual edge list E(T).
+
+    The projection of :func:`nearest_on_shortest_paths` is resolved once
+    per call from the topology's family.  Each virtual edge carries a
+    key — its bounding box in a mesh, its endpoint and agreeing-bit mask
+    in a hypercube — against which every destination is scored inline.
+    Ties go to the first minimal edge in list order, and a split edge is
+    replaced by its two halves at the end of the list.  A topology other
+    than a 2-D mesh, 3-D mesh or hypercube raises ``TypeError``.
+    """
     if not dests:
         return []
+    if isinstance(topology, Hypercube):
+        key, nearest = _cube_key, _cube_nearest
+    elif isinstance(topology, Mesh2D):
+        key, nearest = _box_2d, _box_nearest_2d
+    elif isinstance(topology, Mesh3D):
+        key, nearest = _box_3d, _box_nearest_3d
+    else:
+        raise TypeError(f"no O(1) shortest-path projection for {topology!r}")
     edges: list[tuple[Node, Node]] = [(root, dests[0])]
-    for u_i in dests[1:]:
-        if any(u_i in e for e in edges):
+    keys = [key(root, dests[0])]
+    members = {root, dests[0]}  # every endpoint of an edge in ``edges``
+    for u in dests[1:]:
+        if u in members:
             continue
-        best_v: Node | None = None
-        best_edge = None
-        best_d = None
-        for e in edges:
-            s, t = e
-            v = nearest_on_shortest_paths(topology, s, t, u_i)
-            d = topology.distance(u_i, v)
-            if best_d is None or d < best_d:
-                best_v, best_edge, best_d = v, e, d
-        assert best_v is not None and best_edge is not None
-        s, t = best_edge
-        if best_v != s and best_v != t:
-            edges.remove(best_edge)
-            edges.append((s, best_v))
-            edges.append((best_v, t))
-        if u_i != best_v:
-            edges.append((best_v, u_i))
+        j, v = nearest(keys, u)
+        s, t = edges[j]
+        if v != s and v != t:
+            del edges[j], keys[j]
+            edges += ((s, v), (v, t))
+            keys += (key(s, v), key(v, t))
+        if u != v:
+            edges.append((v, u))
+            keys.append(key(v, u))
+        members.add(u)
+        members.add(v)
     return edges
+
+
+# Per-family edge keys and nearest-edge scans for build_virtual_tree.
+# A scan returns the index of the first edge at minimal distance from
+# ``u`` and the node of that edge's shortest-path region nearest to u.
+
+_FAR = 1 << 62
+
+
+def _box_2d(s: Node, t: Node) -> tuple[int, int, int, int]:
+    """Bounding box ``(x0, x1, y0, y1)`` of a 2-D mesh edge."""
+    x0, y0 = s
+    x1, y1 = t
+    if x0 > x1:
+        x0, x1 = x1, x0
+    if y0 > y1:
+        y0, y1 = y1, y0
+    return x0, x1, y0, y1
+
+
+def _box_nearest_2d(boxes: list, u: Node) -> tuple[int, Node]:
+    ux, uy = u
+    best, best_j = _FAR, 0
+    for j, (x0, x1, y0, y1) in enumerate(boxes):
+        d = (x0 - ux if ux < x0 else ux - x1 if ux > x1 else 0) + (
+            y0 - uy if uy < y0 else uy - y1 if uy > y1 else 0
+        )
+        if d < best:
+            best, best_j = d, j
+            if not d:
+                break
+    x0, x1, y0, y1 = boxes[best_j]
+    return best_j, (
+        x0 if ux < x0 else x1 if ux > x1 else ux,
+        y0 if uy < y0 else y1 if uy > y1 else uy,
+    )
+
+
+def _box_3d(s: Node, t: Node) -> tuple[int, int, int, int, int, int]:
+    """Bounding box ``(x0, x1, y0, y1, z0, z1)`` of a 3-D mesh edge."""
+    x0, y0, z0 = s
+    x1, y1, z1 = t
+    if x0 > x1:
+        x0, x1 = x1, x0
+    if y0 > y1:
+        y0, y1 = y1, y0
+    if z0 > z1:
+        z0, z1 = z1, z0
+    return x0, x1, y0, y1, z0, z1
+
+
+def _box_nearest_3d(boxes: list, u: Node) -> tuple[int, Node]:
+    ux, uy, uz = u
+    best, best_j = _FAR, 0
+    for j, (x0, x1, y0, y1, z0, z1) in enumerate(boxes):
+        d = (
+            (x0 - ux if ux < x0 else ux - x1 if ux > x1 else 0)
+            + (y0 - uy if uy < y0 else uy - y1 if uy > y1 else 0)
+            + (z0 - uz if uz < z0 else uz - z1 if uz > z1 else 0)
+        )
+        if d < best:
+            best, best_j = d, j
+            if not d:
+                break
+    x0, x1, y0, y1, z0, z1 = boxes[best_j]
+    return best_j, (
+        x0 if ux < x0 else x1 if ux > x1 else ux,
+        y0 if uy < y0 else y1 if uy > y1 else uy,
+        z0 if uz < z0 else z1 if uz > z1 else uz,
+    )
+
+
+def _cube_key(s: Node, t: Node) -> tuple[int, int]:
+    """An n-cube edge's endpoint ``s`` and the mask of the bits where s
+    and t agree (the bits its subcube fixes)."""
+    return s, ~(s ^ t)
+
+
+def _cube_nearest(keys: list, u: Node) -> tuple[int, Node]:
+    best, best_j = _FAR, 0
+    for j, (s, agree) in enumerate(keys):
+        d = ((s ^ u) & agree).bit_count()
+        if d < best:
+            best, best_j = d, j
+            if not d:
+                break
+    s, agree = keys[best_j]
+    return best_j, (s & agree) | (u & ~agree)
 
 
 def _subtree_partition(
@@ -100,11 +201,9 @@ def greedy_st_prepare(request: MulticastRequest) -> list[Node]:
     """Message preparation (Fig. 5.3): multicast node list headed by the
     source, destinations sorted ascending by distance from it."""
     u0 = request.source
-    oracle = request.topology.oracle()
-    imap = request.topology.index_map()
-    row = oracle.distance_row(imap[u0])
+    topo = request.topology
     return [u0] + sorted(
-        request.destinations, key=lambda v: (row[imap[v]], imap[v])
+        request.destinations, key=lambda v: (topo.distance(u0, v), topo.index(v))
     )
 
 
