@@ -685,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
                    help="simulation core: the coroutine reference model, the "
                         "vectorized structure-of-arrays engine (identical "
-                        "results), or auto (picked per run from workload "
-                        "features, recorded in the result)")
+                        "results; path-worm schemes only, other schemes run "
+                        "on the reference), or auto (picked per run from "
+                        "workload features, recorded in the result)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("faults", help="fault-injection degradation study")
@@ -720,7 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip replications already in --checkpoint")
     p.add_argument("--output", default=None, help="write the sweep as JSON")
     p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core for every replication")
+                   help="simulation core for every replication; fault "
+                        "injection runs on the reference model whichever "
+                        "engine is asked for")
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("mixed", help="unicast/multicast interaction study (§8.2)")
@@ -732,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unicast-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core (reference coroutines, dense SoA, "
-                        "or auto selection)")
+                   help="simulation core (reference coroutines, dense SoA "
+                        "for path-worm schemes, or auto selection)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("reproduce", help="regenerate one dissertation figure")

@@ -3,7 +3,7 @@
 The CSIM-equivalent kernel lives in :mod:`repro.sim.kernel`; the
 reference flit-level wormhole model in :mod:`repro.sim.reference` (the
 vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
-parity-tested counterpart); routing adapters in
+parity-tested counterpart for fault-free path worms); routing adapters in
 :mod:`repro.sim.traffic`; the experiment drivers in
 :mod:`repro.sim.runner`, one per run type, each taking
 ``engine="reference"``, ``"dense"`` or ``"auto"``.

@@ -1,51 +1,40 @@
-"""Vectorized structure-of-arrays wormhole engine.
+"""Vectorized structure-of-arrays wormhole engine for fault-free path
+worms.
 
 The reference model (:mod:`repro.sim.reference`) steps one worm object
-per event through the kernel; profiling shows the per-worm Python
-callback chain — not the calendar — bounds dynamic-run throughput.
-This engine keeps the *same* simulation as flat state:
+per event through the kernel.  This engine runs the *same* simulation
+of path worms (``worm_style`` ``star`` / ``vc-star``) over flat state:
 
-* channel occupancy (``in_use``/``cap``) and the fault mask
-  (``chan_down``) as NumPy arrays over interned channel ids;
+* channel occupancy (``in_use``/``cap``) as NumPy arrays over interned
+  channel ids;
 * per-worm route cursors (``w_idx``), lengths, flit counts, message
   ids and injection ticks as parallel arrays;
-* path-worm routes in one flat route pool (``rp_chan``/``rp_dest``),
-  sliced per worm by ``w_off``;
+* routes in one flat route pool (``rp_chan``/``rp_dest``), sliced per
+  worm by ``w_off``;
 * blocked state as per-channel FIFO waiter lists of worm ids.
 
 Time is an integer flit clock.  The calendar is a bucket per tick
-(found through a heap of tick keys, so empty ticks cost nothing), and
-each tick is one pass over its bucket; consecutive path-worm steps
-coalesce into array chunks that a single vectorized pass advances —
-acquire, trailing release, delivery latch and next-tick scheduling as
-bulk array ops — instead of one Python callback per worm per flit.
-When every worm is a path worm (``windowed``), a span of upcoming
-ticks proven interaction-free commits as one multi-tick frontier
-window; a tick that no window can commit runs through the same
-classic per-tick dispatch.
+(found through a heap of tick keys, so empty ticks cost nothing).  A
+span of upcoming ticks proven interaction-free commits as one
+multi-tick frontier window — acquires, releases, deliveries and cursor
+moves as bulk array ops; a tick that no window can commit runs through
+the classic dispatcher, one event at a time.  Windows pay off only at
+light load on large networks, which is where ``engine="auto"`` picks
+this engine; :mod:`repro.sim.runner` runs everything else — tree,
+adaptive and VCT worms, fault injection — on the reference engine.
 
 Parity contract
 ---------------
 
 Event-for-event equality with the reference engine under
-``SimConfig(quantize_arrivals=True)``: every traffic/fault/retry delay
-is then a whole number of flit times on both engines, and this engine
-reproduces the two-lane kernel's dispatch order exactly — pre-scheduled
-bucket entries run in scheduling order, zero-delay work appends to the
-live bucket (the immediate lane), and releases wake waiters FIFO.  A
-vector chunk preserves that order by construction: it only batches
-*consecutive* steps, splits at every mover/arrival boundary, and falls
-back to the ordered scalar path whenever two worms in a chunk touch the
-same channel in the same tick.  The parity suite asserts identical
-delivery streams and latency summaries across engines for every
-simulable ``worm_style``; worm styles without a dense kernel
-(``vct-tree``) transparently fall back to the reference engine.
-
-Fault injection works on both engines: :class:`~repro.sim.faults.FaultState`
-link/node queries are folded into the vectorized ``chan_down`` mask
-(rebuilt per state version), while kills, drop handling and
-retransmission mirror the fault-aware reference worms through the
-ordered scalar path.
+``SimConfig(quantize_arrivals=True)``: every traffic delay is then a
+whole number of flit times on both engines, and this engine reproduces
+the two-lane kernel's dispatch order exactly — pre-scheduled bucket
+entries run in scheduling order, zero-delay work appends to the live
+bucket (the immediate lane), and releases wake waiters FIFO.  A window
+commits only what it proves that order would do (see
+:meth:`DenseEngine._run_window`).  The parity suite asserts identical
+delivery streams and latency summaries across engines.
 """
 
 from __future__ import annotations
@@ -59,21 +48,13 @@ from .config import SimConfig
 
 __all__ = ["DenseEngine", "EngineCounters"]
 
-# worm kinds
-_PATH, _ADAPTIVE, _TREE = 0, 1, 2
-
 # calendar entry kinds (first element of a tuple entry); a *list* entry
-# is a chunk of consecutive path-worm step events.
-_STEP = 0    # (kind, w): advance one hop / start arrival drain
+# is a chunk of consecutive mid-route path-worm steps.
+_STEP = 0    # (kind, w): a woken worm re-attempts its next hop
 _REL = 1     # (kind, w, hop): release one held channel, latch delivery
 _FIN = 2     # (kind, w): tail fully drained
-_TTICK = 3   # (kind, w): tree level tick
-_TREL = 4    # (kind, w, level): release one tree level
-_CALL = 5    # (kind, fn, args): inline callback (injection, fault event)
-_DEFER = 6   # (kind, fn, args): callback via the immediate lane (retry)
-_BREL = 7    # (kind, ws, hops): vectorized release chunk
-_BFIN = 8    # (kind, ws): vectorized finish chunk
-_ARR = 9     # (kind, w): path worm starts its arrival drain (window mode)
+_CALL = 3    # (kind, fn, args): inline callback (injection)
+_ARR = 4     # (kind, w): path worm starts its arrival drain
 
 
 def _ragged(starts, counts):
@@ -95,17 +76,12 @@ class EngineCounters:
 
     #: non-empty ticks processed
     ticks: int = 0
-    #: events processed one at a time (scalar path)
+    #: events dispatched one at a time (classic path)
     events: int = 0
-    #: events processed inside vectorized chunks
+    #: events committed inside frontier windows
     batched_events: int = 0
-    #: vectorized passes executed
-    batches: int = 0
-    #: widest single vectorized pass (the high-water chunk width)
+    #: most events one frontier window committed
     max_batch_width: int = 0
-    #: chunked events diverted to the ordered scalar path because two
-    #: worms touched the same channel in the same tick
-    scalar_fallback_events: int = 0
     #: NumPy array-op dispatches issued by the frontier windows (counted
     #: per code path, so ``array_ops / windows`` is the measured
     #: per-commit dispatch floor)
@@ -131,85 +107,27 @@ class EngineCounters:
         return asdict(self)
 
 
-class _AdaptiveState:
-    """Per-worm mutable state of one adaptive path worm (scalar kernel)."""
-
-    __slots__ = ("nodes", "cids", "queue", "dests", "labeling", "channel_key", "capacity")
-
-    def __init__(self, source, destinations, labeling, channel_key, capacity):
-        self.nodes = [source]
-        self.cids: list[int] = []
-        self.queue = list(destinations)
-        self.dests = set(destinations)
-        self.labeling = labeling
-        self.channel_key = channel_key
-        self.capacity = capacity
-
-
-class _TreeHandle:
-    """Return value of :meth:`DenseEngine.inject_tree`, duck-typing the
-    reference ``TreeWorm`` just enough for ``inject_specs`` to assign
-    ``dest_levels`` after injection."""
-
-    __slots__ = ("engine", "w")
-
-    def __init__(self, engine: "DenseEngine", w: int):
-        self.engine = engine
-        self.w = w
-
-    @property
-    def dest_levels(self):
-        return self.engine.tree_dests[self.w]
-
-    @dest_levels.setter
-    def dest_levels(self, value) -> None:
-        self.engine.tree_dests[self.w] = list(value)
-
-
 class DenseEngine:
-    """Structure-of-arrays flit simulation core.
+    """Structure-of-arrays flit simulation core for path worms.
 
-    Drop-in for the engine surface of
-    :class:`~repro.sim.reference.WormholeNetwork`: injection
-    (``inject_path``, ``inject_adaptive_path``, ``inject_tree``,
-    ``config``), delays in seconds (``schedule``,
-    ``schedule_deferred``), ``run_to_completion``, ``now``, the worm
-    counts, ``delivery_latencies`` and ``origin_time``, so
-    :func:`repro.sim.runner.inject_specs` and every run function of
-    :mod:`repro.sim.runner` use either engine unchanged.  Passing a ``fault_state`` selects the
-    fault-aware scalar kernels (mirroring the faulty reference worms,
-    including delivery dedup, kill accounting and ``drop_handler``
-    callbacks); without one the vectorized fast path runs.
+    Drop-in for the path-worm surface of
+    :class:`~repro.sim.reference.WormholeNetwork`: ``inject_path``,
+    ``config``, delays in seconds (``schedule``), ``run_to_completion``,
+    ``now``, the worm counts and ``delivery_latencies``, so
+    :func:`repro.sim.runner.inject_specs` and the run functions of
+    :mod:`repro.sim.runner` drive either engine unchanged.
     """
 
-    #: chunks narrower than this advance through the scalar path (the
-    #: per-pass NumPy overhead outweighs the loop below it)
-    BATCH_MIN = 96
     #: routes at least this long use the vectorized edge-LUT interner
     LUT_MIN_HOPS = 8
     #: node-id width of the edge LUT (nodes must fit in LUT_BITS bits)
     LUT_BITS = 11
 
-    def __init__(
-        self,
-        config: SimConfig,
-        fault_state=None,
-        stats=None,
-        node_index: dict | None = None,
-        vectorize: bool = True,
-    ):
+    def __init__(self, config: SimConfig):
         self.config = config
         self.tf = config.flit_time
         self.tick = 0
         self.counters = EngineCounters()
-        self.faulty = fault_state is not None
-        self.fault_state = fault_state
-        self.stats = stats
-        self.vectorize = vectorize and not self.faulty
-        #: multi-tick frontier windows; only valid for runs whose every
-        #: worm is a path worm (``worm_style`` star / vc-star) —
-        #: :mod:`repro.sim.runner` gates it on the spec
-        self.windowed = False
         self.active_worms = 0
         self.total_worms = 0
 
@@ -218,9 +136,9 @@ class DenseEngine:
         self.tick_heap: list[int] = []
         self._pending: list = []
 
-        # multi-tick frontier batching (window mode): adaptive
-        # window width, consecutive-abort count and attempt cooldown
-        # (exponential under sustained contention)
+        # multi-tick frontier batching: adaptive window width,
+        # consecutive-abort count and attempt cooldown (exponential
+        # under sustained contention)
         self._win_k = 8
         self._win_bad = 0
         self._win_cool = 0
@@ -229,7 +147,6 @@ class DenseEngine:
         # channels (SoA over interned ids)
         n = 256
         self.chan_ids: dict = {}
-        self.chan_keys: list = []
         self.n_chan = 0
         self.cap = np.zeros(n, dtype=np.int32)
         self.in_use = np.zeros(n, dtype=np.int32)
@@ -240,7 +157,6 @@ class DenseEngine:
         # worms (SoA)
         m = 1024
         self.n_worms = 0
-        self.w_kind = np.zeros(m, dtype=np.int8)
         self.w_idx = np.zeros(m, dtype=np.int64)
         self.w_len = np.zeros(m, dtype=np.int64)
         self.w_flits = np.zeros(m, dtype=np.int64)
@@ -255,7 +171,7 @@ class DenseEngine:
         self.rp_head: list = []  # head node object per pool slot
         self.rp_used = 0
         #: memoized (channel-id vector, delivery-flag vector) per
-        #: (nodes, destinations, capacity) route
+        #: (nodes, destinations, capacity, route key) route
         self._route_cache: dict = {}
         #: lazily-filled (u << LUT_BITS | v) -> channel-id table, built
         #: the first time a long route over small-int nodes is injected
@@ -265,42 +181,11 @@ class DenseEngine:
         #: node label -> dense small int for the edge LUTs
         self._node_ids: dict = {}
 
-        # ragged per-worm state (scalar kernels)
-        self.ad: dict[int, _AdaptiveState] = {}
-        self.tree_chans: dict[int, list] = {}
-        self.tree_dests: dict[int, list] = {}
-
         # delivery stream (column-wise; Delivery objects built on demand)
         self.d_mid: list[int] = []
         self.d_node: list = []
         self.d_inj: list[int] = []
         self.d_tick: list[int] = []
-
-        # fault-aware state (mirrors FaultyWormholeNetwork)
-        self.drop_handler = None
-        #: when set (seconds, a retransmission's original injection
-        #: time), new worms are stamped with it instead of the clock
-        self.origin_time: float | None = None
-        if self.faulty:
-            if node_index is None:
-                raise ValueError("fault-aware dense engine needs node_index")
-            self.w_dead = np.zeros(m, dtype=bool)
-            self.w_arrived = np.zeros(m, dtype=bool)
-            self.w_delivered: dict[int, set] = {}
-            self.w_dests: dict[int, set] = {}
-            self.w_src: dict[int, object] = {}
-            self.live: dict[int, None] = {}
-            self.delivered_by_message: dict[int, set] = {}
-            self._node_index = node_index
-            self._node_down = np.zeros(len(node_index), dtype=bool)
-            self._link_ids: dict = {}
-            self._link_down = np.zeros(n, dtype=bool)
-            self.ch_u = np.zeros(n, dtype=np.int64)
-            self.ch_v = np.zeros(n, dtype=np.int64)
-            self.ch_link = np.zeros(n, dtype=np.int64)
-            self.chan_down = np.zeros(n, dtype=bool)
-            self._fault_version = fault_state._version
-            self._any_down = fault_state.any_down
 
     # ------------------------------------------------------------------
     # Calendar.
@@ -321,28 +206,18 @@ class DenseEngine:
         to whole flit ticks (``SimConfig.ticks``)."""
         self._at(self.config.ticks(delay), (_CALL, fn, args))
 
-    def schedule_deferred(self, delay: float, fn, *args) -> None:
-        """Like :meth:`schedule`, but on arrival the call joins the end
-        of the tick's immediate lane — the dense equivalent of waiting
-        on a kernel ``Timeout`` (fire at the stamp, run the waiters
-        after the already-queued immediates)."""
-        self._at(self.config.ticks(delay), (_DEFER, fn, args))
-
     def _sched_step(self, w: int) -> None:
         """Schedule the next flit step of ``w`` one tick out.
-        Consecutive path-worm steps coalesce into one chunk entry."""
-        if self.vectorize and self.w_kind[w] == _PATH:
-            b = self._bucket(self.tick + 1)
-            if self.windowed and self.w_idx[w] == self.w_len[w]:
-                # tag arrivals at scheduling time so the window scan
-                # never needs a per-entry cursor read
-                b.append((_ARR, w))
-            elif b and type(b[-1]) is list:
-                b[-1].append(w)
-            else:
-                b.append([w])
+        Consecutive mid-route steps coalesce into one chunk entry;
+        arrivals are tagged at scheduling time so the window scan never
+        needs a per-entry cursor read."""
+        b = self._bucket(self.tick + 1)
+        if self.w_idx[w] == self.w_len[w]:
+            b.append((_ARR, w))
+        elif b and type(b[-1]) is list:
+            b[-1].append(w)
         else:
-            self._at(1, ((_TTICK, w) if self.w_kind[w] == _TREE else (_STEP, w)))
+            b.append([w])
 
     @property
     def now(self) -> float:
@@ -363,30 +238,9 @@ class DenseEngine:
             self.has_waiters = np.concatenate(
                 [self.has_waiters, np.zeros(cid, dtype=bool)]
             )
-            if self.faulty:
-                for name in ("ch_u", "ch_v", "ch_link"):
-                    arr = getattr(self, name)
-                    setattr(self, name, np.concatenate([arr, np.zeros(cid, dtype=np.int64)]))
-                self.chan_down = np.concatenate([self.chan_down, np.zeros(cid, dtype=bool)])
         self.n_chan = cid + 1
         self.chan_ids[key] = cid
-        self.chan_keys.append(key)
         self.cap[cid] = capacity or self.config.channels_per_link
-        if self.faulty:
-            u, v = key[0], key[1]
-            self.ch_u[cid] = self._node_index[u]
-            self.ch_v[cid] = self._node_index[v]
-            lid = self._link_ids.get((u, v))
-            if lid is None:
-                lid = self._link_ids[(u, v)] = len(self._link_ids)
-                if lid == len(self._link_down):
-                    self._link_down = np.concatenate(
-                        [self._link_down, np.zeros(lid, dtype=bool)]
-                    )
-            self.ch_link[cid] = lid
-            self.chan_down[cid] = (
-                self.fault_state.channel_down(key) if self._any_down else False
-            )
         return cid
 
     def _intern_route(
@@ -469,10 +323,7 @@ class DenseEngine:
         self.waiters[cid] = []
         self.has_waiters[cid] = False
         self._waiter_total -= len(q)
-        pend = self._pending
-        kinds = self.w_kind
-        for w in q:
-            pend.append((_TTICK, w) if kinds[w] == _TREE else (_STEP, w))
+        self._pending.extend([(_STEP, w) for w in q])
         self.counters.wakes += len(q)
 
     def _release_cid(self, cid: int) -> None:
@@ -481,90 +332,34 @@ class DenseEngine:
             self._wake(cid)
 
     # ------------------------------------------------------------------
-    # Fault mask (vectorized FaultState queries).
-    # ------------------------------------------------------------------
-
-    def _sync_faults(self) -> None:
-        """Rebuild the per-channel ``chan_down`` mask for the current
-        fault-state version: a channel is down iff its link is down or
-        either endpoint node is down — the same predicate as
-        ``FaultState.channel_down``, evaluated as three array lookups."""
-        fs = self.fault_state
-        self._fault_version = fs._version
-        n = self.n_chan
-        if not (fs.down_links or fs.down_nodes):
-            self._any_down = False
-            self.chan_down[:n] = False
-            return
-        self._any_down = True
-        nd = self._node_down
-        nd[:] = False
-        for v in fs.down_nodes:
-            nd[self._node_index[v]] = True
-        ld = self._link_down
-        ld[:] = False
-        for uv in fs.down_links:
-            lid = self._link_ids.get(uv)
-            if lid is not None:
-                ld[lid] = True
-        self.chan_down[:n] = (
-            ld[self.ch_link[:n]] | nd[self.ch_u[:n]] | nd[self.ch_v[:n]]
-        )
-
-    def _check_faults(self) -> bool:
-        """True when any element is currently down (mask refreshed)."""
-        if self.fault_state._version != self._fault_version:
-            self._sync_faults()
-        return self._any_down
-
-    # ------------------------------------------------------------------
     # Worm bookkeeping.
     # ------------------------------------------------------------------
 
     def _grow_worms(self) -> None:
-        m = len(self.w_kind)
-        for name in ("w_kind", "w_idx", "w_len", "w_flits", "w_mid", "w_inj", "w_off"):
+        m = len(self.w_idx)
+        for name in ("w_idx", "w_len", "w_flits", "w_mid", "w_inj", "w_off"):
             arr = getattr(self, name)
             setattr(self, name, np.concatenate([arr, np.zeros(m, dtype=arr.dtype)]))
-        if self.faulty:
-            self.w_dead = np.concatenate([self.w_dead, np.zeros(m, dtype=bool)])
-            self.w_arrived = np.concatenate([self.w_arrived, np.zeros(m, dtype=bool)])
 
-    def _new_worm(self, kind: int, message_id: int, length: int, flits) -> int:
+    def _new_worm(self, message_id: int, length: int, flits) -> int:
         w = self.n_worms
-        if w == len(self.w_kind):
+        if w == len(self.w_idx):
             self._grow_worms()
         self.n_worms = w + 1
-        self.w_kind[w] = kind
         self.w_idx[w] = 0
         self.w_len[w] = length
         self.w_flits[w] = self.config.flits_per_message if flits is None else flits
         self.w_mid[w] = message_id
-        origin = self.origin_time
-        self.w_inj[w] = self.tick if origin is None else round(origin / self.tf)
+        self.w_inj[w] = self.tick
         self.active_worms += 1
         self.total_worms += 1
         c = self.counters
         c.worms += 1
         if self.active_worms > c.max_active_worms:
             c.max_active_worms = self.active_worms
-        if self.faulty:
-            self.w_delivered[w] = set()
-            self.live[w] = None
         return w
 
-    def _finish(self, w: int) -> None:
-        self.active_worms -= 1
-        if self.faulty:
-            self.live.pop(w, None)
-
     def _deliver(self, mid: int, node, inj_tick: int) -> None:
-        if self.faulty:
-            got = self.delivered_by_message.setdefault(mid, set())
-            if node in got:
-                return
-            got.add(node)
-            self.stats.delivered += 1
         self.d_mid.append(mid)
         self.d_node.append(node)
         self.d_inj.append(inj_tick)
@@ -572,7 +367,7 @@ class DenseEngine:
         self.counters.deliveries += 1
 
     # ------------------------------------------------------------------
-    # Injection API (mirrors WormholeNetwork.inject_*).
+    # Injection (mirrors WormholeNetwork.inject_path).
     # ------------------------------------------------------------------
 
     def inject_path(
@@ -587,10 +382,10 @@ class DenseEngine:
     ) -> int:
         cap = capacity or self.config.channels_per_link
         n = len(nodes) - 1
-        w = self._new_worm(_PATH, message_id, n, flits)
+        w = self._new_worm(message_id, n, flits)
         need = self.rp_used + n
-        # >= keeps one slack slot past rp_used so the batched pass may
-        # read (but never use) one position beyond a finished route
+        # >= keeps one slack slot past rp_used so a gather may read
+        # (but never use) one position beyond a finished route
         if need >= len(self.rp_chan):
             extra = max(len(self.rp_chan), need - len(self.rp_chan))
             self.rp_chan = np.concatenate([self.rp_chan, np.zeros(extra, dtype=np.int64)])
@@ -600,39 +395,14 @@ class DenseEngine:
         self.rp_used = need
         rp_chan = self.rp_chan
         rp_dest = self.rp_dest
-        if channel_key is None:
-            # routes repeat whenever a source re-multicasts to the same
-            # destination set, so the interned channel-id/delivery-flag
-            # vectors are memoized and copied in as array slices
-            ck = (
-                nodes if type(nodes) is tuple else tuple(nodes),
-                frozenset(destinations),
-                cap,
-            )
-            hit = self._route_cache.get(ck)
-            if hit is None:
-                if n >= self.LUT_MIN_HOPS and self._intern_route(
-                    nodes, destinations, off, n, cap
-                ):
-                    pass
-                else:
-                    for i in range(n):
-                        rp_chan[off + i] = self._chan(
-                            (nodes[i], nodes[i + 1]), cap
-                        )
-                        rp_dest[off + i] = nodes[i + 1] in destinations
-                self._route_cache[ck] = (
-                    rp_chan[off : off + n].copy(),
-                    rp_dest[off : off + n].copy(),
-                )
-            else:
-                rp_chan[off : off + n] = hit[0]
-                rp_dest[off : off + n] = hit[1]
-            self.rp_head.extend(nodes[1:])
-        elif route_key is not None:
-            # keyed routes (virtual-channel planes): ``route_key``
-            # plus (nodes, destinations, capacity) pins every channel
-            # identity, so these memoize exactly like plain routes
+        # routes repeat whenever a source re-multicasts to the same
+        # destination set, so the interned channel-id/delivery-flag
+        # vectors are memoized and copied in as array slices.  A route
+        # is memoizable when its channel identities are (u, v) pairs or
+        # pinned by ``route_key`` (virtual-channel planes).
+        cached = channel_key is None or route_key is not None
+        ck = hit = None
+        if cached:
             ck = (
                 nodes if type(nodes) is tuple else tuple(nodes),
                 frozenset(destinations),
@@ -640,105 +410,44 @@ class DenseEngine:
                 route_key,
             )
             hit = self._route_cache.get(ck)
-            if hit is None:
-                if n >= self.LUT_MIN_HOPS and self._intern_route(
+        if hit is not None:
+            rp_chan[off : off + n] = hit[0]
+            rp_dest[off : off + n] = hit[1]
+        else:
+            if not (
+                cached
+                and n >= self.LUT_MIN_HOPS
+                and self._intern_route(
                     nodes, destinations, off, n, cap,
                     channel_key=channel_key, lut_key=route_key,
-                ):
-                    pass
-                else:
-                    for i in range(n):
-                        rp_chan[off + i] = self._chan(
-                            channel_key(nodes[i], nodes[i + 1]), cap
-                        )
-                        rp_dest[off + i] = nodes[i + 1] in destinations
+                )
+            ):
+                for i in range(n):
+                    u = nodes[i]
+                    v = nodes[i + 1]
+                    rp_chan[off + i] = self._chan(
+                        (u, v) if channel_key is None else channel_key(u, v), cap
+                    )
+                    rp_dest[off + i] = v in destinations
+            if cached:
                 self._route_cache[ck] = (
                     rp_chan[off : off + n].copy(),
                     rp_dest[off : off + n].copy(),
                 )
-            else:
-                rp_chan[off : off + n] = hit[0]
-                rp_dest[off : off + n] = hit[1]
-            self.rp_head.extend(nodes[1:])
-        else:
-            heads = self.rp_head
-            for i in range(n):
-                u = nodes[i]
-                v = nodes[i + 1]
-                rp_chan[off + i] = self._chan(channel_key(u, v), cap)
-                rp_dest[off + i] = v in destinations
-                heads.append(v)
-        if self.faulty:
-            self.w_dests[w] = set(destinations)
-            self.w_src[w] = nodes[0]
+        self.rp_head.extend(nodes[1:])
         if n == 0:  # degenerate: source-only path
-            self._finish(w)
+            self.active_worms -= 1
             return w
         self._advance_path(w)
         return w
 
-    def inject_adaptive_path(
-        self,
-        message_id: int,
-        source,
-        destinations,
-        labeling,
-        channel_key=lambda u, v: (u, v),
-        capacity: int | None = None,
-    ) -> int:
-        w = self._new_worm(_ADAPTIVE, message_id, 0, None)
-        st = _AdaptiveState(source, destinations, labeling, channel_key, capacity)
-        self.ad[w] = st
-        if self.faulty:
-            self.w_dests[w] = st.dests
-            self.w_src[w] = source
-        self._pop_reached(st)
-        if not st.queue:  # degenerate: the source is the only stop
-            self._finish(w)
-            return w
-        self._advance_adaptive(w)
-        return w
-
-    def inject_tree(
-        self,
-        message_id: int,
-        levels,
-        channel_key=lambda arc: (arc[0], arc[1]),
-        capacity: int | None = None,
-        flits: int | None = None,
-    ) -> "_TreeHandle":
-        chan_levels = [
-            [self._chan(channel_key(arc), capacity) for arc in level]
-            for level in levels
-        ]
-        w = self._new_worm(_TREE, message_id, len(levels), flits)
-        self.tree_chans[w] = chan_levels
-        self.tree_dests[w] = [set() for _ in levels]
-        handle = _TreeHandle(self, w)
-        if not levels:
-            self._finish(w)
-            return handle
-        self._try_tick(w)
-        return handle
-
     # ------------------------------------------------------------------
-    # Scalar kernels: path worms.
+    # Scalar path-worm kernels (the classic dispatch).
     # ------------------------------------------------------------------
-
-    def _step_path(self, w: int) -> None:
-        if self.faulty and self.w_dead[w]:
-            return
-        if self.w_idx[w] < self.w_len[w]:
-            self._advance_path(w)
-        else:
-            self._arrive_path(w)
 
     def _advance_path(self, w: int) -> None:
         i = int(self.w_idx[w])
         cid = int(self.rp_chan[self.w_off[w] + i])
-        if self.faulty and self._check_faults() and self.chan_down[cid]:
-            self._kill(w, "faulted channel on fixed path")
-            return
         if self.in_use[cid] >= self.cap[cid]:
             self._block(w, cid)
             return
@@ -750,8 +459,6 @@ class DenseEngine:
         self._sched_step(w)
 
     def _arrive_path(self, w: int) -> None:
-        if self.faulty:
-            self.w_arrived[w] = True
         D = int(self.w_len[w])
         F = int(self.w_flits[w])
         pend = self._pending
@@ -770,373 +477,7 @@ class DenseEngine:
         p = int(self.w_off[w] + i)
         self._release_cid(int(self.rp_chan[p]))
         if self.rp_dest[p]:
-            head = self.rp_head[p]
-            self._deliver(int(self.w_mid[w]), head, int(self.w_inj[w]))
-            if self.faulty:
-                self.w_delivered[w].add(head)
-
-    # ------------------------------------------------------------------
-    # Scalar kernels: adaptive path worms.
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _pop_reached(st: _AdaptiveState) -> None:
-        while st.queue and st.queue[0] == st.nodes[-1]:
-            st.queue.pop(0)
-
-    def _step_adaptive(self, w: int) -> None:
-        if self.faulty and self.w_dead[w]:
-            return
-        st = self.ad[w]
-        self._pop_reached(st)
-        if st.queue:
-            self._advance_adaptive(w)
-            return
-        if self.faulty:
-            self.w_arrived[w] = True
-        D = len(st.cids)
-        F = int(self.w_flits[w])
-        pend = self._pending
-        for i in range(max(0, D - F), D):
-            d = i + F - D
-            if d == 0:
-                pend.append((_REL, w, i))
-            else:
-                self._at(d, (_REL, w, i))
-        if F == 1:
-            pend.append((_FIN, w))
-        else:
-            self._at(F - 1, (_FIN, w))
-
-    def _advance_adaptive(self, w: int) -> None:
-        st = self.ad[w]
-        cur = st.nodes[-1]
-        target = st.queue[0]
-        candidates = st.labeling.route_candidates(cur, target)
-        detouring = False
-        if self.faulty and self._check_faults():
-            fs = self.fault_state
-            alive = [p for p in candidates if not fs.link_down(cur, p)]
-            detouring = len(alive) < len(candidates)
-            if detouring and not alive:
-                alive = [
-                    p
-                    for p in st.labeling.monotone_candidates(cur, target)
-                    if not fs.link_down(cur, p)
-                ]
-                if not alive:
-                    self._kill(w, "all monotone candidates faulted")
-                    return
-            candidates = alive
-        chosen = None
-        for p in candidates:
-            cid = self._chan(st.channel_key(cur, p), st.capacity)
-            if self.in_use[cid] < self.cap[cid]:
-                chosen = (p, cid)
-                break
-        if chosen is None:
-            # block on the most-preferred candidate's channel
-            cid = self._chan(st.channel_key(cur, candidates[0]), st.capacity)
-            self._block(w, cid)
-            return
-        if detouring:
-            self.stats.detoured += 1
-        nxt, cid = chosen
-        self.in_use[cid] += 1
-        st.cids.append(cid)
-        st.nodes.append(nxt)
-        i = len(st.cids) - 1
-        j = i - int(self.w_flits[w])
-        if j >= 0:
-            self._release_adaptive_hop(w, j)
-        self._at(1, (_STEP, w))
-
-    def _release_adaptive_hop(self, w: int, i: int) -> None:
-        st = self.ad[w]
-        self._release_cid(st.cids[i])
-        head = st.nodes[i + 1]
-        if head in st.dests:
-            self._deliver(int(self.w_mid[w]), head, int(self.w_inj[w]))
-            if self.faulty:
-                self.w_delivered[w].add(head)
-
-    # ------------------------------------------------------------------
-    # Scalar kernels: lockstep tree worms.
-    # ------------------------------------------------------------------
-
-    def _step_tree(self, w: int) -> None:
-        if self.faulty and self.w_dead[w]:
-            return
-        levels = self.tree_chans[w]
-        if self.w_idx[w] < len(levels):
-            self._try_tick(w)
-            return
-        if self.faulty:
-            self.w_arrived[w] = True
-        L = len(levels)
-        F = int(self.w_flits[w])
-        pend = self._pending
-        for idx in range(max(0, L - F), L):
-            d = idx + F - L
-            if d == 0:
-                pend.append((_TREL, w, idx))
-            else:
-                self._at(d, (_TREL, w, idx))
-        if F == 1:
-            pend.append((_FIN, w))
-        else:
-            self._at(F - 1, (_FIN, w))
-
-    def _try_tick(self, w: int) -> None:
-        k = int(self.w_idx[w])
-        level = self.tree_chans[w][k]
-        if self.faulty and self._check_faults():
-            for cid in level:
-                if self.chan_down[cid]:
-                    self._kill(w, "faulted channel in tree level")
-                    return
-        in_use = self.in_use
-        cap = self.cap
-        for cid in level:
-            if in_use[cid] >= cap[cid]:
-                self._block(w, cid)
-                return
-        for cid in level:
-            in_use[cid] += 1
-        self.w_idx[w] = k + 1
-        j = k - int(self.w_flits[w])
-        if j >= 0:
-            self._release_tree_level(w, j)
-        self._at(1, (_TTICK, w))
-
-    def _release_tree_level(self, w: int, idx: int) -> None:
-        for cid in self.tree_chans[w][idx]:
-            self._release_cid(cid)
-        mid = int(self.w_mid[w])
-        inj = int(self.w_inj[w])
-        for dest in self.tree_dests[w][idx]:
-            self._deliver(mid, dest, inj)
-        if self.faulty:
-            self.w_delivered[w].update(self.tree_dests[w][idx])
-
-    # ------------------------------------------------------------------
-    # Fault kills (mirrors FaultyWormholeNetwork).
-    # ------------------------------------------------------------------
-
-    def _held(self, w: int) -> list[int]:
-        kind = self.w_kind[w]
-        if kind == _PATH:
-            i = int(self.w_idx[w])
-            off = int(self.w_off[w])
-            lo = max(0, i - int(self.w_flits[w]))
-            return [int(c) for c in self.rp_chan[off + lo : off + i]]
-        if kind == _ADAPTIVE:
-            cids = self.ad[w].cids
-            return cids[max(0, len(cids) - int(self.w_flits[w])) :]
-        k = int(self.w_idx[w])
-        out: list[int] = []
-        for level in self.tree_chans[w][max(0, k - int(self.w_flits[w])) : k]:
-            out.extend(level)
-        return out
-
-    def _header_node(self, w: int):
-        kind = self.w_kind[w]
-        if kind == _PATH:
-            i = int(self.w_idx[w])
-            return self.w_src[w] if i == 0 else self.rp_head[int(self.w_off[w]) + i - 1]
-        if kind == _ADAPTIVE:
-            return self.ad[w].nodes[-1]
-        return None
-
-    def _hit_by(self, w: int, ev) -> bool:
-        keys = [self.chan_keys[c] for c in self._held(w)]
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(k[0] == u and k[1] == v for k in keys)
-        node = ev.target
-        if self.w_kind[w] != _TREE and self._header_node(w) == node:
-            return True
-        return any(k[0] == node or k[1] == node for k in keys)
-
-    def on_element_failed(self, ev) -> None:
-        """Kill every in-flight worm holding a channel on the failed
-        element (injection order, like the reference network)."""
-        for w in tuple(self.live):
-            if not self.w_dead[w] and not self.w_arrived[w] and self._hit_by(w, ev):
-                self._kill(
-                    w,
-                    "link failed under worm" if ev.kind == "link"
-                    else "node failed under worm",
-                )
-
-    def _kill(self, w: int, reason: str) -> None:
-        if self.w_dead[w]:
-            return
-        self.w_dead[w] = True
-        self.stats.killed_worms += 1
-        for cid in self._held(w):
-            self._release_cid(cid)
-        if self.w_kind[w] == _TREE:
-            dests: set = set()
-            for level in self.tree_dests[w]:
-                dests.update(level)
-        else:
-            dests = set(self.w_dests[w])
-        dropped = dests - self.w_delivered[w]
-        self._finish(w)
-        if self.drop_handler is not None:
-            self.drop_handler(int(self.w_mid[w]), dropped, reason)
-
-    # ------------------------------------------------------------------
-    # Vectorized path-worm chunks.
-    # ------------------------------------------------------------------
-
-    def _process_chunk(self, chunk: list) -> None:
-        """Advance a chunk of consecutive path-worm steps.
-
-        Splits into maximal runs of movers (mid-route) and arrivals
-        (route complete), preserving the chunk's order — a mover and an
-        arrival have different side effects, so runs may not be
-        reordered across each other."""
-        ws = np.asarray(chunk, dtype=np.int64)
-        at_end = self.w_idx[ws] == self.w_len[ws]
-        if not at_end.any():
-            self._run_movers(ws)
-            return
-        if at_end.all():
-            self._run_arrivals(ws)
-            return
-        change = np.flatnonzero(np.diff(at_end)) + 1
-        start = 0
-        for end in [*change.tolist(), len(ws)]:
-            seg = ws[start:end]
-            if at_end[start]:
-                self._run_arrivals(seg)
-            else:
-                self._run_movers(seg)
-            start = end
-
-    def _run_movers(self, ws: np.ndarray) -> None:
-        c = self.counters
-        if len(ws) < self.BATCH_MIN:
-            for w in ws.tolist():
-                self._advance_path(w)
-            c.events += len(ws)
-            return
-        idx = self.w_idx[ws]
-        off = self.w_off[ws]
-        fl = self.w_flits[ws]
-        nxt = self.rp_chan[off + idx]
-        relhop = idx - fl
-        hasrel = relhop >= 0
-        relch = self.rp_chan[(off + relhop)[hasrel]]
-        # Interaction guard: if two worms in this run touch the same
-        # channel (acquire/acquire or acquire/release), the outcome
-        # depends on their order — replay the run through the ordered
-        # scalar path.  Distinct channels commute, so the bulk ops
-        # below reproduce the scalar order exactly.
-        uniq, counts = np.unique(nxt, return_counts=True)
-        if (counts > 1).any() or (len(relch) and np.isin(uniq, relch).any()):
-            for w in ws.tolist():
-                self._advance_path(w)
-            c.events += len(ws)
-            c.scalar_fallback_events += len(ws)
-            return
-        free = self.in_use[nxt] < self.cap[nxt]
-        if free.all():
-            mv, mch, moff, midx, mrelhop, mhasrel = ws, nxt, off, idx, relhop, hasrel
-        else:
-            blocked = np.flatnonzero(~free)
-            for j in blocked.tolist():
-                self._block(int(ws[j]), int(nxt[j]))
-            sel = np.flatnonzero(free)
-            mv = ws[sel]
-            mch = nxt[sel]
-            moff = off[sel]
-            midx = idx[sel]
-            mrelhop = relhop[sel]
-            mhasrel = hasrel[sel]
-            if not len(mv):
-                c.batched_events += len(ws)
-                c.batches += 1
-                return
-        self.in_use[mch] += 1  # unique per the interaction guard
-        self.w_idx[mv] = midx + 1
-        if mhasrel.any():
-            rsel = np.flatnonzero(mhasrel)
-            rpos = moff[rsel] + mrelhop[rsel]
-            rch = self.rp_chan[rpos]
-            np.subtract.at(self.in_use, rch, 1)
-            if self._waiter_total:
-                for cid in rch.tolist():
-                    self._wake(cid)
-            dmask = self.rp_dest[rpos]
-            if dmask.any():
-                dj = np.flatnonzero(dmask)
-                mids = self.w_mid[mv[rsel[dj]]]
-                injs = self.w_inj[mv[rsel[dj]]]
-                for mid, inj, p in zip(mids.tolist(), injs.tolist(), rpos[dj].tolist()):
-                    self._deliver(mid, self.rp_head[p], inj)
-        # next steps, in run order, as one chunk
-        b = self._bucket(self.tick + 1)
-        steps = mv.tolist()
-        if b and type(b[-1]) is list:
-            b[-1].extend(steps)
-        else:
-            b.append(steps)
-        c.batched_events += len(ws)
-        c.batches += 1
-        if len(ws) > c.max_batch_width:
-            c.max_batch_width = len(ws)
-
-    def _run_arrivals(self, ws: np.ndarray) -> None:
-        c = self.counters
-        if len(ws) < self.BATCH_MIN:
-            for w in ws.tolist():
-                self._arrive_path(w)
-            c.events += len(ws)
-            return
-        D = self.w_len[ws]
-        F = self.w_flits[ws]
-        pend = self._pending
-        # drain: hop D-F+d releases at delay d; group the run by delay,
-        # preserving worm order inside each group
-        for d in range(int(F.max())):
-            el = (F > d) & (D + d - F >= 0)
-            if not el.any():
-                continue
-            sub = ws[el]
-            hops = (D + d - F)[el]
-            if d == 0:
-                pend.append((_BREL, sub, hops))
-            else:
-                self._at(d, (_BREL, sub, hops))
-        for fv in np.unique(F).tolist():
-            sub = ws[F == fv]
-            if fv == 1:
-                pend.append((_BFIN, sub))
-            else:
-                self._at(fv - 1, (_BFIN, sub))
-        c.batched_events += len(ws)
-        c.batches += 1
-        if len(ws) > c.max_batch_width:
-            c.max_batch_width = len(ws)
-
-    def _process_brel(self, ws: np.ndarray, hops: np.ndarray) -> None:
-        pos = self.w_off[ws] + hops
-        rch = self.rp_chan[pos]
-        np.subtract.at(self.in_use, rch, 1)
-        if self._waiter_total:
-            for cid in rch.tolist():
-                self._wake(cid)
-        dmask = self.rp_dest[pos]
-        if dmask.any():
-            dj = np.flatnonzero(dmask)
-            mids = self.w_mid[ws[dj]]
-            injs = self.w_inj[ws[dj]]
-            for mid, inj, p in zip(mids.tolist(), injs.tolist(), pos[dj].tolist()):
-                self._deliver(mid, self.rp_head[p], inj)
-        self.counters.batched_events += len(ws)
+            self._deliver(int(self.w_mid[w]), self.rp_head[p], int(self.w_inj[w]))
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -1148,24 +489,20 @@ class DenseEngine:
         buckets = self.buckets
         heap = self.tick_heap
         c = self.counters
-        windowed = self.windowed
         while heap:
             t = heapq.heappop(heap)
             pending = buckets.pop(t)
             self.tick = t
             self._pending = pending
             c.ticks += 1
-            if windowed:
-                # multi-tick frontier batching: a window of upcoming
-                # ticks may be provably interaction-free (no touched
-                # channel has waiters, every acquire fits) and drain in
-                # one vectorized commit; a tick no window can commit
-                # runs through the ordered classic dispatcher
-                if not self._win_cool:
-                    if self._run_window(t, pending):
-                        continue
-                else:
-                    self._win_cool -= 1
+            # a window of upcoming ticks may be provably interaction-free
+            # (no touched channel has waiters, every acquire fits) and
+            # drain in one vectorized commit; a tick no window can
+            # commit runs through the ordered classic dispatcher
+            if self._win_cool:
+                self._win_cool -= 1
+            elif self._run_window(t, pending):
+                continue
             self._run_classic(pending)
         self._pending = []
         return self.active_worms == 0
@@ -1174,61 +511,33 @@ class DenseEngine:
         """Dispatch ``pending`` (live — entries may append) one event
         at a time, in exact reference order."""
         c = self.counters
-        step_path = self._step_path
-        step_adaptive = self._step_adaptive
-        faulty = self.faulty
+        advance = self._advance_path
         i = 0
         while i < len(pending):
             e = pending[i]
             i += 1
             if type(e) is list:
-                self._process_chunk(e)
+                # a chunk holds mid-route worms only (arrivals are
+                # tagged _ARR when scheduled)
+                for w in e:
+                    advance(w)
+                c.events += len(e)
                 continue
             k = e[0]
             if k == _STEP:
-                w = e[1]
-                # NB: self.w_kind is re-read per event — _new_worm
-                # reallocates the worm arrays when they grow
-                if self.w_kind[w] == _PATH:
-                    step_path(w)
-                else:
-                    step_adaptive(w)
-                c.events += 1
+                advance(e[1])
             elif k == _REL:
-                w = e[1]
-                if not (faulty and self.w_dead[w]):
-                    if self.w_kind[w] == _ADAPTIVE:
-                        self._release_adaptive_hop(w, e[2])
-                    else:
-                        self._release_path_hop(w, e[2])
-                c.events += 1
+                self._release_path_hop(e[1], e[2])
             elif k == _ARR:
                 self._arrive_path(e[1])
-                c.events += 1
-            elif k == _BREL:
-                self._process_brel(e[1], e[2])
-            elif k == _BFIN:
-                self.active_worms -= len(e[1])
-                c.batched_events += len(e[1])
             elif k == _FIN:
-                self._finish(e[1])
-                c.events += 1
-            elif k == _TTICK:
-                self._step_tree(e[1])
-                c.events += 1
-            elif k == _TREL:
-                w = e[1]
-                if not (faulty and self.w_dead[w]):
-                    self._release_tree_level(w, e[2])
-                c.events += 1
-            elif k == _CALL:
+                self.active_worms -= 1
+            else:  # _CALL
                 e[1](*e[2])
-                c.events += 1
-            else:  # _DEFER: join the end of the immediate lane
-                pending.append((_CALL, e[1], e[2]))
+            c.events += 1
 
     # ------------------------------------------------------------------
-    # Multi-tick frontier batching (window mode).
+    # Multi-tick frontier windows.
     # ------------------------------------------------------------------
     #
     # An unblocked path worm's trajectory is a straight line: a worm at
@@ -1246,7 +555,7 @@ class DenseEngine:
     # array ops;
     # the delivery stream is replayed in exact reference order from a
     # closed-form sort key (see _run_window).  Any foreign calendar
-    # entry (injection, deferred call, non-path worm) clips the window,
+    # entry (an injection or other callback) clips the window,
     # and a failed proof falls back to one-tick dispatch, so parity is
     # preserved unconditionally.
 
@@ -1263,8 +572,8 @@ class DenseEngine:
         buckets = self.buckets
         E = t + self._win_k
         # -- phase 1: scan tick t itself, before touching the heap —
-        # a foreign entry (injection, deferred call, non-path worm)
-        # here is the common bail and must stay cheap (code 3 =
+        # a foreign entry (an injection or other callback) here is
+        # the common bail and must stay cheap (code 3 =
         # pre-scheduled finish)
         ow: list[int] = []
         ocode: list[int] = []

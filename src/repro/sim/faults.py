@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from collections.abc import Hashable
 
 from .config import SimConfig
-from .kernel import Environment
+from .kernel import Environment, Timeout
 from .reference import AdaptivePathWorm, PathWorm, TreeWorm, WormholeNetwork
 from .stats import SimStats
 
@@ -224,12 +224,11 @@ class FaultState:
         self._blocked_cache: tuple | None = None  # (version, frozenset)
 
     def install(self, net) -> None:
-        """Schedule every plan event on the calendar of ``net`` (a
-        :class:`FaultyWormholeNetwork` or a fault-aware
-        :class:`~repro.sim.dense.DenseEngine`).  Both engines put a
-        delay on the flit grid the same way, so under
-        ``quantize_arrivals`` the events land on identical ticks, in
-        plan order."""
+        """Schedule every plan event, in plan order, on the calendar
+        of ``net`` (a :class:`FaultyWormholeNetwork`: fault injection
+        runs on the reference engine only).  Under
+        ``quantize_arrivals`` each event time snaps to the flit grid
+        like every other delay."""
         for ev in self.plan.events:
             net.schedule(ev.time, self._apply, net, ev)
 
@@ -338,6 +337,12 @@ class FaultyWormholeNetwork(WormholeNetwork):
         #: the original message's injection time so delivery latency
         #: spans the whole retry history
         self.origin_time: float | None = None
+
+    def schedule_deferred(self, delay: float, fn, *args) -> None:
+        """Like :meth:`schedule`, but wait on a kernel ``Timeout``: the
+        call runs from the immediate lane, after the entries already
+        queued at that time (the retry-timeout semantics)."""
+        Timeout(self.env, self._delay(delay)).wait(lambda _ev: fn(*args))
 
     def deliver(self, message_id: int, dest, injected_at: float) -> None:
         # deduplicate: a retransmission can race a still-alive sibling

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 
 from .config import SimConfig
-from .kernel import Environment, Timeout
+from .kernel import Environment
 
 
 class Channel:
@@ -227,12 +227,6 @@ class WormholeNetwork:
         """Run ``fn(*args)`` ``delay`` seconds from now (snapped to the
         flit-time grid under ``config.quantize_arrivals``)."""
         self.env.schedule(self._delay(delay), fn, *args)
-
-    def schedule_deferred(self, delay: float, fn, *args) -> None:
-        """Like :meth:`schedule`, but wait on a kernel ``Timeout``: the
-        call runs from the immediate lane, after the entries already
-        queued at that time (the retry-timeout semantics)."""
-        Timeout(self.env, self._delay(delay)).wait(lambda _ev: fn(*args))
 
     def delivery_latencies(self) -> list[tuple[int, float]]:
         """``(message_id, latency)`` per delivery, in delivery order."""

@@ -12,18 +12,18 @@ demonstrations run through it.
 
 Every driver takes ``engine=``: ``"reference"`` steps one worm object
 per event through the kernel (:mod:`repro.sim.reference`), ``"dense"``
-advances all worms as flat arrays on an integer flit clock
+advances fault-free path worms as flat arrays on an integer flit clock
 (:mod:`repro.sim.dense`), and ``"auto"`` picks one per run
 (:func:`choose_engine`).  Each run type has one body for both
 engines: it talks to the engine only through the surface the two share
-— ``schedule``/``schedule_deferred`` (delays in seconds),
-``run_to_completion``, ``now``, the worm counts, ``delivery_latencies``
-and, for fault runs, ``drop_handler``, ``delivered_by_message`` and
-``origin_time``.  Both engines consume the same RNG draw sequence; with
-``SimConfig(quantize_arrivals=True)`` they agree event for event (the
-parity suite asserts identical delivery streams).  Worm styles without
-a dense kernel (``vct-tree``) transparently fall back to the reference
-engine on the dense engine's flit-time grid.
+— ``schedule`` (delays in seconds), ``inject_path``,
+``run_to_completion``, ``now``, the worm counts and
+``delivery_latencies``.  Both engines consume the same RNG draw
+sequence; with ``SimConfig(quantize_arrivals=True)`` they agree event
+for event (the parity suite asserts identical delivery streams).  The
+dense engine serves only ``star``/``vc-star`` worms without fault
+injection; asking it for any other run executes that run on the
+reference engine, on the dense engine's flit-time grid.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple
     The dense engine only pays off when its multi-tick frontier windows
     fire (PERFORMANCE.md §5): plain path worms, an arrival process
     already on the flit-clock grid (so the switch never changes the
-    numbers), no fault schedule fragmenting the calendar, and injections
-    sparse enough network-wide that windows can span the ~100-row NumPy
-    dispatch crossover.  Everything else runs the reference kernel,
-    which is the never-materially-worse baseline.
+    numbers), no fault injection (resilient runs need the fault-aware
+    reference network, so they always pass ``faulty=True``), and
+    injections sparse enough network-wide that windows can span the
+    ~100-row NumPy dispatch crossover.  Everything else runs the
+    reference kernel, which is the never-materially-worse baseline.
 
     Returns ``(engine, features)`` where ``features`` records every
     input to the decision plus the decision itself; drivers surface it
@@ -242,11 +243,10 @@ def _resolve_engine(
     (None otherwise).
 
     ``burst`` marks a static scenario: with no arrival process to
-    feature-ize, ``auto`` picks the reference kernel.  A worm style
-    without a dense kernel (``vct-tree``: VCT trees buffer whole
-    messages at nodes, which the flat channel-occupancy model does not
-    represent) runs on the reference engine, on the dense engine's
-    flit-time grid."""
+    feature-ize, ``auto`` picks the reference kernel.  The dense engine
+    runs fault-free path worms only (``worm_style`` ``star`` /
+    ``vc-star``, no ``faulty`` run); any other run asked of it executes
+    on the reference engine, on the dense engine's flit-time grid."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     style = router.spec.worm_style
@@ -262,9 +262,7 @@ def _resolve_engine(
             }
         else:
             engine, auto = choose_engine(topology, router, config, faulty)
-    # capability check: "vct-tree" here is the worm_style, which happens
-    # to share its spelling with the scheme name
-    if engine == "dense" and style == "vct-tree":  # lint: ignore[no-registry-bypass]
+    if engine == "dense" and (faulty or style not in ("star", "vc-star")):
         engine = "reference"
         config = config.replace(quantize_arrivals=True)
     return engine, config, auto
@@ -272,28 +270,18 @@ def _resolve_engine(
 
 def _build_engine(
     engine: str,
-    topology,
-    router: Router,
     config: SimConfig,
     fault_state: FaultState | None = None,
     stats: SimStats | None = None,
 ):
     """A fresh engine of the resolved kind; a ``fault_state`` selects
-    the fault-aware variant."""
-    if engine == "reference":
-        env = Environment()
-        if fault_state is None:
-            return WormholeNetwork(env, config)
-        return FaultyWormholeNetwork(env, config, fault_state, stats)
-    eng = DenseEngine(
-        config,
-        fault_state=fault_state,
-        stats=stats,
-        node_index=topology.index_map() if fault_state is not None else None,
-    )
-    # frontier windows need every worm to be a path worm
-    eng.windowed = eng.vectorize and router.spec.worm_style in ("star", "vc-star")
-    return eng
+    the fault-aware reference network."""
+    if engine == "dense":
+        return DenseEngine(config)
+    env = Environment()
+    if fault_state is None:
+        return WormholeNetwork(env, config)
+    return FaultyWormholeNetwork(env, config, fault_state, stats)
 
 
 def _engine_stats(net, auto: dict | None) -> dict | None:
@@ -350,7 +338,7 @@ def run_dynamic(
     """
     router = router or _make_router(topology, scheme, config)
     engine, config, auto = _resolve_engine(engine, topology, router, config)
-    net = _build_engine(engine, topology, router, config)
+    net = _build_engine(engine, config)
     rng = random.Random(config.seed)
     state = {"injected": 0}
     # capacity for path worms: pooled double channels when the network
@@ -450,11 +438,11 @@ def run_resilient(
         plan = FaultPlan.from_config(topology, config)
     fault_state = FaultState(plan)
     router = _make_router(topology, scheme, config, fault_state)
-    engine, config, auto = _resolve_engine(
-        engine, topology, router, config, faulty=config.faulty or bool(plan.events)
-    )
+    # the fault-aware network is the reference engine's: a resilient run
+    # resolves as faulty even when its plan is empty
+    engine, config, auto = _resolve_engine(engine, topology, router, config, faulty=True)
     stats = SimStats()
-    net = _build_engine(engine, topology, router, config, fault_state, stats)
+    net = _build_engine(engine, config, fault_state, stats)
     # the fault schedule lands on the calendar before any injection, so
     # same-time fault events dispatch first
     fault_state.install(net)
@@ -553,9 +541,6 @@ def run_resilient(
     # delivered was counted per unique (message, destination) pair;
     # whatever the retry budget never reached is dropped.
     stats.dropped = total_expected - stats.delivered
-    engine_stats = _engine_stats(net, auto)
-    if engine == "dense":
-        stats.engine_counters = engine_stats
     return FaultResult(
         latency=batch_means(latencies) if latencies else _NO_LATENCY,
         injected_messages=state["injected"],
@@ -565,7 +550,7 @@ def run_resilient(
         stats=stats,
         expected_deliveries=total_expected,
         engine=engine,
-        engine_stats=engine_stats,
+        engine_stats=_engine_stats(net, auto),
     )
 
 
@@ -630,7 +615,7 @@ def run_mixed(
     from ..labeling import canonical_labeling
 
     labeling = router.labeling or canonical_labeling(topology)
-    net = _build_engine(engine, topology, router, config)
+    net = _build_engine(engine, config)
     rng = random.Random(config.seed)
     n = topology.num_nodes
     state = {"injected": 0}
@@ -708,7 +693,7 @@ def run_static_scenario(
     config = config or SimConfig()
     router = _make_router(topology, scheme, config)
     engine, config, auto = _resolve_engine(engine, topology, router, config, burst=True)
-    net = _build_engine(engine, topology, router, config)
+    net = _build_engine(engine, config)
     for mid, request in enumerate(requests, start=1):
         inject_specs(net, mid, router(request), config.channels_per_link, router)
     completed = net.run_to_completion()

@@ -67,8 +67,11 @@ class SimStats:
     link_fault_events: int = 0
     node_fault_events: int = 0
     repair_events: int = 0
-    #: dense-engine progress counters (``DenseEngine.cache_stats()``);
-    #: None for reference-engine runs
+    #: always None: fault-aware runs execute on the reference engine,
+    #: which has no engine counters.  Kept because sweep checkpoints
+    #: serialize ``SimStats`` through :meth:`to_dict`/:meth:`from_dict`
+    #: (existing checkpoint lines carry the key) and result digests hash
+    #: ``to_dict()``, so dropping the field would change both.
     engine_counters: dict | None = None
 
     @property

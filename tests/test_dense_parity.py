@@ -8,6 +8,12 @@ engine's float calendar is exactly representable on the dense engine's
 integer flit-tick grid.  Parity then means *equality* — identical
 latency summaries, simulation time, and delivery counts, not
 approximate agreement.
+
+The dense engine serves fault-free path worms (``worm_style`` ``star``
+/ ``vc-star``) only; a dense request for any other run — tree,
+adaptive and VCT worms, resilient runs — executes on the reference
+engine with ``quantize_arrivals=True`` and reports
+``engine="reference"`` (:func:`test_dense_falls_back_to_reference`).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import random
 
 import pytest
 
+from repro import registry
 from repro.models.request import MulticastRequest
 from repro.sim import (
     InvalidConfigError,
@@ -43,6 +50,12 @@ def _fingerprint(result):
         result.worms,
         result.injected_messages,
     )
+
+
+def _dense_engine(scheme):
+    """The engine an ``engine="dense"`` request for ``scheme`` runs on
+    (outside resilient runs, which always run on the reference)."""
+    return "dense" if registry.get(scheme).worm_style in ("star", "vc-star") else "reference"
 
 
 def _run_both(topology, scheme, cfg, runner=run_dynamic, **kw):
@@ -110,7 +123,7 @@ def test_moderate_load_parity(topology, scheme, kw):
     cfg = SimConfig(**BASE, **kw)
     ref, dense = _run_both(topology, scheme, cfg)
     assert _fingerprint(dense) == _fingerprint(ref)
-    assert ref.engine == "reference" and dense.engine == "dense"
+    assert ref.engine == "reference" and dense.engine == _dense_engine(scheme)
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +173,9 @@ def test_near_saturation_parity(scheme, ia, seed):
 
 
 def test_deadlock_parity():
-    """Sustained single-channel tree traffic wedges a 4-cube (§6.1);
-    both engines must detect it and report the same diagnostic."""
+    """Sustained single-channel tree traffic wedges a 4-cube (§6.1); a
+    dense request (run on the reference engine) must detect it and
+    report the same diagnostic."""
     cube = Hypercube(4)
     cfg = SimConfig(
         **BASE, num_messages=200, num_destinations=8,
@@ -176,7 +190,7 @@ def test_deadlock_parity():
 
 
 # ----------------------------------------------------------------------
-# Fault injection: resilient runs and the vectorized FaultState masks
+# Fault injection: resilient runs always execute on the reference engine
 # ----------------------------------------------------------------------
 
 
@@ -198,7 +212,8 @@ def _fault_fingerprint(result):
 
 def test_resilient_zero_rate_matches_dynamic():
     """With no faults configured the resilient runner degenerates to
-    the plain dynamic run — on both engines."""
+    the plain dynamic run: the fault-aware reference network matches
+    the dense engine's run event for event."""
     cfg = SimConfig(
         **BASE, seed=5, mean_interarrival=250e-6,
         num_messages=200, num_destinations=5,
@@ -206,6 +221,7 @@ def test_resilient_zero_rate_matches_dynamic():
     ref, dense = _run_both(Mesh2D(8, 8), "dual-path", cfg, runner=run_resilient)
     assert _fault_fingerprint(dense) == _fault_fingerprint(ref)
     plain = run_dynamic(Mesh2D(8, 8), "dual-path", cfg, engine="dense")
+    assert plain.engine == "dense"
     assert _fingerprint(dense) == _fingerprint(plain)
 
 
@@ -215,14 +231,16 @@ def test_resilient_zero_rate_matches_dynamic():
     pytest.param("fixed-path", 0.05, id="fixed-path"),
 ])
 def test_resilient_fault_parity(scheme, rate):
-    """Faults firing mid-run (kills, retries, detours) must resolve
-    identically under the mask-based dense FaultState."""
+    """Faults firing mid-run (kills, retries, detours): a dense request
+    runs on the fault-aware reference network and resolves
+    identically."""
     cfg = SimConfig(
         **BASE, seed=5, mean_interarrival=250e-6,
         num_messages=200, num_destinations=5,
         link_fault_rate=rate, fault_mttr=400e-6,
     )
     ref, dense = _run_both(Mesh2D(8, 8), scheme, cfg, runner=run_resilient)
+    assert dense.engine == "reference"
     assert _fault_fingerprint(dense) == _fault_fingerprint(ref)
 
 
@@ -265,7 +283,7 @@ def _fig_6_4():
 def _scenario_both(topology, scheme, requests, cfg):
     ref = run_static_scenario(topology, scheme, requests, cfg, engine="reference")
     dense = run_static_scenario(topology, scheme, requests, cfg, engine="dense")
-    assert (ref.engine, dense.engine) == ("reference", "dense")
+    assert (ref.engine, dense.engine) == ("reference", _dense_engine(scheme))
     assert (dense.completed, dense.blocked_worms, dense.deliveries, dense.sim_time) == (
         ref.completed, ref.blocked_worms, ref.deliveries, ref.sim_time)
     return ref, dense
@@ -276,8 +294,8 @@ def _scenario_both(topology, scheme, requests, cfg):
     pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
 ])
 def test_static_deadlock_parity(scenario, scheme):
-    """Both engines wedge on the §6.1 deadlocks with the same worms
-    blocked."""
+    """The §6.1 deadlocks wedge with the same worms blocked (a dense
+    request runs the tree worms on the reference engine)."""
     topology, requests = scenario()
     ref, dense = _scenario_both(topology, scheme, requests, SimConfig(**BASE))
     assert not ref.completed and not dense.completed
@@ -289,7 +307,8 @@ def test_static_deadlock_parity(scenario, scheme):
     pytest.param("tree-xfirst", 2, id="tree-xfirst-double"),
 ])
 def test_static_fix_parity(scheme, channels):
-    """The §6.2 fixes complete the Fig. 6.4 pattern on both engines."""
+    """The §6.2 fixes complete the Fig. 6.4 pattern whichever engine
+    serves the request."""
     mesh, requests = _fig_6_4()
     ref, _ = _scenario_both(
         mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)
@@ -298,8 +317,8 @@ def test_static_fix_parity(scheme, channels):
 
 
 def test_static_burst_parity_batches():
-    """A 64-source fixed-path burst on a 6-cube matches the reference
-    and runs at least one vectorized chunk pass."""
+    """A 64-source fixed-path burst on a 6-cube runs on the dense
+    engine and matches the reference."""
     cube = Hypercube(6)
     rng = random.Random(1)
     requests = [
@@ -310,7 +329,8 @@ def test_static_burst_parity_batches():
     ]
     ref, dense = _scenario_both(cube, "fixed-path", requests, SimConfig(**BASE))
     assert ref.completed and ref.deliveries == 64 * 16
-    assert dense.engine_stats["batches"] > 0
+    assert dense.engine == "dense"
+    assert dense.engine_stats["events"] + dense.engine_stats["batched_events"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +347,9 @@ def test_engine_counters_exposed():
     assert ref.engine_stats is None
     stats = dense.engine_stats
     assert stats is not None
-    for key in ("events", "batched_events", "batches",
-                "scalar_fallback_events", "max_batch_width",
+    # every key benchmarks/e2e and bench_dense_core.py read, too
+    for key in ("events", "batched_events", "max_batch_width",
+                "windows", "window_aborts", "window_hist", "array_ops",
                 "blocks", "wakes", "deliveries", "worms",
                 "ticks", "channels"):
         assert key in stats, key
@@ -341,19 +362,46 @@ def test_unknown_engine_rejected():
         run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="sparse")
 
 
-def test_vct_tree_falls_back_to_reference():
-    """VCT trees buffer whole messages at nodes, which the flat channel
-    arrays cannot represent; asking for dense must transparently run the
-    (quantized) reference model instead."""
-    cfg = SimConfig(
-        **BASE, seed=3, mean_interarrival=300e-6,
-        num_messages=100, num_destinations=4,
-    )
-    result = run_dynamic(Mesh2D(8, 8), "vct-tree", cfg, engine="dense")
+def _static_run(scenario):
+    """``(run, topology)``: ``scenario``'s requests as a run function of
+    the driver shape, and the topology they live on."""
+    topology, requests = scenario()
+
+    def run(topo, scheme, cfg, engine):
+        return run_static_scenario(topo, scheme, requests, cfg, engine=engine)
+
+    return run, topology
+
+#: runs the dense engine does not serve; the configs leave
+#: ``quantize_arrivals`` off, so the fallback must switch it on
+UNSERVED = [
+    pytest.param(run_dynamic, Mesh2D(8, 8), "vct-tree", {}, id="vct-tree"),
+    pytest.param(run_dynamic, Mesh2D(8, 8), "xfirst-tree", dict(channels_per_link=2),
+                 id="xfirst-tree"),
+    pytest.param(run_dynamic, Hypercube(6), "ecube-tree",
+                 dict(mean_interarrival=800e-6), id="ecube-tree"),
+    pytest.param(run_dynamic, Mesh2D(8, 8), "dual-path-adaptive", {},
+                 id="dual-path-adaptive"),
+    pytest.param(*_static_run(_fig_6_1), "ecube-tree", {}, id="fig6.1-static"),
+    pytest.param(*_static_run(_fig_6_4), "xfirst-tree", {}, id="fig6.4-static"),
+    pytest.param(run_resilient, Mesh2D(8, 8), "dual-path", {}, id="resilient-fault-free"),
+    pytest.param(run_resilient, Mesh2D(8, 8), "dual-path",
+                 dict(link_fault_rate=0.05, fault_mttr=400e-6), id="resilient-faults"),
+]
+
+
+@pytest.mark.parametrize("run,topology,scheme,kw", UNSERVED)
+def test_dense_falls_back_to_reference(run, topology, scheme, kw):
+    """Tree, adaptive and VCT worms and fault injection have no dense
+    kernel: asking for dense must run the reference model on the flit
+    grid (``quantize_arrivals=True``) and say so."""
+    cfg = SimConfig(seed=3, mean_interarrival=300e-6, num_messages=100,
+                    num_destinations=4).replace(**kw)
+    result = run(topology, scheme, cfg, engine="dense")
     assert result.engine == "reference"
     assert result.engine_stats is None
-    ref = run_dynamic(Mesh2D(8, 8), "vct-tree", cfg, engine="reference")
-    assert _fingerprint(result) == _fingerprint(ref)
+    ref = run(topology, scheme, cfg.replace(quantize_arrivals=True), engine="reference")
+    assert result == ref
 
 
 def test_sweepjob_validates_engine():

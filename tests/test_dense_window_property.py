@@ -1,15 +1,14 @@
-"""Property tests: frontier windows plus classic dispatch vs the scalar
-reference kernels.
+"""Property tests: frontier windows plus classic dispatch vs the
+reference model.
 
 Each example builds one randomized convoy — path worms sharing ring
 segments, so duplicate same-tick channel touches, full channels and
-FIFO waiter queues all arise — and runs it twice through a raw
-:class:`DenseEngine`: once with the frontier-window gate on
-(``BATCH_MIN`` dropped to 1 so even narrow chunks take the vectorized
-path), where every tick no window can commit runs through the classic
-dispatcher, and once with vectorization off (pure scalar kernels, the
-reference dispatch order).  The delivery streams must be identical
-event for event, as must the final clock and the deadlock verdict.
+FIFO waiter queues all arise — and runs it on a raw
+:class:`DenseEngine` (every tick either commits in a frontier window or
+runs through the classic dispatcher) and on the coroutine reference
+:class:`WormholeNetwork`, through the surface the two engines share.
+The delivery streams must be identical event for event, as must the
+final clock, the worm count left in flight and the deadlock verdict.
 """
 
 from hypothesis import given, settings
@@ -17,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro.sim.config import SimConfig
 from repro.sim.dense import DenseEngine
+from repro.sim.kernel import Environment
+from repro.sim.reference import WormholeNetwork
 
 DYADIC = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
 
@@ -38,39 +39,31 @@ worms_st = st.lists(
 )
 
 
-def _build(eng: DenseEngine, ring: int, worms, cap: int) -> None:
+def _build(net, ring: int, worms, cap: int) -> None:
     """Inject every worm as a segment of a shared ring of channels;
     overlapping segments contend, identical segments duplicate-touch."""
+    tf = net.config.flit_time
     for mid, (start, hops, when, dpick) in enumerate(worms, start=1):
         hops = min(hops, ring - 1)  # simple path: no self-deadlock
         nodes = tuple((start + i) % ring for i in range(hops + 1))
         # final node always delivers; dpick marks one interior node too
         dests = {nodes[-1], nodes[1 + (dpick % hops)]}
         if when:
-            eng.schedule(when * eng.tf, eng.inject_path, mid, nodes, dests, None, cap)
+            net.schedule(when * tf, net.inject_path, mid, nodes, dests, None, cap)
         else:
-            eng.inject_path(mid, nodes, dests, capacity=cap)
+            net.inject_path(mid, nodes, dests, capacity=cap)
 
 
-def _outcome(eng: DenseEngine) -> tuple:
-    completed = eng.run_to_completion()
-    return (
-        completed,
-        list(eng.d_mid),
-        list(eng.d_tick),
-        list(eng.d_inj),
-        eng.tick,
-        eng.active_worms,
-    )
+def _outcome(net) -> tuple:
+    completed = net.run_to_completion()
+    return (completed, net.delivery_latencies(), net.now, net.active_worms)
 
 
-def _run(ring, worms, cap, flits, *, windowed: bool):
-    eng = DenseEngine(_config(flits), vectorize=windowed)
-    if windowed:
-        eng.windowed = True
-        eng.BATCH_MIN = 1  # force the vectorized path for narrow chunks
-    _build(eng, ring, worms, cap)
-    return _outcome(eng)
+def _run(ring, worms, cap, flits, *, dense: bool):
+    config = _config(flits)
+    net = DenseEngine(config) if dense else WormholeNetwork(Environment(), config)
+    _build(net, ring, worms, cap)
+    return _outcome(net)
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,10 +73,10 @@ def _run(ring, worms, cap, flits, *, windowed: bool):
     cap=st.integers(1, 2),
     flits=st.integers(1, 5),
 )
-def test_windows_match_scalar_kernels(ring, worms, cap, flits):
-    vec = _run(ring, worms, cap, flits, windowed=True)
-    ref = _run(ring, worms, cap, flits, windowed=False)
-    assert vec == ref
+def test_windows_match_reference_model(ring, worms, cap, flits):
+    dense = _run(ring, worms, cap, flits, dense=True)
+    ref = _run(ring, worms, cap, flits, dense=False)
+    assert dense == ref
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,29 +90,27 @@ def test_windows_match_scalar_kernels(ring, worms, cap, flits):
 )
 def test_single_channel_fifo_queue(worms, flits):
     """Every worm crosses the same capacity-1 channel: the waiter queue
-    must drain in exact FIFO order under both dispatchers."""
+    must drain in exact FIFO order on both engines."""
     ring = 8
     convoy = [(0, 4, when, d or 1) for when, d in worms]
-    vec = _run(ring, convoy, 1, flits, windowed=True)
-    ref = _run(ring, convoy, 1, flits, windowed=False)
-    assert vec == ref
+    dense = _run(ring, convoy, 1, flits, dense=True)
+    ref = _run(ring, convoy, 1, flits, dense=False)
+    assert dense == ref
 
 
 def test_wide_convoy_commits_windows():
-    """A convoy wider than the production BATCH_MIN commits frontier
-    windows without any threshold override and still matches."""
+    """A 140-worm convoy commits frontier windows and still matches."""
     # 140 lightly-overlapping segments (stride 6 < length) on a large
     # ring: most rows advance together, the overlaps still convoy
     worms = [((i * 6) % 1024, 8 + (i % 5), i % 3, 1 + (i % 6)) for i in range(140)]
     ring = 1024
 
     eng = DenseEngine(_config(3))
-    eng.windowed = True
     _build(eng, ring, worms, 2)
-    vec = _outcome(eng)
+    dense = _outcome(eng)
     assert eng.counters.windows > 0  # a window actually committed
     assert eng.counters.batched_events > 0
 
-    ref_eng = DenseEngine(_config(3), vectorize=False)
-    _build(ref_eng, ring, worms, 2)
-    assert vec == _outcome(ref_eng)
+    ref = WormholeNetwork(Environment(), _config(3))
+    _build(ref, ring, worms, 2)
+    assert dense == _outcome(ref)

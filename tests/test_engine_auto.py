@@ -158,9 +158,18 @@ class TestOtherDriversAuto:
         assert res.engine == "reference"
         assert res.engine_stats["auto"]["reason"] == "fault-schedule"
 
-    def test_resilient_faultfree_can_go_dense(self):
-        res = run_resilient(Hypercube(6), "fixed-path", _light_config(), engine="auto")
-        assert res.engine_stats["auto"]["decision"] == res.engine
+    def test_resilient_faultfree_goes_reference(self):
+        # the light-load cell run_dynamic sends to dense: a resilient run
+        # needs the fault-aware reference network even with no faults
+        topo, cfg = Hypercube(7), _light_config()
+        res = run_resilient(topo, "fixed-path", cfg, engine="auto")
+        auto = res.engine_stats["auto"]
+        assert res.engine == "reference"
+        assert auto["decision"] == "reference"
+        assert auto["reason"] == "fault-schedule"
+        assert auto["faulty"] is True
+        ref = run_resilient(topo, "fixed-path", cfg, engine="reference")
+        assert (res.sim_time, res.latency, res.stats) == (ref.sim_time, ref.latency, ref.stats)
 
     def test_static_scenario_accepts_auto(self):
         from repro.models.request import MulticastRequest
