@@ -21,7 +21,9 @@ root:
    uncached :class:`~repro.labeling.reference.ReferenceRouting` +
    per-message validation — the seed baseline, reconstructed in-repo
    so both code paths stay benchmarkable), serially on the optimized
-   path, and through :func:`repro.parallel.run_sweep` with 4 workers.
+   path, and through :func:`repro.parallel.run_sweep` asking for 4
+   workers (``run_sweep`` caps them at the core count; the report's
+   ``workers`` field is the count left after the cap).
 
 Every measured pairing also asserts bit-identical simulation results
 across code paths — a speedup that changed the answers would be a bug,
@@ -220,7 +222,7 @@ def bench_sweep(params: dict, repeats: int = 2) -> dict:
         "seed_path_serial_s": round(seed_wall, 3),
         "optimized_serial_s": round(serial_wall, 3),
         "run_sweep_workers4_s": round(parallel_wall, 3),
-        "workers": SWEEP_WORKERS,
+        "workers": min(SWEEP_WORKERS, os.cpu_count() or 1),
         "optimized_serial_vs_seed_ratio": round(serial_wall / seed_wall, 3),
         "parallel_vs_seed_serial_ratio": round(parallel_wall / seed_wall, 3),
         "parallel_vs_optimized_serial_ratio": round(parallel_wall / serial_wall, 3),

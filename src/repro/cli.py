@@ -237,11 +237,7 @@ def cmd_faults(args) -> int:
         for rate in rates:
             reps = replicate(
                 SweepJob(
-                    topology,
-                    scheme,
-                    cfg.replace(link_fault_rate=rate),
-                    "resilient",
-                    args.engine,
+                    topology, scheme, cfg.replace(link_fault_rate=rate), "resilient"
                 ),
                 args.replications,
             )
@@ -681,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="independent replications with derived seeds, pooled")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for the replication sweep "
-                        "(default: all cores; used when --replications > 1)")
+                        "(default and cap: the core count; used when "
+                        "--replications > 1)")
     p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
                    help="simulation core: the coroutine reference model, the "
                         "vectorized structure-of-arrays engine (identical "
@@ -720,10 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="skip replications already in --checkpoint")
     p.add_argument("--output", default=None, help="write the sweep as JSON")
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core for every replication; fault "
-                        "injection runs on the reference model whichever "
-                        "engine is asked for")
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("mixed", help="unicast/multicast interaction study (§8.2)")

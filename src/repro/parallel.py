@@ -2,17 +2,35 @@
 
 The dissertation's dynamic evaluation sweeps load × destination-set
 size × routing scheme, one CSIM run per point.  Each point is an
-independent simulation fully determined by ``(topology, scheme,
-SimConfig)`` — including its RNG seed — so the sweep is embarrassingly
-parallel: :func:`run_sweep` fans the points out over a
-``multiprocessing`` pool and returns the :class:`DynamicResult` for
-every job *in job order*, bit-for-bit identical to running the same
-jobs serially (worker placement never touches a simulation's RNG).
+independent simulation fully determined by its :class:`SweepJob` —
+topology, scheme, runner and :class:`SimConfig`, including its RNG
+seed — so :func:`run_sweep` returns the result of every job *in job
+order*, bit-for-bit identical to running the same jobs serially
+(worker placement never touches a simulation's RNG).
 
 Deterministic replication seeds come from :func:`derive_seed`, a
-splitmix64-style mix of a base seed and the run index, so replication
-``i`` of a sweep is reproducible regardless of how many workers ran it
-or in which order jobs completed.
+splitmix64 mix of a base seed and the run index, so replication ``i``
+of a sweep is reproducible regardless of how many workers ran it or in
+which order jobs completed.
+
+Executions
+----------
+
+:func:`run_sweep` has two.  ``workers`` is first capped at
+``os.cpu_count()``: more processes than cores only add fork and
+scheduling cost.
+
+* **In process.**  With one worker (or one job) and none of the
+  robustness options below, the jobs run in a plain loop in the
+  calling process.
+* **Supervised.**  Otherwise every attempt of a job runs in its own
+  forked process, at most ``workers`` at a time.  Each attempt gets
+  one pipe whose only write end the job process holds, and the
+  supervisor blocks in :func:`multiprocessing.connection.wait` until
+  the nearest job deadline.  A result and a death both arrive as one
+  readable event — a payload, or end-of-file — so a worker crash,
+  hang or out-of-memory kill is isolated to its own job.  A finished
+  job's process is joined before the next attempt starts.
 
 Robustness
 ----------
@@ -32,11 +50,7 @@ killed outright, so :func:`run_sweep` also accepts:
   in-flight jobs); ``resume=True`` reloads matching records and only
   runs the jobs that are missing.
 
-Any of these options routes execution through a process-per-job
-supervisor (one ``fork`` per attempt, results over a per-job queue) —
-a worker crash, hang, or out-of-memory kill is isolated to its own
-job.  With none of them set the original low-overhead ``Pool.map``
-path runs unchanged.
+Any of them selects the supervised execution.
 
 Usage::
 
@@ -55,9 +69,11 @@ import os
 import time
 from dataclasses import dataclass
 from math import sqrt
+from multiprocessing.connection import wait
 from collections.abc import Iterable, Sequence
 
 from .registry import get as get_spec
+from .retry import derive_seed
 from .sim.config import SimConfig
 from .sim.runner import (
     ENGINES,
@@ -78,26 +94,21 @@ __all__ = [
     "SweepStats",
     "derive_seed",
     "kill_process",
-    "reap_result",
     "replicate",
     "run_sweep",
     "pooled_latency",
 ]
-
-#: seconds a finished-looking worker gets to flush its result queue
-#: before being declared crashed
-_CRASH_GRACE = 0.25
 
 
 @dataclass
 class SweepStats:
     """Attempt/retry/timeout accounting for one :func:`run_sweep` call.
 
-    Pass an instance as ``stats=`` to observe what the supervised path
-    actually did — before this existed, retries that eventually
-    *succeeded* were invisible (only terminal failures surfaced, as
-    :class:`JobFailure` records), so a sweep that silently burned its
-    retry budget looked identical to a clean one.
+    Pass an instance as ``stats=`` to observe what the supervised
+    execution actually did — before this existed, retries that
+    eventually *succeeded* were invisible (only terminal failures
+    surfaced, as :class:`JobFailure` records), so a sweep that silently
+    burned its retry budget looked identical to a clean one.
 
     ``attempts`` counts worker processes launched; ``resumed`` counts
     results served from the checkpoint instead of being re-run;
@@ -143,23 +154,6 @@ def kill_process(process, *, hard: bool = False) -> int | None:
     return process.exitcode
 
 
-def reap_result(queue, grace: float = _CRASH_GRACE):
-    """One payload a dead worker may have flushed just before dying.
-
-    A worker that exits immediately after ``queue.put`` can race the
-    queue's pipe: the supervisor sees the process dead while the bytes
-    are still in flight.  Polling for a short grace period
-    distinguishes "finished, then died" from a genuine crash.  Returns
-    the payload, or ``None`` if nothing arrives within ``grace``.
-    """
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
-        if not queue.empty():
-            return queue.get()
-        time.sleep(0.005)
-    return None
-
-
 @dataclass(frozen=True)
 class SweepJob:
     """One dynamic-simulation point of a sweep.
@@ -169,11 +163,13 @@ class SweepJob:
     driving process before any worker fans out.  ``runner`` selects the
     driver: ``"dynamic"`` (:func:`repro.sim.runner.run_dynamic`) or
     ``"resilient"`` (:func:`repro.sim.runner.run_resilient`, fault
-    injection + retry); ``engine`` the simulation core (``"reference"``
-    coroutine kernel, the vectorized ``"dense"`` engine, or ``"auto"``
-    to let each worker pick per job from its workload features —
-    the decision lands in ``result.engine_stats["auto"]`` and in the
-    checkpoint key, so resumes distinguish engines)."""
+    injection + retry); ``engine`` the simulation core of a dynamic
+    run (``"reference"`` coroutine kernel, the vectorized ``"dense"``
+    engine, or ``"auto"`` to let each worker pick per job from its
+    workload features — the decision lands in
+    ``result.engine_stats["auto"]`` and in the checkpoint key, so
+    resumes distinguish engines).  Resilient runs execute on the
+    fault-aware reference network and accept only ``"reference"``."""
 
     topology: Topology
     scheme: str
@@ -201,6 +197,11 @@ class SweepJob:
             raise ValueError(
                 f"unknown engine {self.engine!r} (expected one of "
                 f"{', '.join(sorted(ENGINES))})"
+            )
+        if self.runner == "resilient" and self.engine != "reference":
+            raise ValueError(
+                f"resilient runs execute on the fault-aware reference "
+                f"network; engine {self.engine!r} is not available"
             )
 
 
@@ -241,19 +242,6 @@ class NoResultsError(ValueError):
         self.failures = tuple(failures)
 
 
-def derive_seed(base_seed: int, run_index: int) -> int:
-    """A deterministic, well-mixed seed for replication ``run_index``.
-
-    Splitmix64 finalizer over ``(base_seed, run_index)``; adjacent run
-    indices map to unrelated 63-bit seeds, so replications don't share
-    low-bit structure the way ``base_seed + i`` would.
-    """
-    z = (base_seed * 0x9E3779B97F4A7C15 + run_index + 1) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
-
-
 def replicate(config, num_runs: int):
     """``num_runs`` copies of ``config`` — a :class:`SimConfig` or a
     whole :class:`SweepJob` — with deterministic per-run seeds derived
@@ -270,21 +258,14 @@ def replicate(config, num_runs: int):
     ]
 
 
-def _normalize(job) -> SweepJob:
-    if isinstance(job, SweepJob):
-        return job
-    topology, scheme, config = job
-    return SweepJob(topology, scheme, config)
-
-
 def _run_job(job: SweepJob):
-    # Worker processes receive one pickled (cache-stripped) topology per
-    # job; interning maps every equal copy onto one process-local
-    # instance so the distance oracle, neighbor tables and labeling are
-    # built once per worker rather than once per job.
+    # Interning maps every equal topology copy (user-built or unpickled
+    # jobs) onto one process-local instance, so the distance oracle,
+    # neighbor tables and labeling are built once per process rather
+    # than once per job; a forked attempt starts from the caller's.
     topology = canonical_topology(job.topology)
     if job.runner == "resilient":
-        return run_resilient(topology, job.scheme, job.config, engine=job.engine)
+        return run_resilient(topology, job.scheme, job.config)
     return run_dynamic(topology, job.scheme, job.config, engine=job.engine)
 
 
@@ -408,7 +389,7 @@ def _append_checkpoint(fh, index: int, job: SweepJob, result) -> None:
 
 
 def run_sweep(
-    jobs: Iterable,
+    jobs: Iterable[SweepJob],
     workers: int | None = None,
     *,
     timeout: float | None = None,
@@ -419,16 +400,17 @@ def run_sweep(
     failures: list | None = None,
     stats: SweepStats | None = None,
 ) -> list:
-    """Run every job (a :class:`SweepJob` or ``(topology, scheme,
-    config)`` tuple) and return its result, in job order.
+    """Run every :class:`SweepJob` and return its result, in job order.
 
-    ``workers`` defaults to ``os.cpu_count()``; ``workers <= 1`` (or a
-    single job) runs serially in-process.  Parallel execution is
-    bit-for-bit identical to serial execution: every simulation is
-    seeded by its own config and shares no state with its siblings.
+    ``workers`` defaults to ``os.cpu_count()`` and is capped there.  One
+    worker (or one job) with none of the robustness options below runs
+    the jobs in a loop in this process; anything else runs the
+    supervised execution, one forked process per attempt (see the
+    module docstring).  Both are bit-for-bit identical to a serial run:
+    every simulation is seeded by its own config and shares no state
+    with its siblings.
 
-    Robustness options (any of them engages the supervised
-    process-per-job path, see the module docstring):
+    Robustness options (any of them selects the supervised execution):
 
     ``timeout``
         per-job wall-clock budget in seconds; over-budget jobs are
@@ -450,25 +432,21 @@ def run_sweep(
         either ``on_error`` policy.
     ``stats``
         optional :class:`SweepStats` populated with attempt/retry/
-        timeout/crash accounting (supervised path only).
+        timeout/crash accounting (supervised execution only).
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"unknown on_error policy {on_error!r}")
-    jobs = [_normalize(j) for j in jobs]
-    if workers is None:
-        workers = os.cpu_count() or 1
+    jobs = list(jobs)
+    cpus = os.cpu_count() or 1
+    workers = max(1, min(cpus if workers is None else workers, cpus))
     supervised = (
         timeout is not None or retries > 0 or checkpoint is not None or resume
     )
-    if not supervised:
-        if workers <= 1 or len(jobs) <= 1:
-            return [_run_job(j) for j in jobs]
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            return pool.map(_run_job, jobs, chunksize=1)
+    if not supervised and (workers == 1 or len(jobs) <= 1):
+        return [_run_job(j) for j in jobs]
     return _run_supervised(
         jobs,
-        workers=max(1, workers),
+        workers=workers,
         timeout=timeout,
         retries=max(0, retries),
         checkpoint=checkpoint,
@@ -479,19 +457,20 @@ def run_sweep(
     )
 
 
-def _job_worker(job: SweepJob, queue) -> None:
-    """Subprocess entry: run one job, ship the outcome over the queue.
+def _job_worker(job: SweepJob, conn) -> None:
+    """Subprocess entry: run one job and send the outcome down ``conn``,
+    the only write end of the attempt's pipe.
 
-    Every failure mode that still lets Python run is reported as a
+    Every failure mode that still lets Python run is sent as a
     ``(False, message)`` payload; a hard death (segfault, OOM kill,
-    timeout termination) is detected by the supervisor instead."""
+    timeout termination) closes the pipe unwritten, and the supervisor
+    reads end-of-file instead."""
     try:
-        result = _run_job(job)
-        payload = (True, result)
+        payload = (True, _run_job(job))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* worker failure
         payload = (False, f"{type(exc).__name__}: {exc}")
     with contextlib.suppress(Exception):
-        queue.put(payload)  # queue gone: the supervisor records a crash
+        conn.send(payload)  # supervisor gone: nothing left to tell
 
 
 def _run_supervised(
@@ -514,17 +493,11 @@ def _run_supervised(
         results.update(_load_checkpoint(checkpoint, jobs))
         stats.resumed = len(results)
 
-    exits = contextlib.ExitStack()
-    ckpt_fh = (
-        exits.enter_context(open(checkpoint, "a", encoding="utf-8"))
-        if checkpoint
-        else None
-    )
-    pending: list[tuple[int, int]] = [
-        (i, 0) for i in range(len(jobs)) if i not in results
-    ]
-    pending.reverse()  # pop() from the end yields jobs in order
-    running: dict[int, tuple] = {}  # index -> (process, queue, deadline, attempt)
+    # pop() from the end yields jobs in order
+    pending = [(i, 0) for i in reversed(range(len(jobs))) if i not in results]
+    # read end of each running attempt's pipe -> (index, attempt,
+    # process, deadline)
+    running: dict = {}
 
     def record_failure(index: int, attempt: int, error: str) -> None:
         if attempt < retries:
@@ -537,73 +510,64 @@ def _run_supervised(
         if failures is not None:
             failures.append(failure)
 
-    def finish(index: int, attempt: int, entry, outcome) -> None:
-        process = entry[0]
-        process.join()
-        entry[1].close()
-        ok, payload = outcome
-        if ok:
-            results[index] = payload
-            stats.completed += 1
-            if ckpt_fh is not None:
-                _append_checkpoint(ckpt_fh, index, jobs[index], payload)
-        else:
-            stats.errors += 1
-            record_failure(index, attempt, payload)
-
+    ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
         while pending or running:
             while pending and len(running) < workers:
                 index, attempt = pending.pop()
-                queue = ctx.SimpleQueue()
+                reader, writer = ctx.Pipe(duplex=False)
                 process = ctx.Process(
-                    target=_job_worker, args=(jobs[index], queue), daemon=True
+                    target=_job_worker, args=(jobs[index], writer), daemon=True
                 )
                 process.start()
+                writer.close()  # the job process holds the only write end
                 stats.attempts += 1
-                deadline = time.monotonic() + timeout if timeout is not None else None
-                running[index] = (process, queue, deadline, attempt)
+                deadline = None if timeout is None else time.monotonic() + timeout
+                running[reader] = (index, attempt, process, deadline)
 
-            progressed = False
-            for index, entry in list(running.items()):
-                process, queue, deadline, attempt = entry
-                if not queue.empty():
-                    del running[index]
-                    finish(index, attempt, entry, queue.get())
-                    progressed = True
-                elif deadline is not None and time.monotonic() > deadline:
-                    kill_process(process)
-                    queue.close()
-                    del running[index]
-                    stats.timeouts += 1
+            # block until a pipe turns readable or the nearest deadline
+            # passes: a payload and a death (end-of-file) are both one
+            # readable event
+            deadlines = [entry[3] for entry in running.values() if entry[3] is not None]
+            wait_s = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+            for reader in wait(list(running), wait_s):
+                index, attempt, process, _ = running.pop(reader)
+                try:
+                    outcome = reader.recv()
+                except (EOFError, OSError):  # died before a whole payload
+                    outcome = None
+                reader.close()
+                process.join()
+                if outcome is None:
+                    stats.crashes += 1
                     record_failure(
-                        index, attempt, f"timed out after {timeout:g}s"
+                        index, attempt, f"worker died (exit code {process.exitcode})"
                     )
-                    progressed = True
-                elif not process.is_alive():
-                    # dead without a visible result: give the queue
-                    # feeder a grace period, then declare a crash
-                    outcome = reap_result(queue)
-                    del running[index]
-                    if outcome is not None:
-                        finish(index, attempt, entry, outcome)
-                    else:
-                        process.join()
-                        queue.close()
-                        stats.crashes += 1
-                        record_failure(
-                            index,
-                            attempt,
-                            f"worker died (exit code {process.exitcode})",
-                        )
-                    progressed = True
-            if not progressed and running:
-                time.sleep(0.01)
+                elif outcome[0]:
+                    results[index] = outcome[1]
+                    stats.completed += 1
+                    if ckpt_fh is not None:
+                        _append_checkpoint(ckpt_fh, index, jobs[index], outcome[1])
+                else:
+                    stats.errors += 1
+                    record_failure(index, attempt, outcome[1])
+
+            # a pipe that turned readable since the wait is reaped on the
+            # next pass, not killed: its payload or death came first
+            now = time.monotonic()
+            for reader, (index, attempt, process, deadline) in list(running.items()):
+                if deadline is not None and now >= deadline and not reader.poll():
+                    del running[reader]
+                    kill_process(process)
+                    reader.close()
+                    stats.timeouts += 1
+                    record_failure(index, attempt, f"timed out after {timeout:g}s")
     finally:
-        for process, queue, _, _ in running.values():
+        for reader, (_, _, process, _) in running.items():
             kill_process(process)
-            queue.close()
-        exits.close()
+            reader.close()
+        if ckpt_fh is not None:
+            ckpt_fh.close()
 
     if failed and on_error == "raise":
         raise SweepError([failed[i] for i in sorted(failed)])

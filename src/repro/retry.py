@@ -19,25 +19,46 @@ under a fixed seed and that a capped schedule can never overshoot the
 deadline, for the exact function objects both consumers call.
 
 Jitter is derived from a splitmix64 finalizer over ``(seed,
-request_id, attempt)`` — the same RNG family as
-:func:`repro.parallel.derive_seed` — so a retry schedule is a pure
-function of its inputs: replaying a request id against the same
-service seed reproduces the identical delays, which is what makes
-chaos-harness runs repeatable.
+request_id, attempt)`` so a retry schedule is a pure function of its
+inputs: replaying a request id against the same service seed
+reproduces the identical delays, which is what makes chaos-harness
+runs repeatable.
+
+The finalizer lives here once, and the project's seed derivations are
+built on it: :func:`derive_seed` (re-exported as
+:func:`repro.parallel.derive_seed`) seeds sweep replications, and
+:func:`repro.sim.faults.derive_fault_seed` is its mix at index
+``0xFA16``.  This module imports nothing, so both can use it.
 """
 
 from __future__ import annotations
 
-__all__ = ["backoff_delay", "jitter_unit", "retry_delay"]
+__all__ = ["backoff_delay", "derive_seed", "jitter_unit", "retry_delay"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer over the low 64 bits of ``z``."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+    return _mix64(z + _GOLDEN)
+
+
+def derive_seed(base_seed: int, run_index: int) -> int:
+    """A deterministic, well-mixed seed for replication ``run_index``.
+
+    Splitmix64 finalizer over ``(base_seed, run_index)``; adjacent run
+    indices map to unrelated 63-bit seeds, so replications don't share
+    low-bit structure the way ``base_seed + i`` would.
+    """
+    return _mix64(base_seed * _GOLDEN + run_index + 1) & 0x7FFFFFFFFFFFFFFF
 
 
 def backoff_delay(attempt: int, *, base: float, factor: float) -> float:

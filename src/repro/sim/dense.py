@@ -168,7 +168,6 @@ class DenseEngine:
         p = 4096
         self.rp_chan = np.zeros(p, dtype=np.int64)
         self.rp_dest = np.zeros(p, dtype=bool)
-        self.rp_head: list = []  # head node object per pool slot
         self.rp_used = 0
         #: memoized (channel-id vector, delivery-flag vector) per
         #: (nodes, destinations, capacity, route key) route
@@ -183,7 +182,6 @@ class DenseEngine:
 
         # delivery stream (column-wise; Delivery objects built on demand)
         self.d_mid: list[int] = []
-        self.d_node: list = []
         self.d_inj: list[int] = []
         self.d_tick: list[int] = []
 
@@ -359,9 +357,8 @@ class DenseEngine:
             c.max_active_worms = self.active_worms
         return w
 
-    def _deliver(self, mid: int, node, inj_tick: int) -> None:
+    def _deliver(self, mid: int, inj_tick: int) -> None:
         self.d_mid.append(mid)
-        self.d_node.append(node)
         self.d_inj.append(inj_tick)
         self.d_tick.append(self.tick)
         self.counters.deliveries += 1
@@ -434,7 +431,6 @@ class DenseEngine:
                     rp_chan[off : off + n].copy(),
                     rp_dest[off : off + n].copy(),
                 )
-        self.rp_head.extend(nodes[1:])
         if n == 0:  # degenerate: source-only path
             self.active_worms -= 1
             return w
@@ -477,7 +473,7 @@ class DenseEngine:
         p = int(self.w_off[w] + i)
         self._release_cid(int(self.rp_chan[p]))
         if self.rp_dest[p]:
-            self._deliver(int(self.w_mid[w]), self.rp_head[p], int(self.w_inj[w]))
+            self._deliver(int(self.w_mid[w]), int(self.w_inj[w]))
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -802,17 +798,13 @@ class DenseEngine:
                 [k2_f, np.zeros(br.size + pr_.size, dtype=np.int64)]
             )
             dw = np.concatenate([mw[rep_r[fr]], wv[rel_rows[br]], pw[pr_]])
-            dpos = np.concatenate([pos_r[fr], pos_b[br], pos_p[pr_]])
             so = np.lexsort((k2, k1, cat, tau))
             mids = self.w_mid[dw[so]].tolist()
             injs = self.w_inj[dw[so]].tolist()
-            poss = dpos[so].tolist()
             taus = tau[so].tolist()
-            heads = self.rp_head
             self.d_mid.extend(mids)
             self.d_inj.extend(injs)
             self.d_tick.extend(taus)
-            self.d_node.extend([heads[p] for p in poss])
             c.deliveries += ndel
         # residual events past the window end, appended in virtual
         # execution order: first the drains of worms arriving by E-2
@@ -885,7 +877,7 @@ class DenseEngine:
         c.ticks += last - t
         c.windows += 1
         c.window_hist[K_eff] = c.window_hist.get(K_eff, 0) + 1
-        c.array_ops += 46
+        c.array_ops += 40
         nbatch = int(ch_all.size) + nfin_w + n_pre_fin
         c.batched_events += nbatch
         if nbatch > c.max_batch_width:

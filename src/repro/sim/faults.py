@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from collections.abc import Hashable
 
+from ..retry import derive_seed
 from .config import SimConfig
 from .kernel import Environment, Timeout
 from .reference import AdaptivePathWorm, PathWorm, TreeWorm, WormholeNetwork
@@ -52,12 +53,10 @@ __all__ = [
 
 
 def derive_fault_seed(seed: int) -> int:
-    """A fault-schedule seed decorrelated from the traffic seed
-    (splitmix64 finalizer, same family as ``parallel.derive_seed``)."""
-    z = (seed * 0x9E3779B97F4A7C15 + 0xFA17) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
+    """A fault-schedule seed decorrelated from the traffic seed:
+    :func:`repro.retry.derive_seed`'s splitmix64 mix at index
+    ``0xFA16``."""
+    return derive_seed(seed, 0xFA16)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,22 @@ is summarised by batch means.
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
 
-Every driver takes ``engine=``: ``"reference"`` steps one worm object
-per event through the kernel (:mod:`repro.sim.reference`), ``"dense"``
-advances fault-free path worms as flat arrays on an integer flit clock
-(:mod:`repro.sim.dense`), and ``"auto"`` picks one per run
-(:func:`choose_engine`).  Each run type has one body for both
-engines: it talks to the engine only through the surface the two share
-— ``schedule`` (delays in seconds), ``inject_path``,
-``run_to_completion``, ``now``, the worm counts and
-``delivery_latencies``.  Both engines consume the same RNG draw
-sequence; with ``SimConfig(quantize_arrivals=True)`` they agree event
-for event (the parity suite asserts identical delivery streams).  The
-dense engine serves only ``star``/``vc-star`` worms without fault
+Every driver but :func:`run_resilient` takes ``engine=``:
+``"reference"`` steps one worm object per event through the kernel
+(:mod:`repro.sim.reference`), ``"dense"`` advances fault-free path
+worms as flat arrays on an integer flit clock (:mod:`repro.sim.dense`),
+and ``"auto"`` picks one per run (:func:`choose_engine`).  Each of
+those run types has one body for both engines: it talks to the engine
+only through the surface the two share — ``schedule`` (delays in
+seconds), ``inject_path``, ``run_to_completion``, ``now``, the worm
+counts and ``delivery_latencies``.  Both engines consume the same RNG
+draw sequence; with ``SimConfig(quantize_arrivals=True)`` they agree
+event for event (the parity suite asserts identical delivery streams).
+The dense engine serves only ``star``/``vc-star`` worms without fault
 injection; asking it for any other run executes that run on the
 reference engine, on the dense engine's flit-time grid.
+:func:`run_resilient` always runs on the fault-aware reference network
+(:class:`~repro.sim.faults.FaultyWormholeNetwork`).
 """
 
 from __future__ import annotations
@@ -62,15 +64,14 @@ class DeadlockDetected(RuntimeError):
     """The simulation stalled with unfinished worms and no events."""
 
 
-def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple[str, dict]:
+def choose_engine(topology, router, config) -> tuple[str, dict]:
     """Pick ``"dense"`` or ``"reference"`` for one run from cheap, O(1)
     workload features — the ``engine="auto"`` policy.
 
     The dense engine only pays off when its multi-tick frontier windows
     fire (PERFORMANCE.md §5): plain path worms, an arrival process
     already on the flit-clock grid (so the switch never changes the
-    numbers), no fault injection (resilient runs need the fault-aware
-    reference network, so they always pass ``faulty=True``), and
+    numbers), no fault injection (``config.faulty``), and
     injections sparse enough network-wide that windows can span the
     ~100-row NumPy dispatch crossover.  Everything else runs the
     reference kernel, which is the never-materially-worse baseline.
@@ -79,8 +80,6 @@ def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple
     input to the decision plus the decision itself; drivers surface it
     as ``result.engine_stats["auto"]``.
     """
-    if faulty is None:
-        faulty = config.faulty
     gap = config.ticks(config.mean_interarrival)
     nodes = topology.num_nodes
     agg_gap = gap / max(1, nodes)
@@ -120,7 +119,7 @@ def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple
         "worms_per_message": worms,
         "plane_split": plane_split,
         "quantized": config.quantize_arrivals,
-        "faulty": bool(faulty),
+        "faulty": config.faulty,
     }
     if style != "star" or not plain_paths:
         decision, reason = "reference", "worm-style"
@@ -128,7 +127,7 @@ def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple
         decision, reason = "reference", "plane-split"
     elif not config.quantize_arrivals:
         decision, reason = "reference", "unquantized-grid"
-    elif faulty:
+    elif config.faulty:
         decision, reason = "reference", "fault-schedule"
     elif agg_gap < AUTO_GAP_TICKS:
         decision, reason = "reference", "saturated"
@@ -235,7 +234,6 @@ def _resolve_engine(
     topology,
     router: Router,
     config: SimConfig,
-    faulty: bool | None = None,
     burst: bool = False,
 ) -> tuple[str, SimConfig, dict | None]:
     """Resolve ``engine`` for one run: returns ``(engine, config,
@@ -245,8 +243,9 @@ def _resolve_engine(
     ``burst`` marks a static scenario: with no arrival process to
     feature-ize, ``auto`` picks the reference kernel.  The dense engine
     runs fault-free path worms only (``worm_style`` ``star`` /
-    ``vc-star``, no ``faulty`` run); any other run asked of it executes
-    on the reference engine, on the dense engine's flit-time grid."""
+    ``vc-star``, no ``config.faulty``); any other run asked of it
+    executes on the reference engine, on the dense engine's flit-time
+    grid."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     style = router.spec.worm_style
@@ -261,27 +260,18 @@ def _resolve_engine(
                 "reason": "static-burst",
             }
         else:
-            engine, auto = choose_engine(topology, router, config, faulty)
-    if engine == "dense" and (faulty or style not in ("star", "vc-star")):
+            engine, auto = choose_engine(topology, router, config)
+    if engine == "dense" and (config.faulty or style not in ("star", "vc-star")):
         engine = "reference"
         config = config.replace(quantize_arrivals=True)
     return engine, config, auto
 
 
-def _build_engine(
-    engine: str,
-    config: SimConfig,
-    fault_state: FaultState | None = None,
-    stats: SimStats | None = None,
-):
-    """A fresh engine of the resolved kind; a ``fault_state`` selects
-    the fault-aware reference network."""
+def _build_engine(engine: str, config: SimConfig):
+    """A fresh fault-free engine of the resolved kind."""
     if engine == "dense":
         return DenseEngine(config)
-    env = Environment()
-    if fault_state is None:
-        return WormholeNetwork(env, config)
-    return FaultyWormholeNetwork(env, config, fault_state, stats)
+    return WormholeNetwork(Environment(), config)
 
 
 def _engine_stats(net, auto: dict | None) -> dict | None:
@@ -414,7 +404,6 @@ def run_resilient(
     scheme: str,
     config: SimConfig,
     plan: FaultPlan | None = None,
-    engine: str = "reference",
 ) -> FaultResult:
     """:func:`run_dynamic` under fault injection with resilient
     delivery.
@@ -432,17 +421,16 @@ def run_resilient(
     The injection loop duplicates :func:`run_dynamic`'s RNG draw order
     exactly and the fault schedule uses an independent RNG, so with
     zero fault rates the result matches :func:`run_dynamic` event for
-    event (the parity suite asserts this).
+    event (the parity suite asserts this).  The run executes on the
+    fault-aware reference network, so the result reports
+    ``engine="reference"`` and no ``engine_stats``.
     """
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
     fault_state = FaultState(plan)
     router = _make_router(topology, scheme, config, fault_state)
-    # the fault-aware network is the reference engine's: a resilient run
-    # resolves as faulty even when its plan is empty
-    engine, config, auto = _resolve_engine(engine, topology, router, config, faulty=True)
     stats = SimStats()
-    net = _build_engine(engine, config, fault_state, stats)
+    net = FaultyWormholeNetwork(Environment(), config, fault_state, stats)
     # the fault schedule lands on the calendar before any injection, so
     # same-time fault events dispatch first
     fault_state.install(net)
@@ -549,8 +537,6 @@ def run_resilient(
         worms=net.total_worms,
         stats=stats,
         expected_deliveries=total_expected,
-        engine=engine,
-        engine_stats=_engine_stats(net, auto),
     )
 
 

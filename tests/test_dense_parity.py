@@ -11,9 +11,10 @@ approximate agreement.
 
 The dense engine serves fault-free path worms (``worm_style`` ``star``
 / ``vc-star``) only; a dense request for any other run — tree,
-adaptive and VCT worms, resilient runs — executes on the reference
-engine with ``quantize_arrivals=True`` and reports
-``engine="reference"`` (:func:`test_dense_falls_back_to_reference`).
+adaptive and VCT worms — executes on the reference engine with
+``quantize_arrivals=True`` and reports ``engine="reference"``
+(:func:`test_dense_falls_back_to_reference`).  Resilient runs take no
+engine: they always run on the fault-aware reference network.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ def _fingerprint(result):
 
 
 def _dense_engine(scheme):
-    """The engine an ``engine="dense"`` request for ``scheme`` runs on
-    (outside resilient runs, which always run on the reference)."""
+    """The engine an ``engine="dense"`` request for ``scheme`` runs on."""
     return "dense" if registry.get(scheme).worm_style in ("star", "vc-star") else "reference"
 
 
-def _run_both(topology, scheme, cfg, runner=run_dynamic, **kw):
-    ref = runner(topology, scheme, cfg, engine="reference", **kw)
-    dense = runner(topology, scheme, cfg, engine="dense", **kw)
+def _run_both(topology, scheme, cfg):
+    ref = run_dynamic(topology, scheme, cfg, engine="reference")
+    dense = run_dynamic(topology, scheme, cfg, engine="dense")
     return ref, dense
 
 
@@ -190,7 +190,7 @@ def test_deadlock_parity():
 
 
 # ----------------------------------------------------------------------
-# Fault injection: resilient runs always execute on the reference engine
+# Fault injection: resilient runs execute on the fault-aware reference
 # ----------------------------------------------------------------------
 
 
@@ -212,17 +212,19 @@ def _fault_fingerprint(result):
 
 def test_resilient_zero_rate_matches_dynamic():
     """With no faults configured the resilient runner degenerates to
-    the plain dynamic run: the fault-aware reference network matches
-    the dense engine's run event for event."""
+    the plain dynamic run: on the flit grid (``quantize_arrivals=True``)
+    the fault-aware reference network matches the dense engine's run
+    event for event."""
     cfg = SimConfig(
         **BASE, seed=5, mean_interarrival=250e-6,
         num_messages=200, num_destinations=5,
     )
-    ref, dense = _run_both(Mesh2D(8, 8), "dual-path", cfg, runner=run_resilient)
-    assert _fault_fingerprint(dense) == _fault_fingerprint(ref)
+    resilient = run_resilient(Mesh2D(8, 8), "dual-path", cfg)
+    assert (resilient.engine, resilient.engine_stats) == ("reference", None)
+    assert resilient.stats.delivered == resilient.expected_deliveries
     plain = run_dynamic(Mesh2D(8, 8), "dual-path", cfg, engine="dense")
     assert plain.engine == "dense"
-    assert _fingerprint(dense) == _fingerprint(plain)
+    assert _fingerprint(resilient) == _fingerprint(plain)
 
 
 @pytest.mark.parametrize("scheme,rate", [
@@ -231,17 +233,22 @@ def test_resilient_zero_rate_matches_dynamic():
     pytest.param("fixed-path", 0.05, id="fixed-path"),
 ])
 def test_resilient_fault_parity(scheme, rate):
-    """Faults firing mid-run (kills, retries, detours): a dense request
-    runs on the fault-aware reference network and resolves
-    identically."""
+    """Faults firing mid-run (kills, retries, detours) on the flit grid:
+    a resilient run is a pure function of its config, so the same job
+    run by a forked sweep worker resolves identically to the run in
+    this process."""
+    from repro.parallel import SweepJob, run_sweep
+
     cfg = SimConfig(
         **BASE, seed=5, mean_interarrival=250e-6,
         num_messages=200, num_destinations=5,
         link_fault_rate=rate, fault_mttr=400e-6,
     )
-    ref, dense = _run_both(Mesh2D(8, 8), scheme, cfg, runner=run_resilient)
-    assert dense.engine == "reference"
-    assert _fault_fingerprint(dense) == _fault_fingerprint(ref)
+    local = run_resilient(Mesh2D(8, 8), scheme, cfg)
+    assert local.stats.link_fault_events > 0
+    # a timeout selects the supervised execution: one forked process
+    (swept,) = run_sweep([SweepJob(Mesh2D(8, 8), scheme, cfg, "resilient")], timeout=120)
+    assert _fault_fingerprint(swept) == _fault_fingerprint(local)
 
 
 def test_mixed_traffic_parity():
@@ -384,17 +391,14 @@ UNSERVED = [
                  id="dual-path-adaptive"),
     pytest.param(*_static_run(_fig_6_1), "ecube-tree", {}, id="fig6.1-static"),
     pytest.param(*_static_run(_fig_6_4), "xfirst-tree", {}, id="fig6.4-static"),
-    pytest.param(run_resilient, Mesh2D(8, 8), "dual-path", {}, id="resilient-fault-free"),
-    pytest.param(run_resilient, Mesh2D(8, 8), "dual-path",
-                 dict(link_fault_rate=0.05, fault_mttr=400e-6), id="resilient-faults"),
 ]
 
 
 @pytest.mark.parametrize("run,topology,scheme,kw", UNSERVED)
 def test_dense_falls_back_to_reference(run, topology, scheme, kw):
-    """Tree, adaptive and VCT worms and fault injection have no dense
-    kernel: asking for dense must run the reference model on the flit
-    grid (``quantize_arrivals=True``) and say so."""
+    """Tree, adaptive and VCT worms have no dense kernel: asking for
+    dense must run the reference model on the flit grid
+    (``quantize_arrivals=True``) and say so."""
     cfg = SimConfig(seed=3, mean_interarrival=300e-6, num_messages=100,
                     num_destinations=4).replace(**kw)
     result = run(topology, scheme, cfg, engine="dense")

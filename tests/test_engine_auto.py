@@ -87,7 +87,7 @@ class TestChooseEngine:
 
     def test_fault_schedule_picks_reference(self):
         engine, feats = _decide(
-            Hypercube(6), "fixed-path", _light_config(), faulty=True
+            Hypercube(6), "fixed-path", _light_config(link_fault_rate=0.02)
         )
         assert engine == "reference"
         assert feats["reason"] == "fault-schedule"
@@ -153,23 +153,25 @@ class TestOtherDriversAuto:
         assert res.engine_stats["auto"]["decision"] == res.engine
 
     def test_resilient_with_faults_goes_reference(self):
+        # resilient runs take no engine: the result reports the
+        # fault-aware reference network and carries no decision record
         cfg = _light_config(link_fault_rate=0.02, fault_mtbf=1.0, num_messages=15)
-        res = run_resilient(Hypercube(6), "fixed-path", cfg, engine="auto")
+        res = run_resilient(Hypercube(6), "fixed-path", cfg)
         assert res.engine == "reference"
-        assert res.engine_stats["auto"]["reason"] == "fault-schedule"
+        assert res.engine_stats is None
 
     def test_resilient_faultfree_goes_reference(self):
-        # the light-load cell run_dynamic sends to dense: a resilient run
-        # needs the fault-aware reference network even with no faults
+        # the light-load cell auto sends to dense: a resilient run stays
+        # on the fault-aware reference network even with no faults, and
+        # on the flit grid it matches the dense run event for event
         topo, cfg = Hypercube(7), _light_config()
-        res = run_resilient(topo, "fixed-path", cfg, engine="auto")
-        auto = res.engine_stats["auto"]
-        assert res.engine == "reference"
-        assert auto["decision"] == "reference"
-        assert auto["reason"] == "fault-schedule"
-        assert auto["faulty"] is True
-        ref = run_resilient(topo, "fixed-path", cfg, engine="reference")
-        assert (res.sim_time, res.latency, res.stats) == (ref.sim_time, ref.latency, ref.stats)
+        res = run_resilient(topo, "fixed-path", cfg)
+        assert (res.engine, res.engine_stats) == ("reference", None)
+        dense = run_dynamic(topo, "fixed-path", cfg, engine="auto")
+        assert dense.engine == "dense"
+        assert (res.sim_time, res.latency, res.deliveries, res.worms) == (
+            dense.sim_time, dense.latency, dense.deliveries, dense.worms
+        )
 
     def test_static_scenario_accepts_auto(self):
         from repro.models.request import MulticastRequest

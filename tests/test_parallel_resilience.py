@@ -47,6 +47,11 @@ class TestSweepJobValidation:
         assert isinstance(result, FaultResult)
         assert result.delivery_ratio == 1.0
 
+    @pytest.mark.parametrize("engine", ["dense", "auto"])
+    def test_resilient_runner_rejects_other_engines(self, engine):
+        with pytest.raises(ValueError, match="fault-aware reference"):
+            SweepJob(MESH, "dual-path", CFG, "resilient", engine)
+
 
 class TestNoResultsError:
     def test_empty_input(self):
@@ -118,6 +123,27 @@ class TestFailureIsolation:
         assert time.monotonic() - start < 30
         assert results == [None]
         assert "timed out" in failures[0].error
+
+    def test_result_then_immediate_exit_is_completed(self, monkeypatch):
+        """A job process that sends its result and exits at once is
+        recorded as completed, never as a crash: the payload and the
+        end-of-file arrive on one pipe, in that order."""
+        import repro.parallel as parallel
+
+        jobs = _jobs(12)
+        expected = run_sweep(jobs, workers=1)
+        by_seed = {job.config.seed: r for job, r in zip(jobs, expected)}
+
+        def send_and_exit(job, conn):
+            # no simulation: the payload and the exit land together
+            conn.send((True, by_seed[job.config.seed]))
+            os._exit(0)
+
+        monkeypatch.setattr(parallel, "_job_worker", send_and_exit)
+        stats = SweepStats()
+        results = run_sweep(jobs, workers=2, retries=1, timeout=60, stats=stats)
+        assert results == expected
+        assert (stats.completed, stats.attempts, stats.crashes, stats.retries) == (12, 12, 0, 0)
 
     def test_worker_crash_isolated(self, monkeypatch):
         """A worker that dies without raising (segfault/OOM stand-in:
@@ -381,10 +407,10 @@ class TestSerialization:
 
 
 class TestParityWithFastPath:
-    def test_supervised_matches_pool(self):
-        """The supervised path returns bit-identical results to the
-        original pool path (same jobs, same order)."""
+    def test_supervised_matches_in_process(self):
+        """The supervised execution returns bit-identical results to the
+        in-process loop (same jobs, same order)."""
         jobs = _jobs(4)
-        fast = run_sweep(jobs, workers=2)
+        in_process = run_sweep(jobs, workers=1)
         supervised = run_sweep(jobs, workers=2, retries=1)
-        assert fast == supervised
+        assert in_process == supervised

@@ -35,7 +35,7 @@ from repro.labeling.reference import (
 )
 from repro.parallel import SweepJob, derive_seed, replicate, run_sweep
 import repro.sim.runner as sim_runner
-from repro.sim import LegacyEnvironment, SimConfig
+from repro.sim import LegacyEnvironment, SimConfig, derive_fault_seed
 from repro.sim.kernel import Environment
 from repro.sim.runner import run_dynamic
 from repro.sim.traffic import Router
@@ -260,14 +260,6 @@ def test_run_sweep_parallel_matches_serial_bit_for_bit():
             assert a.deliveries == b.deliveries
 
 
-def test_run_sweep_accepts_plain_tuples():
-    jobs = _small_jobs()
-    as_tuples = [(j.topology, j.scheme, j.config) for j in jobs[:2]]
-    swept = run_sweep(as_tuples, workers=1)
-    serial = [run_dynamic(j.topology, j.scheme, j.config) for j in jobs[:2]]
-    assert [r.latency for r in swept] == [r.latency for r in serial]
-
-
 def test_derive_seed_deterministic_and_spread():
     seeds = [derive_seed(42, i) for i in range(50)]
     assert seeds == [derive_seed(42, i) for i in range(50)]
@@ -275,6 +267,13 @@ def test_derive_seed_deterministic_and_spread():
     assert all(0 <= s < 2**63 for s in seeds)
     # a different base seed yields an unrelated sequence
     assert set(seeds).isdisjoint(derive_seed(43, i) for i in range(50))
+
+
+@given(st.integers(min_value=-(2**80), max_value=2**80))
+def test_fault_seed_is_derive_seed_at_index_0xfa16(seed):
+    """The fault-schedule seed is the sweep's splitmix64 mix at index
+    ``0xFA16``, for negative seeds and seeds wider than 64 bits too."""
+    assert derive_fault_seed(seed) == derive_seed(seed, 0xFA16)
 
 
 def test_replicate_assigns_derived_seeds():
