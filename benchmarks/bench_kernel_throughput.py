@@ -38,6 +38,7 @@ the smoke workload and asserts the fast kernel wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -180,14 +181,25 @@ def _sweep_jobs(params: dict):
     ]
 
 
+def _validating(fn):
+    """``fn`` followed by a check of each route against its request."""
+
+    def routed(request, *args, **kwargs):
+        route = fn(request, *args, **kwargs)
+        route.validate(request)
+        return route
+
+    return routed
+
+
 def _run_seed_path(job: SweepJob):
     """One sweep point on the reconstructed pre-optimization path."""
     router = Router(
         job.topology,
         job.scheme,
         labeling=ReferenceRouting(canonical_labeling(job.topology)),
-        validate=True,
     )
+    router.spec = dataclasses.replace(router.spec, fn=_validating(router.spec.fn))
     return _on_legacy_kernel(
         run_dynamic, job.topology, job.scheme, job.config, router=router
     )

@@ -32,9 +32,7 @@ def multiple_unicast_route(request: MulticastRequest) -> MulticastTree:
     for d in request.destinations:
         path = topo.dimension_ordered_path(request.source, d)
         arcs.extend(zip(path, path[1:]))
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))
 
 
 @register(
@@ -63,6 +61,4 @@ def broadcast_route(request: MulticastRequest) -> MulticastTree:
                 seen.add(v)
                 arcs.append((u, v))
                 frontier.append(v)
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))

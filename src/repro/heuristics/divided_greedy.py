@@ -26,11 +26,10 @@ suite.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree
+from ..models.results import MulticastTree, grow_tree
 from ..registry import register
 from ..topology.base import Node
 from ..topology.mesh import Mesh2D
@@ -125,19 +124,6 @@ def divided_greedy_route(request: MulticastRequest) -> MulticastTree:
     """Drive the divided greedy multicast over the mesh."""
     if not isinstance(request.topology, Mesh2D):
         raise TypeError("divided greedy multicast is defined for 2D meshes")
-    arcs: list[tuple[Node, Node]] = []
-    delivered: set = set()
-    pending = deque([(request.source, list(request.destinations))])
-    while pending:
-        w, dlist = pending.popleft()
-        deliver, groups = divided_greedy_step(w, dlist)
-        if deliver:
-            delivered.add(w)
-        for nxt, sub in groups.items():
-            arcs.append((w, nxt))
-            pending.append((nxt, sub))
-    if delivered != set(request.destinations):
-        raise RuntimeError("divided greedy multicast failed to deliver")
-    tree = MulticastTree(request.topology, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return grow_tree(
+        request.topology, request.source, request.destinations, divided_greedy_step
+    )

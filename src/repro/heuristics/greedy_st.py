@@ -265,12 +265,10 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
             arcs.append((u, nxt))
             pending.append((nxt, sublist))
 
-    tree = MulticastTree(topo, request.source, tuple(arcs), virtual_edges=root_virtual)
     missing = dest_set - delivered
     if missing:
         raise RuntimeError(f"greedy ST failed to deliver to {missing}")
-    tree.validate(request)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs), virtual_edges=root_virtual)
 
 
 def virtual_tree_length(topology: Topology, edges: Sequence[tuple[Node, Node]]) -> int:

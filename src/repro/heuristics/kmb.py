@@ -93,6 +93,4 @@ def kmb_route(request: MulticastRequest) -> MulticastTree:
                 removed = True
 
     arcs = [(p, v) for v, p in parent.items() if p is not None]
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))

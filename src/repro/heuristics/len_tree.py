@@ -13,11 +13,11 @@ algorithm improves on it by placing junctions geometrically.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
+from functools import partial
 
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree
+from ..models.results import MulticastTree, grow_tree
 from ..registry import register
 from ..topology.base import Node
 from ..topology.hypercube import Hypercube
@@ -62,19 +62,4 @@ def len_route(request: MulticastRequest) -> MulticastTree:
     cube = request.topology
     if not isinstance(cube, Hypercube):
         raise TypeError("the LEN heuristic is defined for hypercubes")
-    arcs: list[tuple[Node, Node]] = []
-    delivered: set = set()
-    pending = deque([(request.source, list(request.destinations))])
-    while pending:
-        w, dlist = pending.popleft()
-        deliver, groups = len_step(cube, w, dlist)
-        if deliver:
-            delivered.add(w)
-        for nxt, sub in groups.items():
-            arcs.append((w, nxt))
-            pending.append((nxt, sub))
-    if delivered != set(request.destinations):
-        raise RuntimeError("LEN multicast failed to deliver")
-    tree = MulticastTree(cube, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return grow_tree(cube, request.source, request.destinations, partial(len_step, cube))

@@ -15,11 +15,10 @@ the four double-channel subnetworks.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree
+from ..models.results import MulticastTree, grow_tree
 from ..registry import register
 from ..topology.base import Node
 from ..topology.mesh import Mesh2D
@@ -63,19 +62,4 @@ def xfirst_route(request: MulticastRequest) -> MulticastTree:
     """Drive the X-first multicast over the mesh; returns the tree."""
     if not isinstance(request.topology, Mesh2D):
         raise TypeError("X-first multicast is defined for 2D meshes")
-    arcs: list[tuple[Node, Node]] = []
-    delivered: set = set()
-    pending = deque([(request.source, list(request.destinations))])
-    while pending:
-        w, dlist = pending.popleft()
-        deliver, groups = xfirst_step(w, dlist)
-        if deliver:
-            delivered.add(w)
-        for nxt, sub in groups.items():
-            arcs.append((w, nxt))
-            pending.append((nxt, sub))
-    if delivered != set(request.destinations):
-        raise RuntimeError("X-first multicast failed to deliver")
-    tree = MulticastTree(request.topology, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return grow_tree(request.topology, request.source, request.destinations, xfirst_step)

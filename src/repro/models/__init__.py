@@ -7,6 +7,7 @@ from .results import (
     MulticastPath,
     MulticastStar,
     MulticastTree,
+    grow_tree,
 )
 
 __all__ = [
@@ -16,5 +17,6 @@ __all__ = [
     "MulticastStar",
     "MulticastTree",
     "MulticastRequest",
+    "grow_tree",
     "random_multicast",
 ]

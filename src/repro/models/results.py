@@ -20,14 +20,20 @@ Trees are stored as the list of directed link traversals (arcs) the
 message makes, which is exactly the traffic accounting of §7.1 ("each
 unit of traffic represents the transmission of one message over a
 link"): an arc appearing twice cost two units even though it is one
-physical link.
+physical link.  :func:`grow_tree` drives the step-driven tree
+multicasts of Chapters 5-6.
+
+Routers return these values unchecked.  A route is validated where it
+leaves the program (``python -m repro route`` and the route service's
+worker) and, everywhere else, by the tests, the registry conformance
+suite and ``python -m repro certify --all``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..topology.base import Node, Topology
 from .request import MulticastRequest
@@ -140,7 +146,7 @@ class MulticastTree:
     def traffic(self) -> int:
         return len(self.arcs)
 
-    def _hops_from_source(self) -> dict[Node, int]:
+    def hops_from_source(self) -> dict[Node, int]:
         """Fewest arcs from source to each reached node, following arcs."""
         adj = defaultdict(list)
         for u, v in self.arcs:
@@ -156,7 +162,7 @@ class MulticastTree:
         return hops
 
     def dest_hops(self, destinations: Sequence[Node]) -> dict[Node, int]:
-        hops = self._hops_from_source()
+        hops = self.hops_from_source()
         return {d: hops[d] for d in destinations}
 
     def max_hops(self, destinations: Sequence[Node]) -> int:
@@ -169,7 +175,7 @@ class MulticastTree:
         for u, v in self.arcs:
             if not topo.are_adjacent(u, v):
                 raise InvalidRouteError(f"arc {(u, v)} is not a link")
-        hops = self._hops_from_source()
+        hops = self.hops_from_source()
         for d in request.destinations:
             if d not in hops:
                 raise InvalidRouteError(f"tree does not reach destination {d!r}")
@@ -178,6 +184,38 @@ class MulticastTree:
                     f"destination {d!r} reached in {hops[d]} hops, shortest is "
                     f"{topo.distance(request.source, d)}"
                 )
+
+
+def grow_tree(
+    topology: Topology,
+    source: Node,
+    destinations: Sequence[Node],
+    step: Callable[[Node, list], tuple[bool, dict]],
+) -> MulticastTree:
+    """Drive a distributed tree multicast (Chs. 5-6) in level order.
+
+    Each forward node runs ``step(local, dests) -> (deliver_local,
+    {next_node: sublist})`` on the destination list it received: it
+    keeps a copy when ``deliver_local`` is true and sends each sublist
+    one hop on to its ``next_node``.  Returns the tree of those hops, in
+    the order they were sent.  Raises ``RuntimeError`` if a destination
+    is never delivered.
+    """
+    arcs: list[tuple[Node, Node]] = []
+    delivered: set = set()
+    pending = deque([(source, list(destinations))])
+    while pending:
+        w, dlist = pending.popleft()
+        deliver, groups = step(w, dlist)
+        if deliver:
+            delivered.add(w)
+        for nxt, sub in groups.items():
+            arcs.append((w, nxt))
+            pending.append((nxt, sub))
+    missing = set(destinations) - delivered
+    if missing:
+        raise RuntimeError(f"tree multicast failed to deliver to {missing}")
+    return MulticastTree(topology, source, tuple(arcs))
 
 
 @dataclass(frozen=True)

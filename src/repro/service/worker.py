@@ -101,6 +101,7 @@ def compute_route(
         if job.get("budget") is not None and "budget" in spec.tunables:
             kwargs["budget"] = job["budget"]
         route = spec.fn(request, **kwargs)
+        route.validate(request)
         hops = route.dest_hops(request.destinations)
         return True, {
             "scheme": spec.name,

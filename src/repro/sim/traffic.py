@@ -117,10 +117,9 @@ def worm_adapter(style: str):
 
 @worm_adapter("star")
 def _star_worms(router: "Router", request: MulticastRequest) -> list:
-    # path routes are computed per message in the dynamic study;
-    # validation is redundant there (the algorithms are deterministic
-    # and statically tested), so it is skipped unless the router was
-    # built with validate=True.
+    # path routes are computed per message and used unchecked, like
+    # every route inside the program: the tests, the registry
+    # conformance suite and `certify --all` check the routers.
     fault_state = router.fault_state
     if fault_state is not None and router.spec.fault_tolerant:
         blocked = fault_state.blocked_links(router.topology)
@@ -138,7 +137,7 @@ def _star_worms(router: "Router", request: MulticastRequest) -> list:
                 pass
             else:
                 return _star_to_specs(star)
-    star = router.spec.fn(request, router.labeling, validate=router.validate)
+    star = router.spec.fn(request, router.labeling)
     return _star_to_specs(star)
 
 
@@ -220,8 +219,8 @@ class Router:
     adding a scheme never touches this class.  ``labeling`` overrides
     the canonical labeling — the throughput benchmark passes a
     :class:`~repro.labeling.reference.ReferenceRouting` proxy here to
-    route on the uncached baseline path.  ``validate=True`` re-enables
-    the per-message route self-check the hot path skips.
+    route on the uncached baseline path.  Routes are not checked here:
+    the tests and the registry conformance suite check the routers.
     ``channels_per_link`` mirrors the simulated network's channel
     multiplicity; the X-first tree uses it to pick between the
     double-channel quadrant subnetworks and the plain single-channel
@@ -245,7 +244,6 @@ class Router:
         topology,
         scheme: str,
         labeling=None,
-        validate: bool = False,
         channels_per_link: int = 1,
         fault_state=None,
     ):
@@ -258,7 +256,6 @@ class Router:
         self.spec = spec
         self.topology = topology
         self.scheme = scheme
-        self.validate = validate
         self.channels_per_link = channels_per_link
         self.num_planes = spec.params.get("planes", 0)
         self.fault_state = fault_state

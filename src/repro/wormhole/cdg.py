@@ -62,19 +62,17 @@ def path_stages(path: Sequence, tag=None) -> list[list]:
 
 
 def tree_stages(tree: MulticastTree, tag=None) -> list[list]:
-    """A multicast tree's channels grouped by depth from the source
-    (the lockstep frontier levels of §6.1)."""
-    known = {tree.source}
+    """A multicast tree's channels grouped by the depth of their tail
+    (the lockstep frontier levels of §6.1), each level in arc order."""
+    hops = tree.hops_from_source()
     levels: list[list] = []
-    remaining = list(tree.arcs)
-    while remaining:
-        placed = [(u, v) for u, v in remaining if u in known]
-        if not placed:
+    for u, v in tree.arcs:
+        depth = hops.get(u)
+        if depth is None:
             raise ValueError("tree arcs are not connected to the source")
-        levels.append([(u, v) if tag is None else (u, v, tag) for u, v in placed])
-        known |= {v for _, v in placed}
-        for arc in placed:
-            remaining.remove(arc)
+        while depth >= len(levels):
+            levels.append([])
+        levels[depth].append((u, v) if tag is None else (u, v, tag))
     return levels
 
 

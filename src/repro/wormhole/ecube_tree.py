@@ -11,10 +11,10 @@ tree-shaped workload for the dynamic study's deadlock tests).
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree
+from ..models.results import MulticastTree, grow_tree
 from ..registry import register
 from ..topology.base import Node
 from ..topology.hypercube import Hypercube
@@ -49,22 +49,7 @@ def ecube_tree_route(request: MulticastRequest) -> MulticastTree:
     cube = request.topology
     if not isinstance(cube, Hypercube):
         raise TypeError("the e-cube tree is defined for hypercubes")
-    arcs: list = []
-    delivered: set = set()
-    pending = deque([(request.source, list(request.destinations))])
-    while pending:
-        w, dlist = pending.popleft()
-        deliver, groups = ecube_step(cube, w, dlist)
-        if deliver:
-            delivered.add(w)
-        for nxt, sub in groups.items():
-            arcs.append((w, nxt))
-            pending.append((nxt, sub))
-    if delivered != set(request.destinations):
-        raise RuntimeError("e-cube tree failed to deliver")
-    tree = MulticastTree(cube, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return grow_tree(cube, request.source, request.destinations, partial(ecube_step, cube))
 
 
 def broadcast_tree(cube: Hypercube, source: Node) -> MulticastTree:

@@ -15,10 +15,10 @@ stays inside one subnetwork whose channels can be totally ordered
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree
+from ..models.results import MulticastTree, grow_tree
 from ..registry import AlgorithmSpec, register_spec
 from ..topology.base import Node
 from ..topology.mesh import Mesh2D
@@ -118,34 +118,13 @@ def double_channel_xfirst_route(
     mesh = request.topology
     if not isinstance(mesh, Mesh2D):
         raise TypeError("double-channel X-first routing is defined for 2D meshes")
-    results = []
-    delivered_all: set = set()
-    for quadrant, dlist in partition_destinations(request.source, request.destinations).items():
-        if not dlist:
-            continue
-        arcs: list = []
-        delivered: set = set()
-        pending = deque([(request.source, list(dlist))])
-        while pending:
-            w, sub = pending.popleft()
-            deliver, groups = double_channel_xfirst_step(mesh, quadrant, w, sub)
-            if deliver:
-                delivered.add(w)
-            for nxt, nsub in groups.items():
-                arcs.append((w, nxt))
-                pending.append((nxt, nsub))
-        tree = MulticastTree(mesh, request.source, tuple(arcs))
-        allowed = set(quadrant_channels(mesh, quadrant))
-        for arc in arcs:
-            if arc not in allowed:
-                raise RuntimeError(f"arc {arc} left subnetwork {quadrant}")
-        sub_req = MulticastRequest(mesh, request.source, tuple(dlist))
-        tree.validate(sub_req, shortest_paths=True)
-        delivered_all |= delivered
-        results.append((quadrant, tree))
-    if delivered_all != set(request.destinations):
-        raise RuntimeError("double-channel X-first failed to deliver")
-    return results
+    parts = partition_destinations(request.source, request.destinations)
+    return [
+        (quadrant, grow_tree(mesh, request.source, dlist,
+                             partial(double_channel_xfirst_step, mesh, quadrant)))
+        for quadrant, dlist in parts.items()
+        if dlist
+    ]
 
 
 def quadrant_cdg_certificate(topology, params=None):

@@ -108,11 +108,9 @@ def virtual_channel_route(
             paths.append(route_path_through(labeling, request.source, sub))
             partition.append(tuple(sub))
             planes.append(plane)
-    star = VirtualChannelStar(
+    return VirtualChannelStar(
         request.topology, request.source, tuple(paths), tuple(partition), planes
     )
-    star.validate(request)
-    return star
 
 
 def plane_channel_key(plane: int):

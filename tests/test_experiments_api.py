@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.experiments as experiments
+from repro.analysis.invariants import MINIMAL_TREE_SCHEMES
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -11,6 +15,7 @@ from repro.experiments import (
     fig_7_10,
     reproduce,
 )
+from repro.registry import get as get_spec
 
 
 class TestExperimentResult:
@@ -67,3 +72,34 @@ class TestRegeneration:
         assert main(["reproduce", "fig7.7", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "Fig 7.7" in out
+
+
+class TestStaticFigureRoutes:
+    """The routers do not check their own output, so this is where the
+    routes behind Figs 7.1-7.7 are checked: each against its request,
+    and the Def. 3.4 tree schemes for shortest paths too."""
+
+    @pytest.mark.parametrize("name", [f"fig7.{i}" for i in range(1, 8)])
+    def test_every_route_validates(self, name, monkeypatch):
+        resolved, checked = [], []
+
+        def validating_spec(scheme):
+            resolved.append(scheme)
+            spec = get_spec(scheme)
+            route_fn = spec.fn
+            # Def. 3.4: the minimal tree schemes must use shortest paths
+            kwargs = {"shortest_paths": True} if spec.name in MINIMAL_TREE_SCHEMES else {}
+
+            def routed(request):
+                route = route_fn(request)
+                route.validate(request, **kwargs)
+                checked.append(scheme)
+                return route
+
+            return dataclasses.replace(spec, fn=routed)
+
+        plain = reproduce(name, scale=0.05)
+        monkeypatch.setattr(experiments, "get_spec", validating_spec)
+        assert reproduce(name, scale=0.05).rows == plain.rows
+        # every route function the figure resolved ran and was checked
+        assert resolved and set(checked) == set(resolved)

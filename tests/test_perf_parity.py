@@ -19,6 +19,8 @@ This suite proves that equivalence —
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,11 +219,21 @@ def test_reference_routing_path_is_bit_identical(monkeypatch):
     router = Router(
         mesh, "dual-path",
         labeling=ReferenceRouting(canonical_labeling(mesh)),
-        validate=True,
     )
+    star_route = router.spec.fn
+    validated = []
+
+    def validating(request, labeling):
+        star = star_route(request, labeling)
+        star.validate(request)
+        validated.append(request)
+        return star
+
+    router.spec = dataclasses.replace(router.spec, fn=validating)
     fast = run_dynamic(mesh, "dual-path", cfg)
     monkeypatch.setattr(sim_runner, "Environment", LegacyEnvironment)
     baseline = run_dynamic(mesh, "dual-path", cfg, router=router)
+    assert len(validated) == cfg.num_messages
     assert baseline.latency == fast.latency
     assert baseline.sim_time == fast.sim_time
 

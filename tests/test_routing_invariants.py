@@ -23,11 +23,14 @@ from repro.heuristics import (
 from repro.models import MulticastRequest, random_multicast
 from repro.topology import Hypercube, Mesh2D
 from repro.wormhole import (
+    QUADRANTS,
     double_channel_xfirst_route,
     dual_path_route,
     ecube_tree_route,
     fixed_path_route,
     multi_path_route,
+    partition_destinations,
+    quadrant_channels,
 )
 
 MESH_ALGOS = {
@@ -169,10 +172,16 @@ class TestQuadrantTreeInvariants:
         rng = random.Random(seed)
         m = Mesh2D(7, 5)
         req = random_multicast(m, rng.randrange(1, 12), rng)
+        parts = partition_destinations(req.source, req.destinations)
+        assert sorted(d for q in QUADRANTS for d in parts[q]) == sorted(req.destinations)
         trees = double_channel_xfirst_route(req)
-        assert 1 <= len(trees) <= 4
-        for _, tree in trees:
-            assert tree.traffic >= 1
+        assert [q for q, _ in trees] == [q for q in QUADRANTS if parts[q]]
+        for q, tree in trees:
+            assert set(tree.arcs) <= set(quadrant_channels(m, q))
+            # every quadrant destination reached over a shortest path
+            tree.validate(
+                MulticastRequest(m, req.source, tuple(parts[q])), shortest_paths=True
+            )
 
 
 class TestCycleInvariants:

@@ -262,6 +262,28 @@ class TestRouteService:
         assert bad_topo.error == "bad-request"
         assert no_dests.error == "bad-request"
 
+    def test_invalid_route_is_a_bad_request(self, monkeypatch):
+        """Routers do not check their output; the worker does, before a
+        route leaves the service."""
+        import dataclasses
+
+        from repro.models import MulticastTree
+        from repro.service import worker
+
+        def stray(request):  # one arc from the source, far from any destination
+            return MulticastTree(request.topology, request.source, (((0, 0), (1, 0)),))
+
+        def broken_spec(name):
+            return dataclasses.replace(registry.get(name), fn=stray)
+
+        monkeypatch.setattr(worker, "get_spec", broken_spec)
+        job = {"scheme": "xfirst", "topology": "mesh:4x4",
+               "source": (0, 0), "destinations": ((3, 3),)}
+        ok, body = worker.compute_route({}, job)
+        assert not ok
+        assert body["error"] == "bad-request"
+        assert "does not reach" in body["detail"]
+
     def test_budget_exhaustion_degrades_to_fallback(self):
         """A single `omp` request over budget falls back to the Ch. 5
         `sorted-mp` heuristic for the same problem, tagged degraded."""

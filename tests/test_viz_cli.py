@@ -133,6 +133,25 @@ class TestCLI:
         )
         assert rc == 0
 
+    def test_route_is_checked_before_it_is_printed(self, monkeypatch, capsys):
+        """Routers do not check their output; ``route`` does."""
+        import dataclasses
+
+        from repro import registry
+        from repro.models import InvalidRouteError, MulticastTree
+
+        def stray(request):  # one arc from the source, far from the destination
+            return MulticastTree(request.topology, request.source, (((0, 0), (1, 0)),))
+
+        get = registry.get
+        monkeypatch.setattr(
+            registry, "get", lambda name: dataclasses.replace(get(name), fn=stray)
+        )
+        with pytest.raises(InvalidRouteError, match="does not reach"):
+            main(["route", "--topology", "mesh:4x4", "--source", "0,0",
+                  "--dest", "3,3", "--algorithm", "xfirst"])
+        assert capsys.readouterr().out == ""
+
     def test_simulate(self, capsys):
         rc = main(
             [

@@ -237,15 +237,15 @@ class TestDoubleChannelXFirst:
         rng = random.Random(10)
         for _ in range(20):
             req = random_multicast(m, 8, rng)
+            parts = partition_destinations(req.source, req.destinations)
+            assert sorted(d for q in QUADRANTS for d in parts[q]) == sorted(req.destinations)
             trees = double_channel_xfirst_route(req)
-            delivered = set()
+            assert [q for q, _ in trees] == [q for q in QUADRANTS if parts[q]]
             for q, tree in trees:
-                allowed = set(quadrant_channels(m, q))
-                assert set(tree.arcs) <= allowed
-                delivered |= set(tree.dest_hops(
-                    [d for d in req.destinations if d in {v for _, v in tree.arcs} or d == req.source]
-                ))
-            # overall delivery is asserted inside the router already
+                assert set(tree.arcs) <= set(quadrant_channels(m, q))
+                # every quadrant destination reached over a shortest path
+                sub = MulticastRequest(m, req.source, tuple(parts[q]))
+                tree.validate(sub, shortest_paths=True)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
