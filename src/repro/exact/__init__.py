@@ -4,8 +4,8 @@ Every optimisation problem here is NP-complete for meshes and
 hypercubes (Theorems 4.1-4.8), so these solvers are exponential and
 exist to measure the optimality gaps of the Chapter 5/6 heuristics.
 
-The registered solvers run on integer-bitmask DP kernels over the
-shared :mod:`repro.topology.oracle` distance layer; the original
+The registered solvers run on integer-bitmask DP kernels over each
+topology's memoized distance rows; the original
 implementations are preserved verbatim in :mod:`repro.exact.reference`
 as the parity/benchmark baseline.
 """

@@ -4,8 +4,8 @@ Every Chapter 4 solver needs the same per-request geometry: dense node
 indices, the destination set as bit positions, per-destination BFS
 distance rows, the metric closure over the destinations, and — for the
 branch-and-bound solvers — Held-Karp walk tables indexed by destination
-subset.  :class:`RequestTables` builds all of it once per request on
-top of the topology's shared :class:`~repro.topology.oracle.DistanceOracle`
+subset.  :class:`RequestTables` builds all of it once per request from
+the topology's memoized :meth:`~repro.topology.Topology.distance_row`
 (so repeated requests on one topology never re-run a BFS), and the
 subset tables are plain flat ``list[int]`` indexed ``S * k + j`` —
 no frozensets, no dict hashing in the hot loops.
@@ -41,21 +41,19 @@ def iter_bits(mask: int):
 
 
 class RequestTables:
-    """Int-indexed per-request tables over a topology's oracle."""
+    """Int-indexed per-request tables over a topology's distance rows."""
 
     def __init__(self, topology: Topology, source: Node, destinations) -> None:
-        oracle = topology.oracle()
         self.topology = topology
-        self.oracle = oracle
-        self.n = oracle.n
-        self.adjacency = oracle.adjacency()
-        self.src = oracle.index(source)
-        self.dest_idx = oracle.indices(destinations)
+        self.n = topology.num_nodes
+        self.adjacency = topology.neighbor_indices()
+        self.src = topology.index(source)
+        self.dest_idx = [topology.index(d) for d in destinations]
         self.k = len(self.dest_idx)
         self.full_mask = (1 << self.k) - 1
         #: rows[j][v] = d(destination j, node v)
-        self.rows = [oracle.distance_row(i) for i in self.dest_idx]
-        self.src_row = oracle.distance_row(self.src)
+        self.rows = [topology.distance_row(i) for i in self.dest_idx]
+        self.src_row = topology.distance_row(self.src)
         #: closure[a][b] = d(destination a, destination b)
         self.closure = [
             [row[i] for i in self.dest_idx] for row in self.rows

@@ -195,8 +195,8 @@ def solve_path_mask(
     max_cost = tables.n if require_return else tables.n - 1
     for limit in range(bound(src, mask), max_cost + 1):
         if dfs(src, mask, limit):
-            node_at = tables.oracle.node_at
-            nodes = [node_at(i) for i in path]
+            node_list = tables.topology.node_list()
+            nodes = [node_list[i] for i in path]
             cost = len(path) - 1 + (1 if require_return else 0)
             return nodes, cost
     raise InfeasibleRoute(

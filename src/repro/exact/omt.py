@@ -30,15 +30,13 @@ from .bitmask import INF, iter_bits
 def shortest_path_dag(topology: Topology, source: Node) -> dict:
     """Arcs of the shortest-path DAG from ``source``:
     ``u -> v`` iff u, v adjacent and d(source, v) = d(source, u) + 1."""
-    oracle = topology.oracle()
-    lvl = oracle.distance_row(oracle.index(source))
+    lvl = topology.distance_row(topology.index(source))
     node_list = topology.node_list()
+    adjacency = topology.neighbor_indices()
     dag: dict = {}
     for i, u in enumerate(node_list):
         du1 = lvl[i] + 1
-        dag[u] = [
-            node_list[j] for j in oracle.adjacency()[i] if lvl[j] == du1
-        ]
+        dag[u] = [node_list[j] for j in adjacency[i] if lvl[j] == du1]
     return dag
 
 
@@ -46,10 +44,9 @@ def _reach_cost_matrix(topology: Topology, source: Node) -> np.ndarray:
     """``R[v][u]`` = DAG distance from ``v`` to ``u`` on the
     shortest-path DAG rooted at ``source`` — ``d(s,u) - d(s,v)`` when
     ``u`` is reachable from ``v``, INF otherwise."""
-    oracle = topology.oracle()
-    n = oracle.n
-    lvl = oracle.distance_row(oracle.index(source))
-    adjacency = oracle.adjacency()
+    n = topology.num_nodes
+    lvl = topology.distance_row(topology.index(source))
+    adjacency = topology.neighbor_indices()
     children = [
         [j for j in adjacency[i] if lvl[j] == lvl[i] + 1] for i in range(n)
     ]
@@ -74,13 +71,12 @@ def _reach_cost_matrix(topology: Topology, source: Node) -> np.ndarray:
 def optimal_multicast_tree_cost(request: MulticastRequest) -> int:
     """Number of edges of an optimal multicast tree for the request."""
     topo = request.topology
-    oracle = topo.oracle()
-    src = oracle.index(request.source)
-    term_idx = oracle.indices(request.destinations)
+    src = topo.index(request.source)
+    term_idx = [topo.index(d) for d in request.destinations]
     k = len(term_idx)
     size = 1 << k
     R = _reach_cost_matrix(topo, request.source)
-    n = oracle.n
+    n = topo.num_nodes
 
     # dp[S][v]: minimal arcs of a DAG-subtree rooted at v spanning the
     # terminals of S.  Strict subsets are fully closed (extension

@@ -222,7 +222,7 @@ def optimal_multicast_star_cost(
 
 def shortest_path_dag(topology: Topology, source: Node) -> dict:
     """Arcs of the shortest-path DAG from ``source``, computed by n·deg
-    ``distance()`` calls (the pre-oracle construction)."""
+    ``distance()`` calls (the original construction)."""
     dag: dict = {}
     for u in topology.nodes():
         du = topology.distance(source, u)

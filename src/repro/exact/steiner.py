@@ -32,15 +32,14 @@ from ..registry import register
 def minimal_steiner_tree_cost(request: MulticastRequest) -> int:
     """Length of a minimal Steiner tree for the multicast set K."""
     topo = request.topology
-    oracle = topo.oracle()
-    term_idx = oracle.indices(request.destinations)
-    root = oracle.index(request.source)
+    term_idx = [topo.index(d) for d in request.destinations]
+    root = topo.index(request.source)
     k = len(term_idx)
     if k == 0:
         return 0
     size = 1 << k
     D = np.asarray(topo.distance_matrix(), dtype=np.int64)
-    n = oracle.n
+    n = topo.num_nodes
 
     # dp[S][v]: minimal tree spanning the terminals of S plus v.
     # Singletons are metric-closed by construction; larger subsets merge

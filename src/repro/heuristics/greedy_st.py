@@ -243,7 +243,7 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
         if w != u:
             # Bypass node: forward one hop along the deterministic
             # shortest path toward the head node u (step 1).
-            nxt = topo.dimension_ordered_path(w, u)[1]
+            nxt = topo.next_hop(w, u)
             arcs.append((w, nxt))
             pending.append((nxt, dlist))
             continue
@@ -261,7 +261,7 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
             first = False
         for son, members in _subtree_partition(edges, u):
             sublist = [son] + [d for d in rest if d in members and d != son]
-            nxt = topo.dimension_ordered_path(u, son)[1]
+            nxt = topo.next_hop(u, son)
             arcs.append((u, nxt))
             pending.append((nxt, sublist))
 

@@ -32,11 +32,9 @@ def kmb_route(request: MulticastRequest) -> MulticastTree:
     terminals = [request.source, *request.destinations]
 
     # 1. Minimum spanning tree of the metric closure (Prim over the
-    #    oracle's terminal submatrix — k memoized BFS rows, shared with
-    #    every other consumer of this topology).
-    oracle = topo.oracle()
-    term_idx = oracle.indices(terminals)
-    closure = oracle.metric_closure(term_idx)
+    #    terminal submatrix of the topology's memoized distance rows).
+    term_idx = [topo.index(t) for t in terminals]
+    closure = [[row[j] for j in term_idx] for row in map(topo.distance_row, term_idx)]
     in_tree = {0}
     mst_edges: list[tuple[Node, Node]] = []
     best: dict[int, tuple[int, int]] = {

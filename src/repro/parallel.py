@@ -71,6 +71,7 @@ from dataclasses import dataclass
 from math import sqrt
 from multiprocessing.connection import wait
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 from .registry import get as get_spec
 from .retry import derive_seed
@@ -83,8 +84,7 @@ from .sim.runner import (
     run_resilient,
 )
 from .sim.stats import SimStats, Summary
-from .topology.base import Topology
-from .topology.oracle import canonical_topology
+from .topology.base import Topology, canonical_topology
 
 __all__ = [
     "JobFailure",
@@ -260,7 +260,7 @@ def replicate(config, num_runs: int):
 
 def _run_job(job: SweepJob):
     # Interning maps every equal topology copy (user-built or unpickled
-    # jobs) onto one process-local instance, so the distance oracle,
+    # jobs) onto one process-local instance, so the distance rows,
     # neighbor tables and labeling are built once per process rather
     # than once per job; a forked attempt starts from the caller's.
     topology = canonical_topology(job.topology)
@@ -301,49 +301,56 @@ def _summary_to_json(s: Summary) -> dict:
 
 
 def _result_to_json(result) -> dict:
+    data: dict[str, Any]
     if isinstance(result, FaultResult):
-        return {
+        data = {
             "type": "fault",
-            "latency": _summary_to_json(result.latency),
-            "injected_messages": result.injected_messages,
-            "deliveries": result.deliveries,
-            "sim_time": result.sim_time,
-            "worms": result.worms,
             "stats": result.stats.to_dict(),
             "expected_deliveries": result.expected_deliveries,
         }
-    if isinstance(result, DynamicResult):
-        return {
-            "type": "dynamic",
-            "latency": _summary_to_json(result.latency),
-            "injected_messages": result.injected_messages,
-            "deliveries": result.deliveries,
-            "sim_time": result.sim_time,
-            "worms": result.worms,
-        }
-    raise TypeError(f"cannot checkpoint result of type {type(result).__name__}")
+    elif isinstance(result, DynamicResult):
+        data = {"type": "dynamic"}
+    else:
+        raise TypeError(f"cannot checkpoint result of type {type(result).__name__}")
+    data.update(
+        latency=_summary_to_json(result.latency),
+        injected_messages=result.injected_messages,
+        deliveries=result.deliveries,
+        sim_time=result.sim_time,
+        worms=result.worms,
+        engine=result.engine,
+        engine_stats=result.engine_stats,
+    )
+    return data
+
+
+def _engine_stats_from_json(stats: dict | None) -> dict | None:
+    """JSON turned ``window_hist``'s int keys into strings; turn them back."""
+    if stats and "window_hist" in stats:
+        stats["window_hist"] = {int(k): v for k, v in stats["window_hist"].items()}
+    return stats
 
 
 def _result_from_json(data: dict):
-    latency = Summary(**data["latency"])
+    common: dict[str, Any] = dict(
+        latency=Summary(**data["latency"]),
+        injected_messages=data["injected_messages"],
+        deliveries=data["deliveries"],
+        sim_time=data["sim_time"],
+        worms=data["worms"],
+        # records written before the engine fields existed load with
+        # the dataclass defaults
+        engine=data.get("engine", "reference"),
+        engine_stats=_engine_stats_from_json(data.get("engine_stats")),
+    )
     if data["type"] == "fault":
         return FaultResult(
-            latency=latency,
-            injected_messages=data["injected_messages"],
-            deliveries=data["deliveries"],
-            sim_time=data["sim_time"],
-            worms=data["worms"],
             stats=SimStats.from_dict(data["stats"]),
             expected_deliveries=data["expected_deliveries"],
+            **common,
         )
     if data["type"] == "dynamic":
-        return DynamicResult(
-            latency=latency,
-            injected_messages=data["injected_messages"],
-            deliveries=data["deliveries"],
-            sim_time=data["sim_time"],
-            worms=data["worms"],
-        )
+        return DynamicResult(**common)
     raise ValueError(f"unknown checkpoint result type {data['type']!r}")
 
 

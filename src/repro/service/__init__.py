@@ -3,8 +3,8 @@
 A long-lived routing daemon around the registry: clients stream route
 requests (topology spec, scheme, destination set) over a local socket
 in JSONL, a supervised pool of persistent worker processes answers
-them from warm :class:`~repro.topology.oracle.DistanceOracle` caches,
-and every request gets **exactly one terminal response** — a route, a
+them from warm interned topologies (memoized distance rows and
+labelings), and every request gets **exactly one terminal response** — a route, a
 ``degraded=True`` route from a registered fallback scheme, or a typed
 error — no matter which workers crash, hang or drop replies along the
 way.

@@ -9,10 +9,9 @@ are terminal :class:`~repro.service.protocol.RouteResponse` objects;
 request's correlation id, so ``cache_hit=True`` responses are replayed
 plans, never shared mutable state.
 
-Mirrors the counter style of
-:class:`repro.topology.oracle.CacheStats`: hits / misses / evictions
-plus a derived ``hit_rate``, all exported by :meth:`stats` for the
-service drain report and ``BENCH_service.json``.
+Counts hits / misses / evictions plus a derived ``hit_rate``, all
+exported by :meth:`stats` for the service drain report and
+``BENCH_service.json``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Worker process: warm-oracle route computation + heartbeats.
+"""Worker process: warm-topology route computation + heartbeats.
 
 Each worker is a long-lived child process holding one end of a
 ``multiprocessing.Pipe``.  It answers job dicts with small result
@@ -16,9 +16,10 @@ individual sends are atomic.
 
 Warm state: topologies are interned through
 :func:`repro.topology.canonical_topology`, so every request against
-the same topology spec shares one :class:`DistanceOracle` and its
-caches for the lifetime of the worker — the cache is what the service
-benchmark's routed-destinations/sec rests on.
+the same topology spec shares one instance and its memoized distance
+rows, neighbor tables and labeling for the lifetime of the worker —
+those caches are what the service benchmark's routed-destinations/sec
+rests on.
 
 All sends share one lock (``Connection.send`` is not thread-safe
 against the heartbeat thread).  Chaos directives (``hold_s`` /
@@ -72,7 +73,7 @@ def compute_route(
     tracebacks.
 
     ``topology_cache`` maps topology specs to interned instances; pass
-    the same dict across calls to keep oracles warm (the worker loop
+    the same dict across calls to keep topologies warm (the worker loop
     does, and so does the in-process benchmark baseline).
     """
     try:

@@ -169,9 +169,6 @@ class DenseEngine:
         self.rp_chan = np.zeros(p, dtype=np.int64)
         self.rp_dest = np.zeros(p, dtype=bool)
         self.rp_used = 0
-        #: memoized (channel-id vector, delivery-flag vector) per
-        #: (nodes, destinations, capacity, route key) route
-        self._route_cache: dict = {}
         #: lazily-filled (u << LUT_BITS | v) -> channel-id table, built
         #: the first time a long route over small-int nodes is injected
         #: (-1 = not interned yet); one table per (capacity, route key)
@@ -390,47 +387,26 @@ class DenseEngine:
         off = self.rp_used
         self.w_off[w] = off
         self.rp_used = need
-        rp_chan = self.rp_chan
-        rp_dest = self.rp_dest
-        # routes repeat whenever a source re-multicasts to the same
-        # destination set, so the interned channel-id/delivery-flag
-        # vectors are memoized and copied in as array slices.  A route
-        # is memoizable when its channel identities are (u, v) pairs or
-        # pinned by ``route_key`` (virtual-channel planes).
-        cached = channel_key is None or route_key is not None
-        ck = hit = None
-        if cached:
-            ck = (
-                nodes if type(nodes) is tuple else tuple(nodes),
-                frozenset(destinations),
-                cap,
-                route_key,
+        # a long route interns through the edge LUTs when its channel
+        # identities are (u, v) pairs or pinned by ``route_key``
+        # (virtual-channel planes), so one LUT per key stays valid
+        if not (
+            (channel_key is None or route_key is not None)
+            and n >= self.LUT_MIN_HOPS
+            and self._intern_route(
+                nodes, destinations, off, n, cap,
+                channel_key=channel_key, lut_key=route_key,
             )
-            hit = self._route_cache.get(ck)
-        if hit is not None:
-            rp_chan[off : off + n] = hit[0]
-            rp_dest[off : off + n] = hit[1]
-        else:
-            if not (
-                cached
-                and n >= self.LUT_MIN_HOPS
-                and self._intern_route(
-                    nodes, destinations, off, n, cap,
-                    channel_key=channel_key, lut_key=route_key,
+        ):
+            rp_chan = self.rp_chan
+            rp_dest = self.rp_dest
+            for i in range(n):
+                u = nodes[i]
+                v = nodes[i + 1]
+                rp_chan[off + i] = self._chan(
+                    (u, v) if channel_key is None else channel_key(u, v), cap
                 )
-            ):
-                for i in range(n):
-                    u = nodes[i]
-                    v = nodes[i + 1]
-                    rp_chan[off + i] = self._chan(
-                        (u, v) if channel_key is None else channel_key(u, v), cap
-                    )
-                    rp_dest[off + i] = v in destinations
-            if cached:
-                self._route_cache[ck] = (
-                    rp_chan[off : off + n].copy(),
-                    rp_dest[off : off + n].copy(),
-                )
+                rp_dest[off + i] = v in destinations
         if n == 0:  # degenerate: source-only path
             self.active_worms -= 1
             return w

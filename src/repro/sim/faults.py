@@ -328,8 +328,8 @@ class FaultyWormholeNetwork(WormholeNetwork):
         self.live: dict = {}
         #: per-message set of destinations reached so far
         self.delivered_by_message: dict = {}
-        #: ``fn(message_id, undelivered_dests, reason)`` invoked when a
-        #: worm is dropped; the resilient driver hooks retries here
+        #: ``fn(message_id)`` invoked when a worm is dropped; the
+        #: resilient driver hooks retries here
         self.drop_handler = None
         #: when set, newly injected worms are stamped with this
         #: injection time instead of ``env.now`` — retransmissions keep
@@ -363,42 +363,39 @@ class FaultyWormholeNetwork(WormholeNetwork):
         element (§'in-flight worms on a failing link are killed')."""
         for worm in tuple(self.live):
             if not worm.dead and not worm.arrived and worm.hit_by(ev):
-                self.kill_worm(worm, "link failed under worm" if ev.kind == "link"
-                               else "node failed under worm")
+                self.kill_worm(worm)
 
-    def kill_worm(self, worm, reason: str) -> None:
+    def kill_worm(self, worm) -> None:
         """Drop ``worm``: release everything it holds (waking waiters),
-        count its unreached destinations, and notify the drop handler."""
+        count the kill, and notify the drop handler."""
         if worm.dead:
             return
         worm.dead = True
         self.stats.killed_worms += 1
         for ch in worm.held_channels():
             self.release(ch)
-        dropped = worm.undelivered()
         self.finish(worm)
         if self.drop_handler is not None:
-            self.drop_handler(worm.message_id, dropped, reason)
+            self.drop_handler(worm.message_id)
 
 
 # ----------------------------------------------------------------------
 # Fault-aware worms.  Each adds three capabilities to its base class:
 # a ``dead`` flag silencing the prebound callbacks after a kill, a
-# fault check before every channel acquisition, and enough bookkeeping
-# (``delivered``, held channels) for the kill path to account losses.
+# fault check before every channel acquisition, and the held channels
+# the kill path releases.
 # ----------------------------------------------------------------------
 
 
 class FaultyPathWorm(PathWorm):
     """A :class:`PathWorm` that dies on faulted channels."""
 
-    __slots__ = ("dead", "arrived", "delivered")
+    __slots__ = ("dead", "arrived")
 
     def __init__(self, net, message_id, nodes, channels, dests):
         super().__init__(net, message_id, nodes, channels, dests)
         self.dead = False
         self.arrived = False
-        self.delivered: set = set()
         if net.origin_time is not None:
             self.injected_at = net.origin_time
         net.live[self] = None
@@ -408,7 +405,7 @@ class FaultyPathWorm(PathWorm):
             return
         ch = self.channels[self.idx]
         if self.net.fault_state.channel_down(ch.key):
-            self.net.kill_worm(self, "faulted channel on fixed path")
+            self.net.kill_worm(self)
             return
         PathWorm._try_advance(self)
 
@@ -423,15 +420,9 @@ class FaultyPathWorm(PathWorm):
         if self.dead:
             return
         PathWorm._release(self, i)
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.delivered.add(head)
 
     def held_channels(self):
         return self.channels[max(0, self.idx - self.flits) : self.idx]
-
-    def undelivered(self) -> set:
-        return set(self.dests) - self.delivered
 
     def hit_by(self, ev: FaultEvent) -> bool:
         if ev.kind == "link":
@@ -452,13 +443,12 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
     candidate channels at simulation time and dies only when every
     admissible candidate is faulted."""
 
-    __slots__ = ("dead", "arrived", "delivered")
+    __slots__ = ("dead", "arrived")
 
     def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
         super().__init__(net, message_id, source, dest_queue, labeling, channel_key, capacity)
         self.dead = False
         self.arrived = False
-        self.delivered: set = set()
         if net.origin_time is not None:
             self.injected_at = net.origin_time
         net.live[self] = None
@@ -484,7 +474,7 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
                 if not state.link_down(cur, p)
             ]
             if not alive:
-                self.net.kill_worm(self, "all monotone candidates faulted")
+                self.net.kill_worm(self)
                 return
         chosen = None
         for p in alive:
@@ -524,15 +514,9 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
         if self.dead:
             return
         AdaptivePathWorm._release(self, i)
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.delivered.add(head)
 
     def held_channels(self):
         return self.channels[max(0, len(self.channels) - self.flits) :]
-
-    def undelivered(self) -> set:
-        return set(self.dests) - self.delivered
 
     def hit_by(self, ev: FaultEvent) -> bool:
         if ev.kind == "link":
@@ -553,13 +537,12 @@ class FaultyTreeWorm(TreeWorm):
     needs *every* channel of the next level, so a faulted channel at
     any level kills the whole tree."""
 
-    __slots__ = ("dead", "arrived", "delivered")
+    __slots__ = ("dead", "arrived")
 
     def __init__(self, net, message_id, chan_levels, head_levels):
         super().__init__(net, message_id, chan_levels, head_levels)
         self.dead = False
         self.arrived = False
-        self.delivered: set = set()
         if net.origin_time is not None:
             self.injected_at = net.origin_time
         net.live[self] = None
@@ -571,7 +554,7 @@ class FaultyTreeWorm(TreeWorm):
         if state.any_down:
             for ch in self.chan_levels[self.k]:
                 if state.channel_down(ch.key):
-                    self.net.kill_worm(self, "faulted channel in tree level")
+                    self.net.kill_worm(self)
                     return
         TreeWorm._try_tick(self)
 
@@ -586,19 +569,12 @@ class FaultyTreeWorm(TreeWorm):
         if self.dead:
             return
         TreeWorm._release_level(self, idx)
-        self.delivered.update(self.dest_levels[idx])
 
     def held_channels(self):
         out = []
         for level in self.chan_levels[max(0, self.k - self.flits) : self.k]:
             out.extend(level)
         return out
-
-    def undelivered(self) -> set:
-        out: set = set()
-        for dests in self.dest_levels:
-            out.update(dests)
-        return out - self.delivered
 
     def hit_by(self, ev: FaultEvent) -> bool:
         if ev.kind == "link":

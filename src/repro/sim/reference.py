@@ -141,9 +141,9 @@ class WormholeNetwork:
         ``channel_key`` maps a hop to its channel identity (default:
         the ``(u, v)`` pair itself); ``flits`` overrides the message
         length (header modelling).  ``route_key`` is a hashable token
-        that, together with ``(nodes, destinations, capacity)``, fully
-        determines every channel identity — engines with a route cache
-        may memoize on it; this scalar model ignores it."""
+        that, together with ``(u, v, capacity)``, fully determines a
+        hop's channel identity — the dense engine keys its edge lookup
+        tables on it; this scalar model ignores it."""
         channels = self.channels
         cap = capacity or self.config.channels_per_link
         chans = []

@@ -452,7 +452,7 @@ def run_resilient(
     attempts: dict = {}
     pending_retry: set = set()
 
-    def handle_drop(message_id, dropped, reason):
+    def handle_drop(message_id):
         # coalesce: dual-path injects two worms per message, and both
         # may die — one pending retransmission per message at a time
         if message_id in pending_retry:
@@ -477,7 +477,7 @@ def run_resilient(
         source = sources[message_id]
         if fault_state.node_down(source):
             # the source itself is down; burn the attempt and re-arm
-            handle_drop(message_id, remaining, "source node down")
+            handle_drop(message_id)
             return
         stats.retries += 1
         request = MulticastRequest.trusted(
@@ -492,7 +492,7 @@ def run_resilient(
             inject_specs(net, message_id, router(request), path_capacity, router)
         except Unroutable:
             stats.injection_failures += 1
-            handle_drop(message_id, remaining, "unroutable")
+            handle_drop(message_id)
         finally:
             net.origin_time = None
 
@@ -509,13 +509,13 @@ def run_resilient(
         origins[mid] = net.now
         if fault_state.node_down(node):
             stats.injection_failures += 1
-            handle_drop(mid, expected[mid], "source node down")
+            handle_drop(mid)
         else:
             try:
                 inject_specs(net, mid, router(request), path_capacity, router)
             except Unroutable:
                 stats.injection_failures += 1
-                handle_drop(mid, expected[mid], "unroutable")
+                handle_drop(mid)
         schedule(expovariate(arrival_rate), inject_from, node)
 
     for node in topology.nodes():

@@ -1,16 +1,13 @@
 """Multicomputer network topologies (Ch. 2) and grid graphs (Ch. 4)."""
 
-from .base import Channel, Node, Topology
+from .base import Channel, Node, Topology, canonical_topology
 from .grid import GridGraph, Point, rectangular_grid
 from .hypercube import Hypercube, popcount
 from .karyncube import KAryNCube
 from .mesh import Mesh2D, Mesh3D
-from .oracle import CacheStats, DistanceOracle, canonical_topology, oracle_for
 
 __all__ = [
-    "CacheStats",
     "Channel",
-    "DistanceOracle",
     "GridGraph",
     "Hypercube",
     "KAryNCube",
@@ -20,7 +17,6 @@ __all__ = [
     "Point",
     "Topology",
     "canonical_topology",
-    "oracle_for",
     "popcount",
     "rectangular_grid",
 ]

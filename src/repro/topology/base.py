@@ -4,8 +4,9 @@ The dissertation models a multicomputer's interconnection network as a
 *host graph* ``G(V, E)`` (Ch. 2/3): each node is a processor, each edge a
 bidirectional communication link realised as a pair of opposite directed
 *channels*.  Concrete topologies (2D/3D mesh, hypercube, k-ary n-cube)
-provide O(1) distance computation and deterministic dimension-ordered
-shortest paths, which the routing algorithms of Ch. 5/6 rely on.
+provide O(1) distance computation and the closed-form next hop of the
+deterministic dimension-ordered shortest path, which the routing
+algorithms of Ch. 5/6 rely on.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .oracle import DistanceOracle
 
 Node = Hashable
 Channel = tuple[Node, Node]
@@ -32,8 +29,10 @@ class Topology(ABC):
 
     Topologies are immutable once constructed, so every derived
     structure — node lists, neighbor tables, the all-pairs distance
-    matrix, the diameter, dimension-ordered paths — is memoized on the
+    matrix, per-source distance rows, the diameter — is memoized on the
     instance the first time it is requested and never invalidated.
+    Dimension-ordered paths are not cached: each family gives their
+    next hop in closed form.
     """
 
     @property
@@ -66,42 +65,36 @@ class Topology(ABC):
         """Inverse of :meth:`index`."""
 
     @abstractmethod
-    def _dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
-        """Concrete computation behind :meth:`dimension_ordered_path`."""
+    def next_hop(self, u: Node, v: Node) -> Node:
+        """The first hop of the dimension-ordered shortest path from
+        ``u`` to ``v`` (``u != v``), in closed form."""
+
+    @abstractmethod
+    def _compute_distance_matrix(self):
+        """The all-pairs distance matrix behind :meth:`distance_matrix`."""
 
     def dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
         """The deterministic shortest path used by the base unicast routing.
 
         For meshes this is X-first (then Y, then Z) routing; for
         hypercubes it is e-cube routing (correct bits lowest dimension
-        first).  Returns the node sequence ``[u, ..., v]``.
-
-        Paths are served from the oracle's bounded LRU (hit/miss
-        counters via :meth:`cache_stats`); the returned list is always
-        a fresh copy, so callers may mutate it freely.
+        first).  Returns a fresh node list ``[u, ..., v]``, walked one
+        :meth:`next_hop` at a time.
         """
-        return self.oracle().path(u, v)
-
-    def oracle(self) -> DistanceOracle:
-        """The per-instance :class:`~repro.topology.oracle.DistanceOracle`
-        — int-indexed adjacency, memoized BFS distance rows, metric
-        closures and the dimension-ordered-path LRU — built lazily on
-        first use and shared by every consumer of this topology."""
-        from .oracle import oracle_for
-
-        return oracle_for(self)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/build counters of the oracle's memoized structures
-        (path LRU, distance rows, metric closures)."""
-        return self.oracle().cache_stats()
+        path = [u]
+        next_hop = self.next_hop
+        while u != v:
+            u = next_hop(u, v)
+            path.append(u)
+        return path
 
     # Memoized derived structure, dropped when a topology is pickled
     # (e.g. shipped to a `repro.parallel.run_sweep` worker): every
-    # entry is recomputable, and some — the path LRU, the canonical
-    # labeling's route memos — can dwarf the topology itself.
+    # entry is recomputable, and some — the distance rows, the
+    # canonical labeling's route memos — can dwarf the topology itself.
     _CACHE_ATTRS = (
-        "_oracle",
+        "_rows",
+        "_row_hits",
         "_node_list",
         "_index_map",
         "_neighbor_table",
@@ -194,8 +187,7 @@ class Topology(ABC):
         marked read-only; copy before mutating).  Concrete families
         vectorise the computation — coordinate broadcasting for meshes,
         XOR-popcount for hypercubes, ring-distance broadcasting for
-        k-ary n-cubes; the generic fallback runs one BFS per node over
-        the cached neighbor-index table.
+        k-ary n-cubes.
         """
         M = getattr(self, "_distance_matrix", None)
         if M is None:
@@ -204,28 +196,60 @@ class Topology(ABC):
             self._distance_matrix = M
         return M
 
-    def _compute_distance_matrix(self):
-        """Generic fallback: per-source BFS over the neighbor tables
-        (O(n·(n+m)) instead of ``n²`` ``distance()`` calls)."""
-        import numpy as np
+    def distance_row(self, i: int) -> list[int]:
+        """Distances from node index ``i`` to every node, as a plain
+        ``list[int]`` that hot loops index at C speed.
 
-        n = self.num_nodes
+        Rows are memoized per source (BFS over :meth:`neighbor_indices`,
+        or copied from the distance matrix when one is already built).
+        The returned list is shared: callers must not mutate it.
+        """
+        rows = getattr(self, "_rows", None)
+        if rows is None:
+            rows = self._rows = {}
+        row = rows.get(i)
+        if row is not None:
+            self._row_hits += 1
+            return row
+        matrix = getattr(self, "_distance_matrix", None)
+        row = rows[i] = (
+            [int(d) for d in matrix[i]] if matrix is not None else self._bfs_row(i)
+        )
+        return row
+
+    def _bfs_row(self, src: int) -> list[int]:
+        """One BFS over the neighbor-index table: the distances from
+        node index ``src``, by definition of graph distance."""
         nbrs = self.neighbor_indices()
-        out = np.zeros((n, n), dtype=np.int64)
-        for src in range(n):
-            row = out[src]
-            seen = bytearray(n)
-            seen[src] = 1
-            frontier = deque((src,))
-            while frontier:
-                i = frontier.popleft()
-                d = row[i] + 1
-                for j in nbrs[i]:
-                    if not seen[j]:
-                        seen[j] = 1
-                        row[j] = d
-                        frontier.append(j)
-        return out
+        n = self.num_nodes
+        row = [0] * n
+        seen = bytearray(n)
+        seen[src] = 1
+        frontier = deque((src,))
+        while frontier:
+            i = frontier.popleft()
+            d = row[i] + 1
+            for j in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    row[j] = d
+                    frontier.append(j)
+        return row
+
+    #: the distance-row memo and its hit count (dropped on pickling)
+    _rows: dict[int, list[int]]
+    _row_hits = 0
+
+    def cache_stats(self) -> dict[str, int]:
+        """Distance-row memo counters.  Nothing caches paths; the two
+        path counters stay, always 0, because the end-to-end benchmark
+        harness reads all four keys."""
+        return {
+            "path_hits": 0,
+            "path_misses": 0,
+            "row_hits": self._row_hits,
+            "rows_built": len(getattr(self, "_rows", ())),
+        }
 
     def diameter(self) -> int:
         """Maximum shortest-path distance over all node pairs (from the
@@ -261,3 +285,21 @@ class Topology(ABC):
             if not self.are_adjacent(a, b):
                 raise ValueError(f"{a!r} and {b!r} are not adjacent")
         return max(len(path) - 1, 0)
+
+
+#: process-local intern table for :func:`canonical_topology`.
+_INTERNED: dict[tuple[type, str], Topology] = {}
+
+
+def canonical_topology(topology: Topology) -> Topology:
+    """A process-canonical instance equal to ``topology``.
+
+    Topologies are immutable and fully described by their ``repr``
+    (family + dimensions), so a worker process that receives one
+    pickled topology per job can intern them all to a single instance —
+    the distance rows, distance matrix and labeling caches are then
+    built once per worker, not once per job.  The first instance seen
+    for a given family/shape wins and is returned for every later equal
+    one.
+    """
+    return _INTERNED.setdefault((type(topology), repr(topology)), topology)

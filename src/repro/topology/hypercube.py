@@ -63,23 +63,14 @@ class Hypercube(Topology):
             xor >>= 1
         return out.astype(np.int64)
 
-    def _dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
-        """E-cube routing: correct differing bits lowest dimension first.
+    def next_hop(self, u: Node, v: Node) -> Node:
+        """E-cube routing: correct the lowest differing bit.
 
         This is the deterministic deadlock-free unicast routing used by
         first/second generation hypercube multicomputers (§2.3.2).
         """
-        path = [u]
-        cur = u
         diff = u ^ v
-        bit = 0
-        while diff:
-            if diff & 1:
-                cur ^= 1 << bit
-                path.append(cur)
-            diff >>= 1
-            bit += 1
-        return path
+        return u ^ (diff & -diff)
 
     def bits(self, v: Node) -> str:
         """The n-bit binary address string of ``v`` (MSB first)."""

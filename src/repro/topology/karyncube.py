@@ -88,17 +88,13 @@ class KAryNCube(Topology):
         diff = np.abs(digits[:, None, :] - digits[None, :, :])
         return np.minimum(diff, self.k - diff).sum(axis=2)
 
-    def _dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
-        """Dimension-ordered shortest path taking the shorter ring arc."""
-        cur = list(u)
-        path = [u]
-        for axis in range(self.n):
-            a, b = cur[axis], v[axis]
-            if a == b:
-                continue
-            fwd = (b - a) % self.k
-            step = 1 if fwd <= self.k - fwd else -1
-            while cur[axis] != b:
-                cur[axis] = (cur[axis] + step) % self.k
-                path.append(tuple(cur))
-        return path
+    def next_hop(self, u: Node, v: Node) -> Node:
+        """Dimension-ordered routing along the shorter ring arc of the
+        first differing dimension; on an even ring a tie goes forward."""
+        k = self.k
+        for axis, (a, b) in enumerate(zip(u, v)):
+            if a != b:
+                fwd = (b - a) % k
+                c = (a + 1) % k if fwd <= k - fwd else (a - 1) % k
+                return u[:axis] + (c,) + u[axis + 1 :]
+        raise ValueError("next_hop needs two distinct nodes")

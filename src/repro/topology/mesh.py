@@ -78,19 +78,12 @@ class Mesh2D(Topology):
             np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
         ).astype(np.int64)
 
-    def _dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
-        """X-first (row) then Y (column) shortest path, as in §5.3."""
+    def next_hop(self, u: Node, v: Node) -> Node:
+        """X-first (row) then Y (column) routing, as in §5.3."""
         x, y = u
-        path = [u]
-        step = 1 if v[0] > x else -1
-        while x != v[0]:
-            x += step
-            path.append((x, y))
-        step = 1 if v[1] > y else -1
-        while y != v[1]:
-            y += step
-            path.append((x, y))
-        return path
+        if x != v[0]:
+            return (x + 1 if v[0] > x else x - 1, y)
+        return (x, y + 1 if v[1] > y else y - 1)
 
 
 class Mesh3D(Topology):
@@ -169,13 +162,11 @@ class Mesh3D(Topology):
             + np.abs(zs[:, None] - zs[None, :])
         ).astype(np.int64)
 
-    def _dimension_ordered_path(self, u: Node, v: Node) -> list[Node]:
-        """X then Y then Z dimension-ordered shortest path."""
-        cur = list(u)
-        path = [u]
-        for axis in range(3):
-            step = 1 if v[axis] > cur[axis] else -1
-            while cur[axis] != v[axis]:
-                cur[axis] += step
-                path.append(tuple(cur))
-        return path
+    def next_hop(self, u: Node, v: Node) -> Node:
+        """X then Y then Z dimension-ordered routing."""
+        x, y, z = u
+        if x != v[0]:
+            return (x + 1 if v[0] > x else x - 1, y, z)
+        if y != v[1]:
+            return (x, y + 1 if v[1] > y else y - 1, z)
+        return (x, y, z + 1 if v[2] > z else z - 1)

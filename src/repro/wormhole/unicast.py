@@ -21,20 +21,12 @@ from ..topology.mesh import Mesh2D
 
 def xfirst_next_hop(mesh: Mesh2D, u: Node, dest: Node) -> Node | None:
     """X-first (XY) unicast routing: correct the x offset, then y."""
-    if u == dest:
-        return None
-    x, y = u
-    if x != dest[0]:
-        return (x + (1 if dest[0] > x else -1), y)
-    return (x, y + (1 if dest[1] > y else -1))
+    return None if u == dest else mesh.next_hop(u, dest)
 
 
 def ecube_next_hop(cube: Hypercube, u: Node, dest: Node) -> Node | None:
     """E-cube unicast routing: correct the lowest differing bit."""
-    diff = u ^ dest
-    if not diff:
-        return None
-    return u ^ (diff & -diff)
+    return None if u == dest else cube.next_hop(u, dest)
 
 
 def label_next_hop(labeling) -> Callable:

@@ -195,15 +195,19 @@ class TestSweepAuto:
             SweepJob(Hypercube(4), "fixed-path", _light_config(), engine="bogus")
 
     def test_checkpoint_roundtrip(self, tmp_path):
+        """A resumed job keeps its engine record: auto sends this light
+        cube:7 load to dense, and the checkpoint restores ``engine`` and
+        ``engine_stats`` (``window_hist`` keys back to ints)."""
         from repro.parallel import SweepStats
 
         jobs = [
-            SweepJob(Hypercube(4), "fixed-path", _light_config(seed=s), engine="auto")
+            SweepJob(Hypercube(7), "fixed-path", _light_config(seed=s), engine="auto")
             for s in (1, 2)
         ]
         ckpt = str(tmp_path / "sweep.jsonl")
         first = run_sweep(jobs, workers=1, checkpoint=ckpt)
+        assert [r.engine for r in first] == ["dense", "dense"]
         stats = SweepStats()
         again = run_sweep(jobs, workers=1, checkpoint=ckpt, resume=True, stats=stats)
         assert stats.resumed == len(jobs)
-        assert [r.latency.mean for r in again] == [r.latency.mean for r in first]
+        assert again == first

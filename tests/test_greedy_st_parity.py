@@ -62,9 +62,8 @@ def seed_build_virtual_tree(topology, root, dests):
 def seed_greedy_st_prepare(request):
     """The original message preparation: sort on the source's BFS row."""
     u0 = request.source
-    oracle = request.topology.oracle()
     imap = request.topology.index_map()
-    row = oracle.distance_row(imap[u0])
+    row = request.topology.distance_row(imap[u0])
     return [u0] + sorted(
         request.destinations, key=lambda v: (row[imap[v]], imap[v])
     )

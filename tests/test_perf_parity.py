@@ -5,8 +5,8 @@ sweep runner are pure optimizations: every one of them must be
 bit-for-bit equivalent to the straightforward computation it replaced.
 This suite proves that equivalence —
 
-* cached topology accessors (distance matrix, diameter, channel count,
-  dimension-ordered paths) against uncached/BFS references;
+* cached topology accessors (distance matrix, diameter, channel count)
+  against uncached/BFS references;
 * the memoized routing function R against the per-call reference
   implementations in :mod:`repro.labeling.reference`, property-based
   over meshes, hypercubes and k-ary n-cubes;
@@ -75,8 +75,8 @@ def test_distance_matrix_matches_generic_bfs(topology):
     """The (possibly vectorized) cached matrix equals a per-source BFS
     over the neighbor tables — the definition of graph distance."""
     M = topology.distance_matrix()
-    reference = Topology._compute_distance_matrix(topology)
-    assert np.array_equal(M, reference)
+    reference = [Topology._bfs_row(topology, i) for i in range(topology.num_nodes)]
+    assert np.array_equal(M, np.array(reference))
     # cached: same (read-only) object on every call
     assert topology.distance_matrix() is M
     assert not M.flags.writeable
@@ -96,17 +96,6 @@ def test_distance_scalar_matches_matrix(tc):
     topology, u, v = tc
     M = topology.distance_matrix()
     assert topology.distance(u, v) == int(M[topology.index(u), topology.index(v)])
-
-
-@settings(max_examples=120, deadline=None)
-@given(topology_and_nodes())
-def test_dimension_ordered_path_cache_parity(tc):
-    topology, u, v = tc
-    cached = topology.dimension_ordered_path(u, v)
-    assert cached == topology._dimension_ordered_path(u, v)
-    again = topology.dimension_ordered_path(u, v)
-    assert again == cached
-    assert again is not cached  # always a fresh, caller-mutable copy
 
 
 # ----------------------------------------------------------------------
