@@ -32,8 +32,10 @@ registrations appear in ``route --algorithm`` choices and the
 ``algorithms`` listing without touching this module.
 
 Exit codes: 0 success, 1 analysis findings (``certify`` / ``lint``) or
-a typed service error, 2 usage errors (unknown scheme, bad node, bad
-``--engine``, invalid :class:`~repro.sim.config.SimConfig` values —
+a typed service error, 2 usage errors (unknown scheme, bad node, an
+unknown ``--engine`` or ``simulate --engine dense`` on a scheme that
+does not send path worms, invalid :class:`~repro.sim.config.SimConfig`
+values such as more ``--dests`` than the topology has other nodes —
 always a one-line message, never a traceback), 3 no fault-avoiding
 route exists (:class:`Unroutable`, the blocking channel is named on
 stderr), 4 an exact solver exceeded its ``--budget`` node-expansion
@@ -336,11 +338,7 @@ def cmd_mixed(args) -> int:
         mean_interarrival=args.interarrival_us * 1e-6,
         seed=args.seed,
     )
-    result = run_mixed(
-        topology, args.scheme, cfg,
-        unicast_fraction=args.unicast_fraction,
-        engine=args.engine,
-    )
+    result = run_mixed(topology, args.scheme, cfg, unicast_fraction=args.unicast_fraction)
     print(
         f"{args.scheme} on {topology} ({args.unicast_fraction:.0%} unicast): "
         f"unicast {result.unicast_latency.mean * 1e6:.2f} us, "
@@ -683,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
                    help="simulation core: the coroutine reference model, the "
                         "vectorized structure-of-arrays engine (identical "
-                        "results; path-worm schemes only, other schemes run "
-                        "on the reference), or auto (picked per run from "
-                        "workload features, recorded in the result)")
+                        "results; path-worm schemes only, any other scheme "
+                        "exits 2), or auto (picked per run from workload "
+                        "features, recorded in the result)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("faults", help="fault-injection degradation study")
@@ -728,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interarrival-us", type=float, default=300.0)
     p.add_argument("--unicast-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core (reference coroutines, dense SoA "
-                        "for path-worm schemes, or auto selection)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("reproduce", help="regenerate one dissertation figure")

@@ -77,9 +77,9 @@ from .registry import get as get_spec
 from .retry import derive_seed
 from .sim.config import SimConfig
 from .sim.runner import (
-    ENGINES,
     DynamicResult,
     FaultResult,
+    check_dynamic_run,
     run_dynamic,
     run_resilient,
 )
@@ -168,8 +168,11 @@ class SweepJob:
     engine, or ``"auto"`` to let each worker pick per job from its
     workload features — the decision lands in
     ``result.engine_stats["auto"]`` and in the checkpoint key, so
-    resumes distinguish engines).  Resilient runs execute on the
-    fault-aware reference network and accept only ``"reference"``."""
+    resumes distinguish engines).  A dynamic job is checked by
+    :func:`repro.sim.runner.check_dynamic_run` at construction, so
+    fault rates or ``"dense"`` on a tree, adaptive or VCT scheme fail
+    here.  Resilient runs execute on the fault-aware reference network
+    and accept only ``"reference"``."""
 
     topology: Topology
     scheme: str
@@ -189,16 +192,13 @@ class SweepJob:
                 f"{spec.name} is not defined on {self.topology} "
                 f"(supported families: {', '.join(spec.topologies)})"
             )
-        if self.runner not in ("dynamic", "resilient"):
+        if self.runner == "dynamic":
+            check_dynamic_run(spec, self.config, self.engine)
+        elif self.runner != "resilient":
             raise ValueError(
                 f"unknown runner {self.runner!r} (expected 'dynamic' or 'resilient')"
             )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected one of "
-                f"{', '.join(sorted(ENGINES))})"
-            )
-        if self.runner == "resilient" and self.engine != "reference":
+        elif self.engine != "reference":
             raise ValueError(
                 f"resilient runs execute on the fault-aware reference "
                 f"network; engine {self.engine!r} is not available"

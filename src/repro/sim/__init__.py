@@ -5,8 +5,10 @@ reference flit-level wormhole model in :mod:`repro.sim.reference` (the
 vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
 parity-tested counterpart for fault-free path worms); routing adapters in
 :mod:`repro.sim.traffic`; the experiment drivers in
-:mod:`repro.sim.runner`, one per run type, each fault-free one taking
-``engine="reference"``, ``"dense"`` or ``"auto"``.
+:mod:`repro.sim.runner`, one per run type, sharing one Poisson arrival
+process.  Only :func:`run_dynamic` takes ``engine="reference"``,
+``"dense"`` or ``"auto"``; the other drivers run on the reference
+engine.
 """
 
 from .config import InvalidConfigError, SimConfig

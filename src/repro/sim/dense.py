@@ -20,8 +20,9 @@ multi-tick frontier window — acquires, releases, deliveries and cursor
 moves as bulk array ops; a tick that no window can commit runs through
 the classic dispatcher, one event at a time.  Windows pay off only at
 light load on large networks, which is where ``engine="auto"`` picks
-this engine; :mod:`repro.sim.runner` runs everything else — tree,
-adaptive and VCT worms, fault injection — on the reference engine.
+this engine.  Only :func:`repro.sim.runner.run_dynamic` selects it and
+it refuses tree, adaptive and VCT worms; every other driver, fault
+injection included, runs on the reference engine.
 
 Parity contract
 ---------------
@@ -114,8 +115,8 @@ class DenseEngine:
     :class:`~repro.sim.reference.WormholeNetwork`: ``inject_path``,
     ``config``, delays in seconds (``schedule``), ``run_to_completion``,
     ``now``, the worm counts and ``delivery_latencies``, so
-    :func:`repro.sim.runner.inject_specs` and the run functions of
-    :mod:`repro.sim.runner` drive either engine unchanged.
+    :func:`repro.sim.runner.inject_specs` and
+    :func:`repro.sim.runner.run_dynamic` drive either engine unchanged.
     """
 
     #: routes at least this long use the vectorized edge-LUT interner

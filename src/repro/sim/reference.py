@@ -212,8 +212,8 @@ class WormholeNetwork:
         self.active_worms -= 1
 
     # ------------------------------------------------------------------
-    # Engine surface shared with repro.sim.dense.DenseEngine: the run
-    # functions of repro.sim.runner use either engine through these.
+    # Engine surface shared with repro.sim.dense.DenseEngine:
+    # repro.sim.runner.run_dynamic uses either engine through these.
     # ------------------------------------------------------------------
 
     @property

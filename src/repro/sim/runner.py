@@ -4,28 +4,29 @@
 multicast generator at every node draws exponential inter-arrival times
 and uniform destination sets, messages are routed by the scheme under
 test and injected as worms, and average per-destination network latency
-is summarised by batch means.
+is summarised by batch means.  :func:`run_resilient` runs that traffic
+under fault injection and :func:`run_mixed` mixes unicasts into it;
+the three share one arrival process (:func:`_drive`).
 
 :func:`run_static_scenario` injects a fixed set of multicasts at time
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
 
-Every driver but :func:`run_resilient` takes ``engine=``:
-``"reference"`` steps one worm object per event through the kernel
-(:mod:`repro.sim.reference`), ``"dense"`` advances fault-free path
-worms as flat arrays on an integer flit clock (:mod:`repro.sim.dense`),
-and ``"auto"`` picks one per run (:func:`choose_engine`).  Each of
-those run types has one body for both engines: it talks to the engine
-only through the surface the two share — ``schedule`` (delays in
-seconds), ``inject_path``, ``run_to_completion``, ``now``, the worm
-counts and ``delivery_latencies``.  Both engines consume the same RNG
-draw sequence; with ``SimConfig(quantize_arrivals=True)`` they agree
-event for event (the parity suite asserts identical delivery streams).
-The dense engine serves only ``star``/``vc-star`` worms without fault
-injection; asking it for any other run executes that run on the
-reference engine, on the dense engine's flit-time grid.
-:func:`run_resilient` always runs on the fault-aware reference network
-(:class:`~repro.sim.faults.FaultyWormholeNetwork`).
+Only :func:`run_dynamic` takes ``engine=``: ``"reference"`` steps one
+worm object per event through the kernel (:mod:`repro.sim.reference`),
+``"dense"`` advances fault-free path worms as flat arrays on an integer
+flit clock (:mod:`repro.sim.dense`), and ``"auto"`` picks one per run
+(:func:`choose_engine`).  Its body talks to the engine only through the
+surface the two share — ``schedule`` (delays in seconds),
+``inject_path``, ``run_to_completion``, ``now``, the worm counts and
+``delivery_latencies``.  Both engines consume the same RNG draw
+sequence; with ``SimConfig(quantize_arrivals=True)`` they agree event
+for event (the parity suite asserts identical delivery streams).
+:func:`check_dynamic_run` states what it accepts: ``engine="dense"``
+on a tree, adaptive or VCT scheme, and any config with fault rates,
+raise :class:`~repro.sim.config.InvalidConfigError`.  The other
+drivers run on the reference engine, :func:`run_resilient` on its
+fault-aware subclass (:class:`~repro.sim.faults.FaultyWormholeNetwork`).
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..labeling import canonical_labeling
 from ..models.request import MulticastRequest
 from ..retry import backoff_delay
 from ..topology.base import Topology
 from ..wormhole.fault_tolerance import Unroutable
-from .config import SimConfig
+from .config import InvalidConfigError, SimConfig
 from .dense import DenseEngine
 from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
 from .kernel import Environment
@@ -46,6 +48,9 @@ from .stats import SimStats, Summary, batch_means
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 
 ENGINES = ("reference", "dense", "auto")
+
+#: worm styles the dense engine has a kernel for (path worms)
+DENSE_WORM_STYLES = ("star", "vc-star")
 
 #: aggregate injection gap — mean flit ticks between successive
 #: injections network-wide — above which the dense engine's frontier
@@ -71,9 +76,8 @@ def choose_engine(topology, router, config) -> tuple[str, dict]:
     The dense engine only pays off when its multi-tick frontier windows
     fire (PERFORMANCE.md §5): plain path worms, an arrival process
     already on the flit-clock grid (so the switch never changes the
-    numbers), no fault injection (``config.faulty``), and
-    injections sparse enough network-wide that windows can span the
-    ~100-row NumPy dispatch crossover.  Everything else runs the
+    numbers), and injections sparse enough network-wide that windows
+    can span the ~100-row NumPy dispatch crossover.  Everything else runs the
     reference kernel, which is the never-materially-worse baseline.
 
     Returns ``(engine, features)`` where ``features`` records every
@@ -119,7 +123,6 @@ def choose_engine(topology, router, config) -> tuple[str, dict]:
         "worms_per_message": worms,
         "plane_split": plane_split,
         "quantized": config.quantize_arrivals,
-        "faulty": config.faulty,
     }
     if style != "star" or not plain_paths:
         decision, reason = "reference", "worm-style"
@@ -127,8 +130,6 @@ def choose_engine(topology, router, config) -> tuple[str, dict]:
         decision, reason = "reference", "plane-split"
     elif not config.quantize_arrivals:
         decision, reason = "reference", "unquantized-grid"
-    elif config.faulty:
-        decision, reason = "reference", "fault-schedule"
     elif agg_gap < AUTO_GAP_TICKS:
         decision, reason = "reference", "saturated"
     elif hops < AUTO_MIN_HOPS:
@@ -138,8 +139,6 @@ def choose_engine(topology, router, config) -> tuple[str, dict]:
     features["decision"] = decision
     features["reason"] = reason
     return decision, features
-
-
 
 
 @dataclass(frozen=True)
@@ -229,57 +228,24 @@ def _make_router(topology, scheme, config, fault_state=None) -> Router:
     )
 
 
-def _resolve_engine(
-    engine: str,
-    topology,
-    router: Router,
-    config: SimConfig,
-    burst: bool = False,
-) -> tuple[str, SimConfig, dict | None]:
-    """Resolve ``engine`` for one run: returns ``(engine, config,
-    auto)`` where ``auto`` is the ``engine="auto"`` decision record
-    (None otherwise).
-
-    ``burst`` marks a static scenario: with no arrival process to
-    feature-ize, ``auto`` picks the reference kernel.  The dense engine
-    runs fault-free path worms only (``worm_style`` ``star`` /
-    ``vc-star``, no ``config.faulty``); any other run asked of it
-    executes on the reference engine, on the dense engine's flit-time
-    grid."""
+def check_dynamic_run(spec, config: SimConfig, engine: str) -> None:
+    """Raise unless :func:`run_dynamic` can run ``spec``'s scheme under
+    ``config`` on ``engine``: ``ValueError`` for an unknown engine, and
+    :class:`InvalidConfigError` for fault rates (only
+    :func:`run_resilient` injects faults) or for ``engine="dense"`` on a
+    worm style the dense engine has no kernel for."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    style = router.spec.worm_style
-    auto: dict | None = None
-    if engine == "auto":
-        if burst:
-            engine = "reference"
-            auto = {
-                "worm_style": style,
-                "nodes": topology.num_nodes,
-                "decision": engine,
-                "reason": "static-burst",
-            }
-        else:
-            engine, auto = choose_engine(topology, router, config)
-    if engine == "dense" and (config.faulty or style not in ("star", "vc-star")):
-        engine = "reference"
-        config = config.replace(quantize_arrivals=True)
-    return engine, config, auto
-
-
-def _build_engine(engine: str, config: SimConfig):
-    """A fresh fault-free engine of the resolved kind."""
-    if engine == "dense":
-        return DenseEngine(config)
-    return WormholeNetwork(Environment(), config)
-
-
-def _engine_stats(net, auto: dict | None) -> dict | None:
-    """Dense counters plus the ``auto`` decision record, if any."""
-    stats: dict = net.cache_stats() if isinstance(net, DenseEngine) else {}
-    if auto is not None:
-        stats["auto"] = auto
-    return stats or None
+    if config.faulty:
+        raise InvalidConfigError(
+            "run_dynamic simulates a fault-free network; a config with "
+            "fault rates needs run_resilient"
+        )
+    if engine == "dense" and spec.worm_style not in DENSE_WORM_STYLES:
+        raise InvalidConfigError(
+            f"engine 'dense' runs path worms only; {spec.name} sends "
+            f"{spec.worm_style} worms"
+        )
 
 
 def _run_to_completion(net) -> None:
@@ -294,6 +260,11 @@ def _destination_sampler(topology, rng: random.Random, k: int):
     source, uniform, returned in index order."""
     nodes = list(topology.nodes())
     n = len(nodes)
+    if k > n - 1:
+        raise InvalidConfigError(
+            f"{k} destinations per message, but {topology} has only "
+            f"{n - 1} nodes besides the source"
+        )
     index_map = topology.index_map()
     randrange = rng.randrange
 
@@ -307,6 +278,34 @@ def _destination_sampler(topology, rng: random.Random, k: int):
         return tuple(nodes[i] for i in sorted(chosen))
 
     return draw
+
+
+def _drive(net, topology, rng: random.Random, config: SimConfig, send) -> int:
+    """Run the §7.2 arrival process on ``net`` until its calendar is
+    dry: every node sends at exponential inter-arrival times (mean
+    ``config.mean_interarrival``, drawn from ``rng``), calling
+    ``send(node, message_id)`` with ids 1, 2, ... until
+    ``config.num_messages`` are sent.  Returns the number sent."""
+    expovariate = rng.expovariate
+    rate = 1.0 / config.mean_interarrival
+    limit = config.num_messages
+    schedule = net.schedule
+    sent = 0
+
+    def arm(node):
+        schedule(expovariate(rate), arrive, node)
+
+    def arrive(node):
+        nonlocal sent
+        if sent < limit:
+            sent += 1
+            send(node, sent)
+            arm(node)
+
+    for node in topology.nodes():
+        arm(node)
+    _run_to_completion(net)
+    return sent
 
 
 #: latency summary of a run that delivered nothing after warmup
@@ -324,49 +323,42 @@ def run_dynamic(
 
     Raises :class:`DeadlockDetected` if the network wedges (only
     possible for the deliberately deadlock-prone tree schemes on single
-    channels).
+    channels), and :class:`InvalidConfigError` for a run
+    :func:`check_dynamic_run` rejects.
     """
     router = router or _make_router(topology, scheme, config)
-    engine, config, auto = _resolve_engine(engine, topology, router, config)
-    net = _build_engine(engine, config)
+    check_dynamic_run(router.spec, config, engine)
+    auto: dict | None = None
+    if engine == "auto":
+        engine, auto = choose_engine(topology, router, config)
+    dense = DenseEngine(config) if engine == "dense" else None
+    net = dense or WormholeNetwork(Environment(), config)
     rng = random.Random(config.seed)
-    state = {"injected": 0}
+    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
     # capacity for path worms: pooled double channels when the network
     # is double-channel; tree worms always use their own tagged copies.
     path_capacity = config.channels_per_link
 
-    # hot-loop locals: the workload generator runs once per message.
-    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    schedule = net.schedule
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
+    def send(node, mid):
         # destinations are drawn from the node set, distinct and never
         # the source — the trusted constructor skips re-checking that.
         request = MulticastRequest.trusted(topology, node, draw_destinations(node))
         inject_specs(net, mid, router(request), path_capacity, router)
-        schedule(expovariate(arrival_rate), inject_from, node)
 
-    for node in topology.nodes():
-        schedule(expovariate(arrival_rate), inject_from, node)
-
-    _run_to_completion(net)
+    injected = _drive(net, topology, rng, config, send)
     cutoff = config.num_messages * config.warmup_fraction
     delivered = net.delivery_latencies()
+    engine_stats = dense.cache_stats() if dense is not None else {}
+    if auto is not None:
+        engine_stats["auto"] = auto
     return DynamicResult(
         latency=batch_means([lat for mid, lat in delivered if mid > cutoff]),
-        injected_messages=state["injected"],
+        injected_messages=injected,
         deliveries=len(delivered),
         sim_time=net.now,
         worms=net.total_worms,
         engine=engine,
-        engine_stats=_engine_stats(net, auto),
+        engine_stats=engine_stats or None,
     )
 
 
@@ -418,11 +410,11 @@ def run_resilient(
     currently-down channels, both at the source (static reroute) and —
     for the adaptive scheme — per hop at simulation time.
 
-    The injection loop duplicates :func:`run_dynamic`'s RNG draw order
-    exactly and the fault schedule uses an independent RNG, so with
-    zero fault rates the result matches :func:`run_dynamic` event for
-    event (the parity suite asserts this).  The run executes on the
-    fault-aware reference network, so the result reports
+    Traffic comes from :func:`run_dynamic`'s arrival process and
+    destination draw, and the fault schedule uses an independent RNG,
+    so with zero fault rates the result matches :func:`run_dynamic`
+    event for event (the parity suite asserts this).  The run executes
+    on the fault-aware reference network, so the result reports
     ``engine="reference"`` and no ``engine_stats``.
     """
     if plan is None:
@@ -435,15 +427,9 @@ def run_resilient(
     # same-time fault events dispatch first
     fault_state.install(net)
     rng = random.Random(config.seed)
-    state = {"injected": 0}
     path_capacity = config.channels_per_link
-
     draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
     index_map = topology.index_map()
-    schedule = net.schedule
 
     # per-message delivery obligations and retry bookkeeping
     expected: dict[int, frozenset] = {}
@@ -498,11 +484,7 @@ def run_resilient(
 
     net.drop_handler = handle_drop
 
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
+    def send(node, mid):
         request = MulticastRequest.trusted(topology, node, draw_destinations(node))
         expected[mid] = frozenset(request.destinations)
         sources[mid] = node
@@ -510,18 +492,14 @@ def run_resilient(
         if fault_state.node_down(node):
             stats.injection_failures += 1
             handle_drop(mid)
-        else:
-            try:
-                inject_specs(net, mid, router(request), path_capacity, router)
-            except Unroutable:
-                stats.injection_failures += 1
-                handle_drop(mid)
-        schedule(expovariate(arrival_rate), inject_from, node)
+            return
+        try:
+            inject_specs(net, mid, router(request), path_capacity, router)
+        except Unroutable:
+            stats.injection_failures += 1
+            handle_drop(mid)
 
-    for node in topology.nodes():
-        schedule(expovariate(arrival_rate), inject_from, node)
-
-    _run_to_completion(net)
+    injected = _drive(net, topology, rng, config, send)
     cutoff = config.num_messages * config.warmup_fraction
     delivered = net.delivery_latencies()
     latencies = [lat for mid, lat in delivered if mid > cutoff]
@@ -531,7 +509,7 @@ def run_resilient(
     stats.dropped = total_expected - stats.delivered
     return FaultResult(
         latency=batch_means(latencies) if latencies else _NO_LATENCY,
-        injected_messages=state["injected"],
+        injected_messages=injected,
         deliveries=len(delivered),
         sim_time=net.now,
         worms=net.total_worms,
@@ -546,7 +524,6 @@ def run_until_confident(
     config: SimConfig,
     target_relative_ci: float = 0.05,
     max_doublings: int = 4,
-    engine: str = "reference",
 ) -> DynamicResult:
     """Repeat :func:`run_dynamic` with a doubling message budget until
     the 95% CI half-width falls below ``target_relative_ci`` of the
@@ -556,12 +533,12 @@ def run_until_confident(
 
     Returns the first run meeting the target, or the largest run tried.
     """
-    result = run_dynamic(topology, scheme, config, engine=engine)
+    result = run_dynamic(topology, scheme, config)
     for _ in range(max_doublings):
         if result.latency.relative_ci <= target_relative_ci:
             break
         config = config.replace(num_messages=config.num_messages * 2)
-        result = run_dynamic(topology, scheme, config, engine=engine)
+        result = run_dynamic(topology, scheme, config)
     return result
 
 
@@ -574,8 +551,6 @@ class MixedResult:
     multicast_latency: Summary
     injected_messages: int
     sim_time: float
-    engine: str = "reference"
-    engine_stats: dict | None = None
 
 
 def run_mixed(
@@ -583,7 +558,6 @@ def run_mixed(
     scheme: str,
     config: SimConfig,
     unicast_fraction: float = 0.5,
-    engine: str = "reference",
 ) -> MixedResult:
     """Simulate a mix of unicast and multicast traffic (§8.2: "study
     the interaction between unicast and multicast traffic and how
@@ -597,60 +571,35 @@ def run_mixed(
     if not 0.0 <= unicast_fraction <= 1.0:
         raise ValueError("unicast_fraction must be in [0, 1]")
     router = _make_router(topology, scheme, config)
-    engine, config, auto = _resolve_engine(engine, topology, router, config)
-    from ..labeling import canonical_labeling
-
     labeling = router.labeling or canonical_labeling(topology)
-    net = _build_engine(engine, config)
+    net = WormholeNetwork(Environment(), config)
     rng = random.Random(config.seed)
-    n = topology.num_nodes
-    state = {"injected": 0}
-    kinds: dict[int, str] = {}
+    draw_unicast = _destination_sampler(topology, rng, 1)
+    draw_multicast = _destination_sampler(topology, rng, config.num_destinations)
+    capacity = config.channels_per_link
+    unicasts: set[int] = set()
 
-    def inject_from(node):
-        if state["injected"] >= config.num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        src_i = topology.index(node)
+    def send(node, mid):
         if rng.random() < unicast_fraction:
-            kinds[mid] = "unicast"
-            while True:
-                i = rng.randrange(n)
-                if i != src_i:
-                    break
-            dest = topology.node_at(i)
-            path = labeling.route_path(node, dest)
-            net.inject_path(mid, path, {dest}, capacity=config.channels_per_link)
+            unicasts.add(mid)
+            (dest,) = draw_unicast(node)
+            net.inject_path(mid, labeling.route_path(node, dest), {dest}, capacity=capacity)
         else:
-            kinds[mid] = "multicast"
-            chosen: set = set()
-            while len(chosen) < config.num_destinations:
-                i = rng.randrange(n)
-                if i != src_i:
-                    chosen.add(i)
-            dests = tuple(topology.node_at(i) for i in sorted(chosen))
-            request = MulticastRequest(topology, node, dests)
-            inject_specs(net, mid, router(request), config.channels_per_link, router)
-        net.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
+            request = MulticastRequest.trusted(topology, node, draw_multicast(node))
+            inject_specs(net, mid, router(request), capacity, router)
 
-    for node in topology.nodes():
-        net.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
-
-    _run_to_completion(net)
+    injected = _drive(net, topology, rng, config, send)
     cutoff = config.num_messages * config.warmup_fraction
-    latencies: dict[str, list[float]] = {"unicast": [], "multicast": []}
+    uni: list[float] = []
+    multi: list[float] = []
     for mid, lat in net.delivery_latencies():
         if mid > cutoff:
-            latencies[kinds[mid]].append(lat)
-    uni, multi = latencies["unicast"], latencies["multicast"]
+            (uni if mid in unicasts else multi).append(lat)
     return MixedResult(
         unicast_latency=batch_means(uni) if uni else _NO_LATENCY,
         multicast_latency=batch_means(multi) if multi else _NO_LATENCY,
-        injected_messages=state["injected"],
+        injected_messages=injected,
         sim_time=net.now,
-        engine=engine,
-        engine_stats=_engine_stats(net, auto),
     )
 
 
@@ -662,8 +611,6 @@ class ScenarioResult:
     blocked_worms: int
     deliveries: int
     sim_time: float
-    engine: str = "reference"
-    engine_stats: dict | None = None
 
 
 def run_static_scenario(
@@ -671,15 +618,13 @@ def run_static_scenario(
     scheme: str,
     requests,
     config: SimConfig | None = None,
-    engine: str = "reference",
 ) -> ScenarioResult:
     """Inject the given multicasts simultaneously at time zero and run
     the network dry.  ``completed=False`` demonstrates deadlock (e.g.
     Fig. 6.1's two broadcasts under ``scheme='ecube-tree'``)."""
     config = config or SimConfig()
     router = _make_router(topology, scheme, config)
-    engine, config, auto = _resolve_engine(engine, topology, router, config, burst=True)
-    net = _build_engine(engine, config)
+    net = WormholeNetwork(Environment(), config)
     for mid, request in enumerate(requests, start=1):
         inject_specs(net, mid, router(request), config.channels_per_link, router)
     completed = net.run_to_completion()
@@ -688,6 +633,4 @@ def run_static_scenario(
         blocked_worms=net.active_worms,
         deliveries=len(net.delivery_latencies()),
         sim_time=net.now,
-        engine=engine,
-        engine_stats=_engine_stats(net, auto),
     )

@@ -31,7 +31,7 @@ from collections.abc import Callable
 from ..heuristics.xfirst import xfirst_route
 from ..labeling import canonical_labeling
 from ..models.request import MulticastRequest
-from ..registry import AlgorithmSpec, get as get_spec, names, register_spec
+from ..registry import AlgorithmSpec, get as get_spec, register_spec
 from ..topology.hypercube import Hypercube
 from ..wormhole.cdg import tree_stages
 from ..wormhole.ecube_tree import ecube_tree_route
@@ -230,14 +230,6 @@ class Router:
     without the ``fault_tolerant`` capability ignore it (their worms
     simply die on faults).
     """
-
-    # Pre-registry scheme groupings, kept for compatibility and derived
-    # from the registry so they never drift from it.
-    PATH_SCHEMES = tuple(names(worm_style="star"))
-    TREE_SCHEMES = tuple(names(worm_style="tree")) + tuple(names(worm_style="xfirst-tree"))
-    ADAPTIVE_SCHEMES = tuple(names(worm_style="adaptive"))
-    VCT_TREE_SCHEMES = tuple(names(worm_style="vct-tree"))
-    VC_PREFIX = "virtual-channel-"  # resolved by the registry's parametric family
 
     def __init__(
         self,

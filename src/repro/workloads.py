@@ -23,22 +23,16 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from .models.request import MulticastRequest
+from .models.request import MulticastRequest, random_multicast
 from .topology.base import Node, Topology
 from .topology.hypercube import Hypercube
 from .topology.mesh import Mesh2D
 
 
 def uniform(topology: Topology, source: Node, k: int, rng: random.Random) -> MulticastRequest:
-    """k distinct uniformly random destinations (the §7.1 generator)."""
-    n = topology.num_nodes
-    src_i = topology.index(source)
-    chosen: set = set()
-    while len(chosen) < k:
-        i = rng.randrange(n)
-        if i != src_i:
-            chosen.add(i)
-    return MulticastRequest(topology, source, tuple(topology.node_at(i) for i in sorted(chosen)))
+    """k distinct uniformly random destinations (the §7.1 generator);
+    raises ``ValueError`` unless ``1 <= k <= num_nodes - 1``."""
+    return random_multicast(topology, k, rng, source=source)
 
 
 def local(

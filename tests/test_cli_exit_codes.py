@@ -31,10 +31,19 @@ class TestBadEngine:
         with pytest.raises(SystemExit) as exc_info:
             main([verb, "--engine", "bogus"])
         assert exc_info.value.code == 2
-        # fault injection runs on the fault-aware reference model, so
-        # faults has no --engine at all
-        expected = "unrecognized arguments" if verb == "faults" else "invalid choice: 'bogus'"
+        # only simulate picks an engine: faults runs on the fault-aware
+        # reference model and mixed on the reference model
+        expected = "invalid choice: 'bogus'" if verb == "simulate" else "unrecognized arguments"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replications", ["1", "2"])
+    def test_dense_on_tree_scheme_exit_2(self, replications, capsys):
+        # the dense engine has no tree kernel, so the request is
+        # refused; with replications > 1 the refusal comes while the
+        # sweep jobs are built
+        assert main(["simulate", "--scheme", "xfirst-tree", "--engine", "dense",
+                     "--messages", "10", "--replications", replications]) == 2
+        assert "path worms only" in _one_line_error(capsys)
 
 
 class TestInvalidSimConfig:
@@ -47,6 +56,15 @@ class TestInvalidSimConfig:
     def test_nonpositive_interarrival(self, verb, capsys):
         assert main([verb, "--interarrival-us", "-1"]) == 2
         assert "mean_interarrival" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["simulate", "mixed"])
+    def test_more_dests_than_nodes(self, verb, capsys):
+        # a 2x2 mesh has 3 nodes besides the source, so rejection
+        # sampling could never draw 4 distinct destinations.  The
+        # faults sweep records the error per job instead.
+        assert main([verb, "--topology", "mesh:2x2", "--dests", "4",
+                     "--messages", "10"]) == 2
+        assert "4 destinations" in _one_line_error(capsys)
 
 
 class TestUnknownScheme:

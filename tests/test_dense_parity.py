@@ -1,20 +1,24 @@
 """Dense-engine parity: the vectorized SoA core must reproduce the
 coroutine reference model event for event.
 
-Every test runs the same workload through ``engine="reference"`` and
-``engine="dense"`` under a dyadic configuration (power-of-two bandwidth
-and flit size with ``quantize_arrivals=True``), where the reference
-engine's float calendar is exactly representable on the dense engine's
-integer flit-tick grid.  Parity then means *equality* — identical
-latency summaries, simulation time, and delivery counts, not
-approximate agreement.
+Every test runs the same workload through the reference model and its
+twin under a dyadic configuration (power-of-two bandwidth and flit size
+with ``quantize_arrivals=True``), where the reference engine's float
+calendar is exactly representable on the dense engine's integer
+flit-tick grid.  Parity then means *equality* — identical latency
+summaries, simulation time, and delivery counts, not approximate
+agreement.
 
 The dense engine serves fault-free path worms (``worm_style`` ``star``
-/ ``vc-star``) only; a dense request for any other run — tree,
-adaptive and VCT worms — executes on the reference engine with
-``quantize_arrivals=True`` and reports ``engine="reference"``
-(:func:`test_dense_falls_back_to_reference`).  Resilient runs take no
-engine: they always run on the fault-aware reference network.
+/ ``vc-star``) only, and only :func:`run_dynamic` selects it; a dense
+request for tree, adaptive or VCT worms raises, and ``engine="auto"``
+runs them on the reference engine
+(:func:`test_dense_falls_back_to_reference`,
+:func:`test_dense_rejects_unserved_worm_styles`).  The twin of tree
+and adaptive worms is their fault-aware subclass: a resilient run with
+no faults must match the plain run event for event.  Bursts at time
+zero have no arrival process, so the static tests inject them into
+each network directly.
 """
 
 from __future__ import annotations
@@ -26,14 +30,18 @@ import pytest
 from repro import registry
 from repro.models.request import MulticastRequest
 from repro.sim import (
+    DenseEngine,
+    Environment,
+    FaultyWormholeNetwork,
     InvalidConfigError,
+    Router,
     SimConfig,
+    WormholeNetwork,
+    inject_specs,
     run_dynamic,
-    run_mixed,
     run_resilient,
-    run_static_scenario,
 )
-from repro.sim.runner import DeadlockDetected
+from repro.sim.runner import DENSE_WORM_STYLES, DeadlockDetected
 from repro.topology import Hypercube, KAryNCube, Mesh2D
 
 # Dyadic parity base: 2-byte flits on a 2 MB/s channel give a flit time
@@ -53,15 +61,21 @@ def _fingerprint(result):
     )
 
 
-def _dense_engine(scheme):
-    """The engine an ``engine="dense"`` request for ``scheme`` runs on."""
-    return "dense" if registry.get(scheme).worm_style in ("star", "vc-star") else "reference"
+def _dense_serves(scheme) -> bool:
+    return registry.get(scheme).worm_style in DENSE_WORM_STYLES
+
+
+def _run_twin(topology, scheme, cfg):
+    """``scheme`` on its twin: the dense engine for path worms, the
+    fault-aware reference network with no faults for the others."""
+    if _dense_serves(scheme):
+        return run_dynamic(topology, scheme, cfg, engine="dense")
+    return run_resilient(topology, scheme, cfg)
 
 
 def _run_both(topology, scheme, cfg):
     ref = run_dynamic(topology, scheme, cfg, engine="reference")
-    dense = run_dynamic(topology, scheme, cfg, engine="dense")
-    return ref, dense
+    return ref, _run_twin(topology, scheme, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +109,11 @@ MODERATE_CASES = [
         id="adaptive-mesh8",
     ),
     pytest.param(
+        Mesh2D(8, 8), "dual-path",
+        dict(seed=3, mean_interarrival=250e-6, num_messages=200, num_destinations=1),
+        id="unicast-mesh8",
+    ),
+    pytest.param(
         Hypercube(6), "dual-path",
         dict(seed=17, mean_interarrival=300e-6, num_messages=250, num_destinations=6),
         id="dual-path-cube6",
@@ -121,9 +140,9 @@ MODERATE_CASES = [
 @pytest.mark.parametrize("topology,scheme,kw", MODERATE_CASES)
 def test_moderate_load_parity(topology, scheme, kw):
     cfg = SimConfig(**BASE, **kw)
-    ref, dense = _run_both(topology, scheme, cfg)
-    assert _fingerprint(dense) == _fingerprint(ref)
-    assert ref.engine == "reference" and dense.engine == _dense_engine(scheme)
+    ref, twin = _run_both(topology, scheme, cfg)
+    assert _fingerprint(twin) == _fingerprint(ref)
+    assert twin.engine == ("dense" if _dense_serves(scheme) else "reference")
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +155,9 @@ def test_single_message_parity(scheme):
     """One lone multicast on an otherwise idle network: the degenerate
     contention-free calendar must agree exactly."""
     cfg = SimConfig(**BASE, num_messages=1, num_destinations=4, seed=1)
-    ref, dense = _run_both(Mesh2D(4, 4), scheme, cfg)
-    assert _fingerprint(dense) == _fingerprint(ref)
-    assert dense.deliveries == 4
+    ref, twin = _run_both(Mesh2D(4, 4), scheme, cfg)
+    assert _fingerprint(twin) == _fingerprint(ref)
+    assert twin.deliveries == 4
 
 
 SATURATION_CASES = [
@@ -163,30 +182,30 @@ def test_near_saturation_parity(scheme, ia, seed):
         num_messages=250,
         num_destinations=6,
     )
-    ref, dense = _run_both(Mesh2D(8, 8), scheme, cfg)
-    assert _fingerprint(dense) == _fingerprint(ref)
+    ref, twin = _run_both(Mesh2D(8, 8), scheme, cfg)
+    assert _fingerprint(twin) == _fingerprint(ref)
 
 
 # ----------------------------------------------------------------------
-# Deadlock parity: both engines must wedge identically
+# Deadlock parity: both networks must wedge identically
 # ----------------------------------------------------------------------
 
 
 def test_deadlock_parity():
-    """Sustained single-channel tree traffic wedges a 4-cube (§6.1); a
-    dense request (run on the reference engine) must detect it and
-    report the same diagnostic."""
+    """Sustained single-channel tree traffic wedges a 4-cube (§6.1);
+    the fault-aware tree worms must detect it and report the same
+    diagnostic."""
     cube = Hypercube(4)
     cfg = SimConfig(
         **BASE, num_messages=200, num_destinations=8,
         mean_interarrival=50e-6, seed=7,
     )
-    errors = {}
-    for engine in ("reference", "dense"):
+    errors = []
+    for run in (run_dynamic, _run_twin):
         with pytest.raises(DeadlockDetected) as info:
-            run_dynamic(cube, "ecube-tree", cfg, engine=engine)
-        errors[engine] = str(info.value)
-    assert errors["dense"] == errors["reference"]
+            run(cube, "ecube-tree", cfg)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 # ----------------------------------------------------------------------
@@ -251,19 +270,6 @@ def test_resilient_fault_parity(scheme, rate):
     assert _fault_fingerprint(swept) == _fault_fingerprint(local)
 
 
-def test_mixed_traffic_parity():
-    cfg = SimConfig(
-        **BASE, seed=3, mean_interarrival=250e-6,
-        num_messages=200, num_destinations=5,
-    )
-    ref = run_mixed(Mesh2D(8, 8), "dual-path", cfg, engine="reference")
-    dense = run_mixed(Mesh2D(8, 8), "dual-path", cfg, engine="dense")
-    assert (dense.unicast_latency, dense.multicast_latency,
-            dense.injected_messages, dense.sim_time) == (
-        ref.unicast_latency, ref.multicast_latency,
-        ref.injected_messages, ref.sim_time)
-
-
 # ----------------------------------------------------------------------
 # Static scenarios: the §6 bursts injected at time zero
 # ----------------------------------------------------------------------
@@ -287,13 +293,22 @@ def _fig_6_4():
     ]
 
 
-def _scenario_both(topology, scheme, requests, cfg):
-    ref = run_static_scenario(topology, scheme, requests, cfg, engine="reference")
-    dense = run_static_scenario(topology, scheme, requests, cfg, engine="dense")
-    assert (ref.engine, dense.engine) == ("reference", _dense_engine(scheme))
-    assert (dense.completed, dense.blocked_worms, dense.deliveries, dense.sim_time) == (
-        ref.completed, ref.blocked_worms, ref.deliveries, ref.sim_time)
-    return ref, dense
+def _burst_both(topology, scheme, requests, cfg):
+    """Inject ``requests`` at time zero into a fresh reference network
+    and a fresh twin (:func:`_run_twin`'s choice) and run both dry;
+    their outcomes must agree event for event.  Returns the reference
+    outcome and the twin."""
+    router = Router(topology, scheme, channels_per_link=cfg.channels_per_link)
+    twin = DenseEngine(cfg) if _dense_serves(scheme) else FaultyWormholeNetwork(Environment(), cfg)
+    outcomes = []
+    for net in (WormholeNetwork(Environment(), cfg), twin):
+        for mid, request in enumerate(requests, start=1):
+            inject_specs(net, mid, router(request), cfg.channels_per_link, router)
+        completed = net.run_to_completion()
+        outcomes.append((completed, net.active_worms, net.delivery_latencies(), net.now))
+    ref, other = outcomes
+    assert other == ref
+    return ref, twin
 
 
 @pytest.mark.parametrize("scenario,scheme", [
@@ -301,12 +316,11 @@ def _scenario_both(topology, scheme, requests, cfg):
     pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
 ])
 def test_static_deadlock_parity(scenario, scheme):
-    """The §6.1 deadlocks wedge with the same worms blocked (a dense
-    request runs the tree worms on the reference engine)."""
+    """The §6.1 deadlocks wedge with the same worms blocked on the
+    fault-aware tree worms."""
     topology, requests = scenario()
-    ref, dense = _scenario_both(topology, scheme, requests, SimConfig(**BASE))
-    assert not ref.completed and not dense.completed
-    assert dense.blocked_worms == ref.blocked_worms > 0
+    (completed, blocked, _, _), _ = _burst_both(topology, scheme, requests, SimConfig(**BASE))
+    assert not completed and blocked > 0
 
 
 @pytest.mark.parametrize("scheme,channels", [
@@ -314,18 +328,18 @@ def test_static_deadlock_parity(scenario, scheme):
     pytest.param("tree-xfirst", 2, id="tree-xfirst-double"),
 ])
 def test_static_fix_parity(scheme, channels):
-    """The §6.2 fixes complete the Fig. 6.4 pattern whichever engine
-    serves the request."""
+    """The §6.2 fixes complete the Fig. 6.4 pattern on both networks
+    alike."""
     mesh, requests = _fig_6_4()
-    ref, _ = _scenario_both(
+    (completed, blocked, delivered, _), _ = _burst_both(
         mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)
     )
-    assert ref.completed and ref.deliveries == 4
+    assert completed and blocked == 0 and len(delivered) == 4
 
 
 def test_static_burst_parity_batches():
-    """A 64-source fixed-path burst on a 6-cube runs on the dense
-    engine and matches the reference."""
+    """A 64-source fixed-path burst on a 6-cube matches the reference
+    on the dense engine, which commits work in its kernels."""
     cube = Hypercube(6)
     rng = random.Random(1)
     requests = [
@@ -334,10 +348,12 @@ def test_static_burst_parity_batches():
         )
         for s in cube.nodes()
     ]
-    ref, dense = _scenario_both(cube, "fixed-path", requests, SimConfig(**BASE))
-    assert ref.completed and ref.deliveries == 64 * 16
-    assert dense.engine == "dense"
-    assert dense.engine_stats["events"] + dense.engine_stats["batched_events"] > 0
+    (completed, _, delivered, _), dense = _burst_both(
+        cube, "fixed-path", requests, SimConfig(**BASE)
+    )
+    assert completed and len(delivered) == 64 * 16
+    stats = dense.cache_stats()
+    assert stats["events"] + stats["batched_events"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -369,43 +385,51 @@ def test_unknown_engine_rejected():
         run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="sparse")
 
 
-def _static_run(scenario):
-    """``(run, topology)``: ``scenario``'s requests as a run function of
-    the driver shape, and the topology they live on."""
-    topology, requests = scenario()
-
-    def run(topo, scheme, cfg, engine):
-        return run_static_scenario(topo, scheme, requests, cfg, engine=engine)
-
-    return run, topology
-
-#: runs the dense engine does not serve; the configs leave
-#: ``quantize_arrivals`` off, so the fallback must switch it on
+#: runs the dense engine does not serve
 UNSERVED = [
-    pytest.param(run_dynamic, Mesh2D(8, 8), "vct-tree", {}, id="vct-tree"),
-    pytest.param(run_dynamic, Mesh2D(8, 8), "xfirst-tree", dict(channels_per_link=2),
-                 id="xfirst-tree"),
-    pytest.param(run_dynamic, Hypercube(6), "ecube-tree",
-                 dict(mean_interarrival=800e-6), id="ecube-tree"),
-    pytest.param(run_dynamic, Mesh2D(8, 8), "dual-path-adaptive", {},
-                 id="dual-path-adaptive"),
-    pytest.param(*_static_run(_fig_6_1), "ecube-tree", {}, id="fig6.1-static"),
-    pytest.param(*_static_run(_fig_6_4), "xfirst-tree", {}, id="fig6.4-static"),
+    pytest.param(Mesh2D(8, 8), "vct-tree", {}, id="vct-tree"),
+    pytest.param(Mesh2D(8, 8), "xfirst-tree", dict(channels_per_link=2), id="xfirst-tree"),
+    pytest.param(Hypercube(6), "ecube-tree", dict(mean_interarrival=800e-6), id="ecube-tree"),
+    pytest.param(Mesh2D(8, 8), "dual-path-adaptive", {}, id="dual-path-adaptive"),
 ]
 
 
-@pytest.mark.parametrize("run,topology,scheme,kw", UNSERVED)
-def test_dense_falls_back_to_reference(run, topology, scheme, kw):
-    """Tree, adaptive and VCT worms have no dense kernel: asking for
-    dense must run the reference model on the flit grid
-    (``quantize_arrivals=True``) and say so."""
+@pytest.mark.parametrize("topology,scheme,kw", UNSERVED)
+def test_dense_falls_back_to_reference(topology, scheme, kw):
+    """Tree, adaptive and VCT worms have no dense kernel: a dense
+    request raises, and ``engine="auto"`` falls back to the reference
+    engine, says why, and matches an explicit reference run."""
     cfg = SimConfig(seed=3, mean_interarrival=300e-6, num_messages=100,
                     num_destinations=4).replace(**kw)
-    result = run(topology, scheme, cfg, engine="dense")
+    with pytest.raises(InvalidConfigError, match="path worms only"):
+        run_dynamic(topology, scheme, cfg, engine="dense")
+    result = run_dynamic(topology, scheme, cfg, engine="auto")
     assert result.engine == "reference"
-    assert result.engine_stats is None
-    ref = run(topology, scheme, cfg.replace(quantize_arrivals=True), engine="reference")
-    assert result == ref
+    assert result.engine_stats["auto"]["reason"] == "worm-style"
+    ref = run_dynamic(topology, scheme, cfg, engine="reference")
+    assert ref.engine_stats is None
+    assert _fingerprint(result) == _fingerprint(ref)
+
+
+def test_dense_rejects_unserved_worm_styles():
+    """Tree, adaptive and VCT worms have no dense kernel: a dense
+    request raises, in run_dynamic and when a sweep job is built, while
+    ``engine="auto"`` runs them on the reference engine."""
+    from repro.parallel import SweepJob
+
+    cfg = SimConfig(**BASE, num_messages=10, num_destinations=4, channels_per_link=2)
+    unserved = [
+        spec for spec in registry.specs(simulable=True, include_families=False)
+        if spec.worm_style not in DENSE_WORM_STYLES
+    ]
+    assert {s.worm_style for s in unserved} == {"adaptive", "tree", "vct-tree", "xfirst-tree"}
+    for spec in unserved:
+        topology = Mesh2D(4, 4) if "mesh2d" in spec.topologies else Hypercube(4)
+        with pytest.raises(InvalidConfigError, match="path worms only"):
+            run_dynamic(topology, spec.name, cfg, engine="dense")
+        with pytest.raises(InvalidConfigError, match="path worms only"):
+            SweepJob(topology, spec.name, cfg, engine="dense")
+        assert run_dynamic(topology, spec.name, cfg, engine="auto").engine == "reference"
 
 
 def test_sweepjob_validates_engine():

@@ -16,9 +16,7 @@ from repro.sim.runner import (
     AUTO_MIN_HOPS,
     choose_engine,
     run_dynamic,
-    run_mixed,
     run_resilient,
-    run_static_scenario,
     _make_router,
 )
 from repro.topology import Hypercube, Mesh2D
@@ -85,14 +83,6 @@ class TestChooseEngine:
         assert engine == "reference"
         assert feats["reason"] == "unquantized-grid"
 
-    def test_fault_schedule_picks_reference(self):
-        engine, feats = _decide(
-            Hypercube(6), "fixed-path", _light_config(link_fault_rate=0.02)
-        )
-        assert engine == "reference"
-        assert feats["reason"] == "fault-schedule"
-        assert feats["faulty"] is True
-
     def test_features_are_complete(self):
         _, feats = _decide(Hypercube(7), "fixed-path", _light_config())
         for key in (
@@ -108,7 +98,6 @@ class TestChooseEngine:
             "worms_per_message",
             "plane_split",
             "quantized",
-            "faulty",
             "decision",
             "reason",
         ):
@@ -147,11 +136,6 @@ class TestRunDynamicAuto:
 
 
 class TestOtherDriversAuto:
-    def test_mixed_records_decision(self):
-        res = run_mixed(Hypercube(6), "fixed-path", _light_config(), engine="auto")
-        assert res.engine in ("reference", "dense")
-        assert res.engine_stats["auto"]["decision"] == res.engine
-
     def test_resilient_with_faults_goes_reference(self):
         # resilient runs take no engine: the result reports the
         # fault-aware reference network and carries no decision record
@@ -172,17 +156,6 @@ class TestOtherDriversAuto:
         assert (res.sim_time, res.latency, res.deliveries, res.worms) == (
             dense.sim_time, dense.latency, dense.deliveries, dense.worms
         )
-
-    def test_static_scenario_accepts_auto(self):
-        from repro.models.request import MulticastRequest
-
-        topo = Hypercube(4)
-        reqs = [MulticastRequest(topo, 0, (3, 5))]
-        res = run_static_scenario(topo, "fixed-path", reqs, engine="auto")
-        assert res.completed
-        assert res.engine == "reference"
-        assert res.engine_stats["auto"]["decision"] == "reference"
-        assert res.engine_stats["auto"]["reason"] == "static-burst"
 
 
 class TestSweepAuto:

@@ -23,7 +23,7 @@ from repro.heuristics import (
     xfirst_route,
 )
 from repro.models import random_multicast
-from repro.sim import SimConfig, run_dynamic
+from repro.sim import SimConfig, run_dynamic, run_mixed
 from repro.topology import Hypercube, Mesh2D
 from repro.wormhole import dual_path_route, fixed_path_route, multi_path_route
 
@@ -111,3 +111,21 @@ class TestGoldenDynamics:
         assert r.mean_latency * 1e6 == pytest.approx(12.8015, abs=1e-3)
         assert r.sim_time * 1e6 == pytest.approx(3149.968, abs=1e-2)
         assert r.deliveries == 500
+
+    def test_mixed_latency_pinned(self):
+        """The unicast/multicast mix (§8.2): the shared arrival process,
+        the unicast/multicast coin and both destination draws, pinned
+        exactly."""
+        r = run_mixed(
+            Mesh2D(6, 6),
+            "multi-path",
+            SimConfig(num_messages=200, num_destinations=5,
+                      mean_interarrival=200e-6, seed=29),
+            unicast_fraction=0.3,
+        )
+        assert r.unicast_latency.mean == 9.079030119759204e-06
+        assert r.unicast_latency.num_observations == 57
+        assert r.multicast_latency.mean == 9.281851198334145e-06
+        assert r.multicast_latency.num_observations == 615
+        assert r.sim_time == 0.0020477368623549735
+        assert r.injected_messages == 200

@@ -6,12 +6,16 @@ from __future__ import annotations
 import pytest
 
 from repro.models import MulticastRequest
+from repro.registry import names
 from repro.sim import (
     DeadlockDetected,
+    InvalidConfigError,
     Router,
     SimConfig,
     batch_means,
     run_dynamic,
+    run_mixed,
+    run_resilient,
     run_static_scenario,
 )
 from repro.topology import Hypercube, Mesh2D
@@ -55,7 +59,7 @@ class TestRouterAdapters:
         from repro.sim.traffic import PathSpec
 
         req = MulticastRequest(MESH, (3, 3), ((0, 0), (7, 7), (5, 1)))
-        for scheme in Router.PATH_SCHEMES:
+        for scheme in names(worm_style="star"):
             specs = Router(MESH, scheme)(req)
             assert all(isinstance(s, PathSpec) for s in specs)
             covered = set().union(*(s.destinations for s in specs))
@@ -117,6 +121,27 @@ class TestDynamicRuns:
         cfg = quick(channels_per_link=2)
         r = run_dynamic(MESH, "tree-xfirst", cfg)
         assert r.deliveries == cfg.num_messages * cfg.num_destinations
+
+    def test_more_destinations_than_other_nodes_rejected(self):
+        # a 2x2 mesh has 3 nodes besides the source: every driver
+        # refuses 4 destinations, which rejection sampling could never
+        # draw
+        cfg = SimConfig(num_destinations=4, num_messages=10)
+        for run in (run_dynamic, run_resilient, run_mixed):
+            with pytest.raises(InvalidConfigError, match="4 destinations"):
+                run(Mesh2D(2, 2), "dual-path", cfg)
+
+    def test_fault_rates_rejected(self):
+        # run_dynamic injects no faults: a faulty config must go to
+        # run_resilient rather than silently simulate a fault-free run
+        from repro.parallel import SweepJob
+
+        for cfg in (quick(link_fault_rate=0.15), quick(node_fault_rate=0.05)):
+            with pytest.raises(InvalidConfigError, match="run_resilient"):
+                run_dynamic(MESH, "dual-path", cfg)
+            with pytest.raises(InvalidConfigError, match="run_resilient"):
+                SweepJob(MESH, "dual-path", cfg)
+            SweepJob(MESH, "dual-path", cfg, "resilient")
 
 
 class TestPaperShapes:

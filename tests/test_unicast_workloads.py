@@ -80,6 +80,13 @@ class TestWorkloadPatterns:
         req = uniform(self.mesh, (0, 0), 10, self.rng)
         assert req.k == 10
 
+    def test_uniform_rejects_more_destinations_than_other_nodes(self):
+        # a 2x2 mesh has 3 nodes besides the source, so rejection
+        # sampling could never draw 4 distinct destinations
+        assert uniform(Mesh2D(2, 2), (0, 0), 3, self.rng).k == 3
+        with pytest.raises(ValueError, match="k must be in"):
+            uniform(Mesh2D(2, 2), (0, 0), 4, self.rng)
+
     def test_local_radius(self):
         req = local(self.mesh, (4, 4), 6, self.rng, radius=2)
         assert all(self.mesh.distance((4, 4), d) <= 2 for d in req.destinations)
