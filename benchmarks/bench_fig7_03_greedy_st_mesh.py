@@ -3,35 +3,23 @@
 
 Paper shape: greedy ST is far below both baselines over the whole
 sweep (it approaches the k lower bound, i.e. near-zero additional
-traffic, for dense destination sets)."""
+traffic, for dense destination sets).  The figure is defined by
+:func:`repro.experiments.fig_7_3`."""
 
 from __future__ import annotations
 
-from conftest import resolve_algorithms, static_sweep
+from conftest import SCALE
 
-from repro.topology import Mesh2D
-
-KS = [10, 50, 100, 200, 400, 700]
-
-
-def run():
-    mesh = Mesh2D(32, 32)
-    algorithms = resolve_algorithms({
-        "greedy-ST": "greedy-st",
-        "multi-unicast": "multi-unicast",
-        "broadcast": "broadcast",
-    })
-    return static_sweep(mesh, algorithms, KS, base_runs=20)
+from repro.experiments import reproduce
 
 
 def test_fig7_3_greedy_st_mesh(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_03_greedy_st_mesh",
-        "Fig 7.3: additional traffic on a 32x32 mesh",
-        ["k", "runs", "greedy-ST", "multi-unicast", "broadcast"],
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.3",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    for _k, _, st, uni, bc in rows:
-        assert st < uni
-        assert st < bc
+    emit("fig7_03_greedy_st_mesh", result.description,
+         [result.parameter, *result.columns], result.rows)
+    st, uni, bc = (result.series(c) for c in ("greedy-ST", "multi-unicast", "broadcast"))
+    for s, u, b in zip(st, uni, bc):
+        assert s < u
+        assert s < b

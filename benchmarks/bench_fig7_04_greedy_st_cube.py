@@ -3,35 +3,23 @@
 
 Paper shape: "the results of our routing algorithm show a significant
 improvement over the LEN algorithm in terms of the amount of traffic".
+The figure is defined by :func:`repro.experiments.fig_7_4`.
 """
 
 from __future__ import annotations
 
-from conftest import resolve_algorithms, static_sweep
+from conftest import SCALE
 
-from repro.topology import Hypercube
-
-KS = [10, 50, 100, 200, 400, 700]
-
-
-def run():
-    cube = Hypercube(10)
-    algorithms = resolve_algorithms({
-        "greedy-ST": "greedy-st",
-        "LEN": "len",
-        "multi-unicast": "multi-unicast",
-    })
-    return static_sweep(cube, algorithms, KS, base_runs=20)
+from repro.experiments import reproduce
 
 
 def test_fig7_4_greedy_st_cube(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_04_greedy_st_cube",
-        "Fig 7.4: additional traffic on a 10-cube (greedy ST vs LEN)",
-        ["k", "runs", "greedy-ST", "LEN", "multi-unicast"],
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.4",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    for _k, _, st, len_t, uni in rows:
-        assert st <= len_t  # the headline improvement
-        assert len_t < uni
+    emit("fig7_04_greedy_st_cube", result.description,
+         [result.parameter, *result.columns], result.rows)
+    st, len_t, uni = (result.series(c) for c in ("greedy-ST", "LEN", "multi-unicast"))
+    for s, l_, u in zip(st, len_t, uni):
+        assert s <= l_  # the headline improvement
+        assert l_ < u

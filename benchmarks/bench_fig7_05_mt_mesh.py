@@ -2,37 +2,24 @@
 multicast tree algorithms on a 16x16 mesh.
 
 Paper shape: X-first is always far below multiple one-to-one and
-broadcast; divided greedy is always below X-first.
+broadcast; divided greedy is always below X-first.  The figure is
+defined by :func:`repro.experiments.fig_7_5`.
 """
 
 from __future__ import annotations
 
-from conftest import resolve_algorithms, static_sweep
+from conftest import SCALE
 
-from repro.topology import Mesh2D
-
-KS = [5, 10, 25, 50, 100, 180]
-
-
-def run():
-    mesh = Mesh2D(16, 16)
-    algorithms = resolve_algorithms({
-        "divided-greedy": "divided-greedy",
-        "X-first": "xfirst",
-        "multi-unicast": "multi-unicast",
-        "broadcast": "broadcast",
-    })
-    return static_sweep(mesh, algorithms, KS, base_runs=40)
+from repro.experiments import reproduce
 
 
 def test_fig7_5_mt_mesh(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_05_mt_mesh",
-        "Fig 7.5: additional traffic on a 16x16 mesh (multicast tree model)",
-        ["k", "runs", "divided-greedy", "X-first", "multi-unicast", "broadcast"],
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.5",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    for _k, _, dg, xf, uni, _bc in rows:
-        assert dg <= xf  # divided greedy always below X-first
-        assert xf < uni
+    emit("fig7_05_mt_mesh", result.description,
+         [result.parameter, *result.columns], result.rows)
+    dg, xf, uni = (result.series(c) for c in ("divided-greedy", "X-first", "multi-unicast"))
+    for d, x, u in zip(dg, xf, uni):
+        assert d <= x  # divided greedy always below X-first
+        assert x < u

@@ -3,38 +3,25 @@ methods (dual-path, multi-path, fixed-path) on a 6-cube.
 
 Paper shape: multi-path <= dual-path <= fixed-path (the static
 efficiency ordering; the dynamic study later reverses part of it under
-load)."""
+load).  The figure is defined by :func:`repro.experiments.fig_7_6`."""
 
 from __future__ import annotations
 
-from conftest import resolve_algorithms, static_sweep
+from conftest import SCALE
 
-from repro.topology import Hypercube
-
-KS = [2, 5, 10, 20, 35, 50]
-
-
-def run():
-    cube = Hypercube(6)
-    algorithms = resolve_algorithms({
-        "multi-path": "multi-path",
-        "dual-path": "dual-path",
-        "fixed-path": "fixed-path",
-    })
-    return static_sweep(cube, algorithms, KS, base_runs=60)
+from repro.experiments import reproduce
 
 
 def test_fig7_6_cube_static(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_06_cube_static",
-        "Fig 7.6: additional traffic of multicast star methods on a 6-cube",
-        ["k", "runs", "multi-path", "dual-path", "fixed-path"],
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.6",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    for _k, _, multi, dual, fixed in rows:
+    emit("fig7_06_cube_static", result.description,
+         [result.parameter, *result.columns], result.rows)
+    multi, dual, fixed = (result.series(c) for c in ("multi-path", "dual-path", "fixed-path"))
+    for m, d, f in zip(multi, dual, fixed):
         # on the hypercube dual and multi are statically close (label
         # bucketing can forfeit prefix sharing at small k); both stay
         # well below fixed-path
-        assert multi <= dual * 1.25
-        assert dual <= fixed * 1.02
+        assert m <= d * 1.25
+        assert d <= f * 1.02

@@ -4,40 +4,25 @@ fixed-path routing on an 8x8 mesh for varying destination counts.
 Paper shape: multi-path <= dual-path <= fixed-path, with the gap
 between fixed and the others shrinking as the destination set grows
 (fixed-path wastes fewer of its forced hops when destinations are
-dense).
+dense).  The figure is defined by :func:`repro.experiments.fig_7_7`.
 """
 
 from __future__ import annotations
 
-from conftest import resolve_algorithms, static_sweep
+from conftest import SCALE
 
-from repro.topology import Mesh2D
-
-KS = [2, 5, 10, 20, 35, 50]
-
-
-def run():
-    mesh = Mesh2D(8, 8)
-    algorithms = resolve_algorithms({
-        "multi-path": "multi-path",
-        "dual-path": "dual-path",
-        "fixed-path": "fixed-path",
-    })
-    return static_sweep(mesh, algorithms, KS, base_runs=60)
+from repro.experiments import reproduce
 
 
 def test_fig7_7_mesh_static(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_07_mesh_static",
-        "Fig 7.7: additional traffic of multicast star methods on an 8x8 mesh",
-        ["k", "runs", "multi-path", "dual-path", "fixed-path"],
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.7",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    for _k, _, multi, dual, fixed in rows:
-        assert multi <= dual * 1.02
-        assert dual <= fixed * 1.02
+    emit("fig7_07_mesh_static", result.description,
+         [result.parameter, *result.columns], result.rows)
+    multi, dual, fixed = (result.series(c) for c in ("multi-path", "dual-path", "fixed-path"))
+    for m, d, f in zip(multi, dual, fixed):
+        assert m <= d * 1.02
+        assert d <= f * 1.02
     # the fixed-vs-dual gap shrinks with k
-    first_gap = rows[0][4] - rows[0][3]
-    last_gap = rows[-1][4] - rows[-1][3]
-    assert last_gap <= first_gap
+    assert fixed[-1] - dual[-1] <= fixed[0] - dual[0]

@@ -4,50 +4,29 @@ multi-path.  10 destinations, 128-byte messages, 20 MB/s channels.
 
 Paper shape: all three perform well at low load; as load increases the
 tree algorithm is hurt first (one blocked branch stalls the whole
-tree); multi-path outperforms dual-path.
+tree); multi-path outperforms dual-path.  The figure is defined by
+:func:`repro.experiments.fig_7_8`.
 """
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import SCALE
 
-from repro.sim import SimConfig, run_dynamic
-from repro.topology import Mesh2D
-
-SCHEMES = ("tree-xfirst", "dual-path", "multi-path")
-INTERARRIVALS_US = (2000, 1000, 500, 300, 200, 150)
-
-
-def run():
-    mesh = Mesh2D(8, 8)
-    rows = []
-    for ia in INTERARRIVALS_US:
-        cfg = SimConfig(
-            num_messages=scaled(400),
-            num_destinations=10,
-            mean_interarrival=ia * 1e-6,
-            channels_per_link=2,
-            seed=42,
-        )
-        row = [ia]
-        for scheme in SCHEMES:
-            row.append(run_dynamic(mesh, scheme, cfg).mean_latency * 1e6)
-        rows.append(row)
-    return rows
+from repro.experiments import reproduce
 
 
 def test_fig7_8_dynamic_load_double(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_08_dynamic_load_double",
-        "Fig 7.8: latency (us) vs inter-arrival time (us), double-channel 8x8 mesh, 10 dests",
-        ["interarrival_us"] + list(SCHEMES),
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.8",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    low, high = rows[0], rows[-1]
+    emit("fig7_08_dynamic_load_double", result.description,
+         [result.parameter, *result.columns], result.rows)
+    tree, dual, multi = (result.series(c) for c in ("tree-xfirst", "dual-path", "multi-path"))
+    # the sweep runs from low load (first point) to high load (last)
+    low = (tree[0], dual[0], multi[0])
     # at low load, all three within a small factor of each other
-    assert max(low[1:]) < 2 * min(low[1:])
+    assert max(low) < 2 * min(low)
     # at high load the tree algorithm saturates first
-    assert high[1] > high[2] and high[1] > high[3]
+    assert tree[-1] > dual[-1] and tree[-1] > multi[-1]
     # multi-path outperforms dual-path under load
-    assert high[3] < high[2]
+    assert multi[-1] < dual[-1]

@@ -4,51 +4,27 @@ double-channel 8x8 mesh, 300 us mean inter-arrival per node.
 Paper shape: with larger destination sets the dependencies among tree
 branches become critical and tree latency increases rapidly; the path
 algorithms stay flat; dual-path overtakes multi-path for the largest
-destination sets.
+destination sets.  The figure is defined by
+:func:`repro.experiments.fig_7_9`.
 """
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import SCALE
 
-from repro.sim import SimConfig, run_dynamic
-from repro.topology import Mesh2D
-
-SCHEMES = ("tree-xfirst", "dual-path", "multi-path")
-DEST_COUNTS = (1, 5, 10, 20, 30, 45)
-
-
-def run():
-    mesh = Mesh2D(8, 8)
-    rows = []
-    for k in DEST_COUNTS:
-        cfg = SimConfig(
-            num_messages=scaled(400),
-            num_destinations=k,
-            mean_interarrival=300e-6,
-            channels_per_link=2,
-            seed=42,
-        )
-        row = [k]
-        for scheme in SCHEMES:
-            row.append(run_dynamic(mesh, scheme, cfg).mean_latency * 1e6)
-        rows.append(row)
-    return rows
+from repro.experiments import reproduce
 
 
 def test_fig7_9_dynamic_dests_double(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_09_dynamic_dests_double",
-        "Fig 7.9: latency (us) vs destinations, double-channel 8x8 mesh, 300us interarrival",
-        ["k"] + list(SCHEMES),
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.9",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    tree = [r[1] for r in rows]
-    dual = [r[2] for r in rows]
+    emit("fig7_09_dynamic_dests_double", result.description,
+         [result.parameter, *result.columns], result.rows)
+    tree, dual, multi = (result.series(c) for c in ("tree-xfirst", "dual-path", "multi-path"))
     # tree delay "increases rapidly" with destination count
     assert tree[-1] > 5 * tree[0]
     # paths stay comparatively flat
     assert dual[-1] < 3 * dual[0]
     # tree is clearly worst at the largest destination sets
-    assert tree[-1] > 3 * max(rows[-1][2], rows[-1][3])
+    assert tree[-1] > 3 * max(dual[-1], multi[-1])

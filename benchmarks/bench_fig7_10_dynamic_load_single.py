@@ -3,52 +3,30 @@
 
 Paper shape: both display good performance at low load; as the load
 increases multi-path offers a slight improvement over dual-path
-(it introduces less traffic).
+(it introduces less traffic).  The figure is defined by
+:func:`repro.experiments.fig_7_10`.
 """
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import SCALE
 
-from repro.sim import SimConfig, run_dynamic
-from repro.topology import Mesh2D
-
-SCHEMES = ("dual-path", "multi-path")
-INTERARRIVALS_US = (2000, 1000, 500, 300, 200, 150)
-
-
-def run():
-    mesh = Mesh2D(8, 8)
-    rows = []
-    for ia in INTERARRIVALS_US:
-        cfg = SimConfig(
-            num_messages=scaled(400),
-            num_destinations=10,
-            mean_interarrival=ia * 1e-6,
-            channels_per_link=1,
-            seed=42,
-        )
-        row = [ia]
-        for scheme in SCHEMES:
-            row.append(run_dynamic(mesh, scheme, cfg).mean_latency * 1e6)
-        rows.append(row)
-    return rows
+from repro.experiments import reproduce
 
 
 def test_fig7_10_dynamic_load_single(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_10_dynamic_load_single",
-        "Fig 7.10: latency (us) vs inter-arrival time (us), single-channel 8x8 mesh, 10 dests",
-        ["interarrival_us"] + list(SCHEMES),
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.10",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
+    emit("fig7_10_dynamic_load_single", result.description,
+         [result.parameter, *result.columns], result.rows)
+    dual, multi = result.series("dual-path"), result.series("multi-path")
     # low load: both near the contention-free floor and close together
-    assert abs(rows[0][1] - rows[0][2]) < 0.3 * rows[0][1]
+    assert abs(dual[0] - multi[0]) < 0.3 * dual[0]
     # moderate-to-high load: multi-path at or below dual-path (at the
     # very deepest load point the Fig. 7.11 hot-spot effect can already
     # flip the ordering, so assert on the 500/300/200us points)
-    for row in rows[2:5]:
-        assert row[2] <= row[1] * 1.05
+    for d, m in zip(dual[2:5], multi[2:5]):
+        assert m <= d * 1.05
     # latency grows with load for both
-    assert rows[-1][1] > rows[0][1]
+    assert dual[-1] > dual[0]

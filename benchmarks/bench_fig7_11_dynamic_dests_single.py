@@ -1,57 +1,34 @@
 """Fig. 7.11 — average network latency vs number of destinations on a
-single-channel 8x8 mesh under substantial load: dual-path vs
-multi-path vs fixed-path.
+single-channel 8x8 mesh under substantial load (400 us mean
+inter-arrival): dual-path vs multi-path vs fixed-path.
 
 Paper shape (the chapter's subtlest result): with both load and
 destination count high, multi-path's source node becomes a *hot spot*
 (it transmits on all four outgoing channels at once) and dual-path
 performs much better; for small destination sets fixed-path wastes
 channels and loses, but for large sets fixed-path and dual-path become
-effectively identical.
+effectively identical.  The figure is defined by
+:func:`repro.experiments.fig_7_11`.
 """
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import SCALE
 
-from repro.sim import SimConfig, run_dynamic
-from repro.topology import Mesh2D
-
-SCHEMES = ("dual-path", "multi-path", "fixed-path")
-DEST_COUNTS = (5, 15, 30, 45)
-
-
-def run():
-    mesh = Mesh2D(8, 8)
-    rows = []
-    for k in DEST_COUNTS:
-        cfg = SimConfig(
-            num_messages=scaled(400),
-            num_destinations=k,
-            mean_interarrival=400e-6,
-            channels_per_link=1,
-            seed=42,
-        )
-        row = [k]
-        for scheme in SCHEMES:
-            row.append(run_dynamic(mesh, scheme, cfg).mean_latency * 1e6)
-        rows.append(row)
-    return rows
+from repro.experiments import reproduce
 
 
 def test_fig7_11_dynamic_dests_single(benchmark, emit):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "fig7_11_dynamic_dests_single",
-        "Fig 7.11: latency (us) vs destinations, single-channel 8x8 mesh, 400us interarrival",
-        ["k"] + list(SCHEMES),
-        rows,
+    result = benchmark.pedantic(
+        reproduce, args=("fig7.11",), kwargs={"scale": SCALE}, rounds=1, iterations=1
     )
-    small, large = rows[0], rows[-1]
-    # small destination sets: multi-path best, fixed-path worst
-    assert small[2] <= small[1]
-    assert small[3] >= small[1]
-    # large destination sets: the multi-path hot spot dominates
-    assert large[1] < large[2]
+    emit("fig7_11_dynamic_dests_single", result.description,
+         [result.parameter, *result.columns], result.rows)
+    dual, multi, fixed = (result.series(c) for c in ("dual-path", "multi-path", "fixed-path"))
+    # small destination sets (first point): multi-path best, fixed-path worst
+    assert multi[0] <= dual[0]
+    assert fixed[0] >= dual[0]
+    # large destination sets (last point): the multi-path hot spot dominates
+    assert dual[-1] < multi[-1]
     # fixed-path and dual-path effectively identical for large sets
-    assert abs(large[3] - large[1]) < 0.5 * large[1]
+    assert abs(fixed[-1] - dual[-1]) < 0.5 * dual[-1]

@@ -3,7 +3,11 @@
 Every benchmark regenerates one table or figure of the dissertation:
 it computes the figure's data series once (timed by pytest-benchmark),
 prints the rows, and archives them under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the measured numbers.
+EXPERIMENTS.md can reference the measured numbers.  The Chapter 7
+figures are defined once, in :mod:`repro.experiments`; their
+``bench_fig7_*`` scripts run them through
+:func:`repro.experiments.reproduce` and assert the paper's shape
+claims on the result.
 
 Run everything with::
 
@@ -13,7 +17,9 @@ The dissertation averaged each static data point over 1000 random
 multicast sets and simulated dynamic points to a 5% confidence
 interval; the benchmarks use reduced replication (documented per
 benchmark) to keep the suite's wall-clock time reasonable.  Increase
-``REPRO_SCALE`` (environment variable, default 1.0) to tighten.
+``REPRO_SCALE`` (environment variable, default 1.0) to tighten; the
+figure scripts pass it to ``reproduce`` as ``scale``, the same rule as
+``python -m repro reproduce --scale``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import os
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import ExperimentResult
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
@@ -36,62 +44,10 @@ def scaled(n: int, minimum: int = 2) -> int:
 def emit():
     """Print a result table and archive it under benchmarks/results/."""
 
-    def _emit(name: str, title: str, header: list[str], rows: list[list]) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        widths = [
-            max(len(str(h)), max((len(_fmt(r[i])) for r in rows), default=0))
-            for i, h in enumerate(header)
-        ]
-        lines = [title, ""]
-        lines.append("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(_fmt(v).rjust(w) for v, w in zip(row, widths)))
-        text = "\n".join(lines)
+    def _emit(name: str, title: str, header: list[str], rows: list) -> None:
+        text = ExperimentResult(name, title, header[0], tuple(header[1:]), tuple(rows)).as_table()
         print("\n" + text)
+        RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _emit
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.2f}"
-    return str(v)
-
-
-def resolve_algorithms(labels: dict) -> dict:
-    """Map figure-legend labels to route functions resolved through
-    :mod:`repro.registry`, so the benchmarks exercise exactly what the
-    catalogue registers (and break loudly if a registration vanishes)."""
-    from repro.registry import get as get_spec
-
-    return {label: get_spec(name).fn for label, name in labels.items()}
-
-
-def static_sweep(topology, algorithms: dict, ks, base_runs: int):
-    """Mean additional traffic per algorithm over a destination-count
-    sweep (the measurement behind Figs. 7.1-7.7).
-
-    Every algorithm sees the same random multicast sets per k; the
-    number of runs shrinks with k to bound wall-clock time (the
-    dissertation used 1000 runs per point).
-    Returns rows ``[k, runs, traffic_algo1, ...]``.
-    """
-    import random
-
-    from repro.models import random_multicast
-
-    rows = []
-    for k in ks:
-        runs = scaled(max(3, base_runs * 10 // max(10, k)), minimum=3)
-        requests = []
-        rng = random.Random(10_000 + k)
-        for _ in range(runs):
-            requests.append(random_multicast(topology, k, rng))
-        row = [k, runs]
-        for algorithm in algorithms.values():
-            total = sum(algorithm(r).traffic - k for r in requests)
-            row.append(total / runs)
-        rows.append(row)
-    return rows

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Regenerate every Chapter 7 figure.
 
-The programmatic face of the benchmark suite: runs all eleven
-experiments through :mod:`repro.experiments` and prints each measured
-table at the figure functions' default replication (``SCALE = 1.0``).
-Lower ``SCALE`` (or use ``python -m repro reproduce <fig> --scale 0.2``)
-for a quicker, noisier pass.
+Runs all eleven experiments through :mod:`repro.experiments` and
+prints each measured table at the figure functions' default
+replication (``SCALE = 1.0``) — the same tables the
+``benchmarks/bench_fig7_*`` scripts archive and check against the
+paper's shapes.  Lower ``SCALE`` (or use
+``python -m repro reproduce <fig> --scale 0.2``) for a quicker, noisier
+pass.
 
 Run:  python examples/reproduce_figures.py
 """
@@ -26,7 +28,7 @@ def main() -> None:
         print(result.as_table())
         print()
     print(f"(all figures regenerated at scale {SCALE} in {time.time() - t0:.1f}s; "
-          "see benchmarks/ for the asserted full-scale runs)")
+          "benchmarks/bench_fig7_*.py assert the paper's shapes on them)")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Programmatic regeneration of the dissertation's experiments.
 
-Each function reproduces one figure of Chapter 7 (or a Chapter 2/6
-artifact) and returns an :class:`ExperimentResult` — the series the
-paper plots, as data.  The benchmark suite drives these same sweeps
-with assertions; this module is the library face, so downstream users
-can rerun any experiment at any scale::
+Each function reproduces one figure of Chapter 7 and returns an
+:class:`ExperimentResult` — the series the paper plots, as data.  This
+module is the only place a figure is defined: the
+``benchmarks/bench_fig7_*`` scripts run these functions through
+:func:`reproduce` and assert the paper's shape claims on the result,
+and downstream users can rerun any experiment at any scale::
 
     from repro.experiments import fig_7_9
     result = fig_7_9(messages_per_point=500)
@@ -45,14 +46,15 @@ class ExperimentResult:
     rows: tuple  # tuple of (param_value, v1, v2, ...)
 
     def series(self, column: str) -> list:
-        """One column as a list aligned with the parameter sweep."""
-        i = self.columns.index(column) + 1
+        """One column, or the swept parameter itself, as a list
+        aligned with the parameter sweep."""
+        i = 0 if column == self.parameter else self.columns.index(column) + 1
         return [row[i] for row in self.rows]
 
     def as_table(self) -> str:
         header = [self.parameter, *self.columns]
         widths = [
-            max(len(str(h)), *(len(_fmt(r[i])) for r in self.rows))
+            max([len(h), *(len(_fmt(r[i])) for r in self.rows)])
             for i, h in enumerate(header)
         ]
         lines = [self.description, ""]
@@ -104,7 +106,7 @@ def fig_7_1(runs_per_point: int = 30) -> ExperimentResult:
         "broadcast": "broadcast",
     })
     return ExperimentResult(
-        "fig7.1", "Fig 7.1: additional traffic, 32x32 mesh", "k",
+        "fig7.1", "Fig 7.1: additional traffic, 32x32 mesh (1023 = broadcast cap)", "k",
         tuple(algos), _static_sweep(Mesh2D(32, 32), algos, (10, 50, 100, 200, 400, 600, 900), runs_per_point),
     )
 
@@ -143,7 +145,7 @@ def fig_7_4(runs_per_point: int = 20) -> ExperimentResult:
         "multi-unicast": "multi-unicast",
     })
     return ExperimentResult(
-        "fig7.4", "Fig 7.4: additional traffic, 10-cube (vs LEN)", "k",
+        "fig7.4", "Fig 7.4: additional traffic, 10-cube (greedy ST vs LEN)", "k",
         tuple(algos), _static_sweep(Hypercube(10), algos, (10, 50, 100, 200, 400, 700), runs_per_point),
     )
 
@@ -157,7 +159,7 @@ def fig_7_5(runs_per_point: int = 40) -> ExperimentResult:
         "broadcast": "broadcast",
     })
     return ExperimentResult(
-        "fig7.5", "Fig 7.5: additional traffic, 16x16 mesh (MT model)", "k",
+        "fig7.5", "Fig 7.5: additional traffic, 16x16 mesh (multicast tree model)", "k",
         tuple(algos), _static_sweep(Mesh2D(16, 16), algos, (5, 10, 25, 50, 100, 180), runs_per_point),
     )
 
@@ -206,7 +208,8 @@ def fig_7_8(messages_per_point: int = 400) -> ExperimentResult:
         messages_per_point,
     )
     return ExperimentResult(
-        "fig7.8", "Fig 7.8: latency (us) vs load, double-channel 8x8 mesh",
+        "fig7.8",
+        "Fig 7.8: latency (us) vs inter-arrival time (us), double-channel 8x8 mesh, 10 dests",
         "interarrival_us", schemes, rows,
     )
 
@@ -223,7 +226,8 @@ def fig_7_9(messages_per_point: int = 400) -> ExperimentResult:
         messages_per_point,
     )
     return ExperimentResult(
-        "fig7.9", "Fig 7.9: latency (us) vs destinations, double-channel 8x8 mesh",
+        "fig7.9",
+        "Fig 7.9: latency (us) vs destinations, double-channel 8x8 mesh, 300us interarrival",
         "k", schemes, rows,
     )
 
@@ -240,7 +244,8 @@ def fig_7_10(messages_per_point: int = 400) -> ExperimentResult:
         messages_per_point,
     )
     return ExperimentResult(
-        "fig7.10", "Fig 7.10: latency (us) vs load, single-channel 8x8 mesh",
+        "fig7.10",
+        "Fig 7.10: latency (us) vs inter-arrival time (us), single-channel 8x8 mesh, 10 dests",
         "interarrival_us", schemes, rows,
     )
 
@@ -256,7 +261,8 @@ def fig_7_11(messages_per_point: int = 400) -> ExperimentResult:
         messages_per_point,
     )
     return ExperimentResult(
-        "fig7.11", "Fig 7.11: latency (us) vs destinations, single-channel 8x8 mesh",
+        "fig7.11",
+        "Fig 7.11: latency (us) vs destinations, single-channel 8x8 mesh, 400us interarrival",
         "k", schemes, rows,
     )
 
@@ -277,7 +283,13 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
 
 
 def reproduce(name: str, scale: float = 1.0) -> ExperimentResult:
-    """Regenerate one experiment by name, scaling replication."""
+    """Regenerate one experiment by name, scaling replication.
+
+    ``scale`` multiplies the figure's base count, with a floor of 3:
+    runs per point for Figs 7.1-7.7 (each k then draws
+    ``max(3, runs * 10 // max(10, k))`` multicast sets) and messages per
+    point for Figs 7.8-7.11.  ``repro reproduce --scale`` and the
+    ``bench_fig7_*`` scripts' ``REPRO_SCALE`` both apply this rule."""
     fn = EXPERIMENTS.get(name)
     if fn is None:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")

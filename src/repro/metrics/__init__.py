@@ -1,13 +1,7 @@
 """Routing evaluation metrics: switching latency models (Fig. 2.3) and
 static traffic measurements (§7.1)."""
 
-from .static import (
-    additional_traffic,
-    max_hops,
-    mean_additional_traffic,
-    sweep_additional_traffic,
-    traffic,
-)
+from .static import additional_traffic, max_hops, traffic
 from .route_latency import dest_latencies, max_latency, mean_latency
 from .switching import (
     LATENCY_MODELS,
@@ -27,9 +21,7 @@ __all__ = [
     "max_hops",
     "max_latency",
     "mean_latency",
-    "mean_additional_traffic",
     "store_and_forward_latency",
-    "sweep_additional_traffic",
     "traffic",
     "virtual_cut_through_latency",
     "wormhole_latency",

@@ -3,16 +3,13 @@
 The static study measures the *traffic* a routing algorithm generates —
 the number of link transmissions — independent of network conditions.
 A 1-to-k multicast needs at least k transmissions, so the dissertation
-plots *additional traffic* = traffic - k.
+plots *additional traffic* = traffic - k.  The figures' sweeps over
+random multicast sets (Figs. 7.1-7.7) are :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
-from statistics import mean
-from collections.abc import Callable, Iterable
-
-from ..models.request import MulticastRequest, random_multicast
-from ..topology.base import Topology
+from ..models.request import MulticastRequest
 
 
 def traffic(route) -> int:
@@ -29,43 +26,3 @@ def max_hops(route, request: MulticastRequest) -> int:
     """Maximum source-to-destination hop count along the route."""
     return max(route.dest_hops(request.destinations).values())
 
-
-def mean_additional_traffic(
-    algorithm: Callable[[MulticastRequest], object],
-    topology: Topology,
-    k: int,
-    runs: int,
-    rng,
-) -> float:
-    """Average additional traffic over ``runs`` random multicast sets
-    with ``k`` destinations — one data point of Figs. 7.1-7.7."""
-    totals = []
-    for _ in range(runs):
-        request = random_multicast(topology, k, rng)
-        route = algorithm(request)
-        totals.append(route.traffic - k)
-    return mean(totals)
-
-
-def sweep_additional_traffic(
-    algorithms: dict,
-    topology: Topology,
-    ks: Iterable[int],
-    runs: int,
-    rng_factory,
-) -> dict:
-    """Additional-traffic curves for several algorithms over a sweep of
-    destination counts.  ``rng_factory(k)`` must return a fresh RNG per
-    call (seeded only by ``k``) so that every algorithm is measured on
-    the same sequence of random multicast sets.
-
-    Returns ``{name: [(k, mean_additional_traffic), ...]}``.
-    """
-    out = {name: [] for name in algorithms}
-    for k in ks:
-        for name, algorithm in algorithms.items():
-            rng = rng_factory(k)
-            out[name].append(
-                (k, mean_additional_traffic(algorithm, topology, k, runs, rng))
-            )
-    return out

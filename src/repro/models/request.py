@@ -54,10 +54,6 @@ class MulticastRequest:
         """The multicast set K (source plus destinations)."""
         return frozenset((self.source, *self.destinations))
 
-    def sorted_by(self, key) -> list[Node]:
-        """Destinations sorted by an arbitrary key function."""
-        return sorted(self.destinations, key=key)
-
 
 def random_multicast(
     topology: Topology, k: int, rng, source: Node | None = None

@@ -79,7 +79,9 @@ from .sim.config import SimConfig
 from .sim.runner import (
     DynamicResult,
     FaultResult,
+    check_destination_count,
     check_dynamic_run,
+    check_resilient_run,
     run_dynamic,
     run_resilient,
 )
@@ -171,8 +173,12 @@ class SweepJob:
     resumes distinguish engines).  A dynamic job is checked by
     :func:`repro.sim.runner.check_dynamic_run` at construction, so
     fault rates or ``"dense"`` on a tree, adaptive or VCT scheme fail
-    here.  Resilient runs execute on the fault-aware reference network
-    and accept only ``"reference"``."""
+    here.  Resilient runs execute on the fault-aware reference network,
+    accept only ``"reference"``, and are checked by
+    :func:`repro.sim.runner.check_resilient_run`, so fault rates on a
+    scheme without a fault-aware worm fail here too.  Either runner
+    refuses more destinations than the topology has nodes besides the
+    source (:func:`repro.sim.runner.check_destination_count`)."""
 
     topology: Topology
     scheme: str
@@ -203,6 +209,9 @@ class SweepJob:
                 f"resilient runs execute on the fault-aware reference "
                 f"network; engine {self.engine!r} is not available"
             )
+        else:
+            check_resilient_run(spec, self.config)
+        check_destination_count(self.topology, self.config.num_destinations)
 
 
 @dataclass(frozen=True)

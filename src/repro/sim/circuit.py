@@ -94,7 +94,4 @@ def inject_circuit_path(
 ) -> CircuitMessage:
     """Inject a circuit-switched message along ``nodes``."""
     chans = [net.channel(channel_key(u, v), capacity) for u, v in zip(nodes, nodes[1:])]
-    msg = CircuitMessage(net, message_id, list(nodes), chans, destinations)
-    net.active_worms += 1
-    msg.start()
-    return msg
+    return net.launch(CircuitMessage(net, message_id, list(nodes), chans, destinations))

@@ -156,10 +156,7 @@ class WormholeNetwork:
         worm = self.path_worm_cls(self, message_id, list(nodes), chans, destinations)
         if flits is not None:
             worm.flits = flits
-        self.active_worms += 1
-        self.total_worms += 1
-        worm.start()
-        return worm
+        return self.launch(worm)
 
     def inject_adaptive_path(
         self,
@@ -176,13 +173,9 @@ class WormholeNetwork:
         minimal-adaptive extension).  ``destinations`` must be
         label-sorted in travel order (as produced by
         ``split_high_low``)."""
-        worm = self.adaptive_worm_cls(
+        return self.launch(self.adaptive_worm_cls(
             self, message_id, source, list(destinations), labeling, channel_key, capacity
-        )
-        self.active_worms += 1
-        self.total_worms += 1
-        worm.start()
-        return worm
+        ))
 
     def inject_tree(
         self,
@@ -203,6 +196,12 @@ class WormholeNetwork:
         worm = self.tree_worm_cls(self, message_id, chan_levels, head_levels)
         if flits is not None:
             worm.flits = flits
+        return self.launch(worm)
+
+    def launch(self, worm):
+        """Count ``worm`` as injected and in flight, then start it: the
+        last step of every injector, here and in the VCT and circuit
+        switching models."""
         self.active_worms += 1
         self.total_worms += 1
         worm.start()

@@ -52,6 +52,10 @@ ENGINES = ("reference", "dense", "auto")
 #: worm styles the dense engine has a kernel for (path worms)
 DENSE_WORM_STYLES = ("star", "vc-star")
 
+#: worm styles with no fault-aware worm: a fault would pass them by
+#: unnoticed, so :func:`check_resilient_run` refuses them under faults
+FAULT_BLIND_WORM_STYLES = ("vct-tree",)
+
 #: aggregate injection gap — mean flit ticks between successive
 #: injections network-wide — above which the dense engine's frontier
 #: windows have room to amortize their fixed per-commit cost (measured
@@ -248,6 +252,31 @@ def check_dynamic_run(spec, config: SimConfig, engine: str) -> None:
         )
 
 
+def check_resilient_run(spec, config: SimConfig, plan: FaultPlan | None = None) -> None:
+    """Raise :class:`InvalidConfigError` unless :func:`run_resilient`
+    can fault ``spec``'s worms: fault rates in ``config`` (or events in
+    ``plan``) on a worm style in :data:`FAULT_BLIND_WORM_STYLES` would
+    be reported as a fault-free run."""
+    faulted = config.faulty or (plan is not None and bool(plan.events))
+    if faulted and spec.worm_style in FAULT_BLIND_WORM_STYLES:
+        raise InvalidConfigError(
+            f"{spec.name} has no fault-aware worm ({spec.worm_style} "
+            f"style), so faults would pass it by; run it without fault rates"
+        )
+
+
+def check_destination_count(topology, k: int) -> None:
+    """Raise :class:`InvalidConfigError` if ``topology`` has fewer
+    than ``k`` nodes besides a source: the §7.2 destination draw could
+    never finish."""
+    others = topology.num_nodes - 1
+    if k > others:
+        raise InvalidConfigError(
+            f"{k} destinations per message, but {topology} has only "
+            f"{others} nodes besides the source"
+        )
+
+
 def _run_to_completion(net) -> None:
     if not net.run_to_completion():
         raise DeadlockDetected(
@@ -258,13 +287,9 @@ def _run_to_completion(net) -> None:
 def _destination_sampler(topology, rng: random.Random, k: int):
     """The §7.2 destination draw: ``k`` distinct nodes other than the
     source, uniform, returned in index order."""
+    check_destination_count(topology, k)
     nodes = list(topology.nodes())
     n = len(nodes)
-    if k > n - 1:
-        raise InvalidConfigError(
-            f"{k} destinations per message, but {topology} has only "
-            f"{n - 1} nodes besides the source"
-        )
     index_map = topology.index_map()
     randrange = rng.randrange
 
@@ -415,12 +440,15 @@ def run_resilient(
     so with zero fault rates the result matches :func:`run_dynamic`
     event for event (the parity suite asserts this).  The run executes
     on the fault-aware reference network, so the result reports
-    ``engine="reference"`` and no ``engine_stats``.
+    ``engine="reference"`` and no ``engine_stats``.  Faults on a scheme
+    without a fault-aware worm raise :class:`InvalidConfigError`
+    (:func:`check_resilient_run`).
     """
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
     fault_state = FaultState(plan)
     router = _make_router(topology, scheme, config, fault_state)
+    check_resilient_run(router.spec, config, plan)
     stats = SimStats()
     net = FaultyWormholeNetwork(Environment(), config, fault_state, stats)
     # the fault schedule lands on the calendar before any injection, so

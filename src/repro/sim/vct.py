@@ -51,9 +51,6 @@ class VCTWorm:
             return
         self._try_advance()
 
-    def _held(self) -> range:
-        return range(self.seg_first_held, self.idx)
-
     def _try_advance(self) -> None:
         ch = self.channels[self.idx]
         if not ch.free:
@@ -106,7 +103,6 @@ class VCTWorm:
         if head in self.dests:
             self.net.deliver(self.message_id, head, self.injected_at)
 
-
     def _finished(self) -> None:
         self.net.finish(self)
         if self.on_finished is not None:
@@ -123,7 +119,4 @@ def inject_vct_path(
 ) -> VCTWorm:
     """Inject a virtual cut-through message along ``nodes``."""
     chans = [net.channel(channel_key(u, v), capacity) for u, v in zip(nodes, nodes[1:])]
-    worm = VCTWorm(net, message_id, list(nodes), chans, destinations)
-    net.active_worms += 1
-    worm.start()
-    return worm
+    return net.launch(VCTWorm(net, message_id, list(nodes), chans, destinations))

@@ -111,12 +111,3 @@ def virtual_channel_route(
     return VirtualChannelStar(
         request.topology, request.source, tuple(paths), tuple(partition), planes
     )
-
-
-def plane_channel_key(plane: int):
-    """Channel-key factory pinning a path's channels to its plane."""
-
-    def key(u, v):
-        return (u, v, plane)
-
-    return key

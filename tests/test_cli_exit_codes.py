@@ -60,11 +60,27 @@ class TestInvalidSimConfig:
     @pytest.mark.parametrize("verb", ["simulate", "mixed"])
     def test_more_dests_than_nodes(self, verb, capsys):
         # a 2x2 mesh has 3 nodes besides the source, so rejection
-        # sampling could never draw 4 distinct destinations.  The
-        # faults sweep records the error per job instead.
+        # sampling could never draw 4 distinct destinations
         assert main([verb, "--topology", "mesh:2x2", "--dests", "4",
                      "--messages", "10"]) == 2
         assert "4 destinations" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("supervision", [[], ["--job-timeout", "30"]],
+                             ids=["in-process", "supervised"])
+    def test_faults_more_dests_than_nodes(self, supervision, capsys):
+        # the sweep jobs refuse the count when they are built, so both
+        # sweep executions exit 2 before any job runs
+        assert main(["faults", "--topology", "mesh:3x3", "--dests", "9",
+                     "--replications", "1", "--fault-rates", "0",
+                     "--schemes", "dual-path", *supervision]) == 2
+        assert "9 destinations" in _one_line_error(capsys)
+
+    def test_faults_on_fault_blind_scheme(self, capsys):
+        # vct-tree has no fault-aware worm: its zero-rate point could
+        # run, but a faulted point would report every fault harmless
+        assert main(["faults", "--schemes", "vct-tree", "--fault-rates", "0,0.15",
+                     "--messages", "20", "--replications", "1"]) == 2
+        assert "fault-aware" in _one_line_error(capsys)
 
 
 class TestUnknownScheme:

@@ -25,6 +25,7 @@ class TestExperimentResult:
         )
         assert r.series("a") == [10.0, 11.0]
         assert r.series("b") == [20.0, 21.0]
+        assert r.series("k") == [1, 2]  # the swept parameter itself
         with pytest.raises(ValueError):
             r.series("c")
 
@@ -33,6 +34,12 @@ class TestExperimentResult:
         table = r.as_table()
         assert "My figure" in table
         assert "2.00" in table
+
+    def test_as_table_without_rows(self):
+        # benchmarks/conftest.py's emit formats every archived table
+        # here, so an empty sweep still prints its title and header
+        r = ExperimentResult("x", "Empty", "k", ("long name",), ())
+        assert r.as_table() == "Empty\n\nk  long name\n-  ---------"
 
 
 class TestRegistry:

@@ -9,10 +9,12 @@ import json
 import pytest
 
 from repro import registry
+from repro.parallel import SweepJob
 from repro.sim import (
     FaultEvent,
     FaultPlan,
     FaultState,
+    InvalidConfigError,
     SimConfig,
     SimStats,
     derive_fault_seed,
@@ -233,6 +235,36 @@ class TestFaultedRuns:
         lo = run_resilient(MESH, "dual-path", CFG.replace(link_fault_rate=0.02))
         hi = run_resilient(MESH, "dual-path", CFG.replace(link_fault_rate=0.15))
         assert hi.delivery_ratio < lo.delivery_ratio <= 1.0
+
+
+class TestFaultBlindScheme:
+    """vct-tree has no fault-aware worm, so faults would never touch
+    it: a faulted run is refused instead of reporting every message
+    delivered."""
+
+    CFG = SimConfig(num_messages=200, num_destinations=10, seed=5, channels_per_link=2)
+
+    def test_fault_rates_refused(self):
+        mesh = Mesh2D(8, 8)
+        for cfg in (self.CFG.replace(link_fault_rate=0.15), self.CFG.replace(node_fault_rate=0.05)):
+            with pytest.raises(InvalidConfigError, match="fault-aware"):
+                run_resilient(mesh, "vct-tree", cfg)
+            with pytest.raises(InvalidConfigError, match="fault-aware"):
+                SweepJob(mesh, "vct-tree", cfg, "resilient")
+
+    def test_fault_plan_refused(self):
+        plan = FaultPlan(
+            events=(FaultEvent(0.0, "link", ((1, 0), (2, 0)), True),), horizon=1.0
+        )
+        with pytest.raises(InvalidConfigError, match="fault-aware"):
+            run_resilient(SMALL, "vct-tree", SimConfig(num_messages=50, seed=2), plan=plan)
+
+    def test_zero_rates_run(self):
+        mesh = Mesh2D(8, 8)
+        SweepJob(mesh, "vct-tree", self.CFG, "resilient")
+        r = run_resilient(mesh, "vct-tree", self.CFG)
+        assert r.delivery_ratio == 1.0
+        assert r.stats.link_fault_events == 0
 
 
 class TestRegistryCapability:

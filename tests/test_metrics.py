@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
+from repro.experiments import _static_sweep
 from repro.heuristics import multiple_unicast_route, sorted_mp_route
 from repro.metrics import (
     SwitchingParams,
     additional_traffic,
     circuit_switching_latency,
     max_hops,
-    mean_additional_traffic,
     store_and_forward_latency,
-    sweep_additional_traffic,
     traffic,
     virtual_cut_through_latency,
     wormhole_latency,
@@ -68,26 +65,30 @@ class TestStaticMetrics:
         assert max_hops(route, req) == 3
 
     def test_mean_additional_traffic(self):
-        m = Mesh2D(8, 8)
-        val = mean_additional_traffic(
-            multiple_unicast_route, m, 4, runs=10, rng=random.Random(0)
+        # one sweep point: k = 4 on 10 random multicast sets
+        ((k, val),) = _static_sweep(
+            Mesh2D(8, 8), {"multi-unicast": multiple_unicast_route}, (4,), runs_per_point=10
         )
+        assert k == 4
         assert val > 0
 
     def test_sweep_shares_workload_across_algorithms(self):
-        m = Mesh2D(8, 8)
-        out = sweep_additional_traffic(
+        # every router of a sweep sees the same multicast sets, so two
+        # copies of one router give equal columns
+        rows = _static_sweep(
+            Mesh2D(8, 8),
             {"a": multiple_unicast_route, "b": multiple_unicast_route},
-            m,
-            ks=[2, 4],
-            runs=5,
-            rng_factory=lambda k: random.Random(1000 + k),
+            (2, 4),
+            runs_per_point=5,
         )
-        assert out["a"] == out["b"]
-        assert [k for k, _ in out["a"]] == [2, 4]
+        assert [k for k, _, _ in rows] == [2, 4]
+        assert all(a == b for _, a, b in rows)
 
     def test_sorted_mp_beats_unicast_on_average(self):
-        m = Mesh2D(8, 8)
-        a = mean_additional_traffic(sorted_mp_route, m, 10, 20, random.Random(3))
-        b = mean_additional_traffic(multiple_unicast_route, m, 10, 20, random.Random(3))
-        assert a < b
+        ((_, mp, uni),) = _static_sweep(
+            Mesh2D(8, 8),
+            {"sorted-MP": sorted_mp_route, "multi-unicast": multiple_unicast_route},
+            (10,),
+            runs_per_point=20,
+        )
+        assert mp < uni

@@ -131,6 +131,17 @@ class TestDynamicRuns:
             with pytest.raises(InvalidConfigError, match="4 destinations"):
                 run(Mesh2D(2, 2), "dual-path", cfg)
 
+    def test_sweep_job_rejects_more_destinations_than_other_nodes(self):
+        # the sampler's rule, applied when a job is built, so the
+        # in-process and the supervised sweep refuse it alike
+        from repro.parallel import SweepJob
+
+        cfg = SimConfig(num_destinations=4, num_messages=10)
+        for runner in ("dynamic", "resilient"):
+            with pytest.raises(InvalidConfigError, match="4 destinations"):
+                SweepJob(Mesh2D(2, 2), "dual-path", cfg, runner)
+            SweepJob(Mesh2D(2, 2), "dual-path", cfg.replace(num_destinations=3), runner)
+
     def test_fault_rates_rejected(self):
         # run_dynamic injects no faults: a faulty config must go to
         # run_resilient rather than silently simulate a fault-free run

@@ -89,6 +89,11 @@ class TestVCTTreeMulticast:
         r = run_dynamic(m, "vct-tree", cfg)
         assert r.deliveries == 200 * 6
 
+    def test_dynamic_run_counts_worms(self):
+        # one VCT worm per tree chain, so at least one per message
+        r = run_dynamic(Mesh2D(4, 4), "vct-tree", SimConfig(num_messages=50, seed=3))
+        assert r.worms >= r.injected_messages == 50
+
     def test_branch_buffering_adds_latency(self):
         """A destination behind a replication point is delayed by the
         full-message buffering there, unlike a pure path worm."""

@@ -3,6 +3,7 @@ retry paths, and drain edge cases across the switching substrates."""
 
 from __future__ import annotations
 
+import pytest
 
 from repro.labeling import canonical_labeling
 from repro.sim import Environment, SAFNetwork, SimConfig, WormholeNetwork
@@ -104,6 +105,21 @@ class TestCircuitEdgeCases:
         env, net, cfg = make()
         inject_circuit_path(net, 1, [(0, 0)], set())
         assert net.run_to_completion()
+
+
+class TestWormCounts:
+    """Every injector launches its worm through one step, which
+    counts it in ``total_worms`` as well as ``active_worms``."""
+
+    @pytest.mark.parametrize("inject", [inject_vct_path, inject_circuit_path],
+                             ids=["vct", "circuit"])
+    def test_standalone_injectors_count_their_worm(self, inject):
+        env, net, cfg = make()
+        inject(net, 1, line(4), {(3, 0)})
+        inject(net, 2, line(4, row=1), {(3, 1)})
+        assert (net.total_worms, net.active_worms) == (2, 2)
+        assert net.run_to_completion()
+        assert (net.total_worms, net.active_worms) == (2, 0)
 
 
 class TestAdaptiveInternals:
