@@ -50,7 +50,7 @@ def canonical_labeling(topology):
 
     Memoized on the topology instance: labelings are pure functions of
     the (immutable) topology, and sharing one instance lets its routing
-    caches — label positions, neighbor orderings, ``route_step`` /
+    caches — label table, neighbor orderings, ``route_step`` /
     ``route_path`` memos — warm once and serve every simulation run on
     that topology.
     """

@@ -43,27 +43,27 @@ class Labeling(ABC):
         """Inverse of :meth:`label`."""
 
     # ------------------------------------------------------------------
-    # Memoized position tables.
+    # Memoized tables.
     #
     # Labelings are immutable (they wrap an immutable topology), so the
-    # label positions and per-node neighbor orderings are computed once
-    # on first use and never invalidated.  The routing function R
-    # consults these tables instead of re-sorting neighbors per call.
+    # label table, the Hamiltonian path and the per-node neighbor
+    # orderings are computed once on first use and never invalidated.
+    # The routing function R and the star routers consult these tables
+    # instead of recomputing labels or re-sorting neighbors per call.
     # ------------------------------------------------------------------
 
-    def label_positions(self) -> tuple:
-        """``label_positions()[i]`` is the label of the node with dense
-        topology index ``i`` (cached)."""
-        positions = getattr(self, "_label_positions", None)
-        if positions is None:
-            positions = self._label_positions = tuple(
-                self.label(v) for v in self.topology.node_list()
-            )
-        return positions
+    def label_table(self) -> dict:
+        """``{node: label(node)}`` for every node (cached)."""
+        table = getattr(self, "_label_table", None)
+        if table is None:
+            table = self._label_table = {
+                v: self.label(v) for v in self.topology.node_list()
+            }
+        return table
 
     def _label_of(self, v: Node) -> int:
-        """Cached ``label(v)`` lookup through the position array."""
-        return self.label_positions()[self.topology.index_map()[v]]
+        """Cached ``label(v)`` lookup through the label table."""
+        return self.label_table()[v]
 
     def _labeled_neighbors(self, u: Node) -> tuple:
         """``(label(p), p)`` for each neighbor of ``u``, ascending by
@@ -83,8 +83,19 @@ class Labeling(ABC):
     # ------------------------------------------------------------------
 
     def hamiltonian_path(self) -> list[Node]:
-        """The underlying Hamiltonian path, in label order."""
-        return [self.node_of(i) for i in range(self.topology.num_nodes)]
+        """The underlying Hamiltonian path, in label order (a fresh
+        copy of :meth:`hamiltonian_path_tuple`)."""
+        return list(self.hamiltonian_path_tuple())
+
+    def hamiltonian_path_tuple(self) -> tuple:
+        """Cached immutable form of :meth:`hamiltonian_path`: entry
+        ``i`` is the node labelled ``i``."""
+        path = getattr(self, "_hamiltonian_path", None)
+        if path is None:
+            path = self._hamiltonian_path = tuple(
+                self.node_of(i) for i in range(self.topology.num_nodes)
+            )
+        return path
 
     def is_hamiltonian(self) -> bool:
         """Whether consecutive labels are adjacent in the topology (the

@@ -1,6 +1,6 @@
 """Uncached reference implementations of the routing function R.
 
-:mod:`repro.labeling.base` memoizes label positions, neighbor
+:mod:`repro.labeling.base` memoizes the label table, neighbor
 orderings, ``route_step`` and ``route_path`` — safe because labelings
 and topologies are immutable, but worth *proving* equivalent.  This
 module keeps the original per-call computation (re-sorting neighbors

@@ -22,7 +22,8 @@ scheduling cost.
 
 * **In process.**  With one worker (or one job) and none of the
   robustness options below, the jobs run in a plain loop in the
-  calling process.
+  calling process.  A job that raises is one failed attempt, handled
+  under ``on_error`` exactly as the supervised execution handles it.
 * **Supervised.**  Otherwise every attempt of a job runs in its own
   forked process, at most ``workers`` at a time.  Each attempt gets
   one pipe whose only write end the job process holds, and the
@@ -43,14 +44,14 @@ killed outright, so :func:`run_sweep` also accepts:
   terminated and recorded as failed (it never stalls the sweep);
 * ``retries`` — failed jobs (timeout or crash) are re-run up to this
   many extra times before being declared failed;
-* ``on_error="record"`` — failures become ``None`` results plus
-  :class:`JobFailure` records instead of raising :class:`SweepError`;
 * ``checkpoint``/``resume`` — every completed result is appended to a
   JSONL file (flushed and fsynced, so a ``kill -9`` loses at most the
   in-flight jobs); ``resume=True`` reloads matching records and only
   runs the jobs that are missing.
 
-Any of them selects the supervised execution.
+Any of them selects the supervised execution.  Under either execution,
+``on_error="record"`` turns failures into ``None`` results plus
+:class:`JobFailure` records instead of raising :class:`SweepError`.
 
 Usage::
 
@@ -448,7 +449,11 @@ def run_sweep(
         either ``on_error`` policy.
     ``stats``
         optional :class:`SweepStats` populated with attempt/retry/
-        timeout/crash accounting (supervised execution only).
+        timeout/crash accounting.
+
+    ``on_error``, ``failures`` and ``stats`` apply to both executions:
+    in process, a job that raises is one failed attempt (an error),
+    recorded exactly as the supervised execution records it.
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"unknown on_error policy {on_error!r}")
@@ -458,8 +463,9 @@ def run_sweep(
     supervised = (
         timeout is not None or retries > 0 or checkpoint is not None or resume
     )
+    stats = stats if stats is not None else SweepStats()
     if not supervised and (workers == 1 or len(jobs) <= 1):
-        return [_run_job(j) for j in jobs]
+        return _run_in_process(jobs, on_error=on_error, failures=failures, stats=stats)
     return _run_supervised(
         jobs,
         workers=workers,
@@ -469,8 +475,38 @@ def run_sweep(
         resume=resume,
         on_error=on_error,
         failures=failures,
-        stats=stats if stats is not None else SweepStats(),
+        stats=stats,
     )
+
+
+def _run_in_process(
+    jobs: Sequence[SweepJob],
+    *,
+    on_error: str,
+    failures: list | None,
+    stats: SweepStats,
+) -> list:
+    """Run the jobs in a loop in this process, one attempt each."""
+    results: list = []
+    failed: list[JobFailure] = []
+    for index, job in enumerate(jobs):
+        stats.attempts += 1
+        try:
+            result = _run_job(job)
+        except Exception as exc:  # noqa: BLE001 - one failing job must not end the sweep
+            stats.errors += 1
+            stats.failed_jobs += 1
+            failure = JobFailure(index, job, f"{type(exc).__name__}: {exc}", 1)
+            failed.append(failure)
+            if failures is not None:
+                failures.append(failure)
+            result = None
+        else:
+            stats.completed += 1
+        results.append(result)
+    if failed and on_error == "raise":
+        raise SweepError(failed)
+    return results
 
 
 def _job_worker(job: SweepJob, conn) -> None:

@@ -84,7 +84,7 @@ class WormholeNetwork:
     :class:`repro.sim.faults.FaultyWormholeNetwork` does exactly that.
     """
 
-    __slots__ = ("env", "config", "channels", "active_worms", "total_worms", "deliveries", "_blocked")
+    __slots__ = ("env", "config", "channels", "active_worms", "total_worms", "deliveries")
 
     #: worm classes used by the inject_* methods (overridable).
     path_worm_cls: type
@@ -98,7 +98,6 @@ class WormholeNetwork:
         self.active_worms = 0
         self.total_worms = 0
         self.deliveries: list[Delivery] = []
-        self._blocked: list = []
 
     def channel(self, key: Hashable, capacity: int | None = None) -> Channel:
         ch = self.channels.get(key)
@@ -243,7 +242,7 @@ class PathWorm:
 
     __slots__ = (
         "net", "env", "message_id", "nodes", "channels", "num_channels",
-        "dests", "injected_at", "idx", "flits", "tf", "blocked_on",
+        "dests", "injected_at", "idx", "flits", "tf",
         "_advance", "_arrive", "_rel", "_sched",
     )
 
@@ -259,7 +258,6 @@ class PathWorm:
         self.idx = 0  # next channel index to acquire
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
-        self.blocked_on: Channel | None = None
         # prebound callbacks: the advance loop schedules these once per
         # hop/flit, and binding them here avoids a method-object
         # allocation per event
@@ -275,11 +273,9 @@ class PathWorm:
         self._try_advance()
 
     def _try_advance(self) -> None:
-        self.blocked_on = None
         i = self.idx
         ch = self.channels[i]
         if ch.in_use >= ch.capacity:
-            self.blocked_on = ch
             ch.waiters.append(self._advance)
             return
         ch.in_use += 1

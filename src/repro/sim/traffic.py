@@ -36,7 +36,7 @@ from ..topology.hypercube import Hypercube
 from ..wormhole.cdg import tree_stages
 from ..wormhole.ecube_tree import ecube_tree_route
 from ..wormhole.star_routing import split_high_low
-from ..wormhole.subnetworks import double_channel_xfirst_route, partition_destinations
+from ..wormhole.subnetworks import partition_destinations, quadrant_levels
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,9 @@ def _xfirst_tree_worms(router: "Router", request: MulticastRequest) -> list:
         # a boundary row/column.
         parts = partition_destinations(request.source, request.destinations)
         return [
-            _tree_to_spec(tree, parts[quadrant], tag=quadrant)
-            for quadrant, tree in double_channel_xfirst_route(request)
+            TreeSpec(*quadrant_levels(request.source, dlist, quadrant))
+            for quadrant, dlist in parts.items()
+            if dlist
         ]
     # single channels: the deadlock-prone §6.1 mesh tree.
     return [_tree_to_spec(xfirst_route(request), request.destinations)]

@@ -31,9 +31,9 @@ from .star_routing import (
 from .subnetworks import (
     QUADRANTS,
     double_channel_xfirst_route,
-    double_channel_xfirst_step,
     partition_destinations,
     quadrant_channels,
+    quadrant_levels,
 )
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "broadcast_tree",
     "combined_cdg",
     "double_channel_xfirst_route",
-    "double_channel_xfirst_step",
     "dual_path_route",
     "ecube_step",
     "ecube_tree_route",
@@ -60,6 +59,7 @@ __all__ = [
     "partition_destinations",
     "path_stages",
     "quadrant_channels",
+    "quadrant_levels",
     "routability",
     "route_dependency_edges",
     "star_stages",

@@ -14,7 +14,7 @@ precisely the trade-off the benchmark quantifies.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set
 
 from ..labeling import canonical_labeling
 from ..labeling.base import Labeling
@@ -41,6 +41,11 @@ class Unroutable(RuntimeError):
         self.target = target
 
 
+def _channel_set(faulty: Iterable[tuple]) -> Set:
+    """``faulty`` as a set, without copying one that already is."""
+    return faulty if isinstance(faulty, (set, frozenset)) else set(faulty)
+
+
 def fault_tolerant_path(
     labeling: Labeling,
     start: Node,
@@ -54,37 +59,46 @@ def fault_tolerant_path(
     :class:`Unroutable` when every admissible candidate at some hop is
     faulty.
     """
-    bad = set(faulty)
+    bad = _channel_set(faulty)
     path = [start]
     w = start
-    queue = list(dests)
     limit = labeling.topology.num_nodes * 2
-    while queue:
-        if w == queue[0]:
-            queue.pop(0)
-            continue
-        candidates = labeling.route_candidates(w, queue[0])
-        usable = [p for p in candidates if (w, p) not in bad]
-        if not usable:
-            # last resort: any label-monotone bounded neighbor makes
-            # progress (possibly off the shortest path)
-            usable = [
-                p
-                for p in labeling.monotone_candidates(w, queue[0])
-                if (w, p) not in bad
-            ]
-        if not usable:
-            raise Unroutable(
-                f"all monotone channels out of {w!r} toward {queue[0]!r} are "
-                f"faulty (blocking channel {(w, candidates[0])!r})",
-                channel=(w, candidates[0]),
-                node=w,
-                target=queue[0],
-            )
-        w = usable[0]
-        path.append(w)
-        if len(path) > limit:
-            raise Unroutable("detours failed to converge")
+    for target in dests:
+        while w != target:
+            # splice R's memoized walk up to its first faulty hop: where
+            # R's own hop is up it is also the first usable candidate
+            walk = labeling.route_path_tuple(w, target)
+            n = 1
+            while n < len(walk) and (walk[n - 1], walk[n]) not in bad:
+                n += 1
+            path.extend(walk[1:n])
+            if len(path) > limit:
+                raise Unroutable("detours failed to converge")
+            w = walk[n - 1]
+            if w == target:
+                break
+            candidates = labeling.route_candidates(w, target)
+            usable = [p for p in candidates if (w, p) not in bad]
+            if not usable:
+                # last resort: any label-monotone bounded neighbor makes
+                # progress (possibly off the shortest path)
+                usable = [
+                    p
+                    for p in labeling.monotone_candidates(w, target)
+                    if (w, p) not in bad
+                ]
+            if not usable:
+                raise Unroutable(
+                    f"all monotone channels out of {w!r} toward {target!r} are "
+                    f"faulty (blocking channel {(w, candidates[0])!r})",
+                    channel=(w, candidates[0]),
+                    node=w,
+                    target=target,
+                )
+            w = usable[0]
+            path.append(w)
+            if len(path) > limit:
+                raise Unroutable("detours failed to converge")
     return path
 
 
@@ -100,7 +114,7 @@ def fault_tolerant_dual_path(
     """
     if labeling is None:
         labeling = canonical_labeling(request.topology)
-    bad = set(faulty)
+    bad = _channel_set(faulty)
     high, low = split_high_low(request, labeling)
     paths, partition = [], []
     for group in (high, low):

@@ -29,16 +29,19 @@ from ..topology.mesh import Mesh2D
 def split_high_low(request: MulticastRequest, labeling: Labeling) -> tuple[list, list]:
     """Message preparation step 1-2 (Fig. 6.11): D_H sorted ascending by
     label, D_L sorted descending."""
-    l0 = labeling.label(request.source)
-    high = sorted(
-        (d for d in request.destinations if labeling.label(d) > l0), key=labeling.label
-    )
-    low = sorted(
-        (d for d in request.destinations if labeling.label(d) < l0),
-        key=labeling.label,
-        reverse=True,
-    )
-    return high, low
+    labels = labeling.label_table()
+    l0 = labels[request.source]
+    high, low = [], []
+    for d in request.destinations:
+        ld = labels[d]
+        if ld > l0:
+            high.append((ld, d))
+        elif ld < l0:
+            low.append((ld, d))
+    # labels are distinct, so the pairs sort by label alone
+    high.sort()
+    low.sort(reverse=True)
+    return [d for _, d in high], [d for _, d in low]
 
 
 def route_path_through(labeling: Labeling, start: Node, dests: Sequence[Node]) -> list[Node]:
@@ -125,12 +128,13 @@ def _multi_path_groups_mesh(
         vertical = [v for v in neighbors if v[1] != src[1]]
         if horizontal and vertical:
             vh = horizontal[0]
-            side = (
-                [d for d in dlist if d[0] >= vh[0]]
-                if vh[0] > x0
-                else [d for d in dlist if d[0] <= vh[0]]
-            )
-            rest = [d for d in dlist if d not in side]
+            side: list[Node] = []
+            rest: list[Node] = []
+            for d in dlist:
+                # the horizontal neighbor takes every destination in its
+                # column or beyond it
+                beyond = d[0] >= vh[0] if vh[0] > x0 else d[0] <= vh[0]
+                (side if beyond else rest).append(d)
             if side:
                 groups.append((vh, side))
             if rest:
@@ -150,24 +154,21 @@ def _multi_path_groups_by_interval(
     and D_L symmetrically.  Used for hypercubes, 3D meshes and k-ary
     n-cubes."""
     src = request.source
+    labels = labeling.label_table()
     high, low = split_high_low(request, labeling)
     groups: list[tuple[Node, list]] = []
     if high:
         vs = labeling.high_neighbors(src)  # ascending label
-        bounds = [labeling.label(v) for v in vs] + [float("inf")]
+        bounds = [labels[v] for v in vs] + [float("inf")]
         for i, v in enumerate(vs):
-            bucket = [
-                d for d in high if bounds[i] <= labeling.label(d) < bounds[i + 1]
-            ]
+            bucket = [d for d in high if bounds[i] <= labels[d] < bounds[i + 1]]
             if bucket:
                 groups.append((v, bucket))
     if low:
         vs = labeling.low_neighbors(src)  # descending label
-        bounds = [labeling.label(v) for v in vs] + [float("-inf")]
+        bounds = [labels[v] for v in vs] + [float("-inf")]
         for i, v in enumerate(vs):
-            bucket = [
-                d for d in low if bounds[i] >= labeling.label(d) > bounds[i + 1]
-            ]
+            bucket = [d for d in low if bounds[i] >= labels[d] > bounds[i + 1]]
             if bucket:
                 groups.append((v, bucket))
     return groups
@@ -229,15 +230,15 @@ def fixed_path_route(
     if labeling is None:
         labeling = canonical_labeling(request.topology)
     high, low = split_high_low(request, labeling)
-    l0 = labeling.label(request.source)
+    labels = labeling.label_table()
+    hamiltonian = labeling.hamiltonian_path_tuple()
+    l0 = labels[request.source]
     paths, partition = [], []
     if high:
-        top = labeling.label(high[-1])
-        paths.append([labeling.node_of(i) for i in range(l0, top + 1)])
+        paths.append(hamiltonian[l0 : labels[high[-1]] + 1])
         partition.append(tuple(high))
     if low:
-        bottom = labeling.label(low[-1])
-        paths.append([labeling.node_of(i) for i in range(l0, bottom - 1, -1)])
+        paths.append(hamiltonian[labels[low[-1]] : l0 + 1][::-1])
         partition.append(tuple(low))
     return MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
 

@@ -15,10 +15,8 @@ stays inside one subnetwork whose channels can be totally ordered
 
 from __future__ import annotations
 
-from functools import partial
-
 from ..models.request import MulticastRequest
-from ..models.results import MulticastTree, grow_tree
+from ..models.results import MulticastTree
 from ..registry import AlgorithmSpec, register_spec
 from ..topology.base import Node
 from ..topology.mesh import Mesh2D
@@ -65,45 +63,45 @@ def partition_destinations(source: Node, destinations) -> dict:
     return out
 
 
-def _mirror(quadrant: str, local: Node, d: Node) -> tuple[int, int]:
-    """Coordinates of ``d`` relative to ``local`` with the quadrant's
-    axes flipped to look like +X,+Y."""
-    sx = 1 if "+X" in quadrant else -1
-    sy = 1 if "+Y" in quadrant else -1
-    return (sx * (d[0] - local[0]), sy * (d[1] - local[1]))
+def quadrant_levels(source: Node, dests, quadrant: str) -> tuple[tuple, tuple]:
+    """One quadrant's double-channel X-first tree (Fig. 6.6), built in
+    closed form.
 
-
-def double_channel_xfirst_step(
-    mesh: Mesh2D, quadrant: str, local: Node, dests
-) -> tuple[bool, dict]:
-    """One step of the double-channel X-first routing algorithm
-    (Fig. 6.6), generalised to all four subnetworks by mirroring.
-
-    Returns ``(deliver_local, {next_node: sublist})``.
+    With the quadrant's axes flipped to look like +X,+Y, the tree is a
+    trunk along the source row to the farthest destination column and a
+    branch up each destination column to its farthest destination.
+    Returns ``(levels, dest_levels)``: ``levels[t]`` holds the
+    ``(u, v, quadrant)`` channels whose tail is ``t`` hops from the
+    source, in the order the Fig. 6.6 step sends them (column branches
+    by ascending column, then the trunk hop), and ``dest_levels[t]`` the
+    frozenset of ``dests`` those channels reach.  ``dests`` must lie in
+    the quadrant (see :func:`partition_destinations`).
     """
-    sx = 1 if "+X" in quadrant else -1
-    sy = 1 if "+Y" in quadrant else -1
-    rel = {d: _mirror(quadrant, local, d) for d in dests}
-    # Step 1: while strictly west of every destination, move east.
-    min_rx = min(r[0] for r in rel.values()) if rel else 0
-    if rel and min_rx > 0:
-        return False, {(local[0] + sx, local[1]): list(dests)}
-    deliver = False
-    column, remainder = [], []
-    for d in dests:
-        rx, ry = rel[d]
-        if rx == 0 and ry == 0:
-            deliver = True
-        elif rx == 0:
-            column.append(d)  # step 3: same column, go vertical
-        else:
-            remainder.append(d)
-    groups: dict = {}
-    if column:
-        groups[(local[0], local[1] + sy)] = column
-    if remainder:
-        groups[(local[0] + sx, local[1])] = remainder
-    return deliver, groups
+    (sx, _), (_, sy) = _QUADRANT_STEPS[quadrant]
+    x0, y0 = source
+    top: dict[int, int] = {}  # column offset -> farthest row offset above 0
+    far = 0  # farthest column offset
+    depths = []
+    for x, y in dests:
+        c, r = sx * (x - x0), sy * (y - y0)
+        if r > top.get(c, 0):
+            top[c] = r
+        if c > far:
+            far = c
+        depths.append(c + r)
+    levels: list[list] = [[] for _ in range(max(depths, default=0))]
+    for c in sorted(top):
+        x = x0 + sx * c
+        column = [(x, y0 + sy * r) for r in range(top[c] + 1)]
+        for r in range(top[c]):
+            levels[c + r].append((column[r], column[r + 1], quadrant))
+    trunk = [(x0 + sx * c, y0) for c in range(far + 1)]
+    for c in range(far):
+        levels[c].append((trunk[c], trunk[c + 1], quadrant))
+    reached: list[list] = [[] for _ in levels]
+    for d, depth in zip(dests, depths):
+        reached[depth - 1].append(d)
+    return tuple(map(tuple, levels)), tuple(map(frozenset, reached))
 
 
 def double_channel_xfirst_route(
@@ -112,19 +110,21 @@ def double_channel_xfirst_route(
     """The tree-like deadlock-free multicast of §6.2.1: one X-first
     multicast tree per quadrant subnetwork.
 
-    Returns ``[(quadrant, tree), ...]`` for the non-empty quadrants; the
-    simulator maps each tree onto its own channel copies.
+    Returns ``[(quadrant, tree), ...]`` for the non-empty quadrants,
+    each tree's arcs in the order :func:`quadrant_levels` sends them;
+    the simulator maps each tree onto its own channel copies.
     """
     mesh = request.topology
     if not isinstance(mesh, Mesh2D):
         raise TypeError("double-channel X-first routing is defined for 2D meshes")
     parts = partition_destinations(request.source, request.destinations)
-    return [
-        (quadrant, grow_tree(mesh, request.source, dlist,
-                             partial(double_channel_xfirst_step, mesh, quadrant)))
-        for quadrant, dlist in parts.items()
-        if dlist
-    ]
+    trees = []
+    for quadrant, dlist in parts.items():
+        if dlist:
+            levels, _ = quadrant_levels(request.source, dlist, quadrant)
+            arcs = [(u, v) for level in levels for u, v, _ in level]
+            trees.append((quadrant, MulticastTree(mesh, request.source, arcs)))
+    return trees
 
 
 def quadrant_cdg_certificate(topology, params=None):

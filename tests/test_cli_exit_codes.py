@@ -83,6 +83,25 @@ class TestInvalidSimConfig:
         assert "fault-aware" in _one_line_error(capsys)
 
 
+class TestFaultsFailingJob:
+    def test_both_executions_record_it(self, capsys):
+        # the single-channel X-first tree wedges the 4x4 mesh: each
+        # sweep execution records the failed job as a NaN row and a
+        # warning, and exits 0
+        argv = ["faults", "--schemes", "xfirst-tree", "--topology", "mesh:4x4",
+                "--fault-rates", "0", "--messages", "50", "--replications", "1"]
+        rows = []
+        for supervision in ([], ["--job-timeout", "30"]):
+            assert main(argv + supervision) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert "DeadlockDetected" in captured.err
+            rows.append(captured.out)
+        assert rows[0] == rows[1]
+        (row,) = [ln for ln in rows[0].splitlines() if ln.startswith("xfirst-tree")]
+        assert row.split()[:4] == ["xfirst-tree", "0", "nan", "nan"]
+
+
 class TestUnknownScheme:
     def test_simulate(self, capsys):
         assert main(["simulate", "--scheme", "nope"]) == 2

@@ -37,6 +37,19 @@ def _jobs(n=4, runner="dynamic", **kw):
     return replicate(SweepJob(MESH, "dual-path", CFG.replace(**kw), runner), n)
 
 
+def _deadlock_job():
+    """An e-cube tree job that wedges the single-channel 3-cube."""
+    return SweepJob(
+        Hypercube(3),
+        "ecube-tree",
+        SimConfig(num_messages=60, seed=1, num_destinations=7, mean_interarrival=20e-6),
+    )
+
+
+#: run_sweep options selecting each execution
+EXECUTIONS = {"in-process": {"workers": 1}, "supervised": {"workers": 1, "timeout": 120}}
+
+
 class TestSweepJobValidation:
     def test_unknown_runner_rejected(self):
         with pytest.raises(ValueError, match="unknown runner"):
@@ -414,3 +427,31 @@ class TestParityWithFastPath:
         in_process = run_sweep(jobs, workers=1)
         supervised = run_sweep(jobs, workers=2, retries=1)
         assert in_process == supervised
+
+    def test_failing_job_recorded_alike(self):
+        """A job that raises gets the same ``None`` result, failure
+        record and ledger in process as under the supervisor."""
+        jobs = [_jobs(1)[0], _deadlock_job(), _jobs(2)[1]]
+        outcomes = []
+        for options in EXECUTIONS.values():
+            failures: list = []
+            stats = SweepStats()
+            results = run_sweep(
+                jobs, on_error="record", failures=failures, stats=stats, **options
+            )
+            outcomes.append((results, failures, stats))
+        in_process, supervised = outcomes
+        assert in_process == supervised
+        results, (failure,), stats = in_process
+        assert results[1] is None and None not in (results[0], results[2])
+        assert (failure.index, failure.attempts) == (1, 1)
+        assert failure.error.startswith("DeadlockDetected: ")
+        assert stats == SweepStats(attempts=3, completed=2, errors=1, failed_jobs=1)
+
+    @pytest.mark.parametrize("options", EXECUTIONS.values(), ids=EXECUTIONS)
+    def test_failing_job_raises_after_the_sweep(self, options):
+        stats = SweepStats()
+        with pytest.raises(SweepError, match="DeadlockDetected") as info:
+            run_sweep([_deadlock_job(), _jobs(1)[0]], stats=stats, **options)
+        assert [f.index for f in info.value.failures] == [0]
+        assert stats.completed == 1  # the job after the failure still ran

@@ -1,19 +1,24 @@
 """Parity of the level-order tree walker and the one-pass ``tree_stages``
 with the code they replaced.
 
-X-first (Fig. 5.5), divided greedy (Fig. 5.6), LEN (§5.2), the e-cube
-tree (Fig. 6.1) and each quadrant of the double-channel X-first tree
-(Fig. 6.6) each used to carry the drive loop kept here verbatim as
-:func:`seed_drive`; all of them now call
-:func:`repro.models.grow_tree`.  ``tree_stages`` used to peel the arcs
-off level by level; it now groups them by the BFS depth of their tail.
-The quadratic original is kept here as :func:`seed_tree_stages`.
+X-first (Fig. 5.5), divided greedy (Fig. 5.6), LEN (§5.2) and the
+e-cube tree (Fig. 6.1) each used to carry the drive loop kept here
+verbatim as :func:`seed_drive`; all of them now call
+:func:`repro.models.grow_tree`.  Each quadrant of the double-channel
+X-first tree (Fig. 6.6) used to be driven the same way by
+:func:`double_channel_xfirst_step`, kept here verbatim as the quadrant
+reference; it is now built in closed form
+(:func:`repro.wormhole.quadrant_levels`).  ``tree_stages`` used to
+peel the arcs off level by level; it now groups them by the BFS depth
+of their tail.  The quadratic original is kept here as
+:func:`seed_tree_stages`.
 
 Hypothesis draws 2-D meshes (odd and 1-wide sides included) and
 hypercubes.  The walker must emit the reference loop's arcs, in order,
-for every step function and every quadrant separately, and
-``tree_stages`` must equal the reference on every tree router's
-output, with and without a tag.
+for every step function and every quadrant separately, the quadrant
+router must emit the same arcs in the same order, and ``tree_stages``
+must equal the reference on every tree router's output, with and
+without a tag.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.heuristics.xfirst import xfirst_step
 from repro.models import MulticastRequest, MulticastTree, grow_tree
 from repro.registry import specs
 from repro.topology import Hypercube, Mesh2D
+from repro.topology.base import Node
 from repro.wormhole import (
     QUADRANTS,
     double_channel_xfirst_route,
@@ -40,7 +46,47 @@ from repro.wormhole import (
     tree_stages,
 )
 from repro.wormhole.ecube_tree import ecube_step
-from repro.wormhole.subnetworks import double_channel_xfirst_step
+
+
+def _mirror(quadrant: str, local: Node, d: Node) -> tuple[int, int]:
+    """Coordinates of ``d`` relative to ``local`` with the quadrant's
+    axes flipped to look like +X,+Y."""
+    sx = 1 if "+X" in quadrant else -1
+    sy = 1 if "+Y" in quadrant else -1
+    return (sx * (d[0] - local[0]), sy * (d[1] - local[1]))
+
+
+def double_channel_xfirst_step(
+    mesh: Mesh2D, quadrant: str, local: Node, dests
+) -> tuple[bool, dict]:
+    """One step of the double-channel X-first routing algorithm
+    (Fig. 6.6), generalised to all four subnetworks by mirroring.
+
+    Returns ``(deliver_local, {next_node: sublist})``.
+    """
+    sx = 1 if "+X" in quadrant else -1
+    sy = 1 if "+Y" in quadrant else -1
+    rel = {d: _mirror(quadrant, local, d) for d in dests}
+    # Step 1: while strictly west of every destination, move east.
+    min_rx = min(r[0] for r in rel.values()) if rel else 0
+    if rel and min_rx > 0:
+        return False, {(local[0] + sx, local[1]): list(dests)}
+    deliver = False
+    column, remainder = [], []
+    for d in dests:
+        rx, ry = rel[d]
+        if rx == 0 and ry == 0:
+            deliver = True
+        elif rx == 0:
+            column.append(d)  # step 3: same column, go vertical
+        else:
+            remainder.append(d)
+    groups: dict = {}
+    if column:
+        groups[(local[0], local[1] + sy)] = column
+    if remainder:
+        groups[(local[0] + sx, local[1])] = remainder
+    return deliver, groups
 
 
 def seed_drive(topology, source, destinations, step):
