@@ -138,6 +138,13 @@ def _assert_accounted(cell_name: str, report: dict, responses: list) -> None:
     )
     ids = [r.request_id for r in responses]
     assert ids == list(range(len(responses))), f"{cell_name}: id mismatch"
+    # every cache-served request counts exactly one cache hit, whether
+    # admission or the dispatcher found the plan
+    assert report["cache"]["hits"] == counters["cache_served"], (
+        cell_name,
+        report["cache"],
+        counters["cache_served"],
+    )
 
 
 def measure_cell(params: dict, name: str, *, cache: bool, chaos: dict | None) -> dict:

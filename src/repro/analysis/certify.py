@@ -40,6 +40,7 @@ from pathlib import Path
 from .. import registry
 from ..models.request import MulticastRequest, random_multicast
 from ..models.results import MulticastStar, MulticastTree
+from ..topology import parse_topology
 from .graph import CycleError, node_key, shortest_cycle, topological_order, validate_cycle
 
 __all__ = [
@@ -85,14 +86,6 @@ class CertificationError(RuntimeError):
     def __init__(self, message: str, cycle: list | None = None):
         super().__init__(message)
         self.cycle = cycle
-
-
-def _parse_topology(spec_str: str):
-    """Resolve a ``mesh:WxH``-style topology spec string (the CLI's
-    grammar, reused so artifacts can name their topology portably)."""
-    from ..cli import parse_topology
-
-    return parse_topology(spec_str)
 
 
 def _edge_digest(edges: Iterable) -> str:
@@ -155,7 +148,7 @@ class Certificate:
         """Recompute the CDG from the registry and re-check the
         certificate end to end (the round-trip CI relies on)."""
         spec = registry.get(self.scheme)
-        topology = _parse_topology(self.topology_spec)
+        topology = parse_topology(self.topology_spec)
         self.validate(spec.cdg_edges(topology))
 
     def to_json(self) -> dict:
@@ -359,7 +352,7 @@ def search_counterexample(
     spec = registry.get(scheme)
     if spec.fn is None:
         return None
-    topology = _parse_topology(topology_spec)
+    topology = parse_topology(topology_spec)
     pool = _witness_pool(topology, seed=seed)
     tried = 0
     combos: list[list[MulticastRequest]] = [[w] for w in pool]
@@ -385,7 +378,7 @@ def fig_6_1_counterexample() -> Counterexample:
     """The Fig. 6.1 construction through the refutation engine: two
     simultaneous e-cube broadcasts from nodes 000 and 001 of a 3-cube
     deadlock — their combined extended CDG is cyclic."""
-    topology = _parse_topology("cube:3")
+    topology = parse_topology("cube:3")
     others = lambda s: tuple(v for v in topology.nodes() if v != s)
     return refute(
         "ecube-tree",
@@ -403,7 +396,7 @@ def fig_6_4_counterexample() -> Counterexample:
     X-first multicast trees on a 3x4 mesh with *single* channels (no
     quadrant subnetworks) deadlock on the pair of channels
     (1,1)->(0,1) and (2,1)->(3,1)."""
-    topology = _parse_topology("mesh:4x3")
+    topology = parse_topology("mesh:4x3")
     return refute(
         "xfirst",
         "mesh:4x3",
@@ -454,7 +447,7 @@ def certify_claim(spec: registry.AlgorithmSpec, topology_spec: str) -> Certifica
         raise CertificationError(
             f"{spec.name} claims deadlock_free=True without a CDG certificate hook"
         )
-    topology = _parse_topology(topology_spec)
+    topology = parse_topology(topology_spec)
     edges = list(spec.cdg_edges(topology))
     try:
         order = topological_order(edges)
@@ -566,7 +559,7 @@ def verify_counterexample(counterexample: Counterexample) -> None:
     confirm the recorded cycle is a genuine cycle of their combined
     CDG.  Raises :class:`CertificationError` otherwise."""
     spec = registry.get(counterexample.scheme)
-    topology = _parse_topology(counterexample.topology_spec)
+    topology = parse_topology(counterexample.topology_spec)
     by_key = {node_key(v): v for v in topology.nodes()}
     requests = []
     for src_key, dest_keys in counterexample.witnesses:

@@ -44,7 +44,6 @@ PROTOCOL_METHODS: frozenset[str] = frozenset(
         "supervisor.RouteService._requeue_or_fail",
         "supervisor.RouteService._reclaim",
         "supervisor.RouteService._dispatch_ticks",
-        "supervisor.RouteService._account_cache_replay",
         # circuit breaker
         "supervisor.CircuitBreaker.allow",
         "supervisor.CircuitBreaker.record_success",

@@ -183,7 +183,7 @@ def request_lifecycle_machine(
         ),
         Transition(
             "dispatch_cache_replay",
-            ("supervisor.RouteService._account_cache_replay",),
+            ("cache.RoutePlanCache.get", "supervisor.RouteService._resolve"),
             lambda v: v["phase"] in ("queued", "requeued") and bool(v["cached"]),
             terminalize,
         ),

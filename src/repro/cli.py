@@ -32,11 +32,10 @@ registrations appear in ``route --algorithm`` choices and the
 ``algorithms`` listing without touching this module.
 
 Exit codes: 0 success, 1 analysis findings (``certify`` / ``lint``) or
-a typed service error, 2 usage errors (unknown scheme, bad node, an
-unknown ``--engine`` or ``simulate --engine dense`` on a scheme that
-does not send path worms, invalid :class:`~repro.sim.config.SimConfig`
-values such as more ``--dests`` than the topology has other nodes —
-always a one-line message, never a traceback), 3 no fault-avoiding
+a typed service error, 2 usage errors (unknown scheme, bad node,
+invalid :class:`~repro.sim.config.SimConfig` values such as more
+``--dests`` than the topology has other nodes — always a one-line
+message, never a traceback), 3 no fault-avoiding
 route exists (:class:`Unroutable`, the blocking channel is named on
 stderr), 4 an exact solver exceeded its ``--budget`` node-expansion
 limit (:class:`repro.exact.SearchBudgetExceeded`).
@@ -51,30 +50,18 @@ from . import registry
 from .exact.errors import SearchBudgetExceeded
 from .models.request import MulticastRequest
 from .sim.config import InvalidConfigError
-from .topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
+from .topology import Hypercube, Mesh2D
+from .topology import parse_topology as _parse_topology
 from .wormhole.fault_tolerance import Unroutable
 
 
 def parse_topology(spec: str):
-    """Parse ``mesh:WxH``, ``mesh3d:WxHxD``, ``cube:N`` or ``torus:KxN``."""
-    kind, _, rest = spec.partition(":")
+    """:func:`repro.topology.parse_topology` for argparse: a bad spec
+    raises :class:`argparse.ArgumentTypeError` with the same text."""
     try:
-        if kind == "mesh":
-            w, h = (int(p) for p in rest.split("x"))
-            return Mesh2D(w, h)
-        if kind == "mesh3d":
-            w, h, d = (int(p) for p in rest.split("x"))
-            return Mesh3D(w, h, d)
-        if kind == "cube":
-            return Hypercube(int(rest))
-        if kind == "torus":
-            k, n = (int(p) for p in rest.split("x"))
-            return KAryNCube(k, n)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad topology spec {spec!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(
-        f"unknown topology kind {kind!r} (mesh/mesh3d/cube/torus)"
-    )
+        return _parse_topology(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def parse_node(topology, text: str):
@@ -191,7 +178,7 @@ def cmd_simulate(args) -> int:
         from .parallel import SweepJob, pooled_latency, replicate, run_sweep
 
         jobs = [
-            SweepJob(topology, args.scheme, c, engine=args.engine)
+            SweepJob(topology, args.scheme, c)
             for c in replicate(cfg, args.replications)
         ]
         results = run_sweep(jobs, workers=args.workers)
@@ -205,7 +192,7 @@ def cmd_simulate(args) -> int:
             f"{args.workers or 'auto'} workers)"
         )
         return 0
-    result = run_dynamic(topology, args.scheme, cfg, engine=args.engine)
+    result = run_dynamic(topology, args.scheme, cfg)
     print(
         f"{args.scheme} on {topology}: mean latency "
         f"{result.mean_latency * 1e6:.2f} us "
@@ -678,12 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the replication sweep "
                         "(default and cap: the core count; used when "
                         "--replications > 1)")
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core: the coroutine reference model, the "
-                        "vectorized structure-of-arrays engine (identical "
-                        "results; path-worm schemes only, any other scheme "
-                        "exits 2), or auto (picked per run from workload "
-                        "features, recorded in the result)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("faults", help="fault-injection degradation study")

@@ -214,7 +214,7 @@ def greedy_st_prepare(request: MulticastRequest) -> list[Node]:
     result_model="tree",
     reference="§5.2 Fig. 5.4 (greedy Steiner-tree heuristic)",
 )
-def greedy_st_route(request: MulticastRequest, resort: bool = False) -> MulticastTree:
+def greedy_st_route(request: MulticastRequest) -> MulticastTree:
     """Drive the distributed greedy ST algorithm (Fig. 5.4) over the
     network and return the realised multicast tree.
 
@@ -223,10 +223,7 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
 
     The paper's message-preparation sort happens once, at the source;
     replicate nodes receive their sublists in the source's order
-    (Fig. 5.4 takes the input list as given).  With ``resort=True``
-    every replicate node re-sorts its sublist by distance from itself
-    before rebuilding the subtree — a natural strengthening the
-    ablation benchmark measures.
+    (Fig. 5.4 takes the input list as given).
     """
     topo = request.topology
     dest_set = set(request.destinations)
@@ -253,8 +250,6 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
         rest = dlist[1:]
         if not rest:
             continue  # leaf (step 2)
-        if resort:
-            rest = sorted(rest, key=lambda v: (topo.distance(u, v), topo.index(v)))
         edges = build_virtual_tree(topo, u, rest)
         if first:
             root_virtual = tuple(edges)

@@ -164,18 +164,13 @@ class SweepJob:
     The scheme name is checked against :mod:`repro.registry` at
     construction, so a typo or a non-simulable scheme fails in the
     driving process before any worker fans out.  ``runner`` selects the
-    driver: ``"dynamic"`` (:func:`repro.sim.runner.run_dynamic`) or
-    ``"resilient"`` (:func:`repro.sim.runner.run_resilient`, fault
-    injection + retry); ``engine`` the simulation core of a dynamic
-    run (``"reference"`` coroutine kernel, the vectorized ``"dense"``
-    engine, or ``"auto"`` to let each worker pick per job from its
-    workload features — the decision lands in
-    ``result.engine_stats["auto"]`` and in the checkpoint key, so
-    resumes distinguish engines).  A dynamic job is checked by
+    driver: ``"dynamic"`` (:func:`repro.sim.runner.run_dynamic`, on the
+    engine the run picks — the decision lands in
+    ``result.engine_stats["auto"]``) or ``"resilient"``
+    (:func:`repro.sim.runner.run_resilient`, fault injection + retry on
+    the fault-aware reference network).  A dynamic job is checked by
     :func:`repro.sim.runner.check_dynamic_run` at construction, so
-    fault rates or ``"dense"`` on a tree, adaptive or VCT scheme fail
-    here.  Resilient runs execute on the fault-aware reference network,
-    accept only ``"reference"``, and are checked by
+    fault rates fail here; a resilient one by
     :func:`repro.sim.runner.check_resilient_run`, so fault rates on a
     scheme without a fault-aware worm fail here too.  Either runner
     refuses more destinations than the topology has nodes besides the
@@ -185,7 +180,6 @@ class SweepJob:
     scheme: str
     config: SimConfig
     runner: str = "dynamic"
-    engine: str = "reference"
 
     def __post_init__(self):
         spec = get_spec(self.scheme)  # raises UnknownSchemeError on typos
@@ -200,15 +194,10 @@ class SweepJob:
                 f"(supported families: {', '.join(spec.topologies)})"
             )
         if self.runner == "dynamic":
-            check_dynamic_run(spec, self.config, self.engine)
+            check_dynamic_run(spec, self.config)
         elif self.runner != "resilient":
             raise ValueError(
                 f"unknown runner {self.runner!r} (expected 'dynamic' or 'resilient')"
-            )
-        elif self.engine != "reference":
-            raise ValueError(
-                f"resilient runs execute on the fault-aware reference "
-                f"network; engine {self.engine!r} is not available"
             )
         else:
             check_resilient_run(spec, self.config)
@@ -258,9 +247,7 @@ def replicate(config, num_runs: int):
     from the config's seed."""
     if isinstance(config, SweepJob):
         return [
-            SweepJob(
-                config.topology, config.scheme, c, config.runner, config.engine
-            )
+            SweepJob(config.topology, config.scheme, c, config.runner)
             for c in replicate(config.config, num_runs)
         ]
     return [
@@ -276,7 +263,7 @@ def _run_job(job: SweepJob):
     topology = canonical_topology(job.topology)
     if job.runner == "resilient":
         return run_resilient(topology, job.scheme, job.config)
-    return run_dynamic(topology, job.scheme, job.config, engine=job.engine)
+    return run_dynamic(topology, job.scheme, job.config)
 
 
 # ----------------------------------------------------------------------
@@ -293,10 +280,6 @@ def _job_key(job: SweepJob) -> str:
     from dataclasses import asdict
 
     fields = [repr(job.topology), job.scheme, job.runner, asdict(job.config)]
-    if job.engine != "reference":
-        # appended only for non-default engines so checkpoints written
-        # before the engine field existed still resume cleanly
-        fields.append(job.engine)
     payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

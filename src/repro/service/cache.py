@@ -71,16 +71,6 @@ class RoutePlanCache:
             self.hits += 1
             return value
 
-    def peek(self, key: CacheKey) -> RouteResponse | None:
-        """The cached value (refreshed) or ``None``, without touching
-        the hit/miss counters — for the dispatcher's second probe of a
-        request already counted as a miss at admission."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
     def put(self, key: CacheKey, value: RouteResponse) -> None:
         """Insert/refresh an entry, evicting the least recently used
         one past capacity.  A zero-capacity cache stores nothing (every

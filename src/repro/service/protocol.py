@@ -76,7 +76,7 @@ class RouteRequest:
     """
 
     request_id: int
-    topology: str  # spec, e.g. "mesh:8x8" | "cube:4" (cli.parse_topology)
+    topology: str  # spec, e.g. "mesh:8x8" | "cube:4" (topology.parse_topology)
     scheme: str
     source: Any
     destinations: tuple[Any, ...]

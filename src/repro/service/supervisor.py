@@ -61,10 +61,11 @@ if TYPE_CHECKING:
 from .. import registry
 from ..parallel import kill_process
 from ..retry import retry_delay
+from ..topology import parse_topology
 from .cache import CacheKey, RoutePlanCache, route_key
 from .chaos import ChaosPlan
 from .protocol import RouteRequest, RouteResponse
-from .worker import _parse_topology, worker_main
+from .worker import worker_main
 
 __all__ = ["CircuitBreaker", "RouteService", "ServiceConfig"]
 
@@ -334,7 +335,7 @@ class RouteService:
         except registry.UnknownSchemeError as exc:
             return self._admission_reject(future, request, "unknown-scheme", str(exc))
         try:
-            topology = _parse_topology(request.topology)
+            topology = parse_topology(request.topology)
         except ValueError as exc:
             return self._admission_reject(future, request, "bad-request", str(exc))
         if not spec.supports(topology):
@@ -444,15 +445,16 @@ class RouteService:
                 self._counters["failed"] += 1
                 self._errors[response.error] = self._errors.get(response.error, 0) + 1
 
-    def _resolve(self, dispatch: _Dispatch, response: RouteResponse) -> None:  # thread: dispatcher
+    def _resolve(self, dispatch: _Dispatch, response: RouteResponse, cache_hit: bool = False) -> None:  # thread: dispatcher
         """The only place a dispatched request turns terminal — the
         ``resolved`` guard enforces exactly-once even if two failure
-        paths fire in one tick."""
+        paths fire in one tick.  ``cache_hit`` marks a plan replayed
+        from the cache."""
         if dispatch.resolved:
             return
         dispatch.resolved = True
         dispatch.terminal = response
-        self._account_terminal(response)
+        self._account_terminal(response, cache_hit=cache_hit)
         with self._lock:
             self._outstanding -= 1
         dispatch.future.set_result(response)
@@ -817,9 +819,13 @@ class RouteService:
                     if index is None:
                         break
                     dispatch = self._pending.pop(index)
-                    cached = self.cache.peek(dispatch.cache_key)
+                    cached = self.cache.get(dispatch.cache_key)
                     if cached is not None:
-                        self._account_cache_replay(dispatch, cached)
+                        self._resolve(
+                            dispatch,
+                            cached.replayed(dispatch.request.request_id),
+                            cache_hit=True,
+                        )
                         continue
                     if not dispatch.degraded:
                         breaker = self._breaker(dispatch)
@@ -845,12 +851,3 @@ class RouteService:
                     self._send_job(handle, dispatch, now)
 
             time.sleep(0.002)
-
-    def _account_cache_replay(self, dispatch: _Dispatch, cached: RouteResponse) -> None:  # thread: dispatcher
-        response = cached.replayed(dispatch.request.request_id)
-        dispatch.resolved = True
-        dispatch.terminal = response
-        self._account_terminal(response, cache_hit=True)
-        with self._lock:
-            self._outstanding -= 1
-        dispatch.future.set_result(response)

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 from ..exact.errors import InfeasibleRoute, SearchBudgetExceeded
 from ..models.request import MulticastRequest
 from ..registry import UnknownSchemeError, get as get_spec
-from ..topology import canonical_topology
+from ..topology import canonical_topology, parse_topology
 from ..wormhole.fault_tolerance import Unroutable
 
 __all__ = ["compute_route", "worker_main"]
@@ -50,19 +50,6 @@ __all__ = ["compute_route", "worker_main"]
 #: How long a stalled worker sleeps (heartbeats off) before giving up
 #: waiting for the supervisor's SIGKILL.
 _STALL_S = 600.0
-
-
-def _parse_topology(spec: str) -> Any:
-    """Topology-spec parsing shared with the CLI, with plain
-    ``ValueError`` semantics (no argparse error types on this path)."""
-    import argparse
-
-    from ..cli import parse_topology
-
-    try:
-        return parse_topology(spec)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def compute_route(
@@ -83,7 +70,7 @@ def compute_route(
     try:
         topology = topology_cache.get(job["topology"])
         if topology is None:
-            topology = canonical_topology(_parse_topology(job["topology"]))
+            topology = canonical_topology(parse_topology(job["topology"]))
             topology_cache[job["topology"]] = topology
         if not spec.supports(topology):
             return False, {

@@ -6,9 +6,9 @@ vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
 parity-tested counterpart for fault-free path worms); routing adapters in
 :mod:`repro.sim.traffic`; the experiment drivers in
 :mod:`repro.sim.runner`, one per run type, sharing one Poisson arrival
-process.  Only :func:`run_dynamic` takes ``engine="reference"``,
-``"dense"`` or ``"auto"``; the other drivers run on the reference
-engine.
+process.  :func:`run_dynamic` picks its engine per run (``"auto"``)
+and takes ``engine="reference"`` or ``"dense"`` to force one; the
+other drivers run on the reference engine.
 """
 
 from .config import InvalidConfigError, SimConfig

@@ -88,11 +88,9 @@ class SimConfig:
     #: snap every traffic/retry/fault event time to the flit-time grid
     #: (each delay rounds to the nearest whole number of flit times, at
     #: least one).  Off by default — the reference engine then matches
-    #: the seed simulator bit for bit.  The dense engine advances an
-    #: integer flit clock, so it always behaves as if this were set;
-    #: enabling it on the reference engine is what makes dense-vs-
-    #: reference runs comparable event for event (the parity suite
-    #: runs both this way).
+    #: the seed simulator bit for bit.  Together with a power-of-two
+    #: flit time it puts a run on the :attr:`exact_grid`, the only
+    #: place the dense engine runs.
     quantize_arrivals: bool = False
 
     def __post_init__(self):
@@ -152,6 +150,14 @@ class SimConfig:
     def ticks(self, delay: float) -> int:
         """``delay`` as a whole number of flit times (>= 1)."""
         return max(1, round(delay / self.flit_time))
+
+    @property
+    def exact_grid(self) -> bool:
+        """Whether every event time is a whole number of flit times
+        held exactly in a float: arrivals are quantized and the flit
+        time is a power of two.  Only there does the dense engine's
+        integer flit clock reproduce the reference calendar exactly."""
+        return self.quantize_arrivals and math.frexp(self.flit_time)[0] == 0.5
 
     @property
     def faulty(self) -> bool:

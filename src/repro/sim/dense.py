@@ -3,7 +3,7 @@ worms.
 
 The reference model (:mod:`repro.sim.reference`) steps one worm object
 per event through the kernel.  This engine runs the *same* simulation
-of path worms (``worm_style`` ``star`` / ``vc-star``) over flat state:
+of plain path worms (``worm_style`` ``star``) over flat state:
 
 * channel occupancy (``in_use``/``cap``) as NumPy arrays over interned
   channel ids;
@@ -20,16 +20,18 @@ multi-tick frontier window — acquires, releases, deliveries and cursor
 moves as bulk array ops; a tick that no window can commit runs through
 the classic dispatcher, one event at a time.  Windows pay off only at
 light load on large networks, which is where ``engine="auto"`` picks
-this engine.  Only :func:`repro.sim.runner.run_dynamic` selects it and
-it refuses tree, adaptive and VCT worms; every other driver, fault
+this engine.  Only :func:`repro.sim.runner.run_dynamic` selects it, and
+only for star worms on the exact flit grid
+(:func:`repro.sim.runner.dense_refusal`); every other driver, fault
 injection included, runs on the reference engine.
 
 Parity contract
 ---------------
 
-Event-for-event equality with the reference engine under
-``SimConfig(quantize_arrivals=True)``: every traffic delay is then a
-whole number of flit times on both engines, and this engine reproduces
+Event-for-event equality with the reference engine on the exact grid
+(``SimConfig.exact_grid``: quantized arrivals and a power-of-two flit
+time): every traffic delay is then a whole number of flit times, held
+exactly in a float on the reference side, and this engine reproduces
 the two-lane kernel's dispatch order exactly — pre-scheduled bucket
 entries run in scheduling order, zero-delay work appends to the live
 bucket (the immediate lane), and releases wake waiters FIFO.  A window
@@ -172,7 +174,7 @@ class DenseEngine:
         self.rp_used = 0
         #: lazily-filled (u << LUT_BITS | v) -> channel-id table, built
         #: the first time a long route over small-int nodes is injected
-        #: (-1 = not interned yet); one table per (capacity, route key)
+        #: (-1 = not interned yet); one table per capacity
         self._edge_luts: dict = {}
         self._dest_scratch = None
         #: node label -> dense small int for the edge LUTs
@@ -239,26 +241,17 @@ class DenseEngine:
         self.cap[cid] = capacity or self.config.channels_per_link
         return cid
 
-    def _intern_route(
-        self,
-        nodes,
-        destinations,
-        off: int,
-        n: int,
-        cap: int,
-        channel_key=None,
-        lut_key=None,
-    ) -> bool:
+    def _intern_route(self, nodes, destinations, off: int, n: int, cap: int) -> bool:
         """Vectorized route interning for long paths: node labels of
         any hashable kind intern to dense small ints, channel ids come
         from one gather on a lazily-filled ``(u << LUT_BITS) | v``
-        table (one per (capacity, route-key) pair), delivery flags
-        from a scratch membership array.  Returns False when the
-        engine has seen more distinct nodes than a table covers and
-        the caller must fall back to the per-hop loop."""
-        lut = self._edge_luts.get((cap, lut_key))
+        table (one per capacity), delivery flags from a scratch
+        membership array.  Returns False when the engine has seen more
+        distinct nodes than a table covers and the caller must fall
+        back to the per-hop loop."""
+        lut = self._edge_luts.get(cap)
         if lut is None:
-            lut = self._edge_luts[(cap, lut_key)] = np.full(
+            lut = self._edge_luts[cap] = np.full(
                 1 << (2 * self.LUT_BITS), -1, dtype=np.int32
             )
             if self._dest_scratch is None:
@@ -285,12 +278,7 @@ class DenseEngine:
         miss = cids < 0
         if miss.any():
             for i in np.flatnonzero(miss):
-                pair = (
-                    (nodes[i], nodes[i + 1])
-                    if channel_key is None
-                    else channel_key(nodes[i], nodes[i + 1])
-                )
-                lut[keys[i]] = self._chan(pair, cap)
+                lut[keys[i]] = self._chan((nodes[i], nodes[i + 1]), cap)
             cids = lut[keys]
         self.rp_chan[off : off + n] = cids
         scratch = self._dest_scratch
@@ -370,11 +358,13 @@ class DenseEngine:
         message_id: int,
         nodes,
         destinations: set,
-        channel_key=None,
         capacity: int | None = None,
         flits: int | None = None,
-        route_key=None,
     ) -> int:
+        """Inject a path worm along ``nodes`` on the ``(u, v)``
+        channels of ``capacity`` (default: the config's channels per
+        link); members of ``destinations`` latch a copy as the tail
+        passes them."""
         cap = capacity or self.config.channels_per_link
         n = len(nodes) - 1
         w = self._new_worm(message_id, n, flits)
@@ -388,25 +378,16 @@ class DenseEngine:
         off = self.rp_used
         self.w_off[w] = off
         self.rp_used = need
-        # a long route interns through the edge LUTs when its channel
-        # identities are (u, v) pairs or pinned by ``route_key``
-        # (virtual-channel planes), so one LUT per key stays valid
+        # a long route interns through the edge LUTs
         if not (
-            (channel_key is None or route_key is not None)
-            and n >= self.LUT_MIN_HOPS
-            and self._intern_route(
-                nodes, destinations, off, n, cap,
-                channel_key=channel_key, lut_key=route_key,
-            )
+            n >= self.LUT_MIN_HOPS
+            and self._intern_route(nodes, destinations, off, n, cap)
         ):
             rp_chan = self.rp_chan
             rp_dest = self.rp_dest
             for i in range(n):
-                u = nodes[i]
                 v = nodes[i + 1]
-                rp_chan[off + i] = self._chan(
-                    (u, v) if channel_key is None else channel_key(u, v), cap
-                )
+                rp_chan[off + i] = self._chan((nodes[i], v), cap)
                 rp_dest[off + i] = v in destinations
         if n == 0:  # degenerate: source-only path
             self.active_worms -= 1

@@ -445,8 +445,8 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
 
     __slots__ = ("dead", "arrived")
 
-    def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
-        super().__init__(net, message_id, source, dest_queue, labeling, channel_key, capacity)
+    def __init__(self, net, message_id, source, dest_queue, labeling, capacity):
+        super().__init__(net, message_id, source, dest_queue, labeling, capacity)
         self.dead = False
         self.arrived = False
         if net.origin_time is not None:
@@ -478,14 +478,14 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
                 return
         chosen = None
         for p in alive:
-            ch = self.net.channel(self.channel_key(cur, p), self.capacity)
+            ch = self.net.channel((cur, p), self.capacity)
             if ch.free:
                 chosen = (p, ch)
                 break
         if chosen is None:
             # block on the most-preferred *alive* candidate; the fault
             # check reruns on wake-up in case the fault set changed
-            ch = self.net.channel(self.channel_key(cur, alive[0]), self.capacity)
+            ch = self.net.channel((cur, alive[0]), self.capacity)
             ch.waiters.append(self._advance)
             return
         if detouring:
@@ -539,8 +539,8 @@ class FaultyTreeWorm(TreeWorm):
 
     __slots__ = ("dead", "arrived")
 
-    def __init__(self, net, message_id, chan_levels, head_levels):
-        super().__init__(net, message_id, chan_levels, head_levels)
+    def __init__(self, net, message_id, chan_levels, dest_levels):
+        super().__init__(net, message_id, chan_levels, dest_levels)
         self.dead = False
         self.arrived = False
         if net.origin_time is not None:

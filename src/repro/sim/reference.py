@@ -27,8 +27,10 @@ Two worm shapes:
 
 Channel identity is an arbitrary hashable key, so callers can model
 double channels either as one pooled channel of capacity 2 (path
-routing on a double-channel network) or as per-subnetwork copies
-(``(u, v, quadrant)`` for the double-channel X-first tree).
+routing on a double-channel network) or as per-subnetwork copies: a
+tree worm's channel is its arc tuple itself (``(u, v, quadrant)`` for
+the double-channel X-first tree), and a virtual-channel path worm maps
+each hop to ``(u, v, plane)``.
 """
 
 from __future__ import annotations
@@ -133,16 +135,12 @@ class WormholeNetwork:
         channel_key=None,
         capacity: int | None = None,
         flits: int | None = None,
-        route_key=None,
     ) -> "PathWorm":
         """Inject a path worm following ``nodes``; members of
         ``destinations`` latch a copy as the tail passes them.
         ``channel_key`` maps a hop to its channel identity (default:
         the ``(u, v)`` pair itself); ``flits`` overrides the message
-        length (header modelling).  ``route_key`` is a hashable token
-        that, together with ``(u, v, capacity)``, fully determines a
-        hop's channel identity — the dense engine keys its edge lookup
-        tables on it; this scalar model ignores it."""
+        length (header modelling)."""
         channels = self.channels
         cap = capacity or self.config.channels_per_link
         chans = []
@@ -163,7 +161,6 @@ class WormholeNetwork:
         source,
         destinations: Sequence,
         labeling,
-        channel_key=lambda u, v: (u, v),
         capacity: int | None = None,
     ) -> "AdaptivePathWorm":
         """Inject a path worm that chooses its next channel *at each
@@ -173,26 +170,25 @@ class WormholeNetwork:
         label-sorted in travel order (as produced by
         ``split_high_low``)."""
         return self.launch(self.adaptive_worm_cls(
-            self, message_id, source, list(destinations), labeling, channel_key, capacity
+            self, message_id, source, list(destinations), labeling, capacity
         ))
 
     def inject_tree(
         self,
         message_id: int,
         levels: Sequence[Sequence],
-        channel_key=lambda arc: (arc[0], arc[1]),
+        dest_levels: Sequence,
         capacity: int | None = None,
         flits: int | None = None,
     ) -> "TreeWorm":
         """Inject a lockstep tree worm.  ``levels[r]`` holds the arcs at
-        depth r+1 as ``(u, v, *tags)`` tuples; per-level destination
-        sets are supplied via ``TreeWorm.dest_levels`` by the caller."""
+        depth r+1 as ``(u, v, *tags)`` tuples, each arc its own channel
+        key; ``dest_levels[r]`` holds the destinations that latch a
+        copy as the tail leaves level r."""
         chan_levels = [
-            [self.channel(channel_key(arc), capacity) for arc in level]
-            for level in levels
+            [self.channel(arc, capacity) for arc in level] for level in levels
         ]
-        head_levels = [[arc[1] for arc in level] for level in levels]
-        worm = self.tree_worm_cls(self, message_id, chan_levels, head_levels)
+        worm = self.tree_worm_cls(self, message_id, chan_levels, dest_levels)
         if flits is not None:
             worm.flits = flits
         return self.launch(worm)
@@ -323,17 +319,16 @@ class AdaptivePathWorm:
     """
 
     __slots__ = (
-        "net", "env", "message_id", "labeling", "channel_key", "capacity",
+        "net", "env", "message_id", "labeling", "capacity",
         "nodes", "channels", "queue", "dests", "injected_at", "flits", "tf",
         "_advance", "_arrive", "_rel",
     )
 
-    def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
+    def __init__(self, net, message_id, source, dest_queue, labeling, capacity):
         self.net = net
         self.env = net.env
         self.message_id = message_id
         self.labeling = labeling
-        self.channel_key = channel_key
         self.capacity = capacity
         self.nodes = [source]
         self.channels: list[Channel] = []
@@ -364,13 +359,13 @@ class AdaptivePathWorm:
         candidates = self.labeling.route_candidates(cur, target)
         chosen = None
         for p in candidates:
-            ch = self.net.channel(self.channel_key(cur, p), self.capacity)
+            ch = self.net.channel((cur, p), self.capacity)
             if ch.free:
                 chosen = (p, ch)
                 break
         if chosen is None:
             # block on the deterministic R choice
-            ch = self.net.channel(self.channel_key(cur, candidates[0]), self.capacity)
+            ch = self.net.channel((cur, candidates[0]), self.capacity)
             ch.waiters.append(self._advance)
             return
         nxt, ch = chosen
@@ -408,19 +403,18 @@ class TreeWorm:
     be free before the frontier advances (§6.1)."""
 
     __slots__ = (
-        "net", "env", "message_id", "chan_levels", "head_levels",
+        "net", "env", "message_id", "chan_levels",
         "dest_levels", "injected_at", "k", "flits", "tf",
         "_tick", "_done", "_rel",
     )
 
-    def __init__(self, net: WormholeNetwork, message_id: int, chan_levels, head_levels):
+    def __init__(self, net: WormholeNetwork, message_id: int, chan_levels, dest_levels):
         self.net = net
         self.env = net.env
         self.message_id = message_id
         self.chan_levels = chan_levels
-        self.head_levels = head_levels
-        #: per-level sets of destination nodes; filled by the caller
-        self.dest_levels: list[set] = [set() for _ in chan_levels]
+        #: per-level collections of destination nodes
+        self.dest_levels = dest_levels
         self.injected_at = net.env.now
         self.k = 0  # next level to acquire
         self.flits = net.config.flits_per_message

@@ -12,21 +12,23 @@ the three share one arrival process (:func:`_drive`).
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
 
-Only :func:`run_dynamic` takes ``engine=``: ``"reference"`` steps one
-worm object per event through the kernel (:mod:`repro.sim.reference`),
-``"dense"`` advances fault-free path worms as flat arrays on an integer
-flit clock (:mod:`repro.sim.dense`), and ``"auto"`` picks one per run
-(:func:`choose_engine`).  Its body talks to the engine only through the
+:func:`run_dynamic` picks its engine per run (:func:`choose_engine`):
+the reference model (:mod:`repro.sim.reference`) steps one worm object
+per event through the kernel, and the dense engine
+(:mod:`repro.sim.dense`) advances fault-free path worms as flat arrays
+on an integer flit clock.  The run talks to either only through the
 surface the two share — ``schedule`` (delays in seconds),
 ``inject_path``, ``run_to_completion``, ``now``, the worm counts and
-``delivery_latencies``.  Both engines consume the same RNG draw
-sequence; with ``SimConfig(quantize_arrivals=True)`` they agree event
-for event (the parity suite asserts identical delivery streams).
-:func:`check_dynamic_run` states what it accepts: ``engine="dense"``
-on a tree, adaptive or VCT scheme, and any config with fault rates,
-raise :class:`~repro.sim.config.InvalidConfigError`.  The other
-drivers run on the reference engine, :func:`run_resilient` on its
-fault-aware subclass (:class:`~repro.sim.faults.FaultyWormholeNetwork`).
+``delivery_latencies``.  The dense engine runs only where it agrees
+with the reference event for event (:func:`dense_refusal`): star
+worms on the exact flit grid (:attr:`SimConfig.exact_grid`), so the
+choice never changes a number.  ``engine="reference"`` and
+``engine="dense"`` force one engine, for parity oracles and engine
+benchmarks; a forced dense run the rule refuses, and any config with
+fault rates, raise :class:`~repro.sim.config.InvalidConfigError`
+(:func:`check_dynamic_run`).  The other drivers run on the reference
+engine, :func:`run_resilient` on its fault-aware subclass
+(:class:`~repro.sim.faults.FaultyWormholeNetwork`).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 
 ENGINES = ("reference", "dense", "auto")
 
-#: worm styles the dense engine has a kernel for (path worms)
-DENSE_WORM_STYLES = ("star", "vc-star")
+#: worm styles the dense engine has a kernel for (plain path worms)
+DENSE_WORM_STYLES = ("star",)
 
 #: worm styles with no fault-aware worm: a fault would pass them by
 #: unnoticed, so :func:`check_resilient_run` refuses them under faults
@@ -73,48 +75,70 @@ class DeadlockDetected(RuntimeError):
     """The simulation stalled with unfinished worms and no events."""
 
 
-def choose_engine(topology, router, config) -> tuple[str, dict]:
-    """Pick ``"dense"`` or ``"reference"`` for one run from cheap, O(1)
-    workload features — the ``engine="auto"`` policy.
+def dense_refusal(worm_style: str, config: SimConfig) -> str | None:
+    """Why the dense engine cannot run ``worm_style`` worms under
+    ``config`` — ``"worm-style"`` (it has a kernel for star worms
+    only) or ``"inexact-grid"`` (off :attr:`SimConfig.exact_grid` its
+    integer flit clock rounds event times the reference keeps) — or
+    None where it runs them exactly like the reference engine."""
+    if worm_style not in DENSE_WORM_STYLES:
+        return "worm-style"
+    if not config.exact_grid:
+        return "inexact-grid"
+    return None
 
-    The dense engine only pays off when its multi-tick frontier windows
-    fire (PERFORMANCE.md §5): plain path worms, an arrival process
-    already on the flit-clock grid (so the switch never changes the
-    numbers), and injections sparse enough network-wide that windows
-    can span the ~100-row NumPy dispatch crossover.  Everything else runs the
-    reference kernel, which is the never-materially-worse baseline.
+
+def _probe_route(topology, router, config) -> tuple[int, int]:
+    """Worms and routed hops of one representative multicast: a
+    mid-index source with destinations spread evenly over the whole
+    index range."""
+    nodes = topology.num_nodes
+    k = min(config.num_destinations, nodes - 1)
+    src_i = nodes // 2
+    sel: list[int] = []
+    for i in range(k + 1):
+        j = (i * nodes) // (k + 1)
+        if j != src_i and j not in sel:
+            sel.append(j)
+    dests = tuple(topology.node_at(j) for j in sel[:k])
+    specs = router(MulticastRequest.trusted(topology, topology.node_at(src_i), dests))
+    return len(specs), sum(len(s.nodes) - 1 for s in specs)
+
+
+def choose_engine(topology, router, config) -> tuple[str, dict]:
+    """Pick ``"dense"`` or ``"reference"`` for one run — the
+    ``engine="auto"`` policy.
+
+    The dense engine runs only where :func:`dense_refusal` allows it,
+    and pays off only where its multi-tick frontier windows fire
+    (PERFORMANCE.md §5): injections sparse enough network-wide, and
+    routes long enough that windows span the ~100-row NumPy dispatch
+    crossover.  Worm style, grid and load come from the config; only a
+    star scheme on the exact grid at light load routes one
+    representative request to measure its route length.  Everything
+    else runs the reference kernel, which is the never-materially-worse
+    baseline.
 
     Returns ``(engine, features)`` where ``features`` records every
-    input to the decision plus the decision itself; drivers surface it
-    as ``result.engine_stats["auto"]``.
+    input to the decision plus the decision itself (``route_hops`` and
+    ``worms_per_message`` are None when no probe ran); drivers surface
+    it as ``result.engine_stats["auto"]``.
     """
     gap = config.ticks(config.mean_interarrival)
     nodes = topology.num_nodes
     agg_gap = gap / max(1, nodes)
     style = router.spec.worm_style
-    # one representative multicast (evenly spread destinations) routed
-    # once: its specs expose the expected route length and whether the
-    # scheme splits each message across virtual-channel planes
-    worms = hops = 0
-    plane_split = plain_paths = False
-    k = min(config.num_destinations, nodes - 1)
-    if style == "star" and k > 0:
-        # a mid-index source with destinations spread over the whole
-        # index range engages both planes of plane-splitting schemes
-        src_i = nodes // 2
-        sel: list[int] = []
-        for i in range(k + 1):
-            j = (i * nodes) // (k + 1)
-            if j != src_i and j not in sel:
-                sel.append(j)
-        dests = tuple(topology.node_at(j) for j in sel[:k])
-        specs = router(MulticastRequest.trusted(topology, topology.node_at(src_i), dests))
-        plain_paths = all(isinstance(s, PathSpec) for s in specs)
-        if plain_paths:
-            worms = len(specs)
-            hops = sum(len(s.nodes) - 1 for s in specs)
-            plane_split = any(s.plane is not None for s in specs)
-    features = {
+    worms: int | None = None
+    hops: int | None = None
+    reason = dense_refusal(style, config)
+    if reason is None and agg_gap < AUTO_GAP_TICKS:
+        reason = "saturated"
+    if reason is None:
+        worms, hops = _probe_route(topology, router, config)
+        if hops < AUTO_MIN_HOPS:
+            reason = "short-routes"
+    decision = "reference" if reason else "dense"
+    return decision, {
         "worm_style": style,
         "nodes": nodes,
         "interarrival_ticks": gap,
@@ -125,24 +149,10 @@ def choose_engine(topology, router, config) -> tuple[str, dict]:
         "route_hops": hops,
         "hops_threshold": AUTO_MIN_HOPS,
         "worms_per_message": worms,
-        "plane_split": plane_split,
-        "quantized": config.quantize_arrivals,
+        "exact_grid": config.exact_grid,
+        "decision": decision,
+        "reason": reason or "frontier-windows",
     }
-    if style != "star" or not plain_paths:
-        decision, reason = "reference", "worm-style"
-    elif plane_split:
-        decision, reason = "reference", "plane-split"
-    elif not config.quantize_arrivals:
-        decision, reason = "reference", "unquantized-grid"
-    elif agg_gap < AUTO_GAP_TICKS:
-        decision, reason = "reference", "saturated"
-    elif hops < AUTO_MIN_HOPS:
-        decision, reason = "reference", "short-routes"
-    else:
-        decision, reason = "dense", "frontier-windows"
-    features["decision"] = decision
-    features["reason"] = reason
-    return decision, features
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,6 @@ def inject_specs(net, message_id: int, specs, capacity: int, router: "Router | N
                     channel_key=lambda u, v, p=plane: (u, v, p),
                     capacity=1,
                     flits=flits,
-                    route_key=plane,
                 )
         elif isinstance(spec, AdaptiveSpec):
             net.inject_adaptive_path(
@@ -211,14 +220,9 @@ def inject_specs(net, message_id: int, specs, capacity: int, router: "Router | N
                 if net.config.model_header_overhead
                 else None
             )
-            worm = net.inject_tree(
-                message_id,
-                spec.levels,
-                channel_key=lambda arc: arc,
-                capacity=1,
-                flits=flits,
+            net.inject_tree(
+                message_id, spec.levels, spec.dest_levels, capacity=1, flits=flits
             )
-            worm.dest_levels = [set(s) for s in spec.dest_levels]
         else:
             raise TypeError(f"unknown worm spec {spec!r}")
 
@@ -232,12 +236,12 @@ def _make_router(topology, scheme, config, fault_state=None) -> Router:
     )
 
 
-def check_dynamic_run(spec, config: SimConfig, engine: str) -> None:
+def check_dynamic_run(spec, config: SimConfig, engine: str = "auto") -> None:
     """Raise unless :func:`run_dynamic` can run ``spec``'s scheme under
     ``config`` on ``engine``: ``ValueError`` for an unknown engine, and
     :class:`InvalidConfigError` for fault rates (only
-    :func:`run_resilient` injects faults) or for ``engine="dense"`` on a
-    worm style the dense engine has no kernel for."""
+    :func:`run_resilient` injects faults) or for ``engine="dense"``
+    where :func:`dense_refusal` refuses it."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if config.faulty:
@@ -245,10 +249,20 @@ def check_dynamic_run(spec, config: SimConfig, engine: str) -> None:
             "run_dynamic simulates a fault-free network; a config with "
             "fault rates needs run_resilient"
         )
-    if engine == "dense" and spec.worm_style not in DENSE_WORM_STYLES:
+    if engine != "dense":
+        return
+    refusal = dense_refusal(spec.worm_style, config)
+    if refusal == "worm-style":
         raise InvalidConfigError(
             f"engine 'dense' runs path worms only; {spec.name} sends "
             f"{spec.worm_style} worms"
+        )
+    if refusal == "inexact-grid":
+        raise InvalidConfigError(
+            "engine 'dense' runs only on the exact flit grid "
+            "(quantize_arrivals=True and a power-of-two flit time); "
+            f"flit time {config.flit_time!r} s with quantize_arrivals="
+            f"{config.quantize_arrivals} is off it"
         )
 
 
@@ -342,9 +356,11 @@ def run_dynamic(
     scheme: str,
     config: SimConfig,
     router: Router | None = None,
-    engine: str = "reference",
+    engine: str = "auto",
 ) -> DynamicResult:
-    """Simulate Poisson multicast traffic under one routing scheme.
+    """Simulate Poisson multicast traffic under one routing scheme, on
+    the engine :func:`choose_engine` picks (``engine="auto"``) or on a
+    forced one.
 
     Raises :class:`DeadlockDetected` if the network wedges (only
     possible for the deliberately deadlock-prone tree schemes on single
@@ -353,13 +369,13 @@ def run_dynamic(
     """
     router = router or _make_router(topology, scheme, config)
     check_dynamic_run(router.spec, config, engine)
+    rng = random.Random(config.seed)
+    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
     auto: dict | None = None
     if engine == "auto":
         engine, auto = choose_engine(topology, router, config)
     dense = DenseEngine(config) if engine == "dense" else None
     net = dense or WormholeNetwork(Environment(), config)
-    rng = random.Random(config.seed)
-    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
     # capacity for path worms: pooled double channels when the network
     # is double-channel; tree worms always use their own tagged copies.
     path_capacity = config.channels_per_link

@@ -114,9 +114,8 @@ def inject_vct_path(
     message_id: int,
     nodes: Sequence,
     destinations: set,
-    channel_key=lambda u, v: (u, v),
-    capacity: int | None = None,
 ) -> VCTWorm:
-    """Inject a virtual cut-through message along ``nodes``."""
-    chans = [net.channel(channel_key(u, v), capacity) for u, v in zip(nodes, nodes[1:])]
+    """Inject a virtual cut-through message along ``nodes``, on the
+    network's ``(u, v)`` channels."""
+    chans = [net.channel((u, v)) for u, v in zip(nodes, nodes[1:])]
     return net.launch(VCTWorm(net, message_id, list(nodes), chans, destinations))

@@ -9,13 +9,13 @@ flit-tick grid.  Parity then means *equality* — identical latency
 summaries, simulation time, and delivery counts, not approximate
 agreement.
 
-The dense engine serves fault-free path worms (``worm_style`` ``star``
-/ ``vc-star``) only, and only :func:`run_dynamic` selects it; a dense
-request for tree, adaptive or VCT worms raises, and ``engine="auto"``
-runs them on the reference engine
+The dense engine serves fault-free plain path worms (``worm_style``
+``star``) only, and only :func:`run_dynamic` selects it; a dense
+request for virtual-channel, tree, adaptive or VCT worms raises, and
+``engine="auto"`` runs them on the reference engine
 (:func:`test_dense_falls_back_to_reference`,
-:func:`test_dense_rejects_unserved_worm_styles`).  The twin of tree
-and adaptive worms is their fault-aware subclass: a resilient run with
+:func:`test_dense_rejects_unserved_worm_styles`).  The twin of the
+other worm styles is their fault-aware subclass: a resilient run with
 no faults must match the plain run event for event.  Bursts at time
 zero have no arrival process, so the static tests inject them into
 each network directly.
@@ -412,53 +412,39 @@ def test_dense_falls_back_to_reference(topology, scheme, kw):
 
 
 def test_dense_rejects_unserved_worm_styles():
-    """Tree, adaptive and VCT worms have no dense kernel: a dense
-    request raises, in run_dynamic and when a sweep job is built, while
-    ``engine="auto"`` runs them on the reference engine."""
-    from repro.parallel import SweepJob
-
+    """Virtual-channel, tree, adaptive and VCT worms have no dense
+    kernel: a dense request raises, while ``engine="auto"`` runs them
+    on the reference engine."""
     cfg = SimConfig(**BASE, num_messages=10, num_destinations=4, channels_per_link=2)
     unserved = [
         spec for spec in registry.specs(simulable=True, include_families=False)
         if spec.worm_style not in DENSE_WORM_STYLES
-    ]
-    assert {s.worm_style for s in unserved} == {"adaptive", "tree", "vct-tree", "xfirst-tree"}
+    ] + [registry.get("virtual-channel-2")]
+    assert {s.worm_style for s in unserved} == {
+        "adaptive", "tree", "vc-star", "vct-tree", "xfirst-tree"
+    }
     for spec in unserved:
         topology = Mesh2D(4, 4) if "mesh2d" in spec.topologies else Hypercube(4)
         with pytest.raises(InvalidConfigError, match="path worms only"):
             run_dynamic(topology, spec.name, cfg, engine="dense")
-        with pytest.raises(InvalidConfigError, match="path worms only"):
-            SweepJob(topology, spec.name, cfg, engine="dense")
         assert run_dynamic(topology, spec.name, cfg, engine="auto").engine == "reference"
 
 
-def test_sweepjob_validates_engine():
-    from repro.parallel import SweepJob
-
-    cfg = SimConfig(**BASE, num_messages=10)
-    with pytest.raises(ValueError, match="unknown engine"):
-        SweepJob(Mesh2D(4, 4), "dual-path", cfg, engine="sparse")
-    job = SweepJob(Mesh2D(4, 4), "dual-path", cfg, engine="dense")
-    assert job.engine == "dense"
-
-
 def test_sweepjob_engine_roundtrip():
-    """A dense sweep replication must agree with its reference twin."""
+    """A dynamic sweep job runs on the engine the run picks: on a light
+    exact-grid load that is the dense engine, and every replication
+    agrees with its reference twin."""
     from repro.parallel import SweepJob, replicate, run_sweep
 
     cfg = SimConfig(
-        **BASE, seed=9, mean_interarrival=300e-6,
-        num_messages=100, num_destinations=5,
+        **BASE, seed=9, mean_interarrival=360000e-6, num_messages=30,
+        num_destinations=4, channels_per_link=2,
     )
-    results = {}
-    for engine in ("reference", "dense"):
-        jobs = [
-            SweepJob(Mesh2D(6, 6), "dual-path", c, engine=engine)
-            for c in replicate(cfg, 2)
-        ]
-        results[engine] = run_sweep(jobs, workers=1)
-    for ref, dense in zip(results["reference"], results["dense"]):
-        assert _fingerprint(dense) == _fingerprint(ref)
+    jobs = replicate(SweepJob(Hypercube(7), "fixed-path", cfg), 2)
+    for job, swept in zip(jobs, run_sweep(jobs, workers=1)):
+        assert swept.engine == "dense"
+        ref = run_dynamic(job.topology, job.scheme, job.config, engine="reference")
+        assert _fingerprint(swept) == _fingerprint(ref)
 
 
 # ----------------------------------------------------------------------

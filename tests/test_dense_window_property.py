@@ -11,6 +11,8 @@ The delivery streams must be identical event for event, as must the
 final clock, the worm count left in flight and the deadlock verdict.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,15 +45,16 @@ def _build(net, ring: int, worms, cap: int) -> None:
     """Inject every worm as a segment of a shared ring of channels;
     overlapping segments contend, identical segments duplicate-touch."""
     tf = net.config.flit_time
+    inject = partial(net.inject_path, capacity=cap)
     for mid, (start, hops, when, dpick) in enumerate(worms, start=1):
         hops = min(hops, ring - 1)  # simple path: no self-deadlock
         nodes = tuple((start + i) % ring for i in range(hops + 1))
         # final node always delivers; dpick marks one interior node too
         dests = {nodes[-1], nodes[1 + (dpick % hops)]}
         if when:
-            net.schedule(when * tf, net.inject_path, mid, nodes, dests, None, cap)
+            net.schedule(when * tf, inject, mid, nodes, dests)
         else:
-            net.inject_path(mid, nodes, dests, capacity=cap)
+            inject(mid, nodes, dests)
 
 
 def _outcome(net) -> tuple:

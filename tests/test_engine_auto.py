@@ -1,16 +1,19 @@
-"""``engine="auto"`` — per-run engine selection from workload features.
+"""``engine="auto"`` — per-run engine selection from workload features,
+the default of :func:`repro.sim.runner.run_dynamic`.
 
 The policy (:func:`repro.sim.runner.choose_engine`) must (a) pick the
-dense engine exactly where its frontier windows pay off, (b) record
-every feature that fed the decision in ``result.engine_stats["auto"]``,
-and (c) never change the numbers a caller would have gotten from the
-engine it resolves to.
+dense engine exactly where its frontier windows pay off, and never off
+the exact flit grid, (b) record every feature that fed the decision in
+``result.engine_stats["auto"]``, and (c) never change the numbers: a
+default run equals a forced reference run.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.parallel import SweepJob, run_sweep
-from repro.sim.config import SimConfig
+from repro.sim.config import InvalidConfigError, SimConfig
 from repro.sim.runner import (
     AUTO_GAP_TICKS,
     AUTO_MIN_HOPS,
@@ -81,7 +84,18 @@ class TestChooseEngine:
         cfg = _light_config().replace(quantize_arrivals=False)
         engine, feats = _decide(Hypercube(6), "fixed-path", cfg)
         assert engine == "reference"
-        assert feats["reason"] == "unquantized-grid"
+        assert feats["reason"] == "inexact-grid"
+
+    def test_inexact_flit_time_picks_reference_without_probe(self):
+        # the paper's 20 MB/s: quantized arrivals, but a 0.1 us flit
+        # time is no power of two, so the grid is not exact and no
+        # request is routed to decide
+        cfg = _light_config(bandwidth=20e6)
+        assert not cfg.exact_grid
+        engine, feats = _decide(Hypercube(7), "fixed-path", cfg)
+        assert engine == "reference"
+        assert feats["reason"] == "inexact-grid"
+        assert feats["route_hops"] is None and feats["worms_per_message"] is None
 
     def test_features_are_complete(self):
         _, feats = _decide(Hypercube(7), "fixed-path", _light_config())
@@ -96,8 +110,7 @@ class TestChooseEngine:
             "route_hops",
             "hops_threshold",
             "worms_per_message",
-            "plane_split",
-            "quantized",
+            "exact_grid",
             "decision",
             "reason",
         ):
@@ -134,6 +147,31 @@ class TestRunDynamicAuto:
         with pytest.raises(ValueError, match="unknown engine"):
             run_dynamic(Hypercube(4), "fixed-path", _light_config(), engine="bogus")
 
+    def test_default_picks_dense_on_exact_grid(self):
+        topo, cfg = Hypercube(7), _light_config()
+        auto = run_dynamic(topo, "fixed-path", cfg)
+        ref = run_dynamic(topo, "fixed-path", cfg, engine="reference")
+        assert auto.engine == "dense"
+        assert auto.engine_stats["auto"]["reason"] == "frontier-windows"
+        assert replace(auto, engine="reference", engine_stats=None) == ref
+
+    def test_default_off_exact_grid_equals_reference(self):
+        # at 20 MB/s the dense engine's integer clock would round the
+        # reference's float calendar and move the mean latency
+        topo, cfg = Hypercube(7), _light_config(bandwidth=20e6)
+        auto = run_dynamic(topo, "fixed-path", cfg)
+        ref = run_dynamic(topo, "fixed-path", cfg, engine="reference")
+        assert auto.engine_stats["auto"]["reason"] == "inexact-grid"
+        assert replace(auto, engine_stats=None) == ref
+
+    @pytest.mark.parametrize("kw", [dict(bandwidth=20e6), dict(quantize_arrivals=False)],
+                             ids=["flit-0.1us", "unquantized"])
+    def test_forced_dense_off_exact_grid_raises(self, kw):
+        cfg = _light_config(**kw)
+        assert not cfg.exact_grid
+        with pytest.raises(InvalidConfigError, match="exact flit grid"):
+            run_dynamic(Hypercube(7), "fixed-path", cfg, engine="dense")
+
 
 class TestOtherDriversAuto:
     def test_resilient_with_faults_goes_reference(self):
@@ -159,14 +197,6 @@ class TestOtherDriversAuto:
 
 
 class TestSweepAuto:
-    def test_sweepjob_accepts_auto(self):
-        job = SweepJob(Hypercube(4), "fixed-path", _light_config(), engine="auto")
-        assert job.engine == "auto"
-
-    def test_sweepjob_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SweepJob(Hypercube(4), "fixed-path", _light_config(), engine="bogus")
-
     def test_checkpoint_roundtrip(self, tmp_path):
         """A resumed job keeps its engine record: auto sends this light
         cube:7 load to dense, and the checkpoint restores ``engine`` and
@@ -174,7 +204,7 @@ class TestSweepAuto:
         from repro.parallel import SweepStats
 
         jobs = [
-            SweepJob(Hypercube(7), "fixed-path", _light_config(seed=s), engine="auto")
+            SweepJob(Hypercube(7), "fixed-path", _light_config(seed=s))
             for s in (1, 2)
         ]
         ckpt = str(tmp_path / "sweep.jsonl")

@@ -9,7 +9,7 @@ Both must return the same edge list, order included, on 2-D meshes
 (1xN and Nx1 too), 3-D meshes and hypercubes (n = 1 too), for every
 k from 1 to N-1, with destinations in message-preparation order and
 shuffled so that equidistant ties are exercised.  Whole routes must
-agree too: arcs and virtual edges, with and without ``resort``.
+agree too: arcs and virtual edges.
 """
 
 from __future__ import annotations
@@ -129,12 +129,12 @@ def assert_tree_parity(request, order):
     )
 
 
-def assert_route_parity(request, resort):
-    tree = greedy_st_route(request, resort=resort)
+def assert_route_parity(request):
+    tree = greedy_st_route(request)
     with mock.patch.object(
         greedy_st, "build_virtual_tree", seed_build_virtual_tree
     ), mock.patch.object(greedy_st, "greedy_st_prepare", seed_greedy_st_prepare):
-        reference = greedy_st_route(request, resort=resort)
+        reference = greedy_st_route(request)
     assert tree.arcs == reference.arcs
     assert tree.virtual_edges == reference.virtual_edges
 
@@ -170,11 +170,10 @@ class TestPrepareParity:
 
 class TestRouteParity:
     @settings(max_examples=250, deadline=None)
-    @given(requests(), st.booleans())
-    def test_route_matches_seed(self, req, resort):
-        assert_route_parity(req, resort)
+    @given(requests())
+    def test_route_matches_seed(self, req):
+        assert_route_parity(req)
 
-    @pytest.mark.parametrize("resort", [False, True])
     @pytest.mark.parametrize("req", EDGE_CASES)
-    def test_edge_cases(self, req, resort):
-        assert_route_parity(req, resort)
+    def test_edge_cases(self, req):
+        assert_route_parity(req)

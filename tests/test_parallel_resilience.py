@@ -60,11 +60,6 @@ class TestSweepJobValidation:
         assert isinstance(result, FaultResult)
         assert result.delivery_ratio == 1.0
 
-    @pytest.mark.parametrize("engine", ["dense", "auto"])
-    def test_resilient_runner_rejects_other_engines(self, engine):
-        with pytest.raises(ValueError, match="fault-aware reference"):
-            SweepJob(MESH, "dual-path", CFG, "resilient", engine)
-
 
 class TestNoResultsError:
     def test_empty_input(self):

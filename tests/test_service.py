@@ -131,13 +131,6 @@ class TestRoutePlanCache:
         assert stats["hit_rate"] == 0.5
         assert stats["size"] == 1 and stats["capacity"] == 4
 
-    def test_peek_does_not_count(self):
-        cache = RoutePlanCache(capacity=4)
-        cache.put("k", "v")
-        assert cache.peek("k") == "v"
-        assert cache.peek("absent") is None
-        assert cache.hits == 0 and cache.misses == 0
-
     def test_zero_capacity_stores_nothing(self):
         cache = RoutePlanCache(capacity=0)
         cache.put("k", "v")
@@ -238,6 +231,17 @@ class TestRouteService:
         assert second.request_id == 2
         assert report["counters"]["cache_served"] == 1
         assert report["cache"]["hits"] == 1
+
+    def test_burst_cache_hits_reconcile(self):
+        # identical requests submitted back to back miss at admission;
+        # the dispatcher serves all but the first from the plan the
+        # first one caches, and each cache-served request counts one hit
+        with RouteService(ServiceConfig(workers=1)) as svc:
+            futures = [svc.submit(_mesh_request(i)) for i in range(1, 9)]
+            responses = [f.result(timeout=30) for f in futures]
+            report = svc.drain(timeout=30)
+        assert sum(r.cache_hit for r in responses) == 7
+        assert report["cache"]["hits"] == report["counters"]["cache_served"] > 0
 
     def test_typed_admission_errors(self):
         with RouteService(ServiceConfig(workers=1)) as svc:

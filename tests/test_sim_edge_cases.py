@@ -101,7 +101,7 @@ class TestNetworkEdgeCases:
     def test_empty_tree_finishes_immediately(self):
         env = Environment()
         net = WormholeNetwork(env, SimConfig())
-        net.inject_tree(1, [])
+        net.inject_tree(1, [], [])
         assert net.run_to_completion()
 
     def test_channel_reuse_across_messages(self):

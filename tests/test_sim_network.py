@@ -120,9 +120,7 @@ class TestBlocking:
 
 class TestTreeWorm:
     def _inject_tree(self, net, levels, dest_levels):
-        worm = net.inject_tree(1, levels, channel_key=lambda arc: arc)
-        worm.dest_levels = [set(s) for s in dest_levels]
-        return worm
+        return net.inject_tree(1, levels, dest_levels)
 
     def test_uncontended_tree_delivery(self):
         env, net, cfg = make_net()
@@ -162,8 +160,7 @@ class TestTreeWorm:
         t1_levels = [[("a", "b")], [("b", "c")]]
         t2_levels = [[("b", "c")], [("a", "b")]]
         self._inject_tree(net, t1_levels, [set(), {"c"}])
-        w2 = net.inject_tree(2, t2_levels, channel_key=lambda arc: arc)
-        w2.dest_levels = [set(), {"b"}]
+        net.inject_tree(2, t2_levels, [set(), {"b"}])
         assert not net.run_to_completion()
         assert net.active_worms == 2
 

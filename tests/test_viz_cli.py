@@ -81,9 +81,16 @@ class TestTopologyParsing:
     def test_bad_specs(self):
         import argparse
 
+        from repro import topology
+
         for bad in ("ring:5", "mesh:axb", "mesh", "cube:x"):
-            with pytest.raises(argparse.ArgumentTypeError):
+            with pytest.raises(argparse.ArgumentTypeError) as cli_error:
                 parse_topology(bad)
+            # the topology layer owns the grammar and raises ValueError
+            # with the text the CLI shows
+            with pytest.raises(ValueError) as error:
+                topology.parse_topology(bad)
+            assert str(error.value) == str(cli_error.value)
 
     def test_parse_node_mesh(self):
         m = Mesh2D(4, 4)
