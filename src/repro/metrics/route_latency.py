@@ -14,20 +14,7 @@ from __future__ import annotations
 from statistics import mean
 
 from ..models.request import MulticastRequest
-from .switching import (
-    SwitchingParams,
-    circuit_switching_latency,
-    store_and_forward_latency,
-    virtual_cut_through_latency,
-    wormhole_latency,
-)
-
-_MODELS = {
-    "store-and-forward": store_and_forward_latency,
-    "virtual-cut-through": virtual_cut_through_latency,
-    "circuit-switching": circuit_switching_latency,
-    "wormhole": wormhole_latency,
-}
+from .switching import LATENCY_MODELS, SwitchingParams
 
 
 def dest_latencies(
@@ -44,7 +31,7 @@ def dest_latencies(
     term differs.  Tree routes behave identically per destination since
     replication is free at routers.
     """
-    model = _MODELS[switching]
+    model = LATENCY_MODELS[switching]
     if params is None:
         params = SwitchingParams()
     hops = route.dest_hops(request.destinations)

@@ -1,4 +1,4 @@
-"""LRU route-plan cache with honest hit-rate counters.
+"""LRU route-plan cache with probe counters.
 
 Keys are ``(topology_repr, scheme, source, frozenset(destinations))``
 — the issue's ``(topology, scheme, destinations)`` key plus the
@@ -9,9 +9,12 @@ are terminal :class:`~repro.service.protocol.RouteResponse` objects;
 request's correlation id, so ``cache_hit=True`` responses are replayed
 plans, never shared mutable state.
 
-Counts hits / misses / evictions plus a derived ``hit_rate``, all
-exported by :meth:`stats` for the service drain report and
-``BENCH_service.json``.
+Counts hits / misses / evictions, exported by :meth:`stats` for the
+service drain report and ``BENCH_service.json``.  ``hits`` and
+``misses`` count probes (:meth:`RoutePlanCache.get` calls), not
+requests: admission and the dispatcher each probe, so one request can
+count twice.  The per-request figure is the service's
+``counters["cache_served"]``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class RoutePlanCache:
         self.capacity = capacity
         self._entries: OrderedDict[CacheKey, RouteResponse] = OrderedDict()
         self._lock = threading.Lock()
+        #: probes answered from / missing the cache (one request may
+        #: probe twice: at admission and at dispatch)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -89,20 +94,14 @@ class RoutePlanCache:
         with self._lock:
             self._entries.clear()
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, Any]:
-        """Counters snapshot for reports and benchmarks."""
+        """Counters snapshot for reports and benchmarks (``hits`` and
+        ``misses`` count probes)."""
         with self._lock:
-            total = self.hits + self.misses
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "hit_rate": self.hits / total if total else 0.0,
             }

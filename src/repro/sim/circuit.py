@@ -20,48 +20,32 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .reference import WormholeNetwork
+from .reference import Worm, WormholeNetwork
 
 
-class CircuitMessage:
+class CircuitMessage(Worm):
     """One circuit-switched message: probe, transfer, teardown."""
 
-    __slots__ = (
-        "net", "env", "message_id", "nodes", "channels", "dests",
-        "injected_at", "idx", "probe_hop_time",
-    )
+    __slots__ = ("idx",)
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
-        self.net = net
-        self.env = net.env
-        self.message_id = message_id
-        self.nodes = nodes
-        self.channels = channels
-        self.dests = dests
-        self.injected_at = net.env.now
+        super().__init__(net, message_id, nodes, channels, dests)
         self.idx = 0
-        cfg = net.config
-        # probe time per hop: L_c / B, with L_c one flit by default
-        self.probe_hop_time = cfg.flit_time
 
-    def start(self) -> None:
-        if not self.channels:
-            self.net.finish(self)
-            return
-        self._try_reserve()
-
-    def _try_reserve(self) -> None:
+    def _try_advance(self) -> None:
+        # the probe reserves the next channel; its hop time is L_c / B,
+        # with L_c one flit
         ch = self.channels[self.idx]
         if not ch.free:
-            ch.waiters.append(self._try_reserve)
+            ch.waiters.append(self._try_advance)
             return
         ch.acquire()
         self.idx += 1
         if self.idx == len(self.channels):
             # circuit established once the probe reaches the destination
-            self.env.schedule(self.probe_hop_time, self._transfer)
+            self.env.schedule(self.tf, self._transfer)
         else:
-            self.env.schedule(self.probe_hop_time, self._try_reserve)
+            self.env.schedule(self.tf, self._try_advance)
 
     def _transfer(self) -> None:
         # the whole message streams over the reserved circuit: the tail
@@ -69,19 +53,10 @@ class CircuitMessage:
         # circuit a propagation (flit) time later; we release channels
         # and deliver as the tail passes.
         transfer = self.net.config.message_time
-        tf = self.net.config.flit_time
+        tf = self.tf
         for i in range(len(self.channels)):
-            self.env.schedule(transfer + (i + 1) * tf, self._release, i)
+            self.env.schedule(transfer + (i + 1) * tf, self._rel, i)
         self.env.schedule(transfer + len(self.channels) * tf, self._finished)
-
-    def _release(self, i: int) -> None:
-        self.net.release(self.channels[i])
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.net.deliver(self.message_id, head, self.injected_at)
-
-    def _finished(self) -> None:
-        self.net.finish(self)
 
 
 def inject_circuit_path(

@@ -23,7 +23,10 @@ Three pieces:
   dropped and counted), adaptive worms detour around faulted candidate
   channels at simulation time, and in-flight worms on a failing link
   are killed, releasing every channel they hold (so a fault never
-  wedges the rest of the network).
+  wedges the rest of the network).  Each fault-aware worm is its
+  reference worm plus the :class:`FaultAwareWorm` mixin, which holds
+  what the three share; the adaptive worm's detour is its candidate
+  rule (``_candidates``).
 
 Dropped worms report to the network's ``drop_handler``; the resilient
 driver (:func:`repro.sim.runner.run_resilient`) uses that to implement
@@ -40,7 +43,7 @@ from collections.abc import Hashable
 from ..retry import derive_seed
 from .config import SimConfig
 from .kernel import Environment, Timeout
-from .reference import AdaptivePathWorm, PathWorm, TreeWorm, WormholeNetwork
+from .reference import AdaptivePathWorm, PathWorm, TreeWorm, Worm, WormholeNetwork
 from .stats import SimStats
 
 __all__ = [
@@ -380,25 +383,58 @@ class FaultyWormholeNetwork(WormholeNetwork):
 
 
 # ----------------------------------------------------------------------
-# Fault-aware worms.  Each adds three capabilities to its base class:
-# a ``dead`` flag silencing the prebound callbacks after a kill, a
-# fault check before every channel acquisition, and the held channels
-# the kill path releases.
+# Fault-aware worms.  Each adds to its base worm a fault check before
+# every acquisition, a ``dead`` guard silencing the prebound callbacks
+# after a kill, and the held channels the kill path releases.
 # ----------------------------------------------------------------------
 
 
-class FaultyPathWorm(PathWorm):
-    """A :class:`PathWorm` that dies on faulted channels."""
+class FaultAwareWorm(Worm):
+    """The part of a fault-aware worm that does not depend on its
+    shape.  Listed before the base worm, it registers the worm in the
+    network's ``live`` set, stamps a retransmission with its message's
+    original injection time, and sets the ``dead`` and ``arrived``
+    flags :meth:`FaultyWormholeNetwork.on_element_failed` reads; its
+    :meth:`hit_by` decides which failures kill the worm.
 
-    __slots__ = ("dead", "arrived")
+    It declares no ``__slots__``, so the flags live in the instance
+    dict: a second base adding slots to :class:`Worm` would conflict
+    with the base worm's own.
+    """
 
-    def __init__(self, net, message_id, nodes, channels, dests):
-        super().__init__(net, message_id, nodes, channels, dests)
+    def __init__(self, net, *args):
+        super().__init__(net, *args)
         self.dead = False
         self.arrived = False
         if net.origin_time is not None:
             self.injected_at = net.origin_time
         net.live[self] = None
+
+    def held_channels(self) -> list:
+        """The channels the worm holds now: what a kill releases."""
+        raise NotImplementedError
+
+    def header(self):
+        """The node the header waits at, or None when only the held
+        channels expose the worm."""
+        raise NotImplementedError
+
+    def hit_by(self, ev: FaultEvent) -> bool:
+        """Whether ``ev``'s failure kills the worm: a failed link under
+        a held channel, or a failed node at an end of one or at the
+        header."""
+        held = self.held_channels()
+        if ev.kind == "link":
+            u, v = ev.target
+            return any(ch.key[0] == u and ch.key[1] == v for ch in held)
+        node = ev.target
+        return self.header() == node or any(
+            ch.key[0] == node or ch.key[1] == node for ch in held
+        )
+
+
+class FaultyPathWorm(FaultAwareWorm, PathWorm):
+    """A :class:`PathWorm` that dies on faulted channels."""
 
     def _try_advance(self) -> None:
         if self.dead:
@@ -424,50 +460,34 @@ class FaultyPathWorm(PathWorm):
     def held_channels(self):
         return self.channels[max(0, self.idx - self.flits) : self.idx]
 
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        if self.nodes[self.idx] == node:  # header currently at the node
-            return True
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
+    def header(self):
+        return self.nodes[self.idx]
 
 
-class FaultyAdaptivePathWorm(AdaptivePathWorm):
+class FaultyAdaptivePathWorm(FaultAwareWorm, AdaptivePathWorm):
     """An :class:`AdaptivePathWorm` that detours around faulted
     candidate channels at simulation time and dies only when every
     admissible candidate is faulted."""
 
-    __slots__ = ("dead", "arrived")
-
-    def __init__(self, net, message_id, source, dest_queue, labeling, capacity):
-        super().__init__(net, message_id, source, dest_queue, labeling, capacity)
-        self.dead = False
-        self.arrived = False
-        if net.origin_time is not None:
-            self.injected_at = net.origin_time
-        net.live[self] = None
-
     def _try_advance(self) -> None:
         if self.dead:
             return
+        AdaptivePathWorm._try_advance(self)
+
+    def _candidates(self, cur, target) -> list:
+        """The R candidates on live links; when none is left, the full
+        monotone pool on live links, as the static fault-tolerant router
+        widens (still deadlock-free); when that is empty too, none, and
+        the worm is killed.  The worm blocks on the first survivor, and
+        the check reruns on wake-up in case the fault set changed."""
+        candidates = self.labeling.route_candidates(cur, target)
         state = self.net.fault_state
         if not state.any_down:
-            AdaptivePathWorm._try_advance(self)
-            return
-        cur = self.nodes[-1]
-        target = self.queue[0]
-        candidates = self.labeling.route_candidates(cur, target)
+            return candidates
         alive = [p for p in candidates if not state.link_down(cur, p)]
-        detouring = len(alive) < len(candidates)
-        if detouring and not alive:
-            # widen to the full monotone pool, as the static
-            # fault-tolerant router does (still deadlock-free)
+        if len(alive) == len(candidates):
+            return alive
+        if not alive:
             alive = [
                 p
                 for p in self.labeling.monotone_candidates(cur, target)
@@ -475,29 +495,13 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
             ]
             if not alive:
                 self.net.kill_worm(self)
-                return
-        chosen = None
-        for p in alive:
-            ch = self.net.channel((cur, p), self.capacity)
-            if ch.free:
-                chosen = (p, ch)
-                break
-        if chosen is None:
-            # block on the most-preferred *alive* candidate; the fault
-            # check reruns on wake-up in case the fault set changed
-            ch = self.net.channel((cur, alive[0]), self.capacity)
-            ch.waiters.append(self._advance)
-            return
-        if detouring:
-            self.net.stats.detoured += 1
-        nxt, ch = chosen
-        ch.acquire()
-        self.channels.append(ch)
-        self.nodes.append(nxt)
-        i = len(self.channels) - 1
-        if i - self.flits >= 0:
-            self._release(i - self.flits)
-        self.env.schedule(self.tf, self._arrive)
+                return alive
+        # a detour counts when the worm takes it: now, if one of the
+        # surviving channels is free
+        net = self.net
+        if any(net.channel((cur, p), self.capacity).free for p in alive):
+            net.stats.detoured += 1
+        return alive
 
     def _arrived(self) -> None:
         if self.dead:
@@ -518,74 +522,48 @@ class FaultyAdaptivePathWorm(AdaptivePathWorm):
     def held_channels(self):
         return self.channels[max(0, len(self.channels) - self.flits) :]
 
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        if self.nodes[-1] == node:
-            return True
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
+    def header(self):
+        return self.nodes[-1]
 
 
-class FaultyTreeWorm(TreeWorm):
+class FaultyTreeWorm(FaultAwareWorm, TreeWorm):
     """A lockstep :class:`TreeWorm` under faults: the nCUBE-2 rule
     needs *every* channel of the next level, so a faulted channel at
     any level kills the whole tree."""
 
-    __slots__ = ("dead", "arrived")
-
-    def __init__(self, net, message_id, chan_levels, dest_levels):
-        super().__init__(net, message_id, chan_levels, dest_levels)
-        self.dead = False
-        self.arrived = False
-        if net.origin_time is not None:
-            self.injected_at = net.origin_time
-        net.live[self] = None
-
-    def _try_tick(self) -> None:
+    def _try_advance(self) -> None:
         if self.dead:
             return
         state = self.net.fault_state
         if state.any_down:
-            for ch in self.chan_levels[self.k]:
+            for ch in self.channels[self.k]:
                 if state.channel_down(ch.key):
                     self.net.kill_worm(self)
                     return
-        TreeWorm._try_tick(self)
+        TreeWorm._try_advance(self)
 
-    def _tick_done(self) -> None:
+    def _arrived(self) -> None:
         if self.dead:
             return
-        if self.k >= len(self.chan_levels):
+        if self.k >= len(self.channels):
             self.arrived = True
-        TreeWorm._tick_done(self)
+        TreeWorm._arrived(self)
 
-    def _release_level(self, idx: int) -> None:
+    def _release(self, idx: int) -> None:
         if self.dead:
             return
-        TreeWorm._release_level(self, idx)
+        TreeWorm._release(self, idx)
 
     def held_channels(self):
         out = []
-        for level in self.chan_levels[max(0, self.k - self.flits) : self.k]:
+        for level in self.channels[max(0, self.k - self.flits) : self.k]:
             out.extend(level)
         return out
 
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
+    def header(self):
+        # a tree's frontier ends its held channels; a tree still at its
+        # source holds none and dies at its next acquisition instead
+        return None
 
 
 FaultyWormholeNetwork.path_worm_cls = FaultyPathWorm

@@ -11,19 +11,29 @@ the body follows in a pipeline; a blocked worm stays in the network,
 holding every channel it has acquired (no intermediate buffering).
 Channels are released as the tail passes — with F flits, the channel
 entered i-th is released once the header (or, after arrival, the
-destination's consumption) has advanced F more steps.
+destination's consumption) has advanced F more steps.  A destination
+latches its copy as the tail enters it, so a lone worm delivers
+(D + F − 1)·t_f after injection over D hops.
 
-Two worm shapes:
+That release rule is :class:`Worm`'s: the injection stamp, ``start``,
+the release that latches a destination, the F-flit tail drain and the
+finish.  The worm shapes add only how the header gets its channels:
 
 * :class:`PathWorm` — the multicast path/star model: one header, a
   linear channel sequence, intermediate destinations latch a copy as
   the worm passes (delivery is recorded when the tail passes them).
+* :class:`AdaptivePathWorm` — a path whose next channel is chosen per
+  hop among the §8.2 label-monotone candidates.
 * :class:`TreeWorm` — the lockstep multicast tree of §6.1: the frontier
   of branch headers advances only when *every* channel of the next
   depth level is free (the nCUBE-2 rule: all required channels before
   transmission on any); blockage of any branch stalls the whole tree.
   Two such trees can deadlock (Fig. 6.1/6.4) — the simulator detects
   this as blocked worms with an empty event calendar.
+
+The virtual cut-through (:mod:`repro.sim.vct`) and circuit-switched
+(:mod:`repro.sim.circuit`) messages and the fault-aware worms
+(:mod:`repro.sim.faults`) build on the same base.
 
 Channel identity is an arbitrary hashable key, so callers can model
 double channels either as one pooled channel of capacity 2 (path
@@ -233,13 +243,24 @@ class WormholeNetwork:
         return self.active_worms == 0
 
 
-class PathWorm:
-    """A single-path worm (see module docstring for the timing rules)."""
+class Worm:
+    """The release rule every worm shape shares (§2.2.4).
+
+    ``channels[i]`` is the i-th unit the header acquires: one channel
+    of a path, or every channel of one depth level of a tree.  Unit
+    ``i`` is released as the tail passes it, and the destination it
+    leads into latches its copy then (:meth:`_release`): ``flits``
+    acquisitions later while the header advances, or in the F-flit
+    drain after the header's last hop (:meth:`_drain`).  A subclass
+    supplies only its acquisition rule: ``_try_advance`` takes the next
+    unit or queues as a channel waiter, and its hop-done callback
+    either advances again or drains.  Every destination's delivery
+    passes through ``_release``.
+    """
 
     __slots__ = (
-        "net", "env", "message_id", "nodes", "channels", "num_channels",
-        "dests", "injected_at", "idx", "flits", "tf",
-        "_advance", "_arrive", "_rel", "_sched",
+        "net", "env", "message_id", "nodes", "channels", "dests",
+        "injected_at", "flits", "tf", "_rel",
     )
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
@@ -248,25 +269,62 @@ class PathWorm:
         self.message_id = message_id
         self.nodes = nodes
         self.channels = channels
-        self.num_channels = len(channels)
         self.dests = dests
         self.injected_at = net.env.now
-        self.idx = 0  # next channel index to acquire
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
+        # prebound: the drain schedules it once per released unit
+        self._rel = self._release
+
+    def start(self) -> None:
+        if not self.channels:  # degenerate: source-only route
+            self.net.finish(self)
+            return
+        self._try_advance()
+
+    def _try_advance(self) -> None:
+        """Acquire the header's next unit, or wait on a busy channel."""
+        raise NotImplementedError
+
+    def _release(self, i: int) -> None:
+        self.net.release(self.channels[i])
+        head = self.nodes[i + 1]
+        if head in self.dests:
+            self.net.deliver(self.message_id, head, self.injected_at)
+
+    def _drain(self, first: int = 0) -> None:
+        """The header has been consumed at its last node: the flits
+        behind it drain at one per flit time, releasing the units still
+        held (the last F, none before ``first``) oldest-first, and the
+        worm finishes with the last flit."""
+        D = len(self.channels)
+        F = self.flits
+        sched = self.env.schedule
+        tf = self.tf
+        rel = self._rel
+        for i in range(max(first, D - F), D):
+            sched((i + F - D) * tf, rel, i)
+        sched((F - 1) * tf, self._finished)
+
+    def _finished(self) -> None:
+        self.net.finish(self)
+
+
+class PathWorm(Worm):
+    """A single-path worm (see module docstring for the timing rules)."""
+
+    __slots__ = ("num_channels", "idx", "_advance", "_arrive", "_sched")
+
+    def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
+        super().__init__(net, message_id, nodes, channels, dests)
+        self.num_channels = len(channels)
+        self.idx = 0  # next channel index to acquire
         # prebound callbacks: the advance loop schedules these once per
         # hop/flit, and binding them here avoids a method-object
         # allocation per event
         self._advance = self._try_advance
         self._arrive = self._arrived
-        self._rel = self._release
         self._sched = net.env.schedule
-
-    def start(self) -> None:
-        if not self.channels:  # degenerate: source-only path
-            self.net.finish(self)
-            return
-        self._try_advance()
 
     def _try_advance(self) -> None:
         i = self.idx
@@ -285,61 +343,31 @@ class PathWorm:
         if self.idx < self.num_channels:
             self._try_advance()
             return
-        # header consumed at the final node; remaining flits drain at
-        # one per flit time, releasing held channels oldest-first.
-        D = self.num_channels
-        F = self.flits
-        sched = self._sched
-        tf = self.tf
-        for i in range(max(0, D - F), D):
-            sched((i + F - D) * tf, self._rel, i)
-        sched((F - 1) * tf, self._finished)
-
-    def _release(self, i: int) -> None:
-        self.net.release(self.channels[i])
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.net.deliver(self.message_id, head, self.injected_at)
-
-    def _finished(self) -> None:
-        self.net.finish(self)
+        self._drain()
 
 
-class AdaptivePathWorm:
+class AdaptivePathWorm(Worm):
     """A path worm with per-hop adaptive channel selection (§8.2).
 
-    At each node the admissible next hops are the label-monotone
-    candidates toward the next destination
+    At each node the admissible next hops are :meth:`_candidates`: the
+    label-monotone candidates toward the next destination
     (:meth:`repro.labeling.base.Labeling.route_candidates`); the worm
     takes the most-preferred candidate whose channel is free, and only
-    blocks — on the deterministic R choice — when all are busy.
-    Monotonicity keeps every dependency inside the acyclic high/low
-    subnetwork, so adaptivity does not compromise deadlock freedom.
-    Release and delivery timing mirror :class:`PathWorm`.
+    blocks — on the most-preferred one, the deterministic R choice —
+    when all are busy.  Monotonicity keeps every dependency inside the
+    acyclic high/low subnetwork, so adaptivity does not compromise
+    deadlock freedom.  ``nodes`` and ``channels`` grow hop by hop.
     """
 
-    __slots__ = (
-        "net", "env", "message_id", "labeling", "capacity",
-        "nodes", "channels", "queue", "dests", "injected_at", "flits", "tf",
-        "_advance", "_arrive", "_rel",
-    )
+    __slots__ = ("labeling", "capacity", "queue", "_advance", "_arrive")
 
     def __init__(self, net, message_id, source, dest_queue, labeling, capacity):
-        self.net = net
-        self.env = net.env
-        self.message_id = message_id
+        super().__init__(net, message_id, [source], [], set(dest_queue))
         self.labeling = labeling
         self.capacity = capacity
-        self.nodes = [source]
-        self.channels: list[Channel] = []
         self.queue = list(dest_queue)
-        self.dests = set(dest_queue)
-        self.injected_at = net.env.now
-        self.flits = net.config.flits_per_message
-        self.tf = net.config.flit_time
         self._advance = self._try_advance
         self._arrive = self._arrived
-        self._rel = self._release
 
     def start(self) -> None:
         self._pop_reached()
@@ -353,10 +381,16 @@ class AdaptivePathWorm:
         while self.queue and self.queue[0] == self.nodes[-1]:
             self.queue.pop(0)
 
+    def _candidates(self, cur, target) -> list:
+        """The admissible next hops from ``cur`` toward ``target``,
+        most preferred first."""
+        return self.labeling.route_candidates(cur, target)
+
     def _try_advance(self) -> None:
         cur = self.nodes[-1]
-        target = self.queue[0]
-        candidates = self.labeling.route_candidates(cur, target)
+        candidates = self._candidates(cur, self.queue[0])
+        if not candidates:  # none usable: the fault-aware rule dropped the worm
+            return
         chosen = None
         for p in candidates:
             ch = self.net.channel((cur, p), self.capacity)
@@ -364,7 +398,7 @@ class AdaptivePathWorm:
                 chosen = (p, ch)
                 break
         if chosen is None:
-            # block on the deterministic R choice
+            # block on the most-preferred candidate
             ch = self.net.channel((cur, candidates[0]), self.capacity)
             ch.waiters.append(self._advance)
             return
@@ -382,85 +416,51 @@ class AdaptivePathWorm:
         if self.queue:
             self._try_advance()
             return
-        D = len(self.channels)
-        F = self.flits
-        for i in range(max(0, D - F), D):
-            self.env.schedule((i + F - D) * self.tf, self._rel, i)
-        self.env.schedule((F - 1) * self.tf, self._finished)
-
-    def _release(self, i: int) -> None:
-        self.net.release(self.channels[i])
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.net.deliver(self.message_id, head, self.injected_at)
-
-    def _finished(self) -> None:
-        self.net.finish(self)
+        self._drain()
 
 
-class TreeWorm:
+class TreeWorm(Worm):
     """A lockstep tree worm: all channels of the next depth level must
-    be free before the frontier advances (§6.1)."""
+    be free before the frontier advances (§6.1).
 
-    __slots__ = (
-        "net", "env", "message_id", "chan_levels",
-        "dest_levels", "injected_at", "k", "flits", "tf",
-        "_tick", "_done", "_rel",
-    )
+    ``channels[r]`` holds the channels at depth r+1 and ``dests[r]``
+    the destinations that latch a copy as the tail leaves level r, so
+    the release is per level (``nodes`` is unused).
+    """
+
+    __slots__ = ("k", "_advance", "_arrive")
 
     def __init__(self, net: WormholeNetwork, message_id: int, chan_levels, dest_levels):
-        self.net = net
-        self.env = net.env
-        self.message_id = message_id
-        self.chan_levels = chan_levels
-        #: per-level collections of destination nodes
-        self.dest_levels = dest_levels
-        self.injected_at = net.env.now
+        super().__init__(net, message_id, None, chan_levels, dest_levels)
         self.k = 0  # next level to acquire
-        self.flits = net.config.flits_per_message
-        self.tf = net.config.flit_time
-        self._tick = self._try_tick
-        self._done = self._tick_done
-        self._rel = self._release_level
+        self._advance = self._try_advance
+        self._arrive = self._arrived
 
-    def start(self) -> None:
-        if not self.chan_levels:
-            self.net.finish(self)
-            return
-        self._try_tick()
-
-    def _try_tick(self) -> None:
-        level = self.chan_levels[self.k]
+    def _try_advance(self) -> None:
+        level = self.channels[self.k]
         for ch in level:
             if not ch.free:
-                ch.waiters.append(self._tick)
+                ch.waiters.append(self._advance)
                 return
         for ch in level:
             ch.acquire()
         k = self.k
         self.k += 1
         if k - self.flits >= 0:
-            self._release_level(k - self.flits)
-        self.env.schedule(self.tf, self._done)
+            self._release(k - self.flits)
+        self.env.schedule(self.tf, self._arrive)
 
-    def _tick_done(self) -> None:
-        if self.k < len(self.chan_levels):
-            self._try_tick()
+    def _arrived(self) -> None:
+        if self.k < len(self.channels):
+            self._try_advance()
             return
-        L = len(self.chan_levels)
-        F = self.flits
-        for idx in range(max(0, L - F), L):
-            self.env.schedule((idx + F - L) * self.tf, self._rel, idx)
-        self.env.schedule((L - 1 + F - L) * self.tf, self._finished)
+        self._drain()
 
-    def _release_level(self, idx: int) -> None:
-        for ch in self.chan_levels[idx]:
+    def _release(self, idx: int) -> None:
+        for ch in self.channels[idx]:
             self.net.release(ch)
-        for dest in self.dest_levels[idx]:
+        for dest in self.dests[idx]:
             self.net.deliver(self.message_id, dest, self.injected_at)
-
-    def _finished(self) -> None:
-        self.net.finish(self)
 
 
 WormholeNetwork.path_worm_cls = PathWorm

@@ -18,38 +18,21 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .reference import WormholeNetwork
+from .reference import Worm, WormholeNetwork
 
 
-class VCTWorm:
+class VCTWorm(Worm):
     """A virtual cut-through message: streams like a worm while
     channels are free; drains into the local buffer when blocked,
     releasing everything behind it."""
 
-    __slots__ = (
-        "net", "env", "message_id", "nodes", "channels", "dests",
-        "injected_at", "idx", "seg_first_held", "flits", "tf", "on_finished",
-    )
+    __slots__ = ("idx", "seg_first_held", "on_finished")
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
+        super().__init__(net, message_id, nodes, channels, dests)
         self.on_finished = None
-        self.net = net
-        self.env = net.env
-        self.message_id = message_id
-        self.nodes = nodes
-        self.channels = channels
-        self.dests = dests
-        self.injected_at = net.env.now
         self.idx = 0  # next channel index to acquire
         self.seg_first_held = 0  # oldest channel index still held
-        self.flits = net.config.flits_per_message
-        self.tf = net.config.flit_time
-
-    def start(self) -> None:
-        if not self.channels:
-            self.net.finish(self)
-            return
-        self._try_advance()
 
     def _try_advance(self) -> None:
         ch = self.channels[self.idx]
@@ -86,22 +69,13 @@ class VCTWorm:
         if self.idx < len(self.channels):
             self._try_advance()
             return
-        D = len(self.channels)
-        F = self.flits
-        start = self.seg_first_held
-        for i in range(start, D):
-            self.env.schedule(max(0, i + F - D) * self.tf, self._release, i)
-        self.env.schedule((F - 1) * self.tf, self._finished)
+        # the channels before seg_first_held are released already, or
+        # by a pending buffer drain
+        self._drain(self.seg_first_held)
 
     def _drain_segment(self, first: int, last: int) -> None:
         for i in range(first, last):
             self._release(i)
-
-    def _release(self, i: int) -> None:
-        self.net.release(self.channels[i])
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.net.deliver(self.message_id, head, self.injected_at)
 
     def _finished(self) -> None:
         self.net.finish(self)

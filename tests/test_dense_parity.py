@@ -16,9 +16,12 @@ request for virtual-channel, tree, adaptive or VCT worms raises, and
 (:func:`test_dense_falls_back_to_reference`,
 :func:`test_dense_rejects_unserved_worm_styles`).  The twin of the
 other worm styles is their fault-aware subclass: a resilient run with
-no faults must match the plain run event for event.  Bursts at time
-zero have no arrival process, so the static tests inject them into
-each network directly.
+no faults must match the plain run event for event.  Those cases run
+no dense engine, so they carry the ``fault_twin`` marker, which keeps
+them out of the ``dense_parity`` gate (see ``tests/conftest.py``); they
+run in tier-1 and in the fault suite.  Bursts at time zero have no
+arrival process, so the static tests inject them into each network
+directly.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ from repro.topology import Hypercube, KAryNCube, Mesh2D
 # of 2**-20 s, so every quantized event lands on an exactly-representable
 # float and both engines see the same calendar.
 BASE = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
+
+#: a case whose twin is the fault-aware reference network, not the
+#: dense engine
+FAULT_TWIN = pytest.mark.fault_twin
 
 
 def _fingerprint(result):
@@ -101,12 +108,12 @@ MODERATE_CASES = [
     pytest.param(
         Mesh2D(8, 8), "virtual-channel-2",
         dict(seed=9, mean_interarrival=200e-6, num_messages=250, num_destinations=5),
-        id="vc2-mesh8",
+        id="vc2-mesh8", marks=FAULT_TWIN,
     ),
     pytest.param(
         Mesh2D(8, 8), "dual-path-adaptive",
         dict(seed=13, mean_interarrival=250e-6, num_messages=200, num_destinations=5),
-        id="adaptive-mesh8",
+        id="adaptive-mesh8", marks=FAULT_TWIN,
     ),
     pytest.param(
         Mesh2D(8, 8), "dual-path",
@@ -127,12 +134,12 @@ MODERATE_CASES = [
         Mesh2D(8, 8), "xfirst-tree",
         dict(seed=21, mean_interarrival=400e-6, num_messages=150, num_destinations=4,
              channels_per_link=2),
-        id="xfirst-tree-mesh8-double",
+        id="xfirst-tree-mesh8-double", marks=FAULT_TWIN,
     ),
     pytest.param(
         Hypercube(6), "ecube-tree",
         dict(seed=23, mean_interarrival=800e-6, num_messages=120, num_destinations=4),
-        id="ecube-tree-cube6",
+        id="ecube-tree-cube6", marks=FAULT_TWIN,
     ),
 ]
 
@@ -150,7 +157,9 @@ def test_moderate_load_parity(topology, scheme, kw):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["dual-path", "fixed-path", "xfirst-tree"])
+@pytest.mark.parametrize("scheme", [
+    "dual-path", "fixed-path", pytest.param("xfirst-tree", marks=FAULT_TWIN),
+])
 def test_single_message_parity(scheme):
     """One lone multicast on an otherwise idle network: the degenerate
     contention-free calendar must agree exactly."""
@@ -164,8 +173,8 @@ SATURATION_CASES = [
     pytest.param("fixed-path", 5e-6, 31, id="fixed-ia5-s31"),
     pytest.param("fixed-path", 10e-6, 2, id="fixed-ia10-s2"),
     pytest.param("dual-path", 10e-6, 1, id="dual-ia10-s1"),
-    pytest.param("dual-path-adaptive", 25e-6, 2, id="adaptive-ia25-s2"),
-    pytest.param("virtual-channel-2", 10e-6, 31, id="vc2-ia10-s31"),
+    pytest.param("dual-path-adaptive", 25e-6, 2, id="adaptive-ia25-s2", marks=FAULT_TWIN),
+    pytest.param("virtual-channel-2", 10e-6, 31, id="vc2-ia10-s31", marks=FAULT_TWIN),
 ]
 
 
@@ -191,6 +200,7 @@ def test_near_saturation_parity(scheme, ia, seed):
 # ----------------------------------------------------------------------
 
 
+@FAULT_TWIN
 def test_deadlock_parity():
     """Sustained single-channel tree traffic wedges a 4-cube (§6.1);
     the fault-aware tree worms must detect it and report the same
@@ -246,6 +256,7 @@ def test_resilient_zero_rate_matches_dynamic():
     assert _fingerprint(resilient) == _fingerprint(plain)
 
 
+@FAULT_TWIN
 @pytest.mark.parametrize("scheme,rate", [
     pytest.param("dual-path", 0.05, id="dual-path"),
     pytest.param("dual-path-adaptive", 0.08, id="adaptive"),
@@ -311,6 +322,7 @@ def _burst_both(topology, scheme, requests, cfg):
     return ref, twin
 
 
+@FAULT_TWIN
 @pytest.mark.parametrize("scenario,scheme", [
     pytest.param(_fig_6_1, "ecube-tree", id="fig6.1-ecube-tree"),
     pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
@@ -325,7 +337,7 @@ def test_static_deadlock_parity(scenario, scheme):
 
 @pytest.mark.parametrize("scheme,channels", [
     pytest.param("dual-path", 1, id="dual-path"),
-    pytest.param("tree-xfirst", 2, id="tree-xfirst-double"),
+    pytest.param("tree-xfirst", 2, id="tree-xfirst-double", marks=FAULT_TWIN),
 ])
 def test_static_fix_parity(scheme, channels):
     """The §6.2 fixes complete the Fig. 6.4 pattern on both networks

@@ -128,7 +128,6 @@ class TestRoutePlanCache:
         assert cache.get("k") == "v"
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
         assert stats["size"] == 1 and stats["capacity"] == 4
 
     def test_zero_capacity_stores_nothing(self):

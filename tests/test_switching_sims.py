@@ -5,7 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import SwitchingParams, dest_latencies, max_latency, mean_latency
+from repro.metrics import (
+    SwitchingParams,
+    dest_latencies,
+    max_latency,
+    mean_latency,
+    wormhole_latency,
+)
 from repro.models import MulticastRequest
 from repro.sim import (
     Environment,
@@ -141,6 +147,27 @@ class TestVCT:
         inject_vct_path(net, 1, nodes, {nodes[-1]})
         assert net.run_to_completion()
         assert all(c.in_use == 0 for c in net.channels.values())
+
+
+class TestOneFlitConvention:
+    """EXPERIMENTS.md known deviation 7: a destination latches its copy
+    as the tail flit *enters* it, (D + F - 1) t_f after injection, one
+    flit time under the §2.2.4 formula (L_f/B) D + L/B = (D + F) t_f
+    behind Fig. 2.3.  Both pipelined switching models keep it, with the
+    worm longer and shorter than its path."""
+
+    @pytest.mark.parametrize("D", [1, 2, 5, 13, 80])
+    @pytest.mark.parametrize("inject", [WormholeNetwork.inject_path, inject_vct_path],
+                             ids=["wormhole", "vct"])
+    def test_lone_worm_delivers_one_flit_early(self, inject, D):
+        env = Environment()
+        cfg = SimConfig()
+        net = WormholeNetwork(env, cfg)
+        nodes = line(D + 1)
+        inject(net, 1, nodes, {nodes[-1]})
+        assert net.run_to_completion()
+        (d,) = net.deliveries
+        assert d.latency == pytest.approx(wormhole_latency(D) - cfg.flit_time)
 
 
 class TestRouteLatencyModels:
