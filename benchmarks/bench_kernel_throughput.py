@@ -4,11 +4,12 @@ Measures three things and writes ``BENCH_kernel.json`` at the repo
 root:
 
 1. **Event kernel throughput** — events/sec dispatched by the fast
-   two-lane kernel (:class:`~repro.sim.kernel.Environment`) vs the
+   three-lane kernel (:class:`~repro.sim.kernel.Environment`) vs the
    seed heap-only kernel (:class:`~repro.sim.kernel.LegacyEnvironment`)
-   on a workload dominated by zero-delay callbacks with a populated
-   timer heap (the shape a wormhole run produces: channel-release
-   retries and event wake-ups racing standing timers).
+   on a workload of zero-delay callbacks and one-flit hop chains with a
+   populated timer heap (the shape a wormhole run produces:
+   channel-release retries, event wake-ups and hop timers racing
+   standing timers).
 
 2. **Dynamic-run throughput** — worms/sec through a full
    ``run_dynamic`` on the two kernels with everything else equal,
@@ -62,10 +63,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_kernel.json"
 
 # Event-kernel workload: `chains` bursts of `steps` chained zero-delay
-# callbacks racing `timers` standing timed events (so the legacy heap
-# stays deep, as in a loaded wormhole run).
-FULL_KERNEL = dict(chains=100, steps=2000, timers=5000)
-SMOKE_KERNEL = dict(chains=20, steps=200, timers=500)
+# callbacks and `hop_chains` chains of `steps` hops one flit time apart
+# (a worm's hop timers, which take the kernel's flit lane), racing
+# `timers` standing timed events (so the legacy heap stays deep, as in
+# a loaded wormhole run).
+FULL_KERNEL = dict(chains=100, hop_chains=100, steps=2000, timers=5000)
+SMOKE_KERNEL = dict(chains=20, hop_chains=20, steps=200, timers=500)
+#: the hop delay: the paper's flit time, 0.1 us at 20 MB/s
+FLIT_TIME = SimConfig().flit_time
 
 # Dynamic-run workload (Fig. 7.8 parameters, one load point).
 FULL_DYNAMIC = dict(messages=2000, interarrival_us=300)
@@ -107,10 +112,11 @@ def _best_of(fn, repeats: int):
     return best, result
 
 
-def events_per_second(env_cls, chains: int, steps: int, timers: int):
+def events_per_second(env_cls, chains: int, hop_chains: int, steps: int, timers: int):
     """Dispatch the chain workload on one kernel; returns (events/sec,
     events dispatched)."""
     env = env_cls()
+    env.set_lane_delay(FLIT_TIME)  # as a WormholeNetwork on it would
     for i in range(timers):
         env.schedule(1e6 + i, _noop)
     dispatched = [0]
@@ -120,12 +126,19 @@ def events_per_second(env_cls, chains: int, steps: int, timers: int):
         if remaining:
             env.schedule(0.0, step, remaining - 1)
 
+    def hop(remaining: int) -> None:
+        dispatched[0] += 1
+        if remaining:
+            env.schedule(FLIT_TIME, hop, remaining - 1)
+
     for _ in range(chains):
         env.schedule(0.0, step, steps)
+    for _ in range(hop_chains):
+        env.schedule(FLIT_TIME, hop, steps)
     t0 = time.perf_counter()
     env.run(until=1.0)  # standing timers stay pending
     wall = time.perf_counter() - t0
-    assert dispatched[0] == chains * (steps + 1)
+    assert dispatched[0] == (chains + hop_chains) * (steps + 1)
     return dispatched[0] / wall, dispatched[0]
 
 

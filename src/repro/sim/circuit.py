@@ -33,19 +33,19 @@ class CircuitMessage(Worm):
         self.idx = 0
 
     def _try_advance(self) -> None:
+        if self.idx == len(self.channels):
+            # circuit established once the probe reaches the destination
+            self._transfer()
+            return
         # the probe reserves the next channel; its hop time is L_c / B,
         # with L_c one flit
         ch = self.channels[self.idx]
         if not ch.free:
-            ch.waiters.append(self._try_advance)
+            ch.waiters.append(self._advance)
             return
         ch.acquire()
         self.idx += 1
-        if self.idx == len(self.channels):
-            # circuit established once the probe reaches the destination
-            self.env.schedule(self.tf, self._transfer)
-        else:
-            self.env.schedule(self.tf, self._try_advance)
+        self.env.schedule(self.tf, self._advance)
 
     def _transfer(self) -> None:
         # the whole message streams over the reserved circuit: the tail

@@ -32,7 +32,7 @@ Event-for-event equality with the reference engine on the exact grid
 (``SimConfig.exact_grid``: quantized arrivals and a power-of-two flit
 time): every traffic delay is then a whole number of flit times, held
 exactly in a float on the reference side, and this engine reproduces
-the two-lane kernel's dispatch order exactly — pre-scheduled bucket
+the reference kernel's dispatch order exactly — pre-scheduled bucket
 entries run in scheduling order, zero-delay work appends to the live
 bucket (the immediate lane), and releases wake waiters FIFO.  A window
 commits only what it proves that order would do (see

@@ -384,8 +384,8 @@ class FaultyWormholeNetwork(WormholeNetwork):
 
 # ----------------------------------------------------------------------
 # Fault-aware worms.  Each adds to its base worm a fault check before
-# every acquisition, a ``dead`` guard silencing the prebound callbacks
-# after a kill, and the held channels the kill path releases.
+# every acquisition, a ``dead`` guard silencing its hop callback after a
+# kill, and the held channels the kill path releases.
 # ----------------------------------------------------------------------
 
 
@@ -395,7 +395,9 @@ class FaultAwareWorm(Worm):
     network's ``live`` set, stamps a retransmission with its message's
     original injection time, and sets the ``dead`` and ``arrived``
     flags :meth:`FaultyWormholeNetwork.on_element_failed` reads; its
-    :meth:`hit_by` decides which failures kill the worm.
+    :meth:`hit_by` decides which failures kill the worm.  A worm is
+    ``arrived`` from its drain on, so no failure kills it after that,
+    and a release always finds it alive.
 
     It declares no ``__slots__``, so the flags live in the instance
     dict: a second base adding slots to :class:`Worm` would conflict
@@ -409,6 +411,10 @@ class FaultAwareWorm(Worm):
         if net.origin_time is not None:
             self.injected_at = net.origin_time
         net.live[self] = None
+
+    def _drain(self, first: int = 0) -> None:
+        self.arrived = True
+        super()._drain(first)
 
     def held_channels(self) -> list:
         """The channels the worm holds now: what a kill releases."""
@@ -439,23 +445,13 @@ class FaultyPathWorm(FaultAwareWorm, PathWorm):
     def _try_advance(self) -> None:
         if self.dead:
             return
-        ch = self.channels[self.idx]
-        if self.net.fault_state.channel_down(ch.key):
+        i = self.idx
+        if i < self.num_channels and self.net.fault_state.channel_down(
+            self.channels[i].key
+        ):
             self.net.kill_worm(self)
             return
         PathWorm._try_advance(self)
-
-    def _arrived(self) -> None:
-        if self.dead:
-            return
-        if self.idx >= self.num_channels:
-            self.arrived = True
-        PathWorm._arrived(self)
-
-    def _release(self, i: int) -> None:
-        if self.dead:
-            return
-        PathWorm._release(self, i)
 
     def held_channels(self):
         return self.channels[max(0, self.idx - self.flits) : self.idx]
@@ -503,22 +499,6 @@ class FaultyAdaptivePathWorm(FaultAwareWorm, AdaptivePathWorm):
             net.stats.detoured += 1
         return alive
 
-    def _arrived(self) -> None:
-        if self.dead:
-            return
-        # mirror the base transition: arrival is final once every
-        # destination has been reached (pop before delegating so we can
-        # observe the final state; _pop_reached is idempotent)
-        self._pop_reached()
-        if not self.queue:
-            self.arrived = True
-        AdaptivePathWorm._arrived(self)
-
-    def _release(self, i: int) -> None:
-        if self.dead:
-            return
-        AdaptivePathWorm._release(self, i)
-
     def held_channels(self):
         return self.channels[max(0, len(self.channels) - self.flits) :]
 
@@ -535,24 +515,12 @@ class FaultyTreeWorm(FaultAwareWorm, TreeWorm):
         if self.dead:
             return
         state = self.net.fault_state
-        if state.any_down:
+        if state.any_down and self.k < len(self.channels):
             for ch in self.channels[self.k]:
                 if state.channel_down(ch.key):
                     self.net.kill_worm(self)
                     return
         TreeWorm._try_advance(self)
-
-    def _arrived(self) -> None:
-        if self.dead:
-            return
-        if self.k >= len(self.channels):
-            self.arrived = True
-        TreeWorm._arrived(self)
-
-    def _release(self, idx: int) -> None:
-        if self.dead:
-            return
-        TreeWorm._release(self, idx)
 
     def held_channels(self):
         out = []

@@ -12,33 +12,51 @@ The wormhole network model (:mod:`repro.sim.reference`) uses the
 callback interface for speed; the traffic generators and examples use
 processes.
 
-Fast path
----------
+Three lanes
+-----------
 
-Most scheduled callbacks in a wormhole run are *immediate*: worm
-advancement retries after a channel release, :meth:`Event.succeed`
-waiter wake-ups, and :class:`Process` steps are all ``schedule(0.0,
-...)``.  Pushing those through the binary heap costs two O(log n)
-sift operations each.  :class:`Environment` therefore keeps a second
-lane — a plain FIFO deque — for zero-delay entries and merges the two
-lanes by their global ``(time, sequence)`` stamps at dispatch, so the
-execution order (and hence every simulation result) is bit-identical
-to a single-calendar kernel while the dominant events cost O(1).
+Every entry carries a global ``(time, sequence)`` stamp, and
+:meth:`Environment.run` always dispatches the smallest stamp.  A
+single binary heap would do, but two delays dominate a wormhole run,
+and for each of them a plain FIFO deque is already sorted, so
+:class:`Environment` keeps one beside the heap:
+
+* the *immediate* lane holds ``schedule(0.0, ...)`` entries: channel
+  waiter retries, :meth:`Event.succeed` wake-ups and :class:`Process`
+  steps.  Each is stamped with the current clock;
+* the *flit lane* holds entries scheduled exactly one lane delay ahead:
+  a worm's hop timer, and the drain steps that fall one flit time out.
+  The delay is the flit time of the
+  :class:`~repro.sim.reference.WormholeNetwork` built on the calendar
+  (:meth:`Environment.set_lane_delay`);
+* the heap holds every other delay.
+
+Why a lane needs no sorting: sequence numbers only grow, and the clock
+never runs backwards (:meth:`Environment.run` refuses a horizon before
+it, :meth:`Environment.schedule` a negative delay).  Immediate entries
+are therefore appended in stamp order.  Every flit-lane entry has the
+same delay, and floating-point addition of a fixed delay is monotone,
+so ``now + delay`` never decreases either.  Dispatch compares the three
+heads, so the execution order, and with it every simulation result, is
+bit-identical to a single-heap calendar, while the dominant entries
+cost an O(1) append and pop instead of two O(log n) sifts.
 
 :class:`LegacyEnvironment` retains the original heap-only calendar.
 It exists for benchmarking (``benchmarks/bench_kernel_throughput.py``
-measures the fast path's speedup against it) and for parity tests; it
-is not used by the simulators.  The benchmark and the parity tests
-swap it in for a whole run by replacing the ``Environment`` attribute
-of :mod:`repro.sim.runner`, whose run functions build every
+measures the lanes' speedup against it) and for parity tests; it is
+not used by the simulators.  The benchmark and the parity tests swap
+it in for a whole run by replacing the ``Environment`` attribute of
+:mod:`repro.sim.runner`, whose run functions build every
 reference-engine calendar through it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
+from functools import partial
 
 
 class Event:
@@ -65,7 +83,7 @@ class Event:
         self.triggered = True
         self.value = value
         if self.callbacks:
-            self.env.wake_all(self, self.callbacks)
+            self.env.wake_all(self.callbacks, (self,))
             self.callbacks.clear()
         return self
 
@@ -83,8 +101,6 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value=None):
         super().__init__(env)
-        if delay < 0:
-            raise ValueError("negative delay")
         env.schedule(delay, self._fire, value)
 
     def _fire(self, value):
@@ -114,42 +130,67 @@ class Process(Event):
         target.wait(self._step)
 
 
+def _negative_delay(delay) -> ValueError:
+    return ValueError(f"delay must be >= 0, got {delay!r}")
+
+
 class Environment:
     """The event calendar: simulated clock plus a priority queue of
-    timed callbacks and a FIFO lane of immediate (zero-delay) ones.
+    timed callbacks, a FIFO lane of immediate (zero-delay) ones and a
+    FIFO lane of ones scheduled exactly the lane delay ahead.
 
     Every entry carries a global sequence number; dispatch always runs
     the entry with the smallest ``(time, sequence)``, regardless of
     lane, which preserves the seed kernel's strict scheduling order.
     """
 
-    __slots__ = ("now", "_queue", "_immediate", "_counter")
+    __slots__ = ("now", "_queue", "_immediate", "_lane", "_lane_delay", "_seq")
 
     def __init__(self):
         self.now = 0.0
         self._queue: list = []
         self._immediate: deque = deque()
-        self._counter = 0
+        self._lane: deque = deque()
+        # NaN equals no delay: until a network claims the lane, every
+        # timed entry goes to the heap
+        self._lane_delay = float("nan")
+        self._seq = itertools.count(1).__next__
+
+    def set_lane_delay(self, delay: float) -> None:
+        """Send entries scheduled exactly ``delay`` ahead through the
+        flit lane (a :class:`~repro.sim.reference.WormholeNetwork`
+        passes its flit time).  Entries the lane holds under another
+        delay move to the heap, so the lane keeps one delay and stays
+        sorted."""
+        if not delay > 0.0:
+            raise ValueError(f"lane delay must be > 0, got {delay!r}")
+        if delay != self._lane_delay:
+            for entry in self._lane:
+                heapq.heappush(self._queue, entry)
+            self._lane.clear()
+            self._lane_delay = delay
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated time units."""
-        self._counter = c = self._counter + 1
-        if delay == 0.0:
-            self._immediate.append((self.now, c, fn, args))
+        """Run ``fn(*args)`` after ``delay`` (>= 0) simulated time units."""
+        # most frequent first: hop timers, then other timed entries
+        # (channel waiters and events wake through wake_all)
+        if delay == self._lane_delay:
+            self._lane.append((self.now + delay, self._seq(), fn, args))
+        elif delay > 0.0:
+            heapq.heappush(self._queue, (self.now + delay, self._seq(), fn, args))
+        elif delay == 0.0:
+            self._immediate.append((self.now, self._seq(), fn, args))
         else:
-            heapq.heappush(self._queue, (self.now + delay, c, fn, args))
+            raise _negative_delay(delay)
 
-    def wake_all(self, event: Event, callbacks: Iterable[Callable]) -> None:
-        """Append ``cb(event)`` for each callback to the immediate lane
-        (FIFO, equivalent to per-callback ``schedule(0.0, cb, event)``)."""
+    def wake_all(self, callbacks: Iterable[Callable], args: tuple = ()) -> None:
+        """Append ``cb(*args)`` for each callback to the immediate lane
+        (FIFO, equivalent to per-callback ``schedule(0.0, cb, *args)``)."""
         now = self.now
-        c = self._counter
+        seq = self._seq
         append = self._immediate.append
-        args = (event,)
         for cb in callbacks:
-            c += 1
-            append((now, c, cb, args))
-        self._counter = c
+            append((now, seq(), cb, args))
 
     def timeout(self, delay: float, value=None) -> Timeout:
         return Timeout(self, delay, value)
@@ -198,30 +239,54 @@ class Environment:
             ev.wait(cb)
         return done
 
-    def run(self, until: float | None = None) -> None:
-        """Process events until the calendar empties or ``until``.
+    def _check_horizon(self, until: float | None) -> None:
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until!r}) is before the clock ({self.now!r}); "
+                "the clock never runs backwards"
+            )
 
-        The hot loop merges the heap and the immediate deque by
-        ``(time, sequence)``.  Immediate entries were stamped with the
+    def run(self, until: float | None = None) -> None:
+        """Process events until the calendar empties or ``until`` (which
+        may not precede the clock).
+
+        The hot loop dispatches the smallest ``(time, sequence)`` head
+        of the three lanes.  Immediate entries were stamped with the
         clock value at scheduling time, which can never exceed the
         current clock, so an immediate entry is overdue the moment it
         is observed; the only question is whether an *earlier-stamped*
-        heap entry at the same timestamp must run first.
+        heap or flit-lane entry at the same timestamp must run first.
         """
+        self._check_horizon(until)
         queue = self._queue
         immediate = self._immediate
+        lane = self._lane
         heappop = heapq.heappop
         popleft = immediate.popleft
+        lane_pop = lane.popleft
         if until is None:
             while True:
                 if immediate:
-                    if queue and queue[0] < immediate[0]:
-                        entry = heappop(queue)
-                        self.now = entry[0]
+                    # an entry that beats the immediate head is stamped
+                    # with the clock too, so `now` needs no update
+                    entry = immediate[0]
+                    if queue and queue[0] < entry:
+                        entry = queue[0]
+                        if lane and lane[0] < entry:
+                            entry = lane_pop()
+                        else:
+                            heappop(queue)
+                    elif lane and lane[0] < entry:
+                        entry = lane_pop()
                     else:
-                        # an immediate entry's stamp always equals the
-                        # clock at dispatch, so `now` needs no update
-                        entry = popleft()
+                        popleft()
+                elif lane:
+                    entry = lane[0]
+                    if queue and queue[0] < entry:
+                        entry = heappop(queue)
+                    else:
+                        lane_pop()
+                    self.now = entry[0]
                 elif queue:
                     entry = heappop(queue)
                     self.now = entry[0]
@@ -229,24 +294,25 @@ class Environment:
                     return
                 entry[2](*entry[3])
         # bounded run: check the horizon before dispatching each entry
-        while queue or immediate:
-            if immediate and not (queue and queue[0] < immediate[0]):
-                entry = immediate[0]
-                if entry[0] > until:
-                    break
-                popleft()
-            else:
-                entry = queue[0]
-                if entry[0] > until:
-                    break
-                heappop(queue)
-                self.now = entry[0]
+        queue_pop = partial(heappop, queue)
+        while True:
+            entry = None
+            if immediate:
+                entry, pop = immediate[0], popleft
+            if lane and (entry is None or lane[0] < entry):
+                entry, pop = lane[0], lane_pop
+            if queue and (entry is None or queue[0] < entry):
+                entry, pop = queue[0], queue_pop
+            if entry is None or entry[0] > until:
+                break
+            pop()
+            self.now = entry[0]
             entry[2](*entry[3])
         self.now = until
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue) + len(self._immediate)
+        return len(self._queue) + len(self._immediate) + len(self._lane)
 
 
 class LegacyEnvironment(Environment):
@@ -257,26 +323,27 @@ class LegacyEnvironment(Environment):
     dispatch in strict ``(time, sequence)`` order), so a simulation run
     on either kernel produces bit-identical results; this class is the
     reference/baseline the throughput benchmark and parity tests
-    compare against.
+    compare against.  It accepts a lane delay and ignores it.
     """
 
     __slots__ = ()
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
-        self._counter += 1
-        heapq.heappush(self._queue, (self.now + delay, self._counter, fn, args))
+        if not delay >= 0.0:
+            raise _negative_delay(delay)
+        heapq.heappush(self._queue, (self.now + delay, self._seq(), fn, args))
 
-    def wake_all(self, event: Event, callbacks: Iterable[Callable]) -> None:
+    def wake_all(self, callbacks: Iterable[Callable], args: tuple = ()) -> None:
         for cb in callbacks:
-            self.schedule(0.0, cb, event)
+            self.schedule(0.0, cb, *args)
 
     def run(self, until: float | None = None) -> None:
+        self._check_horizon(until)
         queue = self._queue
         while queue:
             t, _, fn, args = queue[0]
             if until is not None and t > until:
-                self.now = until
-                return
+                break
             heapq.heappop(queue)
             self.now = t
             fn(*args)

@@ -17,7 +17,9 @@ latches its copy as the tail enters it, so a lone worm delivers
 
 That release rule is :class:`Worm`'s: the injection stamp, ``start``,
 the release that latches a destination, the F-flit tail drain and the
-finish.  The worm shapes add only how the header gets its channels:
+finish.  The worm shapes add only how the header gets its channels, in
+one callback (``_try_advance``) that is both the hop timer, one flit
+time after each acquisition, and the channel-waiter retry:
 
 * :class:`PathWorm` — the multicast path/star model: one header, a
   linear channel sequence, intermediate destinations latch a copy as
@@ -110,6 +112,9 @@ class WormholeNetwork:
         self.active_worms = 0
         self.total_worms = 0
         self.deliveries: list[Delivery] = []
+        # every hop timer is one flit time long: the calendar keeps
+        # them in its flit lane
+        env.set_lane_delay(config.flit_time)
 
     def channel(self, key: Hashable, capacity: int | None = None) -> Channel:
         ch = self.channels.get(key)
@@ -124,11 +129,9 @@ class WormholeNetwork:
         still cannot proceed re-queues itself, so a freed slot is never
         stranded behind a blocked multi-channel (tree) waiter."""
         ch.in_use -= 1
-        if ch.waiters and ch.in_use < ch.capacity:
-            waiters = list(ch.waiters)
+        if ch.waiters:
+            self.env.wake_all(ch.waiters)
             ch.waiters.clear()
-            for retry in waiters:
-                self.env.schedule(0.0, retry)
 
     def deliver(self, message_id: int, dest, injected_at: float) -> None:
         self.deliveries.append(
@@ -252,15 +255,17 @@ class Worm:
     leads into latches its copy then (:meth:`_release`): ``flits``
     acquisitions later while the header advances, or in the F-flit
     drain after the header's last hop (:meth:`_drain`).  A subclass
-    supplies only its acquisition rule: ``_try_advance`` takes the next
-    unit or queues as a channel waiter, and its hop-done callback
-    either advances again or drains.  Every destination's delivery
-    passes through ``_release``.
+    supplies only its acquisition rule, ``_try_advance``: it takes the
+    next unit and sets the hop timer, queues as a channel waiter, or,
+    once the header holds its last unit, starts the drain.  The hop
+    timer and the waiter retry are both ``_advance``, that method
+    prebound.  Every destination's delivery passes through
+    ``_release``.
     """
 
     __slots__ = (
         "net", "env", "message_id", "nodes", "channels", "dests",
-        "injected_at", "flits", "tf", "_rel",
+        "injected_at", "flits", "tf", "_rel", "_advance",
     )
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
@@ -273,8 +278,10 @@ class Worm:
         self.injected_at = net.env.now
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
-        # prebound: the drain schedules it once per released unit
+        # prebound callbacks: the drain schedules _rel once per
+        # released unit, and every hop and waiter retry is _advance
         self._rel = self._release
+        self._advance = self._try_advance
 
     def start(self) -> None:
         if not self.channels:  # degenerate: source-only route
@@ -283,7 +290,8 @@ class Worm:
         self._try_advance()
 
     def _try_advance(self) -> None:
-        """Acquire the header's next unit, or wait on a busy channel."""
+        """Acquire the header's next unit and set the hop timer, wait on
+        a busy channel, or drain once the last unit is held."""
         raise NotImplementedError
 
     def _release(self, i: int) -> None:
@@ -313,21 +321,19 @@ class Worm:
 class PathWorm(Worm):
     """A single-path worm (see module docstring for the timing rules)."""
 
-    __slots__ = ("num_channels", "idx", "_advance", "_arrive", "_sched")
+    __slots__ = ("num_channels", "idx", "_sched")
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
         super().__init__(net, message_id, nodes, channels, dests)
         self.num_channels = len(channels)
         self.idx = 0  # next channel index to acquire
-        # prebound callbacks: the advance loop schedules these once per
-        # hop/flit, and binding them here avoids a method-object
-        # allocation per event
-        self._advance = self._try_advance
-        self._arrive = self._arrived
         self._sched = net.env.schedule
 
     def _try_advance(self) -> None:
         i = self.idx
+        if i == self.num_channels:
+            self._drain()
+            return
         ch = self.channels[i]
         if ch.in_use >= ch.capacity:
             ch.waiters.append(self._advance)
@@ -337,13 +343,7 @@ class PathWorm(Worm):
         j = i - self.flits
         if j >= 0:
             self._release(j)
-        self._sched(self.tf, self._arrive)
-
-    def _arrived(self) -> None:
-        if self.idx < self.num_channels:
-            self._try_advance()
-            return
-        self._drain()
+        self._sched(self.tf, self._advance)
 
 
 class AdaptivePathWorm(Worm):
@@ -359,15 +359,13 @@ class AdaptivePathWorm(Worm):
     deadlock freedom.  ``nodes`` and ``channels`` grow hop by hop.
     """
 
-    __slots__ = ("labeling", "capacity", "queue", "_advance", "_arrive")
+    __slots__ = ("labeling", "capacity", "queue")
 
     def __init__(self, net, message_id, source, dest_queue, labeling, capacity):
         super().__init__(net, message_id, [source], [], set(dest_queue))
         self.labeling = labeling
         self.capacity = capacity
         self.queue = list(dest_queue)
-        self._advance = self._try_advance
-        self._arrive = self._arrived
 
     def start(self) -> None:
         self._pop_reached()
@@ -378,8 +376,12 @@ class AdaptivePathWorm(Worm):
         self._try_advance()
 
     def _pop_reached(self) -> None:
-        while self.queue and self.queue[0] == self.nodes[-1]:
-            self.queue.pop(0)
+        """Strike the stops the header's node completes off the
+        itinerary: once at the start and once per hop."""
+        queue = self.queue
+        head = self.nodes[-1]
+        while queue and queue[0] == head:
+            queue.pop(0)
 
     def _candidates(self, cur, target) -> list:
         """The admissible next hops from ``cur`` toward ``target``,
@@ -387,6 +389,9 @@ class AdaptivePathWorm(Worm):
         return self.labeling.route_candidates(cur, target)
 
     def _try_advance(self) -> None:
+        if not self.queue:
+            self._drain()
+            return
         cur = self.nodes[-1]
         candidates = self._candidates(cur, self.queue[0])
         if not candidates:  # none usable: the fault-aware rule dropped the worm
@@ -409,14 +414,8 @@ class AdaptivePathWorm(Worm):
         i = len(self.channels) - 1
         if i - self.flits >= 0:
             self._release(i - self.flits)
-        self.env.schedule(self.tf, self._arrive)
-
-    def _arrived(self) -> None:
         self._pop_reached()
-        if self.queue:
-            self._try_advance()
-            return
-        self._drain()
+        self.env.schedule(self.tf, self._advance)
 
 
 class TreeWorm(Worm):
@@ -428,33 +427,28 @@ class TreeWorm(Worm):
     the release is per level (``nodes`` is unused).
     """
 
-    __slots__ = ("k", "_advance", "_arrive")
+    __slots__ = ("k",)
 
     def __init__(self, net: WormholeNetwork, message_id: int, chan_levels, dest_levels):
         super().__init__(net, message_id, None, chan_levels, dest_levels)
         self.k = 0  # next level to acquire
-        self._advance = self._try_advance
-        self._arrive = self._arrived
 
     def _try_advance(self) -> None:
-        level = self.channels[self.k]
+        k = self.k
+        if k == len(self.channels):
+            self._drain()
+            return
+        level = self.channels[k]
         for ch in level:
-            if not ch.free:
+            if ch.in_use >= ch.capacity:
                 ch.waiters.append(self._advance)
                 return
         for ch in level:
-            ch.acquire()
-        k = self.k
-        self.k += 1
+            ch.in_use += 1
+        self.k = k + 1
         if k - self.flits >= 0:
             self._release(k - self.flits)
-        self.env.schedule(self.tf, self._arrive)
-
-    def _arrived(self) -> None:
-        if self.k < len(self.channels):
-            self._try_advance()
-            return
-        self._drain()
+        self.env.schedule(self.tf, self._advance)
 
     def _release(self, idx: int) -> None:
         for ch in self.channels[idx]:

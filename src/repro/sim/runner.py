@@ -300,19 +300,26 @@ def _run_to_completion(net) -> None:
 
 def _destination_sampler(topology, rng: random.Random, k: int):
     """The §7.2 destination draw: ``k`` distinct nodes other than the
-    source, uniform, returned in index order."""
+    source, uniform, returned in index order.
+
+    Each candidate index is ``rng.randrange(n)`` drawn the way the
+    library draws it: ``getrandbits(n.bit_length())``, rejected while
+    it is ``>= n``.  Calling ``getrandbits`` here consumes the same bits
+    in the same order, so the draw is bit-identical, one Python frame
+    per candidate lighter."""
     check_destination_count(topology, k)
     nodes = list(topology.nodes())
     n = len(nodes)
+    bits = n.bit_length()
     index_map = topology.index_map()
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
 
     def draw(source):
         chosen: set = set()
         src_i = index_map[source]
         while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
+            i = getrandbits(bits)
+            if i < n and i != src_i:
                 chosen.add(i)
         return tuple(nodes[i] for i in sorted(chosen))
 

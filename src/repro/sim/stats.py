@@ -91,6 +91,27 @@ class SimStats:
         return cls(**data)
 
 
+def exact_mean(values: Sequence[float]):
+    """``statistics.mean(values)``, bit for bit, faster on floats.
+
+    A finite float is an integer over a power of two, so the floats'
+    exact sum is one integer over the largest denominator among them.
+    Dividing that by the denominator times the count rounds once,
+    correctly, to the float ``statistics.mean`` gets by rounding the
+    same rational through ``Fraction``.  Anything else (ints,
+    fractions, decimals, infinities, NaN) goes to ``statistics.mean``.
+    """
+    try:
+        ratios = list(map(float.as_integer_ratio, values))
+    except (TypeError, ValueError, OverflowError):
+        return mean(values)
+    if not ratios:
+        return mean(values)  # raises StatisticsError
+    top = max([d for _, d in ratios]).bit_length()
+    total = sum([num << (top - d.bit_length()) for num, d in ratios])
+    return total / ((1 << (top - 1)) * len(ratios))
+
+
 def batch_means(values: Sequence[float], num_batches: int = 10) -> Summary:
     """Batch-means estimate of the mean with a 95% CI.
 
@@ -104,12 +125,12 @@ def batch_means(values: Sequence[float], num_batches: int = 10) -> Summary:
     if n < 2 * num_batches:
         num_batches = max(2, n // 2) if n >= 4 else 1
     if num_batches < 2:
-        return Summary(mean(values), float("inf"), n, 1)
+        return Summary(exact_mean(values), float("inf"), n, 1)
     size = n // num_batches
     batches = [
-        mean(values[i * size : (i + 1) * size]) for i in range(num_batches)
+        exact_mean(values[i * size : (i + 1) * size]) for i in range(num_batches)
     ]
-    m = mean(batches)
+    m = exact_mean(batches)
     s = stdev(batches)
     half = t975(num_batches - 1) * s / sqrt(num_batches)
     return Summary(m, half, n, num_batches)

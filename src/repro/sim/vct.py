@@ -35,27 +35,23 @@ class VCTWorm(Worm):
         self.seg_first_held = 0  # oldest channel index still held
 
     def _try_advance(self) -> None:
+        if self.idx == len(self.channels):
+            # the channels before seg_first_held are released already,
+            # or by a pending buffer drain
+            self._drain(self.seg_first_held)
+            return
         ch = self.channels[self.idx]
         if not ch.free:
             if self.seg_first_held < self.idx:
                 # absorb into the local buffer: the message needs L/B to
                 # drain off the channels it holds, then releases them all.
+                # A retry finds nothing left to absorb and waits again.
                 drain = self.flits * self.tf
                 first, last = self.seg_first_held, self.idx
                 self.env.schedule(drain, self._drain_segment, first, last)
                 self.seg_first_held = self.idx
-            ch.waiters.append(self._retry_from_buffer)
+            ch.waiters.append(self._advance)
             return
-        self._take(ch)
-
-    def _retry_from_buffer(self) -> None:
-        ch = self.channels[self.idx]
-        if not ch.free:
-            ch.waiters.append(self._retry_from_buffer)
-            return
-        self._take(ch)
-
-    def _take(self, ch) -> None:
         ch.acquire()
         i = self.idx
         self.idx += 1
@@ -63,15 +59,7 @@ class VCTWorm(Worm):
         if i - self.flits >= self.seg_first_held:
             self._release(i - self.flits)
             self.seg_first_held = i - self.flits + 1
-        self.env.schedule(self.tf, self._arrived)
-
-    def _arrived(self) -> None:
-        if self.idx < len(self.channels):
-            self._try_advance()
-            return
-        # the channels before seg_first_held are released already, or
-        # by a pending buffer drain
-        self._drain(self.seg_first_held)
+        self.env.schedule(self.tf, self._advance)
 
     def _drain_segment(self, first: int, last: int) -> None:
         for i in range(first, last):

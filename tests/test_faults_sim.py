@@ -229,6 +229,29 @@ class TestFaultedRuns:
         assert r.stats.retries == 0
         assert r.stats.dropped > 0
 
+    def test_adaptive_hop_scans_the_itinerary_once(self, monkeypatch):
+        """A fault-aware adaptive worm strikes reached stops off its
+        itinerary once at its start and once per hop, killed worms
+        included."""
+        from repro.sim.reference import AdaptivePathWorm
+
+        scans: dict = {}
+        pop_reached = AdaptivePathWorm._pop_reached
+
+        def counting(worm):
+            scans[worm] = scans.get(worm, 0) + 1
+            pop_reached(worm)
+
+        monkeypatch.setattr(AdaptivePathWorm, "_pop_reached", counting)
+        cfg = SimConfig(
+            num_messages=200, num_destinations=6, mean_interarrival=250e-6,
+            seed=33, link_fault_rate=0.05,
+        )
+        r = run_resilient(Mesh2D(8, 8), "dual-path-adaptive", cfg)
+        assert r.stats.killed_worms > 0 and r.stats.detoured > 0
+        assert len(scans) == r.worms
+        assert all(n == 1 + len(worm.channels) for worm, n in scans.items())
+
     def test_degradation_monotone_in_samples(self):
         """More faults -> (weakly) fewer deliveries, the degradation
         curve the benchmark plots."""

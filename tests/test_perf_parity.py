@@ -10,10 +10,10 @@ This suite proves that equivalence —
 * the memoized routing function R against the per-call reference
   implementations in :mod:`repro.labeling.reference`, property-based
   over meshes, hypercubes and k-ary n-cubes;
-* the two-lane kernel against the heap-only legacy kernel, including
+* the three-lane kernel against the heap-only legacy kernel, including
   the FIFO wake-order of ``Event.succeed`` waiter batches (whole runs
-  swap the legacy kernel in through the ``Environment`` attribute of
-  :mod:`repro.sim.runner`);
+  of every worm style and of every driver swap the legacy kernel in
+  through the ``Environment`` attribute of :mod:`repro.sim.runner`);
 * :func:`repro.parallel.run_sweep` against a serial loop.
 """
 
@@ -39,7 +39,8 @@ from repro.parallel import SweepJob, derive_seed, replicate, run_sweep
 import repro.sim.runner as sim_runner
 from repro.sim import LegacyEnvironment, SimConfig, derive_fault_seed
 from repro.sim.kernel import Environment
-from repro.sim.runner import run_dynamic
+from repro.models.request import MulticastRequest
+from repro.sim.runner import run_dynamic, run_mixed, run_resilient, run_static_scenario
 from repro.sim.traffic import Router
 from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
 from repro.topology.base import Topology
@@ -174,9 +175,17 @@ def test_fast_and_legacy_kernel_schedule_order_interleaved():
     assert drive(Environment) == drive(LegacyEnvironment)
 
 
-@pytest.mark.parametrize("scheme", ["dual-path", "multi-path", "tree-xfirst"])
+#: one scheme per simulable worm style (star twice): the e-cube tree
+#: runs on a cube, the others on the 6x6 mesh
+KERNEL_PARITY_TOPOLOGY = {"ecube-tree": Hypercube(5)}
+
+
+@pytest.mark.parametrize("scheme", [
+    "dual-path", "multi-path", "tree-xfirst", "virtual-channel-2",
+    "dual-path-adaptive", "ecube-tree", "vct-tree",
+])
 def test_dynamic_results_identical_across_kernels(scheme, monkeypatch):
-    mesh = Mesh2D(6, 6)
+    topology = KERNEL_PARITY_TOPOLOGY.get(scheme, Mesh2D(6, 6))
     cfg = SimConfig(
         num_messages=150,
         num_destinations=6,
@@ -184,13 +193,67 @@ def test_dynamic_results_identical_across_kernels(scheme, monkeypatch):
         channels_per_link=2,
         seed=7,
     )
-    fast = run_dynamic(mesh, scheme, cfg)
+    fast = run_dynamic(topology, scheme, cfg)
     monkeypatch.setattr(sim_runner, "Environment", LegacyEnvironment)
-    legacy = run_dynamic(mesh, scheme, cfg)
+    legacy = run_dynamic(topology, scheme, cfg)
     assert fast.latency == legacy.latency
     assert fast.sim_time == legacy.sim_time
     assert fast.deliveries == legacy.deliveries
     assert fast.worms == legacy.worms
+
+
+def _on_both_kernels(monkeypatch, run):
+    """``run()`` on the lane kernel, then with the runner's calendars
+    built on the heap-only kernel."""
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(sim_runner, "Environment", LegacyEnvironment)
+        legacy = run()
+    return fast, legacy
+
+
+@pytest.mark.parametrize("scheme", ["dual-path", "dual-path-adaptive", "xfirst-tree"])
+def test_resilient_results_identical_across_kernels(scheme, monkeypatch):
+    """Faults, kills, retries on kernel Timeouts and adaptive detours
+    dispatch alike on both kernels."""
+    cfg = SimConfig(
+        num_messages=150,
+        num_destinations=5,
+        mean_interarrival=250e-6,
+        channels_per_link=2,
+        seed=33,
+        link_fault_rate=0.05,
+    )
+    fast, legacy = _on_both_kernels(
+        monkeypatch, lambda: run_resilient(Mesh2D(6, 6), scheme, cfg)
+    )
+    assert fast.stats.killed_worms > 0
+    assert fast == legacy
+
+
+def test_mixed_results_identical_across_kernels(monkeypatch):
+    cfg = SimConfig(num_messages=200, num_destinations=5, mean_interarrival=300e-6, seed=5)
+    fast, legacy = _on_both_kernels(
+        monkeypatch, lambda: run_mixed(Mesh2D(6, 6), "dual-path", cfg, unicast_fraction=0.4)
+    )
+    assert fast == legacy
+
+
+@pytest.mark.parametrize("scheme,channels", [("ecube-tree", 1), ("dual-path", 1)])
+def test_static_scenario_identical_across_kernels(scheme, channels, monkeypatch):
+    """The Fig 6.1 burst wedges (and the path version completes) with
+    the same worms blocked at the same time on both kernels."""
+    cube = Hypercube(3)
+    requests = [
+        MulticastRequest(cube, src, tuple(v for v in cube.nodes() if v != src))
+        for src in (0, 1)
+    ]
+    cfg = SimConfig(channels_per_link=channels)
+    fast, legacy = _on_both_kernels(
+        monkeypatch, lambda: run_static_scenario(cube, scheme, requests, cfg)
+    )
+    assert fast.completed == (scheme == "dual-path")
+    assert fast == legacy
 
 
 def test_reference_routing_path_is_bit_identical(monkeypatch):

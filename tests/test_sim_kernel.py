@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, LegacyEnvironment
 
 
 class TestScheduling:
@@ -49,6 +49,37 @@ class TestScheduling:
         env.schedule(1.0, fire)
         env.run()
         assert seen == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("env_cls", [Environment, LegacyEnvironment])
+class TestClockNeverRunsBackwards:
+    """A horizon before the clock and a negative delay are refused: a
+    later event must never run before an earlier one."""
+
+    def test_earlier_horizon_raises(self, env_cls):
+        env = env_cls()
+        seen = []
+        env.schedule(5.0, seen.append, 5.0)
+        env.run(until=10.0)
+        with pytest.raises(ValueError):
+            env.run(until=3.0)
+        assert env.now == 10.0
+        env.schedule(1.0, seen.append, 11.0)
+        env.run()
+        assert seen == [5.0, 11.0]
+
+    def test_same_horizon_is_allowed(self, env_cls):
+        env = env_cls()
+        env.run(until=2.0)
+        env.run(until=2.0)
+        assert env.now == 2.0
+
+    @pytest.mark.parametrize("delay", [-1.0, -1e-300, float("nan")])
+    def test_negative_delay_raises(self, env_cls, delay):
+        env = env_cls()
+        with pytest.raises(ValueError):
+            env.schedule(delay, lambda: None)
+        assert env.pending_events == 0
 
 
 class TestEvents:
