@@ -1,66 +1,25 @@
 """Ablation — switching technology under contention (extends Fig. 2.3
 from a contention-free formula to a loaded network).
 
-The same dual-path multicast workload is executed under three switching
-substrates: wormhole routing (blocked worms hold channels), virtual
-cut-through (blocked messages buffer and free their channels) and
-store-and-forward (every hop buffers the whole packet).  Expected
-shape: at low load wormhole ~ VCT << SAF; under load VCT degrades more
-gracefully than wormhole (§2.2.2: "if the traffic is heavy ... virtual
-cut-through acts just like store-and-forward", but it never chains
-blocked channels).
+The same dual-path multicast workload is executed under four switching
+substrates by :func:`repro.sim.run_switching`: wormhole routing
+(blocked worms hold channels), virtual cut-through (blocked messages
+buffer and free their channels), circuit switching (a probe reserves
+the whole path first) and store-and-forward (every hop buffers the
+whole packet).  Expected shape: at low load wormhole ~ VCT << SAF;
+under load VCT degrades more gracefully than wormhole (§2.2.2: "if the
+traffic is heavy ... virtual cut-through acts just like
+store-and-forward", but it never chains blocked channels).
 """
 
 from __future__ import annotations
 
-import random
-
 from conftest import scaled
 
-from repro.sim import Environment, SAFNetwork, SimConfig, WormholeNetwork, inject_vct_path
-from repro.sim.circuit import inject_circuit_path
-from repro.sim.stats import batch_means
-from repro.sim.traffic import Router
+from repro.sim import SimConfig, run_switching
 from repro.topology import Mesh2D
 
 INTERARRIVALS_US = (2000, 500, 200)
-
-
-def _drive(mesh, cfg, inject):
-    """Generate the identical Poisson dual-path workload and hand each
-    (message, path, dests) to ``inject``."""
-    rng = random.Random(cfg.seed)
-    router = Router(mesh, "dual-path")
-    env = inject.env
-    nodes = list(mesh.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-
-    def emit(node):
-        if state["injected"] >= cfg.num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        chosen: set = set()
-        src_i = mesh.index(node)
-        while len(chosen) < cfg.num_destinations:
-            i = rng.randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        from repro.models import MulticastRequest
-
-        req = MulticastRequest(mesh, node, tuple(mesh.node_at(i) for i in sorted(chosen)))
-        for spec in router(req):
-            inject(mid, spec.nodes, set(spec.destinations))
-        env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
-
-    for node in nodes:
-        env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
-
-
-class _Injector:
-    def __init__(self, env):
-        self.env = env
 
 
 def run():
@@ -73,41 +32,8 @@ def run():
             mean_interarrival=ia * 1e-6,
             seed=51,
         )
-        row = [ia]
-        for tech in ("wormhole", "vct", "circuit", "saf"):
-            env = Environment()
-            if tech == "saf":
-                net = SAFNetwork(env, cfg, buffers_per_node=4, structured=True)
-
-                def inject(mid, nodes, dests, net=net):
-                    net.inject(mid, nodes, dests)
-
-            else:
-                net = WormholeNetwork(env, cfg)
-                if tech == "wormhole":
-
-                    def inject(mid, nodes, dests, net=net):
-                        net.inject_path(mid, nodes, dests)
-
-                elif tech == "circuit":
-
-                    def inject(mid, nodes, dests, net=net):
-                        inject_circuit_path(net, mid, nodes, dests)
-
-                else:
-
-                    def inject(mid, nodes, dests, net=net):
-                        inject_vct_path(net, mid, nodes, dests)
-
-            inject.env = env
-            _drive(mesh, cfg, inject)
-            assert net.run_to_completion(), f"{tech} wedged"
-            cutoff = cfg.num_messages * cfg.warmup_fraction
-            lat = batch_means(
-                [d.latency for d in net.deliveries if d.message_id > cutoff]
-            )
-            row.append(lat.mean * 1e6)
-        rows.append(row)
+        latency = run_switching(mesh, "dual-path", cfg)
+        rows.append([ia, *(latency[t].mean * 1e6 for t in ("wormhole", "vct", "circuit", "saf"))])
     return rows
 
 

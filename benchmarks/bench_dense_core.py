@@ -36,8 +36,6 @@ smoke matrix and asserts per-scenario parity.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import platform
@@ -62,6 +60,7 @@ import numpy as np
 from repro.cli import parse_topology
 from repro.sim import SimConfig, run_dynamic
 from repro.sim.traffic import Router
+from conftest import smoke_gate_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_dense.json"
@@ -330,51 +329,8 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def check_against(report: dict, baseline_path: Path, max_slowdown: float = 2.0) -> int:
-    """CI regression gate: every smoke-matrix dense throughput must be
-    within ``max_slowdown`` of the committed baseline."""
-    baseline = json.loads(baseline_path.read_text())
-    base_cells = {
-        c["scenario"]: c["dense_worms_per_sec"]
-        for c in baseline["smoke_baseline"]
-    }
-    failures = []
-    for cell in report["smoke_baseline"]:
-        base = base_cells.get(cell["scenario"])
-        if base is None:
-            continue
-        if cell["dense_worms_per_sec"] * max_slowdown < base:
-            failures.append(
-                f"{cell['scenario']}: {cell['dense_worms_per_sec']} w/s vs "
-                f"baseline {base} w/s (>{max_slowdown}x regression)"
-            )
-    for failure in failures:
-        print(f"REGRESSION {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"dense throughput within {max_slowdown}x of {baseline_path.name} "
-            f"for all {len(report['smoke_baseline'])} smoke cells"
-        )
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="seconds-long CI variant of the matrix")
-    parser.add_argument("--output", type=Path, default=OUTPUT,
-                        help=f"where to write the JSON report (default {OUTPUT})")
-    parser.add_argument("--check-against", type=Path, default=None,
-                        help="compare smoke throughput against a committed "
-                             "report; exit 1 on a >2x regression")
-    args = parser.parse_args(argv)
-    report = run_benchmark(smoke=args.smoke)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    if args.check_against is not None:
-        return check_against(report, args.check_against)
-    return 0
+    return smoke_gate_main(argv, __doc__, run_benchmark, OUTPUT, ("scenario",), "dense_worms_per_sec")
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ across permanent link-fault rates, and writes ``BENCH_faults.json``
 at the repo root.
 
 Every (scheme, rate) point runs several independent replications
-through :func:`repro.parallel.run_sweep` with ``runner="resilient"``.
-Replications are seed-paired across schemes: the same base seed
+through :func:`repro.experiments.fault_degradation`, the study
+``python -m repro faults`` runs too.  Replications are seed-paired across schemes: the same base seed
 produces the same fault schedule (the fault RNG derives from the
 traffic seed but draws independently), so schemes face *identical*
 failures and the delivery gap is attributable to the routing, not the
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -39,7 +40,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.parallel import NoResultsError, SweepJob, pooled_latency, run_sweep
+from repro.experiments import fault_degradation
+from repro.parallel import SweepError
 from repro.sim import SimConfig
 from repro.topology import Mesh2D
 
@@ -59,50 +61,37 @@ SMOKE = dict(
 )
 
 
-def _config(params: dict, rate: float, seed: int) -> SimConfig:
-    return SimConfig(
-        num_messages=params["messages"],
-        num_destinations=10,
-        mean_interarrival=params["interarrival_us"] * 1e-6,
-        channels_per_link=2,
-        seed=seed,
-        link_fault_rate=rate,
-    )
-
-
 def run_benchmark(smoke: bool = False, workers: int | None = None) -> dict:
     params = SMOKE if smoke else FULL
-    mesh = Mesh2D(*params["mesh"])
-    reps = params["replications"]
     rates = params["rates"]
-
-    points = [(scheme, rate) for scheme in SCHEMES for rate in rates]
-    jobs = [
-        SweepJob(mesh, scheme, _config(params, rate, seed=100 + r), "resilient")
-        for scheme, rate in points
-        for r in range(reps)
+    replicas = [
+        SimConfig(
+            num_messages=params["messages"],
+            num_destinations=10,
+            mean_interarrival=params["interarrival_us"] * 1e-6,
+            channels_per_link=2,
+            seed=100 + r,
+        )
+        for r in range(params["replications"])
     ]
-    results = run_sweep(jobs, workers=workers)
+    records, failures = fault_degradation(
+        Mesh2D(*params["mesh"]), SCHEMES, rates, replicas, workers=workers
+    )
+    if failures:
+        raise SweepError(failures)
 
     curves: dict = {scheme: [] for scheme in SCHEMES}
-    for i, (scheme, rate) in enumerate(points):
-        group = results[i * reps: (i + 1) * reps]
-        delivered = sum(r.stats.delivered for r in group)
-        expected = sum(r.expected_deliveries for r in group)
-        try:
-            latency = pooled_latency(group)
-            latency_us = round(latency.mean * 1e6, 2)
-        except NoResultsError:
-            latency_us = None
-        curves[scheme].append({
-            "fault_rate": rate,
-            "delivery_ratio": round(delivered / expected, 4),
-            "delivered": delivered,
-            "expected": expected,
-            "latency_us": latency_us,
-            "killed_worms": sum(r.stats.killed_worms for r in group),
-            "retries": sum(r.stats.retries for r in group),
-            "detoured": sum(r.stats.detoured for r in group),
+    for r in records:
+        latency = r["mean_latency_us"]
+        curves[r["scheme"]].append({
+            "fault_rate": r["fault_rate"],
+            "delivery_ratio": round(r["delivery_ratio"], 4),
+            "delivered": r["delivered"],
+            "expected": r["expected"],
+            "latency_us": None if math.isnan(latency) else round(latency, 2),
+            "killed_worms": r["killed_worms"],
+            "retries": r["retries"],
+            "detoured": r["detoured"],
         })
 
     # structural claims measured above; a report that violated them
@@ -129,7 +118,7 @@ def run_benchmark(smoke: bool = False, workers: int | None = None) -> dict:
             "fault_rates": list(rates),
             "messages": params["messages"],
             "interarrival_us": params["interarrival_us"],
-            "replications": reps,
+            "replications": params["replications"],
             "fault_model": "permanent link faults, paired schedules",
         },
         "curves": curves,

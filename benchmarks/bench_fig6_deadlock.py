@@ -9,11 +9,11 @@ tree multicasts deadlock; every Chapter 6 algorithm completes.
 
 from __future__ import annotations
 
-from repro.models import MulticastRequest
 from repro.sim import SimConfig, run_static_scenario
-from repro.topology import Hypercube, Mesh2D
 from repro.wormhole import (
     fig_6_1_broadcast_deadlock_cdg,
+    fig_6_1_requests,
+    fig_6_4_requests,
     fig_6_4_xfirst_deadlock_cdg,
     find_cycle,
 )
@@ -21,11 +21,8 @@ from repro.wormhole import (
 
 def run():
     rows = []
-    cube = Hypercube(3)
-    cube_reqs = [
-        MulticastRequest(cube, 0b000, tuple(v for v in cube.nodes() if v != 0)),
-        MulticastRequest(cube, 0b001, tuple(v for v in cube.nodes() if v != 1)),
-    ]
+    cube_reqs = fig_6_1_requests()
+    cube = cube_reqs[0].topology
     cdg_cycle = find_cycle(fig_6_1_broadcast_deadlock_cdg()) is not None
     for scheme in ("ecube-tree", "dual-path", "multi-path"):
         res = run_static_scenario(cube, scheme, cube_reqs)
@@ -34,11 +31,8 @@ def run():
              "cyclic" if scheme == "ecube-tree" and cdg_cycle else "acyclic"]  # lint: ignore[no-registry-bypass]
         )
 
-    mesh = Mesh2D(4, 3)
-    mesh_reqs = [
-        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
-        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
-    ]
+    mesh_reqs = fig_6_4_requests()
+    mesh = mesh_reqs[0].topology
     cdg_cycle = find_cycle(fig_6_4_xfirst_deadlock_cdg()) is not None
     for scheme, cfg in (
         ("xfirst-tree", SimConfig()),

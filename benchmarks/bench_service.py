@@ -32,8 +32,6 @@ matrix and asserts the accounting invariants.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import platform
 import random
@@ -48,6 +46,7 @@ from repro.cli import parse_topology
 from repro.models.request import random_multicast
 from repro.service import ChaosPlan, RouteService, ServiceConfig
 from repro.service.protocol import RouteRequest
+from conftest import smoke_gate_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_service.json"
@@ -251,51 +250,10 @@ def _smoke_baseline(smoke_cells: dict | None) -> list[dict]:
     ]
 
 
-def check_against(report: dict, baseline_path: Path, max_slowdown: float = 2.0) -> int:
-    """CI regression gate: smoke throughput within ``max_slowdown`` of
-    the committed baseline (chaos cells are exempt by construction)."""
-    baseline = json.loads(baseline_path.read_text())
-    base_cells = {
-        c["cell"]: c["routed_destinations_per_sec"]
-        for c in baseline["smoke_baseline"]
-    }
-    failures = []
-    for cell in report["smoke_baseline"]:
-        base = base_cells.get(cell["cell"])
-        if base is None:
-            continue
-        if cell["routed_destinations_per_sec"] * max_slowdown < base:
-            failures.append(
-                f"{cell['cell']}: {cell['routed_destinations_per_sec']}/s vs "
-                f"baseline {base}/s (>{max_slowdown}x regression)"
-            )
-    for failure in failures:
-        print(f"REGRESSION {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"service throughput within {max_slowdown}x of "
-            f"{baseline_path.name} for all smoke cells"
-        )
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="seconds-long CI variant of the workload")
-    parser.add_argument("--output", type=Path, default=OUTPUT,
-                        help=f"where to write the JSON report (default {OUTPUT})")
-    parser.add_argument("--check-against", type=Path, default=None,
-                        help="compare smoke throughput against a committed "
-                             "report; exit 1 on a >2x regression")
-    args = parser.parse_args(argv)
-    report = run_benchmark(smoke=args.smoke)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    if args.check_against is not None:
-        return check_against(report, args.check_against)
-    return 0
+    return smoke_gate_main(
+        argv, __doc__, run_benchmark, OUTPUT, ("cell",), "routed_destinations_per_sec"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ n-cube under wormhole switching, comparing
 * dual-path / multi-path deadlock-free multicast.
 
 It also shows the failure mode the dissertation warns about: when two
-sub-barriers (disjoint worker groups) release *simultaneously* with
-tree multicast on single channels, the network can deadlock, while the
+sub-barriers release *simultaneously* with tree multicast on single
+channels (the Fig. 6.1 pattern), the network can deadlock, while the
 path schemes always complete.
 
 Run:  python examples/barrier_synchronization.py
@@ -23,9 +23,10 @@ Run:  python examples/barrier_synchronization.py
 from __future__ import annotations
 
 from repro.models import MulticastRequest
-from repro.sim import Environment, SimConfig, WormholeNetwork, inject_specs
+from repro.sim import Environment, SimConfig, WormholeNetwork, inject_specs, run_static_scenario
 from repro.sim.traffic import PathSpec, Router
 from repro.topology import Hypercube
+from repro.wormhole import fig_6_1_requests
 
 
 def release_latency(cube: Hypercube, scheme: str, master: int) -> float:
@@ -50,22 +51,12 @@ def release_latency(cube: Hypercube, scheme: str, master: int) -> float:
     return max(d.delivered_at for d in net.deliveries)
 
 
-def simultaneous_subbarriers(cube: Hypercube, scheme: str) -> bool:
-    """Two disjoint worker groups release at once; True if all messages
-    complete (no deadlock)."""
-    cfg = SimConfig()
-    env = Environment()
-    net = WormholeNetwork(env, cfg)
-    router = Router(cube, scheme)
-    half = cube.num_nodes // 2
-    groups = [
-        (0, tuple(v for v in cube.nodes() if v != 0)),
-        (1, tuple(v for v in cube.nodes() if v != 1)),
-    ]
-    for mid, (master, workers) in enumerate(groups, start=1):
-        request = MulticastRequest(cube, master, workers)
-        inject_specs(net, mid, router(request), cfg.channels_per_link)
-    return net.run_to_completion()
+def simultaneous_subbarriers(scheme: str) -> bool:
+    """Two worker groups release at once from masters 000 and 001 of a
+    3-cube, each to every other node (the Fig. 6.1 pattern); True if
+    all messages complete (no deadlock)."""
+    requests = fig_6_1_requests()
+    return run_static_scenario(requests[0].topology, scheme, requests).completed
 
 
 def main() -> None:
@@ -77,9 +68,8 @@ def main() -> None:
         print(f"{scheme:<24}{t * 1e6:>19.2f} us")
 
     print("\nTwo sub-barriers releasing simultaneously (3-cube):")
-    small = Hypercube(3)
     for scheme in ("ecube-tree", "dual-path", "multi-path"):
-        ok = simultaneous_subbarriers(small, scheme)
+        ok = simultaneous_subbarriers(scheme)
         verdict = "completed" if ok else "DEADLOCKED"
         print(f"  {scheme:<12} -> {verdict}")
 

@@ -17,11 +17,11 @@ Run:  python examples/deadlock_demo.py
 
 from __future__ import annotations
 
-from repro.models import MulticastRequest
 from repro.sim import SimConfig, run_static_scenario
-from repro.topology import Hypercube, Mesh2D
 from repro.wormhole import (
     fig_6_1_broadcast_deadlock_cdg,
+    fig_6_1_requests,
+    fig_6_4_requests,
     fig_6_4_xfirst_deadlock_cdg,
     find_cycle,
 )
@@ -39,11 +39,8 @@ def main() -> None:
     print("=== Fig. 6.1: two broadcasts on a 3-cube ===")
     cycle = find_cycle(fig_6_1_broadcast_deadlock_cdg())
     print(f"  CDG cycle: {cycle}")
-    cube = Hypercube(3)
-    reqs = [
-        MulticastRequest(cube, 0b000, tuple(v for v in cube.nodes() if v != 0)),
-        MulticastRequest(cube, 0b001, tuple(v for v in cube.nodes() if v != 1)),
-    ]
+    reqs = fig_6_1_requests()
+    cube = reqs[0].topology
     show("e-cube tree (single channels)", run_static_scenario(cube, "ecube-tree", reqs))
     show("dual-path (same pattern)", run_static_scenario(cube, "dual-path", reqs))
     show("multi-path (same pattern)", run_static_scenario(cube, "multi-path", reqs))
@@ -51,11 +48,8 @@ def main() -> None:
     print("\n=== Fig. 6.4: two X-first multicasts on a 3x4 mesh ===")
     cycle = find_cycle(fig_6_4_xfirst_deadlock_cdg())
     print(f"  CDG cycle: {cycle}")
-    mesh = Mesh2D(4, 3)
-    reqs = [
-        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
-        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
-    ]
+    reqs = fig_6_4_requests()
+    mesh = reqs[0].topology
     show("X-first tree (single channels)", run_static_scenario(mesh, "xfirst-tree", reqs))
     show(
         "double-channel X-first (four subnets)",

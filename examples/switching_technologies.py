@@ -2,12 +2,14 @@
 """Switching technologies side by side (§2.2) — formula and simulation.
 
 First prints the contention-free latency formulas of Fig. 2.3, then
-runs the *same* multicast workload through the three simulated
-switching substrates — store-and-forward packets, virtual cut-through
-messages and wormhole worms — showing the behaviour the dissertation
+runs the *same* multicast workload through the four simulated
+switching substrates (:func:`repro.sim.run_switching`) — wormhole
+worms, virtual cut-through messages, circuit-switched messages and
+store-and-forward packets — showing the behaviour the dissertation
 describes: wormhole wins while channels are free but chains blocked
-channels under load, VCT degrades gracefully by buffering, and
-store-and-forward pays full packet latency per hop no matter what.
+channels under load, VCT degrades gracefully by buffering, circuit
+switching pays a path setup per message, and store-and-forward pays
+full packet latency per hop no matter what.
 Also reproduces the Fig. 2.4 buffer deadlock and its structured-pool
 fix.
 
@@ -16,19 +18,8 @@ Run:  python examples/switching_technologies.py
 
 from __future__ import annotations
 
-import random
-
 from repro.metrics import LATENCY_MODELS, SwitchingParams
-from repro.models import MulticastRequest
-from repro.sim import (
-    Environment,
-    SAFNetwork,
-    SimConfig,
-    WormholeNetwork,
-    inject_vct_path,
-)
-from repro.sim.stats import batch_means
-from repro.sim.traffic import Router
+from repro.sim import Environment, SAFNetwork, SimConfig, run_switching
 from repro.topology import Mesh2D
 
 
@@ -44,54 +35,15 @@ def formulas() -> None:
 
 
 def loaded_comparison(interarrival_us: float) -> None:
-    mesh = Mesh2D(8, 8)
     cfg = SimConfig(
         num_messages=400, num_destinations=8,
         mean_interarrival=interarrival_us * 1e-6, seed=3,
     )
-    results = {}
-    for tech in ("wormhole", "virtual cut-through", "store-and-forward"):
-        env = Environment()
-        rng = random.Random(cfg.seed)
-        router = Router(mesh, "dual-path")
-        net = (
-            SAFNetwork(env, cfg, buffers_per_node=4, structured=True)
-            if tech == "store-and-forward"
-            else WormholeNetwork(env, cfg)
-        )
-        state = {"n": 0}
-
-        def emit(node, net=net, env=env, rng=rng, tech=tech):
-            if state["n"] >= cfg.num_messages:
-                return
-            state["n"] += 1
-            mid = state["n"]
-            chosen: set = set()
-            src_i = mesh.index(node)
-            while len(chosen) < cfg.num_destinations:
-                i = rng.randrange(mesh.num_nodes)
-                if i != src_i:
-                    chosen.add(i)
-            req = MulticastRequest(
-                mesh, node, tuple(mesh.node_at(i) for i in sorted(chosen))
-            )
-            for spec in router(req):
-                if tech == "wormhole":
-                    net.inject_path(mid, spec.nodes, set(spec.destinations))
-                elif tech == "virtual cut-through":
-                    inject_vct_path(net, mid, spec.nodes, set(spec.destinations))
-                else:
-                    net.inject(mid, spec.nodes, set(spec.destinations))
-            env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
-
-        for node in mesh.nodes():
-            env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
-        assert net.run_to_completion(), f"{tech} wedged"
-        lat = batch_means([d.latency for d in net.deliveries])
-        results[tech] = lat.mean * 1e6
-    print(f"\nSimulated mean multicast latency at {interarrival_us:.0f} us inter-arrival:")
-    for tech, lat in results.items():
-        print(f"  {tech:<22} {lat:8.2f} us")
+    latency = run_switching(Mesh2D(8, 8), "dual-path", cfg)
+    print(f"\nSimulated mean multicast latency at {interarrival_us:.0f} us inter-arrival"
+          " (after warm-up):")
+    for tech, summary in latency.items():
+        print(f"  {tech:<22} {summary.mean * 1e6:8.2f} us")
 
 
 def buffer_deadlock_demo() -> None:

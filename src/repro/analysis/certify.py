@@ -378,17 +378,11 @@ def fig_6_1_counterexample() -> Counterexample:
     """The Fig. 6.1 construction through the refutation engine: two
     simultaneous e-cube broadcasts from nodes 000 and 001 of a 3-cube
     deadlock — their combined extended CDG is cyclic."""
-    topology = parse_topology("cube:3")
-    others = lambda s: tuple(v for v in topology.nodes() if v != s)
-    return refute(
-        "ecube-tree",
-        "cube:3",
-        [
-            MulticastRequest(topology, 0b000, others(0b000)),
-            MulticastRequest(topology, 0b001, others(0b001)),
-        ],
-        construction="fig-6.1",
-    )
+    # imported here: repro.wormhole.cdg imports repro.analysis.graph,
+    # and this package imports this module eagerly
+    from ..wormhole.cdg import fig_6_1_requests
+
+    return refute("ecube-tree", "cube:3", fig_6_1_requests(), construction="fig-6.1")
 
 
 def fig_6_4_counterexample() -> Counterexample:
@@ -396,16 +390,9 @@ def fig_6_4_counterexample() -> Counterexample:
     X-first multicast trees on a 3x4 mesh with *single* channels (no
     quadrant subnetworks) deadlock on the pair of channels
     (1,1)->(0,1) and (2,1)->(3,1)."""
-    topology = parse_topology("mesh:4x3")
-    return refute(
-        "xfirst",
-        "mesh:4x3",
-        [
-            MulticastRequest(topology, (1, 1), ((0, 2), (3, 1))),
-            MulticastRequest(topology, (2, 1), ((0, 1), (3, 0))),
-        ],
-        construction="fig-6.4",
-    )
+    from ..wormhole.cdg import fig_6_4_requests
+
+    return refute("xfirst", "mesh:4x3", fig_6_4_requests(), construction="fig-6.4")
 
 
 #: constructions every ``certify --all`` run re-verifies, keyed by the

@@ -202,8 +202,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _print_columns(header, rows) -> None:
+    """Print ``rows`` of strings as left-aligned columns under ``header``."""
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    print("  ".join("-" * w for w in widths))
+    for row in rows:
+        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+
+
 def cmd_faults(args) -> int:
-    from .parallel import NoResultsError, SweepJob, pooled_latency, replicate, run_sweep
+    from .experiments import fault_degradation
+    from .parallel import replicate
     from .sim import SimConfig
 
     topology = parse_topology(args.topology)
@@ -218,81 +228,35 @@ def cmd_faults(args) -> int:
         fault_mttr=args.mttr_us * 1e-6,
         max_retries=args.max_retries,
     )
-    # one sweep point per (scheme, rate); replications derive their
-    # seeds from the base seed, so every scheme sees the same traffic
-    # and the same fault schedule at a given rate (paired comparison)
-    jobs: list = []
-    points: list = []
-    for scheme in schemes:
-        for rate in rates:
-            reps = replicate(
-                SweepJob(
-                    topology, scheme, cfg.replace(link_fault_rate=rate), "resilient"
-                ),
-                args.replications,
-            )
-            points.append((scheme, rate, len(jobs), len(reps)))
-            jobs.extend(reps)
-
-    failures: list = []
-    results = run_sweep(
-        jobs,
+    # replications derive their seeds from the base seed, so every
+    # scheme sees the same traffic and the same fault schedule at a
+    # given rate (paired comparison)
+    records, failures = fault_degradation(
+        topology,
+        schemes,
+        rates,
+        replicate(cfg, args.replications),
         workers=args.workers,
         timeout=args.job_timeout,
         retries=args.job_retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        on_error="record",
-        failures=failures,
     )
-
-    records = []
-    for scheme, rate, start, count in points:
-        chunk = results[start : start + count]
-        ok = [r for r in chunk if r is not None]
-        delivered = sum(r.stats.delivered for r in ok)
-        expected = sum(r.expected_deliveries for r in ok)
-        try:
-            pooled = pooled_latency(ok, failures)
-            mean_us = pooled.mean * 1e6
-            ci_us = pooled.ci_halfwidth * 1e6
-        except NoResultsError:
-            mean_us = ci_us = float("nan")
-        records.append(
-            {
-                "scheme": scheme,
-                "fault_rate": rate,
-                "delivery_ratio": delivered / expected if expected else float("nan"),
-                "mean_latency_us": mean_us,
-                "ci_halfwidth_us": ci_us,
-                "delivered": delivered,
-                "expected": expected,
-                "killed_worms": sum(r.stats.killed_worms for r in ok),
-                "retries": sum(r.stats.retries for r in ok),
-                "detoured": sum(r.stats.detoured for r in ok),
-                "replications_ok": len(ok),
-                "replications_failed": count - len(ok),
-            }
-        )
-
-    header = ("scheme", "rate", "delivery", "latency(us)", "killed", "retries", "detoured")
-    rows = [
-        (
-            r["scheme"],
-            f"{r['fault_rate']:g}",
-            f"{r['delivery_ratio']:.4f}",
-            f"{r['mean_latency_us']:.2f}",
-            str(r["killed_worms"]),
-            str(r["retries"]),
-            str(r["detoured"]),
-        )
-        for r in records
-    ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    _print_columns(
+        ("scheme", "rate", "delivery", "latency(us)", "killed", "retries", "detoured"),
+        [
+            (
+                r["scheme"],
+                f"{r['fault_rate']:g}",
+                f"{r['delivery_ratio']:.4f}",
+                f"{r['mean_latency_us']:.2f}",
+                str(r["killed_worms"]),
+                str(r["retries"]),
+                str(r["detoured"]),
+            )
+            for r in records
+        ],
+    )
     for failure in failures:
         print(f"warning: {failure}", file=sys.stderr)
 
@@ -373,12 +337,10 @@ def cmd_algorithms(args) -> int:
     if not rows:
         print("no registered scheme matches the given filters", file=sys.stderr)
         return 1
-    header = ("scheme", "kind", "topologies", "worm", "deadlock-free", "fault-tolerant", "reference")
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    _print_columns(
+        ("scheme", "kind", "topologies", "worm", "deadlock-free", "fault-tolerant", "reference"),
+        rows,
+    )
     return 0
 
 
@@ -398,27 +360,18 @@ def cmd_labels(args) -> int:
 
 
 def cmd_deadlock(args) -> int:
-    from .sim import SimConfig, run_static_scenario
-    from .wormhole import fig_6_1_broadcast_deadlock_cdg, fig_6_4_xfirst_deadlock_cdg, find_cycle
+    from .sim import run_static_scenario
+    from .wormhole import cdg
 
-    cube = Hypercube(3)
-    reqs = [
-        MulticastRequest(cube, 0, tuple(v for v in cube.nodes() if v != 0)),
-        MulticastRequest(cube, 1, tuple(v for v in cube.nodes() if v != 1)),
-    ]
-    res = run_static_scenario(cube, "ecube-tree", reqs)
-    print(f"Fig 6.1 (3-cube e-cube broadcasts): "
-          f"{'DEADLOCK' if not res.completed else 'completed'}; "
-          f"CDG cycle: {find_cycle(fig_6_1_broadcast_deadlock_cdg())}")
-    mesh = Mesh2D(4, 3)
-    reqs = [
-        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
-        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
-    ]
-    res = run_static_scenario(mesh, "xfirst-tree", reqs)
-    print(f"Fig 6.4 (3x4-mesh X-first multicasts): "
-          f"{'DEADLOCK' if not res.completed else 'completed'}; "
-          f"CDG cycle: {find_cycle(fig_6_4_xfirst_deadlock_cdg())}")
+    for title, scheme, requests, cdg_builder in (
+        ("Fig 6.1 (3-cube e-cube broadcasts)", "ecube-tree",
+         cdg.fig_6_1_requests(), cdg.fig_6_1_broadcast_deadlock_cdg),
+        ("Fig 6.4 (3x4-mesh X-first multicasts)", "xfirst-tree",
+         cdg.fig_6_4_requests(), cdg.fig_6_4_xfirst_deadlock_cdg),
+    ):
+        res = run_static_scenario(requests[0].topology, scheme, requests)
+        print(f"{title}: {'DEADLOCK' if not res.completed else 'completed'}; "
+              f"CDG cycle: {cdg.find_cycle(cdg_builder())}")
     return 0
 
 

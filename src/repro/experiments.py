@@ -14,6 +14,10 @@ and downstream users can rerun any experiment at any scale::
 or from the command line::
 
     python -m repro reproduce fig7.9 --scale 1.0
+
+:func:`fault_degradation` is likewise the one definition of the §8.2
+fault-degradation study, which ``python -m repro faults`` and
+``benchmarks/bench_fault_degradation.py`` run.
 """
 
 from __future__ import annotations
@@ -265,6 +269,60 @@ def fig_7_11(messages_per_point: int = 400) -> ExperimentResult:
         "Fig 7.11: latency (us) vs destinations, single-channel 8x8 mesh, 400us interarrival",
         "k", schemes, rows,
     )
+
+
+def fault_degradation(topology, schemes, rates, replicas, **sweep) -> tuple[list[dict], list]:
+    """The §8.2 fault-degradation study: each scheme's delivery and
+    latency under each link-fault rate.
+
+    Every (scheme, rate) point runs one resilient job per config in
+    ``replicas`` (distinct seeds, e.g. from :func:`repro.parallel.replicate`),
+    with its ``link_fault_rate`` set to the rate, so every scheme faces
+    the same traffic and fault schedule at a rate.  ``sweep`` goes to
+    :func:`repro.parallel.run_sweep`, which records failing jobs.
+
+    Returns one record per point, in (scheme, rate) order — delivered
+    and expected deliveries and their ratio, the pooled latency and CI
+    half-width in µs (NaN when nothing pools), killed worms, retries,
+    detours, and replications ok and failed — and the failures.
+    """
+    # imported here, so that the figure functions pay nothing for it
+    from .parallel import NoResultsError, SweepJob, pooled_latency, run_sweep
+
+    points = [(scheme, rate) for scheme in schemes for rate in rates]
+    jobs = [
+        SweepJob(topology, scheme, cfg.replace(link_fault_rate=rate), "resilient")
+        for scheme, rate in points
+        for cfg in replicas
+    ]
+    failures: list = []
+    results = run_sweep(jobs, on_error="record", failures=failures, **sweep)
+    n = len(replicas)
+    records = []
+    for i, (scheme, rate) in enumerate(points):
+        ok = [r for r in results[i * n:(i + 1) * n] if r is not None]
+        delivered = sum(r.stats.delivered for r in ok)
+        expected = sum(r.expected_deliveries for r in ok)
+        try:
+            pooled = pooled_latency(ok, failures)
+            mean_us, ci_us = pooled.mean * 1e6, pooled.ci_halfwidth * 1e6
+        except NoResultsError:
+            mean_us = ci_us = float("nan")
+        records.append({
+            "scheme": scheme,
+            "fault_rate": rate,
+            "delivery_ratio": delivered / expected if expected else float("nan"),
+            "mean_latency_us": mean_us,
+            "ci_halfwidth_us": ci_us,
+            "delivered": delivered,
+            "expected": expected,
+            "killed_worms": sum(r.stats.killed_worms for r in ok),
+            "retries": sum(r.stats.retries for r in ok),
+            "detoured": sum(r.stats.detoured for r in ok),
+            "replications_ok": len(ok),
+            "replications_failed": n - len(ok),
+        })
+    return records, failures
 
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {

@@ -87,7 +87,7 @@ from .sim.runner import (
     run_resilient,
 )
 from .sim.stats import SimStats, Summary
-from .topology.base import Topology, canonical_topology
+from .topology.base import Topology
 
 __all__ = [
     "JobFailure",
@@ -256,14 +256,9 @@ def replicate(config, num_runs: int):
 
 
 def _run_job(job: SweepJob):
-    # Interning maps every equal topology copy (user-built or unpickled
-    # jobs) onto one process-local instance, so the distance rows,
-    # neighbor tables and labeling are built once per process rather
-    # than once per job; a forked attempt starts from the caller's.
-    topology = canonical_topology(job.topology)
     if job.runner == "resilient":
-        return run_resilient(topology, job.scheme, job.config)
-    return run_dynamic(topology, job.scheme, job.config)
+        return run_resilient(job.topology, job.scheme, job.config)
+    return run_dynamic(job.topology, job.scheme, job.config)
 
 
 # ----------------------------------------------------------------------

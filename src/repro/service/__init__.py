@@ -3,8 +3,8 @@
 A long-lived routing daemon around the registry: clients stream route
 requests (topology spec, scheme, destination set) over a local socket
 in JSONL, a supervised pool of persistent worker processes answers
-them from warm interned topologies (memoized distance rows and
-labelings), and every request gets **exactly one terminal response** — a route, a
+them from warm topologies, one per topology spec (memoized distance
+rows and labelings), and every request gets **exactly one terminal response** — a route, a
 ``degraded=True`` route from a registered fallback scheme, or a typed
 error — no matter which workers crash, hang or drop replies along the
 way.
@@ -22,7 +22,7 @@ Layers (each usable alone):
   requeue-once, and a per-``(scheme, topology)`` circuit breaker that
   degrades to the spec's declared ``fallback``;
 * :mod:`repro.service.worker` — the worker process main loop (warm
-  interned topologies, heartbeat thread, chaos hooks);
+  topologies per spec, heartbeat thread, chaos hooks);
 * :mod:`repro.service.chaos` — the seeded chaos plan (kill / delay /
   drop / stall injection) the robustness suite drives the service
   with;

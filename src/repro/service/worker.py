@@ -14,12 +14,11 @@ the damage — the supervisor treats a broken/garbled pipe as that one
 worker crashing — and our messages are far below ``PIPE_BUF``, so
 individual sends are atomic.
 
-Warm state: topologies are interned through
-:func:`repro.topology.canonical_topology`, so every request against
-the same topology spec shares one instance and its memoized distance
-rows, neighbor tables and labeling for the lifetime of the worker —
-those caches are what the service benchmark's routed-destinations/sec
-rests on.
+Warm state: the worker keeps one topology instance per topology spec
+string, so every request against the same spec shares its memoized
+distance rows, neighbor tables and labeling for the lifetime of the
+worker — those caches are what the service benchmark's
+routed-destinations/sec rests on.
 
 All sends share one lock (``Connection.send`` is not thread-safe
 against the heartbeat thread).  Chaos directives (``hold_s`` /
@@ -42,7 +41,7 @@ if TYPE_CHECKING:
 from ..exact.errors import InfeasibleRoute, SearchBudgetExceeded
 from ..models.request import MulticastRequest
 from ..registry import UnknownSchemeError, get as get_spec
-from ..topology import canonical_topology, parse_topology
+from ..topology import parse_topology
 from ..wormhole.fault_tolerance import Unroutable
 
 __all__ = ["compute_route", "worker_main"]
@@ -59,7 +58,7 @@ def compute_route(
     detail})`` with a typed error code — exceptions never escape as
     tracebacks.
 
-    ``topology_cache`` maps topology specs to interned instances; pass
+    ``topology_cache`` maps topology specs to their instances; pass
     the same dict across calls to keep topologies warm (the worker loop
     does, and so does the in-process benchmark baseline).
     """
@@ -70,7 +69,7 @@ def compute_route(
     try:
         topology = topology_cache.get(job["topology"])
         if topology is None:
-            topology = canonical_topology(parse_topology(job["topology"]))
+            topology = parse_topology(job["topology"])
             topology_cache[job["topology"]] = topology
         if not spec.supports(topology):
             return False, {

@@ -45,6 +45,7 @@ from .runner import (
     ScenarioResult,
     run_dynamic,
     run_static_scenario,
+    run_switching,
 )
 from .stats import SimStats, Summary, batch_means, t975
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
@@ -99,5 +100,6 @@ __all__ = [
     "run_resilient",
     "run_until_confident",
     "run_static_scenario",
+    "run_switching",
     "t975",
 ]

@@ -5,8 +5,10 @@ multicast generator at every node draws exponential inter-arrival times
 and uniform destination sets, messages are routed by the scheme under
 test and injected as worms, and average per-destination network latency
 is summarised by batch means.  :func:`run_resilient` runs that traffic
-under fault injection and :func:`run_mixed` mixes unicasts into it;
-the three share one arrival process (:func:`_drive`).
+under fault injection, :func:`run_mixed` mixes unicasts into it and
+:func:`run_switching` runs it on each §2.2 switching technology; the
+four share one arrival process (:func:`_drive`) and one destination
+draw (:func:`_destination_sampler`).
 
 :func:`run_static_scenario` injects a fixed set of multicasts at time
 zero and reports whether they complete — the §6.1 deadlock
@@ -28,12 +30,15 @@ benchmarks; a forced dense run the rule refuses, and any config with
 fault rates, raise :class:`~repro.sim.config.InvalidConfigError`
 (:func:`check_dynamic_run`).  The other drivers run on the reference
 engine, :func:`run_resilient` on its fault-aware subclass
-(:class:`~repro.sim.faults.FaultyWormholeNetwork`).
+(:class:`~repro.sim.faults.FaultyWormholeNetwork`) and
+:func:`run_switching` also on the store-and-forward network
+(:class:`~repro.sim.saf.SAFNetwork`).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..labeling import canonical_labeling
@@ -41,13 +46,16 @@ from ..models.request import MulticastRequest
 from ..retry import backoff_delay
 from ..topology.base import Topology
 from ..wormhole.fault_tolerance import Unroutable
+from .circuit import inject_circuit_path
 from .config import InvalidConfigError, SimConfig
 from .dense import DenseEngine
 from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
 from .kernel import Environment
 from .reference import WormholeNetwork
+from .saf import SAFNetwork
 from .stats import SimStats, Summary, batch_means
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
+from .vct import inject_vct_path
 
 ENGINES = ("reference", "dense", "auto")
 
@@ -652,6 +660,61 @@ def run_mixed(
         injected_messages=injected,
         sim_time=net.now,
     )
+
+
+#: the §2.2 switching technologies :func:`run_switching` compares, each
+#: as its injector of one routed path
+SWITCHING: dict[str, Callable[..., object]] = {
+    "wormhole": WormholeNetwork.inject_path,
+    "vct": inject_vct_path,
+    "circuit": inject_circuit_path,
+    "saf": SAFNetwork.inject,
+}
+
+
+def _switched_latency(topology, router, config: SimConfig, technology: str) -> Summary:
+    """One :func:`run_switching` run on one technology."""
+    env = Environment()
+    net: SAFNetwork | WormholeNetwork = (
+        SAFNetwork(env, config, buffers_per_node=4, structured=True)
+        if technology == "saf"
+        else WormholeNetwork(env, config)
+    )
+    inject = SWITCHING[technology]
+    rng = random.Random(config.seed)
+    draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
+
+    def send(node, mid):
+        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
+        for spec in router(request):
+            inject(net, mid, spec.nodes, spec.destinations)
+
+    _drive(net, topology, rng, config, send)
+    cutoff = config.num_messages * config.warmup_fraction
+    return batch_means([d.latency for d in net.deliveries if d.message_id > cutoff])
+
+
+def run_switching(topology: Topology, scheme: str, config: SimConfig) -> dict[str, Summary]:
+    """The §2.2 switching comparison under load: :func:`run_dynamic`'s
+    arrivals and destination sets, routed by the path scheme
+    ``scheme``, on each of the :data:`SWITCHING` technologies —
+    wormhole, virtual cut-through, circuit and store-and-forward
+    switching.  Store-and-forward packets take structured pools of 4
+    buffers per node, which cannot buffer-deadlock (§2.3.4).
+
+    Returns each technology's post-warm-up latency :class:`Summary`.
+    Raises :class:`InvalidConfigError` for fault rates or a scheme that
+    sends no plain path worms, and :class:`DeadlockDetected` if a
+    network wedges.
+    """
+    router = _make_router(topology, scheme, config)
+    check_dynamic_run(router.spec, config)
+    if router.spec.worm_style != "star":
+        raise InvalidConfigError(
+            f"run_switching switches path worms; {scheme} sends "
+            f"{router.spec.worm_style} worms"
+        )
+    return {tech: _switched_latency(topology, router, config, tech) for tech in SWITCHING}
 
 
 @dataclass(frozen=True)

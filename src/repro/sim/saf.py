@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .config import SimConfig
 from .kernel import Environment
-from .reference import Delivery
+from .reference import Delivery, WormholeNetwork
 
 
 @dataclass
@@ -81,6 +81,16 @@ class SAFNetwork:
         self._waiters: dict = {}  # resource key -> deque of callbacks
         self.active_packets = 0
         self.deliveries: list[Delivery] = []
+
+    # the engine surface repro.sim.runner._drive reads, as the wormhole
+    # network defines it: arrival delays snap to the flit-time grid
+    # under config.quantize_arrivals, and the in-flight count
+    _delay = WormholeNetwork._delay
+    schedule = WormholeNetwork.schedule
+
+    @property
+    def active_worms(self) -> int:
+        return self.active_packets
 
     # -- resources ------------------------------------------------------
 

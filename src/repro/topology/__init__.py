@@ -1,6 +1,6 @@
 """Multicomputer network topologies (Ch. 2) and grid graphs (Ch. 4)."""
 
-from .base import Channel, Node, Topology, canonical_topology
+from .base import Channel, Node, Topology
 from .grid import GridGraph, Point, rectangular_grid
 from .hypercube import Hypercube, popcount
 from .karyncube import KAryNCube
@@ -16,7 +16,6 @@ __all__ = [
     "Node",
     "Point",
     "Topology",
-    "canonical_topology",
     "parse_topology",
     "popcount",
     "rectangular_grid",

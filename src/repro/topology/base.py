@@ -285,21 +285,3 @@ class Topology(ABC):
             if not self.are_adjacent(a, b):
                 raise ValueError(f"{a!r} and {b!r} are not adjacent")
         return max(len(path) - 1, 0)
-
-
-#: process-local intern table for :func:`canonical_topology`.
-_INTERNED: dict[tuple[type, str], Topology] = {}
-
-
-def canonical_topology(topology: Topology) -> Topology:
-    """A process-canonical instance equal to ``topology``.
-
-    Topologies are immutable and fully described by their ``repr``
-    (family + dimensions), so a worker process that receives one
-    pickled topology per job can intern them all to a single instance —
-    the distance rows, distance matrix and labeling caches are then
-    built once per worker, not once per job.  The first instance seen
-    for a given family/shape wins and is returned for every later equal
-    one.
-    """
-    return _INTERNED.setdefault((type(topology), repr(topology)), topology)

@@ -3,6 +3,8 @@
 from .cdg import (
     combined_cdg,
     fig_6_1_broadcast_deadlock_cdg,
+    fig_6_1_requests,
+    fig_6_4_requests,
     fig_6_4_xfirst_deadlock_cdg,
     find_cycle,
     full_quadrant_cdg,
@@ -49,6 +51,8 @@ __all__ = [
     "fault_tolerant_dual_path",
     "fault_tolerant_path",
     "fig_6_1_broadcast_deadlock_cdg",
+    "fig_6_1_requests",
+    "fig_6_4_requests",
     "fig_6_4_xfirst_deadlock_cdg",
     "find_cycle",
     "fixed_path_route",

@@ -20,7 +20,9 @@ This module provides
   concrete network (every dependency any multicast could create):
   :func:`full_star_cdg` for high/low-channel path routing and
   :func:`full_quadrant_cdg` for the double-channel X-first subnetworks;
-* the two deadlock demonstrations of §6.1 (Figs. 6.1 and 6.4).
+* the two deadlock demonstrations of §6.1 (Figs. 6.1 and 6.4): their
+  request pairs (:func:`fig_6_1_requests`, :func:`fig_6_4_requests`),
+  which every caller takes from here, and their cyclic CDGs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .subnetworks import quadrant_channels
 __all__ = [
     "combined_cdg",
     "fig_6_1_broadcast_deadlock_cdg",
+    "fig_6_1_requests",
+    "fig_6_4_requests",
     "fig_6_4_xfirst_deadlock_cdg",
     "find_cycle",
     "full_quadrant_cdg",
@@ -162,23 +166,37 @@ def full_quadrant_cdg(mesh: Mesh2D, quadrant: str) -> set:
 # ----------------------------------------------------------------------
 
 
-def fig_6_1_broadcast_deadlock_cdg() -> set:
-    """Two simultaneous e-cube broadcasts from nodes 000 and 001 of a
-    3-cube (Fig. 6.1): their combined extended CDG contains a cycle."""
-    from .ecube_tree import broadcast_tree
-
+def fig_6_1_requests() -> tuple[MulticastRequest, ...]:
+    """The Fig. 6.1 scenario: simultaneous broadcasts from nodes 000
+    and 001 of a 3-cube."""
     cube = Hypercube(3)
-    t0 = broadcast_tree(cube, 0b000)
-    t1 = broadcast_tree(cube, 0b001)
-    return combined_cdg([tree_stages(t0), tree_stages(t1)])
+    return tuple(
+        MulticastRequest(cube, s, tuple(v for v in cube.nodes() if v != s))
+        for s in (0b000, 0b001)
+    )
+
+
+def fig_6_4_requests() -> tuple[MulticastRequest, ...]:
+    """The Fig. 6.4 scenario on a 3x4 mesh: M0 from (1,1) to
+    {(0,2), (3,1)} and M1 from (2,1) to {(0,1), (3,0)}."""
+    mesh = Mesh2D(4, 3)
+    return (
+        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
+        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
+    )
+
+
+def fig_6_1_broadcast_deadlock_cdg() -> set:
+    """The Fig. 6.1 broadcasts as e-cube trees: their combined
+    extended CDG contains a cycle."""
+    from .ecube_tree import ecube_tree_route
+
+    return combined_cdg(tree_stages(ecube_tree_route(r)) for r in fig_6_1_requests())
 
 
 def fig_6_4_xfirst_deadlock_cdg() -> set:
-    """The 3x4-mesh X-first multicast deadlock of Fig. 6.4: M0 from
-    (1,1) to {(0,2), (3,1)} and M1 from (2,1) to {(0,1), (3,0)}."""
+    """The Fig. 6.4 multicasts as X-first trees on single channels:
+    their combined extended CDG contains a cycle."""
     from ..heuristics.xfirst import xfirst_route
 
-    mesh = Mesh2D(4, 3)
-    m0 = xfirst_route(MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))))
-    m1 = xfirst_route(MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))))
-    return combined_cdg([tree_stages(m0), tree_stages(m1)])
+    return combined_cdg(tree_stages(xfirst_route(r)) for r in fig_6_4_requests())

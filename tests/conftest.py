@@ -12,9 +12,7 @@ from repro.topology import Hypercube, Mesh2D
 # the fast dense-engine gate CI runs on every PR (`pytest -m
 # dense_parity`): exact dense-vs-reference parity, the dense engine's
 # refusals, the engine="auto" policy, the frontier-window property tests
-# and SimConfig validation.  Applied here to every case of these files
-# except the `fault_twin` cases of test_dense_parity.py, whose twin is
-# the fault-aware reference network and which run no dense engine.
+# and SimConfig validation.  Applied here to every case of these files.
 DENSE_PARITY_FILES = {
     "test_dense_parity.py",
     "test_engine_auto.py",
@@ -24,7 +22,7 @@ DENSE_PARITY_FILES = {
 
 def pytest_collection_modifyitems(items):
     for item in items:
-        if item.path.name in DENSE_PARITY_FILES and not item.get_closest_marker("fault_twin"):
+        if item.path.name in DENSE_PARITY_FILES:
             item.add_marker(pytest.mark.dense_parity)
 
 

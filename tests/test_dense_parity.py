@@ -15,11 +15,8 @@ request for virtual-channel, tree, adaptive or VCT worms raises, and
 ``engine="auto"`` runs them on the reference engine
 (:func:`test_dense_falls_back_to_reference`,
 :func:`test_dense_rejects_unserved_worm_styles`).  The twin of the
-other worm styles is their fault-aware subclass: a resilient run with
-no faults must match the plain run event for event.  Those cases run
-no dense engine, so they carry the ``fault_twin`` marker, which keeps
-them out of the ``dense_parity`` gate (see ``tests/conftest.py``); they
-run in tier-1 and in the fault suite.  Bursts at time zero have no
+other worm styles is their fault-aware subclass, whose parity cases
+live in ``tests/test_faults_sim.py``.  Bursts at time zero have no
 arrival process, so the static tests inject them into each network
 directly.
 """
@@ -35,7 +32,6 @@ from repro.models.request import MulticastRequest
 from repro.sim import (
     DenseEngine,
     Environment,
-    FaultyWormholeNetwork,
     InvalidConfigError,
     Router,
     SimConfig,
@@ -44,17 +40,13 @@ from repro.sim import (
     run_dynamic,
     run_resilient,
 )
-from repro.sim.runner import DENSE_WORM_STYLES, DeadlockDetected
+from repro.sim.runner import DENSE_WORM_STYLES
 from repro.topology import Hypercube, KAryNCube, Mesh2D
 
 # Dyadic parity base: 2-byte flits on a 2 MB/s channel give a flit time
 # of 2**-20 s, so every quantized event lands on an exactly-representable
 # float and both engines see the same calendar.
 BASE = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
-
-#: a case whose twin is the fault-aware reference network, not the
-#: dense engine
-FAULT_TWIN = pytest.mark.fault_twin
 
 
 def _fingerprint(result):
@@ -68,25 +60,13 @@ def _fingerprint(result):
     )
 
 
-def _dense_serves(scheme) -> bool:
-    return registry.get(scheme).worm_style in DENSE_WORM_STYLES
-
-
-def _run_twin(topology, scheme, cfg):
-    """``scheme`` on its twin: the dense engine for path worms, the
-    fault-aware reference network with no faults for the others."""
-    if _dense_serves(scheme):
-        return run_dynamic(topology, scheme, cfg, engine="dense")
-    return run_resilient(topology, scheme, cfg)
-
-
 def _run_both(topology, scheme, cfg):
     ref = run_dynamic(topology, scheme, cfg, engine="reference")
-    return ref, _run_twin(topology, scheme, cfg)
+    return ref, run_dynamic(topology, scheme, cfg, engine="dense")
 
 
 # ----------------------------------------------------------------------
-# Moderate-load parity across every worm style and topology family
+# Moderate-load parity across path schemes and topology families
 # ----------------------------------------------------------------------
 
 MODERATE_CASES = [
@@ -106,16 +86,6 @@ MODERATE_CASES = [
         id="fixed-path-mesh8",
     ),
     pytest.param(
-        Mesh2D(8, 8), "virtual-channel-2",
-        dict(seed=9, mean_interarrival=200e-6, num_messages=250, num_destinations=5),
-        id="vc2-mesh8", marks=FAULT_TWIN,
-    ),
-    pytest.param(
-        Mesh2D(8, 8), "dual-path-adaptive",
-        dict(seed=13, mean_interarrival=250e-6, num_messages=200, num_destinations=5),
-        id="adaptive-mesh8", marks=FAULT_TWIN,
-    ),
-    pytest.param(
         Mesh2D(8, 8), "dual-path",
         dict(seed=3, mean_interarrival=250e-6, num_messages=200, num_destinations=1),
         id="unicast-mesh8",
@@ -130,17 +100,6 @@ MODERATE_CASES = [
         dict(seed=19, mean_interarrival=300e-6, num_messages=250, num_destinations=6),
         id="dual-path-torus8",
     ),
-    pytest.param(
-        Mesh2D(8, 8), "xfirst-tree",
-        dict(seed=21, mean_interarrival=400e-6, num_messages=150, num_destinations=4,
-             channels_per_link=2),
-        id="xfirst-tree-mesh8-double", marks=FAULT_TWIN,
-    ),
-    pytest.param(
-        Hypercube(6), "ecube-tree",
-        dict(seed=23, mean_interarrival=800e-6, num_messages=120, num_destinations=4),
-        id="ecube-tree-cube6", marks=FAULT_TWIN,
-    ),
 ]
 
 
@@ -149,7 +108,7 @@ def test_moderate_load_parity(topology, scheme, kw):
     cfg = SimConfig(**BASE, **kw)
     ref, twin = _run_both(topology, scheme, cfg)
     assert _fingerprint(twin) == _fingerprint(ref)
-    assert twin.engine == ("dense" if _dense_serves(scheme) else "reference")
+    assert twin.engine == "dense"
 
 
 # ----------------------------------------------------------------------
@@ -157,9 +116,7 @@ def test_moderate_load_parity(topology, scheme, kw):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", [
-    "dual-path", "fixed-path", pytest.param("xfirst-tree", marks=FAULT_TWIN),
-])
+@pytest.mark.parametrize("scheme", ["dual-path", "fixed-path"])
 def test_single_message_parity(scheme):
     """One lone multicast on an otherwise idle network: the degenerate
     contention-free calendar must agree exactly."""
@@ -173,8 +130,6 @@ SATURATION_CASES = [
     pytest.param("fixed-path", 5e-6, 31, id="fixed-ia5-s31"),
     pytest.param("fixed-path", 10e-6, 2, id="fixed-ia10-s2"),
     pytest.param("dual-path", 10e-6, 1, id="dual-ia10-s1"),
-    pytest.param("dual-path-adaptive", 25e-6, 2, id="adaptive-ia25-s2", marks=FAULT_TWIN),
-    pytest.param("virtual-channel-2", 10e-6, 31, id="vc2-ia10-s31", marks=FAULT_TWIN),
 ]
 
 
@@ -196,47 +151,8 @@ def test_near_saturation_parity(scheme, ia, seed):
 
 
 # ----------------------------------------------------------------------
-# Deadlock parity: both networks must wedge identically
-# ----------------------------------------------------------------------
-
-
-@FAULT_TWIN
-def test_deadlock_parity():
-    """Sustained single-channel tree traffic wedges a 4-cube (§6.1);
-    the fault-aware tree worms must detect it and report the same
-    diagnostic."""
-    cube = Hypercube(4)
-    cfg = SimConfig(
-        **BASE, num_messages=200, num_destinations=8,
-        mean_interarrival=50e-6, seed=7,
-    )
-    errors = []
-    for run in (run_dynamic, _run_twin):
-        with pytest.raises(DeadlockDetected) as info:
-            run(cube, "ecube-tree", cfg)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-
-
-# ----------------------------------------------------------------------
 # Fault injection: resilient runs execute on the fault-aware reference
 # ----------------------------------------------------------------------
-
-
-def _fault_fingerprint(result):
-    s = result.stats
-    return _fingerprint(result) + (
-        result.expected_deliveries,
-        s.delivered,
-        s.dropped,
-        s.killed_worms,
-        s.retries,
-        s.detoured,
-        s.injection_failures,
-        s.link_fault_events,
-        s.node_fault_events,
-        s.repair_events,
-    )
 
 
 def test_resilient_zero_rate_matches_dynamic():
@@ -256,43 +172,9 @@ def test_resilient_zero_rate_matches_dynamic():
     assert _fingerprint(resilient) == _fingerprint(plain)
 
 
-@FAULT_TWIN
-@pytest.mark.parametrize("scheme,rate", [
-    pytest.param("dual-path", 0.05, id="dual-path"),
-    pytest.param("dual-path-adaptive", 0.08, id="adaptive"),
-    pytest.param("fixed-path", 0.05, id="fixed-path"),
-])
-def test_resilient_fault_parity(scheme, rate):
-    """Faults firing mid-run (kills, retries, detours) on the flit grid:
-    a resilient run is a pure function of its config, so the same job
-    run by a forked sweep worker resolves identically to the run in
-    this process."""
-    from repro.parallel import SweepJob, run_sweep
-
-    cfg = SimConfig(
-        **BASE, seed=5, mean_interarrival=250e-6,
-        num_messages=200, num_destinations=5,
-        link_fault_rate=rate, fault_mttr=400e-6,
-    )
-    local = run_resilient(Mesh2D(8, 8), scheme, cfg)
-    assert local.stats.link_fault_events > 0
-    # a timeout selects the supervised execution: one forked process
-    (swept,) = run_sweep([SweepJob(Mesh2D(8, 8), scheme, cfg, "resilient")], timeout=120)
-    assert _fault_fingerprint(swept) == _fault_fingerprint(local)
-
-
 # ----------------------------------------------------------------------
 # Static scenarios: the §6 bursts injected at time zero
 # ----------------------------------------------------------------------
-
-
-def _fig_6_1():
-    """Two e-cube broadcasts on a 3-cube (Fig. 6.1)."""
-    cube = Hypercube(3)
-    return cube, [
-        MulticastRequest(cube, 0, tuple(v for v in cube.nodes() if v != 0)),
-        MulticastRequest(cube, 1, tuple(v for v in cube.nodes() if v != 1)),
-    ]
 
 
 def _fig_6_4():
@@ -306,11 +188,11 @@ def _fig_6_4():
 
 def _burst_both(topology, scheme, requests, cfg):
     """Inject ``requests`` at time zero into a fresh reference network
-    and a fresh twin (:func:`_run_twin`'s choice) and run both dry;
-    their outcomes must agree event for event.  Returns the reference
-    outcome and the twin."""
+    and a fresh dense engine and run both dry; their outcomes must
+    agree event for event.  Returns the reference outcome and the
+    dense engine."""
     router = Router(topology, scheme, channels_per_link=cfg.channels_per_link)
-    twin = DenseEngine(cfg) if _dense_serves(scheme) else FaultyWormholeNetwork(Environment(), cfg)
+    twin = DenseEngine(cfg)
     outcomes = []
     for net in (WormholeNetwork(Environment(), cfg), twin):
         for mid, request in enumerate(requests, start=1):
@@ -322,26 +204,12 @@ def _burst_both(topology, scheme, requests, cfg):
     return ref, twin
 
 
-@FAULT_TWIN
-@pytest.mark.parametrize("scenario,scheme", [
-    pytest.param(_fig_6_1, "ecube-tree", id="fig6.1-ecube-tree"),
-    pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
-])
-def test_static_deadlock_parity(scenario, scheme):
-    """The §6.1 deadlocks wedge with the same worms blocked on the
-    fault-aware tree worms."""
-    topology, requests = scenario()
-    (completed, blocked, _, _), _ = _burst_both(topology, scheme, requests, SimConfig(**BASE))
-    assert not completed and blocked > 0
-
-
 @pytest.mark.parametrize("scheme,channels", [
     pytest.param("dual-path", 1, id="dual-path"),
-    pytest.param("tree-xfirst", 2, id="tree-xfirst-double", marks=FAULT_TWIN),
 ])
 def test_static_fix_parity(scheme, channels):
-    """The §6.2 fixes complete the Fig. 6.4 pattern on both networks
-    alike."""
+    """Dual-path routing, a §6.2 fix, completes the Fig. 6.4 pattern on
+    both engines alike."""
     mesh, requests = _fig_6_4()
     (completed, blocked, delivered, _), _ = _burst_both(
         mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -11,11 +12,15 @@ from repro.analysis.invariants import MINIMAL_TREE_SCHEMES
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
+    fault_degradation,
     fig_7_7,
     fig_7_10,
     reproduce,
 )
+from repro.parallel import NoResultsError, SweepJob, pooled_latency, replicate, run_sweep
 from repro.registry import get as get_spec
+from repro.sim import SimConfig
+from repro.topology import Mesh2D
 
 
 class TestExperimentResult:
@@ -110,3 +115,77 @@ class TestStaticFigureRoutes:
         assert reproduce(name, scale=0.05).rows == plain.rows
         # every route function the figure resolved ran and was checked
         assert resolved and set(checked) == set(resolved)
+
+
+def _cmd_faults_records(topology, schemes, rates, cfg, replications):
+    """The job list and aggregation ``repro faults`` wrote inline before
+    :func:`fault_degradation`, kept verbatim (in-process sweep)."""
+    # one sweep point per (scheme, rate); replications derive their
+    # seeds from the base seed, so every scheme sees the same traffic
+    # and the same fault schedule at a given rate (paired comparison)
+    jobs: list = []
+    points: list = []
+    for scheme in schemes:
+        for rate in rates:
+            reps = replicate(
+                SweepJob(
+                    topology, scheme, cfg.replace(link_fault_rate=rate), "resilient"
+                ),
+                replications,
+            )
+            points.append((scheme, rate, len(jobs), len(reps)))
+            jobs.extend(reps)
+
+    failures: list = []
+    results = run_sweep(jobs, workers=1, on_error="record", failures=failures)
+
+    records = []
+    for scheme, rate, start, count in points:
+        chunk = results[start : start + count]
+        ok = [r for r in chunk if r is not None]
+        delivered = sum(r.stats.delivered for r in ok)
+        expected = sum(r.expected_deliveries for r in ok)
+        try:
+            pooled = pooled_latency(ok, failures)
+            mean_us = pooled.mean * 1e6
+            ci_us = pooled.ci_halfwidth * 1e6
+        except NoResultsError:
+            mean_us = ci_us = float("nan")
+        records.append(
+            {
+                "scheme": scheme,
+                "fault_rate": rate,
+                "delivery_ratio": delivered / expected if expected else float("nan"),
+                "mean_latency_us": mean_us,
+                "ci_halfwidth_us": ci_us,
+                "delivered": delivered,
+                "expected": expected,
+                "killed_worms": sum(r.stats.killed_worms for r in ok),
+                "retries": sum(r.stats.retries for r in ok),
+                "detoured": sum(r.stats.detoured for r in ok),
+                "replications_ok": len(ok),
+                "replications_failed": count - len(ok),
+            }
+        )
+    return records, failures
+
+
+class TestFaultDegradation:
+    def test_matches_the_inline_cli_aggregation(self):
+        """Records (key order and NaN rows included) and failures equal
+        the old ``repro faults`` loop's; the single-channel X-first tree
+        wedges, so one point pools nothing."""
+        mesh = Mesh2D(4, 4)
+        schemes = ("dual-path-adaptive", "xfirst-tree")
+        rates = (0.0, 0.1)
+        cfg = SimConfig(num_messages=80, num_destinations=4, mean_interarrival=40e-6, seed=11)
+        records, failures = fault_degradation(
+            mesh, schemes, rates, replicate(cfg, 2), workers=1
+        )
+        old_records, old_failures = _cmd_faults_records(mesh, schemes, rates, cfg, 2)
+        assert json.dumps(records) == json.dumps(old_records)
+        assert [str(f) for f in failures] == [str(f) for f in old_failures]
+        assert failures and any(r["replications_failed"] for r in records)
+        assert [(r["scheme"], r["fault_rate"]) for r in records] == [
+            (s, rate) for s in schemes for rate in rates
+        ]

@@ -1,6 +1,7 @@
 """Tests for the fault-injection subsystem: fault plans, the
-fault-aware simulator, resilient delivery, and the registry's
-``fault_tolerant`` capability."""
+fault-aware simulator, resilient delivery, the registry's
+``fault_tolerant`` capability, and the fault-aware networks as exact
+twins of the plain ones when no fault fires."""
 
 from __future__ import annotations
 
@@ -9,15 +10,22 @@ import json
 import pytest
 
 from repro import registry
+from repro.models.request import MulticastRequest
 from repro.parallel import SweepJob
 from repro.sim import (
+    DeadlockDetected,
+    Environment,
     FaultEvent,
     FaultPlan,
     FaultState,
+    FaultyWormholeNetwork,
     InvalidConfigError,
+    Router,
     SimConfig,
     SimStats,
+    WormholeNetwork,
     derive_fault_seed,
+    inject_specs,
     run_dynamic,
     run_resilient,
 )
@@ -337,3 +345,201 @@ class TestSimStats:
     def test_delivery_ratio(self):
         assert SimStats().delivery_ratio == 1.0
         assert SimStats(delivered=3, dropped=1).delivery_ratio == 0.75
+
+
+# ----------------------------------------------------------------------
+# The fault-aware twin: with no faults, the fault-aware reference
+# network reproduces the plain one event for event, for every worm
+# style, on the exact flit grid.  Bursts at time zero have no arrival
+# process, so the static tests inject them into each network directly.
+# ----------------------------------------------------------------------
+
+# Dyadic base: 2-byte flits on a 2 MB/s channel give a flit time of
+# 2**-20 s, so every quantized event lands on an exactly-representable
+# float.
+BASE = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
+
+
+def _fingerprint(result):
+    """Everything parity promises to preserve, as a comparable tuple."""
+    return (
+        result.latency,
+        result.sim_time,
+        result.deliveries,
+        result.worms,
+        result.injected_messages,
+    )
+
+
+def _fault_fingerprint(result):
+    s = result.stats
+    return _fingerprint(result) + (
+        result.expected_deliveries,
+        s.delivered,
+        s.dropped,
+        s.killed_worms,
+        s.retries,
+        s.detoured,
+        s.injection_failures,
+        s.link_fault_events,
+        s.node_fault_events,
+        s.repair_events,
+    )
+
+
+def _run_both(topology, scheme, cfg):
+    """``scheme`` on the plain network and on its fault-aware twin."""
+    return run_dynamic(topology, scheme, cfg), run_resilient(topology, scheme, cfg)
+
+
+def _fig_6_1():
+    """Two e-cube broadcasts on a 3-cube (Fig. 6.1)."""
+    cube = Hypercube(3)
+    return cube, [
+        MulticastRequest(cube, 0, tuple(v for v in cube.nodes() if v != 0)),
+        MulticastRequest(cube, 1, tuple(v for v in cube.nodes() if v != 1)),
+    ]
+
+
+def _fig_6_4():
+    """Two X-first multicasts on a 3x4 mesh (Fig. 6.4)."""
+    mesh = Mesh2D(4, 3)
+    return mesh, [
+        MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
+        MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
+    ]
+
+
+def _burst_both(topology, scheme, requests, cfg):
+    """Inject ``requests`` at time zero into a fresh plain network and
+    a fresh fault-aware one and run both dry; their outcomes must agree
+    event for event.  Returns the plain network's outcome."""
+    router = Router(topology, scheme, channels_per_link=cfg.channels_per_link)
+    outcomes = []
+    for net in (WormholeNetwork(Environment(), cfg), FaultyWormholeNetwork(Environment(), cfg)):
+        for mid, request in enumerate(requests, start=1):
+            inject_specs(net, mid, router(request), cfg.channels_per_link, router)
+        completed = net.run_to_completion()
+        outcomes.append((completed, net.active_worms, net.delivery_latencies(), net.now))
+    ref, twin = outcomes
+    assert twin == ref
+    return ref
+
+
+class TestFaultAwareTwin:
+    @pytest.mark.parametrize("topology,scheme,kw", [
+        pytest.param(
+            Mesh2D(8, 8), "virtual-channel-2",
+            dict(seed=9, mean_interarrival=200e-6, num_messages=250, num_destinations=5),
+            id="vc2-mesh8",
+        ),
+        pytest.param(
+            Mesh2D(8, 8), "dual-path-adaptive",
+            dict(seed=13, mean_interarrival=250e-6, num_messages=200, num_destinations=5),
+            id="adaptive-mesh8",
+        ),
+        pytest.param(
+            Mesh2D(8, 8), "xfirst-tree",
+            dict(seed=21, mean_interarrival=400e-6, num_messages=150, num_destinations=4,
+                 channels_per_link=2),
+            id="xfirst-tree-mesh8-double",
+        ),
+        pytest.param(
+            Hypercube(6), "ecube-tree",
+            dict(seed=23, mean_interarrival=800e-6, num_messages=120, num_destinations=4),
+            id="ecube-tree-cube6",
+        ),
+    ])
+    def test_moderate_load_parity(self, topology, scheme, kw):
+        cfg = SimConfig(**BASE, **kw)
+        ref, twin = _run_both(topology, scheme, cfg)
+        assert _fingerprint(twin) == _fingerprint(ref)
+        assert twin.engine == "reference"
+
+    @pytest.mark.parametrize("scheme", ["xfirst-tree"])
+    def test_single_message_parity(self, scheme):
+        """One lone multicast on an otherwise idle network: the
+        degenerate contention-free calendar must agree exactly."""
+        cfg = SimConfig(**BASE, num_messages=1, num_destinations=4, seed=1)
+        ref, twin = _run_both(Mesh2D(4, 4), scheme, cfg)
+        assert _fingerprint(twin) == _fingerprint(ref)
+        assert twin.deliveries == 4
+
+    @pytest.mark.parametrize("scheme,ia,seed", [
+        pytest.param("dual-path-adaptive", 25e-6, 2, id="adaptive-ia25-s2"),
+        pytest.param("virtual-channel-2", 10e-6, 31, id="vc2-ia10-s31"),
+    ])
+    def test_near_saturation_parity(self, scheme, ia, seed):
+        """Interarrivals far below the service time drive the mesh deep
+        into contention, where waiter wakeups decide every outcome."""
+        cfg = SimConfig(
+            **BASE,
+            seed=seed,
+            mean_interarrival=ia,
+            num_messages=250,
+            num_destinations=6,
+        )
+        ref, twin = _run_both(Mesh2D(8, 8), scheme, cfg)
+        assert _fingerprint(twin) == _fingerprint(ref)
+
+    def test_deadlock_parity(self):
+        """Sustained single-channel tree traffic wedges a 4-cube (§6.1);
+        the fault-aware tree worms must detect it and report the same
+        diagnostic."""
+        cube = Hypercube(4)
+        cfg = SimConfig(
+            **BASE, num_messages=200, num_destinations=8,
+            mean_interarrival=50e-6, seed=7,
+        )
+        errors = []
+        for run in (run_dynamic, run_resilient):
+            with pytest.raises(DeadlockDetected) as info:
+                run(cube, "ecube-tree", cfg)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("scheme,rate", [
+        pytest.param("dual-path", 0.05, id="dual-path"),
+        pytest.param("dual-path-adaptive", 0.08, id="adaptive"),
+        pytest.param("fixed-path", 0.05, id="fixed-path"),
+    ])
+    def test_resilient_fault_parity(self, scheme, rate):
+        """Faults firing mid-run (kills, retries, detours) on the flit
+        grid: a resilient run is a pure function of its config, so the
+        same job run by a forked sweep worker resolves identically to
+        the run in this process."""
+        from repro.parallel import run_sweep
+
+        cfg = SimConfig(
+            **BASE, seed=5, mean_interarrival=250e-6,
+            num_messages=200, num_destinations=5,
+            link_fault_rate=rate, fault_mttr=400e-6,
+        )
+        local = run_resilient(Mesh2D(8, 8), scheme, cfg)
+        assert local.stats.link_fault_events > 0
+        # a timeout selects the supervised execution: one forked process
+        (swept,) = run_sweep([SweepJob(Mesh2D(8, 8), scheme, cfg, "resilient")], timeout=120)
+        assert _fault_fingerprint(swept) == _fault_fingerprint(local)
+
+    @pytest.mark.parametrize("scenario,scheme", [
+        pytest.param(_fig_6_1, "ecube-tree", id="fig6.1-ecube-tree"),
+        pytest.param(_fig_6_4, "xfirst-tree", id="fig6.4-xfirst-tree"),
+    ])
+    def test_static_deadlock_parity(self, scenario, scheme):
+        """The §6.1 deadlocks wedge with the same worms blocked on the
+        fault-aware tree worms."""
+        topology, requests = scenario()
+        completed, blocked, _, _ = _burst_both(topology, scheme, requests, SimConfig(**BASE))
+        assert not completed and blocked > 0
+
+    @pytest.mark.parametrize("scheme,channels", [
+        pytest.param("tree-xfirst", 2, id="tree-xfirst-double"),
+    ])
+    def test_static_fix_parity(self, scheme, channels):
+        """The §6.2 fix completes the Fig. 6.4 pattern on both networks
+        alike."""
+        mesh, requests = _fig_6_4()
+        completed, blocked, delivered, _ = _burst_both(
+            mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)
+        )
+        assert completed and blocked == 0 and len(delivered) == 4

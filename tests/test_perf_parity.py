@@ -40,7 +40,13 @@ import repro.sim.runner as sim_runner
 from repro.sim import LegacyEnvironment, SimConfig, derive_fault_seed
 from repro.sim.kernel import Environment
 from repro.models.request import MulticastRequest
-from repro.sim.runner import run_dynamic, run_mixed, run_resilient, run_static_scenario
+from repro.sim.runner import (
+    run_dynamic,
+    run_mixed,
+    run_resilient,
+    run_static_scenario,
+    run_switching,
+)
 from repro.sim.traffic import Router
 from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
 from repro.topology.base import Topology
@@ -236,6 +242,17 @@ def test_mixed_results_identical_across_kernels(monkeypatch):
     fast, legacy = _on_both_kernels(
         monkeypatch, lambda: run_mixed(Mesh2D(6, 6), "dual-path", cfg, unicast_fraction=0.4)
     )
+    assert fast == legacy
+
+
+def test_switching_results_identical_across_kernels(monkeypatch):
+    """Wormhole, VCT, circuit and store-and-forward runs of the same
+    traffic dispatch alike on both kernels."""
+    cfg = SimConfig(num_messages=150, num_destinations=5, mean_interarrival=100e-6, seed=5)
+    fast, legacy = _on_both_kernels(
+        monkeypatch, lambda: run_switching(Mesh2D(6, 6), "dual-path", cfg)
+    )
+    assert sorted(fast) == ["circuit", "saf", "vct", "wormhole"]
     assert fast == legacy
 
 

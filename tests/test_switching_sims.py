@@ -3,6 +3,8 @@ substrates (§2.2, §2.3.4) and the analytic route latency models."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.metrics import (
@@ -15,11 +17,16 @@ from repro.metrics import (
 from repro.models import MulticastRequest
 from repro.sim import (
     Environment,
+    InvalidConfigError,
     SAFNetwork,
     SimConfig,
     WormholeNetwork,
+    inject_circuit_path,
     inject_vct_path,
+    run_switching,
 )
+from repro.sim.stats import batch_means
+from repro.sim.traffic import Router
 from repro.topology import Mesh2D
 
 
@@ -215,3 +222,99 @@ class TestRouteLatencyModels:
 
         with pytest.raises(KeyError):
             dest_latencies(xfirst_route(self.req), self.req, "smoke-signals")
+
+
+# ----------------------------------------------------------------------
+# run_switching against the hand-written arrival loop it replaced: the
+# loop of benchmarks/bench_ablation_switching.py, kept verbatim (the
+# randrange destination draw included) as the oracle.
+# ----------------------------------------------------------------------
+
+
+def _drive(mesh, cfg, inject):
+    """Generate the identical Poisson dual-path workload and hand each
+    (message, path, dests) to ``inject``."""
+    rng = random.Random(cfg.seed)
+    router = Router(mesh, "dual-path")
+    env = inject.env
+    nodes = list(mesh.nodes())
+    n = len(nodes)
+    state = {"injected": 0}
+
+    def emit(node):
+        if state["injected"] >= cfg.num_messages:
+            return
+        state["injected"] += 1
+        mid = state["injected"]
+        chosen: set = set()
+        src_i = mesh.index(node)
+        while len(chosen) < cfg.num_destinations:
+            i = rng.randrange(n)
+            if i != src_i:
+                chosen.add(i)
+        from repro.models import MulticastRequest
+
+        req = MulticastRequest(mesh, node, tuple(mesh.node_at(i) for i in sorted(chosen)))
+        for spec in router(req):
+            inject(mid, spec.nodes, set(spec.destinations))
+        env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
+
+    for node in nodes:
+        env.schedule(rng.expovariate(1.0 / cfg.mean_interarrival), emit, node)
+
+
+def _hand_written_switching(mesh, cfg) -> dict:
+    out = {}
+    for tech in ("wormhole", "vct", "circuit", "saf"):
+        env = Environment()
+        if tech == "saf":
+            net = SAFNetwork(env, cfg, buffers_per_node=4, structured=True)
+
+            def inject(mid, nodes, dests, net=net):
+                net.inject(mid, nodes, dests)
+
+        else:
+            net = WormholeNetwork(env, cfg)
+            if tech == "wormhole":
+
+                def inject(mid, nodes, dests, net=net):
+                    net.inject_path(mid, nodes, dests)
+
+            elif tech == "circuit":
+
+                def inject(mid, nodes, dests, net=net):
+                    inject_circuit_path(net, mid, nodes, dests)
+
+            else:
+
+                def inject(mid, nodes, dests, net=net):
+                    inject_vct_path(net, mid, nodes, dests)
+
+        inject.env = env
+        _drive(mesh, cfg, inject)
+        assert net.run_to_completion(), f"{tech} wedged"
+        cutoff = cfg.num_messages * cfg.warmup_fraction
+        out[tech] = batch_means(
+            [d.latency for d in net.deliveries if d.message_id > cutoff]
+        )
+    return out
+
+
+class TestRunSwitching:
+    @pytest.mark.parametrize("interarrival_us", [2000, 60])
+    def test_matches_the_hand_written_loop(self, interarrival_us):
+        """Every technology's summary equals the old loop's, to the
+        float, at light load and deep in contention."""
+        mesh = Mesh2D(4, 4)
+        cfg = SimConfig(
+            num_messages=120, num_destinations=4,
+            mean_interarrival=interarrival_us * 1e-6, seed=51,
+        )
+        assert run_switching(mesh, "dual-path", cfg) == _hand_written_switching(mesh, cfg)
+
+    def test_refuses_tree_worms_and_faults(self):
+        cfg = SimConfig(num_messages=10)
+        with pytest.raises(InvalidConfigError, match="path worms"):
+            run_switching(Mesh2D(4, 4), "xfirst-tree", cfg)
+        with pytest.raises(InvalidConfigError, match="run_resilient"):
+            run_switching(Mesh2D(4, 4), "dual-path", cfg.replace(link_fault_rate=0.1))

@@ -3,7 +3,7 @@
 ``Topology.distance_row`` is the shared distance layer under the exact
 solvers and KMB, so its memo must be correct (rows equal the scalar
 distances), observable (``cache_stats`` counts hits and builds), and
-worker-friendly (dropped on pickling, shared by interned instances).
+worker-friendly (dropped on pickling).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D, canonical_topology
+from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
 
 TOPOLOGIES = [Mesh2D(5, 4), Mesh3D(3, 3, 2), Hypercube(4), KAryNCube(4, 2)]
 
@@ -57,21 +57,3 @@ def test_pickling_drops_the_oracle():
     # the clone rebuilds its rows lazily
     assert clone.distance_row(7) == row
     assert clone.cache_stats()["rows_built"] == 1
-
-
-def test_canonical_topology_interns_equal_instances():
-    first = canonical_topology(Mesh3D(3, 2, 2))
-    clone = pickle.loads(pickle.dumps(Mesh3D(3, 2, 2)))
-    assert canonical_topology(clone) is first
-    assert canonical_topology(first) is first
-    # different shape -> different canonical instance
-    assert canonical_topology(Mesh3D(2, 3, 2)) is not first
-
-
-def test_interned_topology_shares_one_oracle():
-    a = canonical_topology(Hypercube(5))
-    b = canonical_topology(pickle.loads(pickle.dumps(Hypercube(5))))
-    assert a is b
-    # one row memo: b's lookup hits the row a built
-    assert b.distance_row(9) is a.distance_row(9)
-    assert a.cache_stats()["row_hits"] >= 1

@@ -25,6 +25,8 @@ from repro.wormhole import (
     double_channel_xfirst_route,
     dual_path_route,
     fig_6_1_broadcast_deadlock_cdg,
+    fig_6_1_requests,
+    fig_6_4_requests,
     fig_6_4_xfirst_deadlock_cdg,
     find_cycle,
     fixed_path_route,
@@ -268,7 +270,27 @@ class TestDoubleChannelXFirst:
                 assert h == m.distance(req.source, d)
 
 
+def _as_data(requests):
+    return [(repr(r.topology), r.source, r.destinations) for r in requests]
+
+
 class TestDeadlockAnalysis:
+    def test_fig_6_1_requests_are_the_two_broadcasts(self):
+        """The §6.1 scenario helpers equal the request pairs of Figs.
+        6.1 and 6.4, written out here independently."""
+        cube = Hypercube(3)
+        assert _as_data(fig_6_1_requests()) == _as_data([
+            MulticastRequest(cube, 0b000, (1, 2, 3, 4, 5, 6, 7)),
+            MulticastRequest(cube, 0b001, (0, 2, 3, 4, 5, 6, 7)),
+        ])
+
+    def test_fig_6_4_requests_are_the_two_xfirst_multicasts(self):
+        mesh = Mesh2D(4, 3)
+        assert _as_data(fig_6_4_requests()) == _as_data([
+            MulticastRequest(mesh, (1, 1), ((0, 2), (3, 1))),
+            MulticastRequest(mesh, (2, 1), ((0, 1), (3, 0))),
+        ])
+
     def test_fig_6_1_broadcast_deadlock(self):
         cycle = find_cycle(fig_6_1_broadcast_deadlock_cdg())
         assert cycle is not None
