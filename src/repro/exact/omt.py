@@ -14,17 +14,22 @@ increase by one per arc), the whole arc-extension propagation for a
 subset collapses into one min-plus product with a precomputed
 *reach-cost matrix* ``R[v][u] = d(s,u) - d(s,v)`` (INF when ``u`` is
 not DAG-reachable from ``v``) — one ``O(n²)`` numpy reduction per
-subset instead of a per-node Python propagation loop.
+subset instead of a per-node Python propagation loop.  NumPy is
+imported by the solver, not the module, so registering it costs a
+process nothing until its first solve.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..models.request import MulticastRequest
 from ..registry import register
 from ..topology.base import Node, Topology
 from .bitmask import INF, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def shortest_path_dag(topology: Topology, source: Node) -> dict:
@@ -44,6 +49,8 @@ def _reach_cost_matrix(topology: Topology, source: Node) -> np.ndarray:
     """``R[v][u]`` = DAG distance from ``v`` to ``u`` on the
     shortest-path DAG rooted at ``source`` — ``d(s,u) - d(s,v)`` when
     ``u`` is reachable from ``v``, INF otherwise."""
+    import numpy as np
+
     n = topology.num_nodes
     lvl = topology.distance_row(topology.index(source))
     adjacency = topology.neighbor_indices()
@@ -70,6 +77,8 @@ def _reach_cost_matrix(topology: Topology, source: Node) -> np.ndarray:
 )
 def optimal_multicast_tree_cost(request: MulticastRequest) -> int:
     """Number of edges of an optimal multicast tree for the request."""
+    import numpy as np
+
     topo = request.topology
     src = topo.index(request.source)
     term_idx = [topo.index(d) for d in request.destinations]

@@ -11,12 +11,12 @@ With unit-weight links the per-subset Dijkstra relaxation of the
 classic formulation is exactly one min-plus product with the all-pairs
 distance matrix (``row'[u] = min_v row[v] + d(v, u)``), so each subset
 closes in a single ``O(n²)`` numpy reduction against the topology's
-cached distance matrix instead of a Python heap loop.
+cached distance matrix instead of a Python heap loop.  NumPy is
+imported by the solver, not the module, so registering it costs a
+process nothing until its first solve.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..models.request import MulticastRequest
 from ..registry import register
@@ -31,6 +31,8 @@ from ..registry import register
 )
 def minimal_steiner_tree_cost(request: MulticastRequest) -> int:
     """Length of a minimal Steiner tree for the multicast set K."""
+    import numpy as np
+
     topo = request.topology
     term_idx = [topo.index(d) for d in request.destinations]
     root = topo.index(request.source)

@@ -9,10 +9,16 @@ parity-tested counterpart for fault-free path worms); routing adapters in
 process.  :func:`run_dynamic` picks its engine per run (``"auto"``)
 and takes ``engine="reference"`` or ``"dense"`` to force one; the
 other drivers run on the reference engine.
+
+The dense engine is the package's one NumPy user in a simulation, so
+:class:`DenseEngine` and :class:`EngineCounters` resolve on first
+access (a module ``__getattr__``): importing :mod:`repro.sim` loads
+no NumPy, and ``from repro.sim import DenseEngine`` loads it then.
 """
 
+from typing import TYPE_CHECKING
+
 from .config import InvalidConfigError, SimConfig
-from .dense import DenseEngine, EngineCounters
 from .kernel import Environment, Event, LegacyEnvironment, Process, Timeout
 from .reference import (
     AdaptivePathWorm,
@@ -50,6 +56,9 @@ from .runner import (
 from .stats import SimStats, Summary, batch_means, t975
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 from .vct_tree import VCTTreeMulticast, inject_vct_tree, tree_chains
+
+if TYPE_CHECKING:
+    from .dense import DenseEngine, EngineCounters
 
 __all__ = [
     "AdaptivePathWorm",
@@ -103,3 +112,16 @@ __all__ = [
     "run_switching",
     "t975",
 ]
+
+#: names resolved from :mod:`repro.sim.dense` on first access
+_DENSE_NAMES = ("DenseEngine", "EngineCounters")
+
+
+def __getattr__(name: str) -> object:
+    if name in _DENSE_NAMES:
+        from . import dense
+
+        value = getattr(dense, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

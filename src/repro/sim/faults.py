@@ -16,17 +16,19 @@ Three pieces:
   to a fault-free one.
 * :class:`FaultState` — the live up/down sets the simulator consults.
   Installing a state schedules its plan's events on the kernel
-  calendar; each failure toggles the sets and kills the worms holding
-  channels on the failed element.
+  calendar; each event toggles the sets, and each failure kills the
+  worms holding channels on the failed element.
 * :class:`FaultyWormholeNetwork` + the fault-aware worm subclasses —
-  a faulted channel rejects flit acquisition (the acquiring worm is
-  dropped and counted), adaptive worms detour around faulted candidate
-  channels at simulation time, and in-flight worms on a failing link
-  are killed, releasing every channel they hold (so a fault never
-  wedges the rest of the network).  Each fault-aware worm is its
-  reference worm plus the :class:`FaultAwareWorm` mixin, which holds
-  what the three share; the adaptive worm's detour is its candidate
-  rule (``_candidates``).
+  a channel on a down link or node has capacity 0, so it refuses flit
+  acquisition, and a worm whose header reaches it is dropped and
+  counted; adaptive worms detour around faulted candidate channels at
+  simulation time, and in-flight worms on a failing link are killed,
+  releasing every channel they hold (so a fault never wedges the rest
+  of the network).  Each fault-aware worm is its reference worm plus
+  the :class:`FaultAwareWorm` mixin, which holds what the three share;
+  the path worm's drop is its busy-channel hook (``_wait``), the
+  adaptive worm's detour its candidate rule (``_candidates``).  A fault
+  check costs nothing on a hop that finds its channel free.
 
 Dropped worms report to the network's ``drop_handler``; the resilient
 driver (:func:`repro.sim.runner.run_resilient`) uses that to implement
@@ -43,7 +45,7 @@ from collections.abc import Hashable
 from ..retry import derive_seed
 from .config import SimConfig
 from .kernel import Environment, Timeout
-from .reference import AdaptivePathWorm, PathWorm, TreeWorm, Worm, WormholeNetwork
+from .reference import AdaptivePathWorm, Channel, PathWorm, TreeWorm, Worm, WormholeNetwork
 from .stats import SimStats
 
 __all__ = [
@@ -244,10 +246,10 @@ class FaultState:
                 net.stats.link_fault_events += 1
             else:
                 net.stats.node_fault_events += 1
-            net.on_element_failed(ev)
         else:
             group.discard(ev.target)
             net.stats.repair_events += 1
+        net.on_fault_event(ev)
 
     # ------------------------------------------------------------------
     # Queries.
@@ -302,15 +304,18 @@ class FaultyWormholeNetwork(WormholeNetwork):
     """A :class:`WormholeNetwork` whose worms consult a
     :class:`FaultState` and report drops.
 
-    With an empty fault plan the event sequence is identical to the
-    base network's (the fault checks never schedule anything), so a
-    ``fault_rate=0`` resilient run reproduces the plain dynamic run
-    bit for bit.
+    A channel on a down link, or with a down node at an end, has
+    capacity 0 from the failure to the repair, also when it is first
+    used during the fault: it refuses acquisition, so a worm meets the
+    fault only where its header finds a channel busy.  With an empty
+    fault plan the event sequence is identical to the base network's
+    (the fault checks never schedule anything), so a ``fault_rate=0``
+    resilient run reproduces the plain dynamic run bit for bit.
     """
 
     __slots__ = (
         "fault_state", "stats", "live", "delivered_by_message",
-        "drop_handler", "origin_time",
+        "drop_handler", "origin_time", "_up_capacity", "_link_channels",
     )
 
     def __init__(
@@ -339,6 +344,24 @@ class FaultyWormholeNetwork(WormholeNetwork):
         #: the original message's injection time so delivery latency
         #: spans the whole retry history
         self.origin_time: float | None = None
+        #: key -> capacity of every channel a fault holds at capacity 0
+        self._up_capacity: dict = {}
+        #: link ``(u, v)`` -> its channels, of every plane and tag
+        self._link_channels: dict = {}
+
+    def _open(self, key, capacity: int) -> Channel:
+        ch = super()._open(key, capacity)
+        self._link_channels.setdefault(key[:2], []).append(ch)
+        if self.fault_state.channel_down(key):
+            self._take_down([ch])
+        return ch
+
+    def _take_down(self, channels) -> None:
+        up = self._up_capacity
+        for ch in channels:
+            if ch.key not in up:
+                up[ch.key] = ch.capacity
+                ch.capacity = 0
 
     def schedule_deferred(self, delay: float, fn, *args) -> None:
         """Like :meth:`schedule`, but wait on a kernel ``Timeout``: the
@@ -361,31 +384,53 @@ class FaultyWormholeNetwork(WormholeNetwork):
         super().finish(worm)
         self.live.pop(worm, None)
 
-    def on_element_failed(self, ev: FaultEvent) -> None:
-        """Kill every in-flight worm holding a channel on the failed
-        element (§'in-flight worms on a failing link are killed')."""
+    def on_fault_event(self, ev: FaultEvent) -> None:
+        """Bring the capacities of the channels on ``ev``'s element in
+        line with the fault state it left.  A failure sets them to 0 and
+        kills every in-flight worm holding a channel on the element
+        (§'in-flight worms on a failing link are killed').  A repair
+        gives back its own capacity to every channel no longer on a down
+        link or node, and wakes no waiter: no worm waits on a down
+        channel, so the next release of the one it waits on finds the
+        capacity back."""
+        if not ev.down:
+            state = self.fault_state
+            up = self._up_capacity
+            for key in [key for key in up if not state.channel_down(key)]:
+                self.channels[key].capacity = up.pop(key)
+            return
+        if ev.kind == "link":
+            self._take_down(self._link_channels.get(ev.target, ()))
+        else:
+            node = ev.target
+            for link, channels in self._link_channels.items():
+                if node in link:
+                    self._take_down(channels)
         for worm in tuple(self.live):
             if not worm.dead and not worm.arrived and worm.hit_by(ev):
                 self.kill_worm(worm)
 
     def kill_worm(self, worm) -> None:
         """Drop ``worm``: release everything it holds (waking waiters),
-        count the kill, and notify the drop handler."""
+        park its cursor at the end of its route, so that a pending hop
+        timer or waiter retry reaches the drain, which ignores a dead
+        worm; count the kill, and notify the drop handler."""
         if worm.dead:
             return
         worm.dead = True
         self.stats.killed_worms += 1
         for ch in worm.held_channels():
             self.release(ch)
+        worm.park()
         self.finish(worm)
         if self.drop_handler is not None:
             self.drop_handler(worm.message_id)
 
 
 # ----------------------------------------------------------------------
-# Fault-aware worms.  Each adds to its base worm a fault check before
-# every acquisition, a ``dead`` guard silencing its hop callback after a
-# kill, and the held channels the kill path releases.
+# Fault-aware worms.  Each adds to its base worm the drop on a down
+# channel, the parking of its cursor after a kill, and the held
+# channels the kill path releases.
 # ----------------------------------------------------------------------
 
 
@@ -394,10 +439,13 @@ class FaultAwareWorm(Worm):
     shape.  Listed before the base worm, it registers the worm in the
     network's ``live`` set, stamps a retransmission with its message's
     original injection time, and sets the ``dead`` and ``arrived``
-    flags :meth:`FaultyWormholeNetwork.on_element_failed` reads; its
+    flags :meth:`FaultyWormholeNetwork.on_fault_event` reads; its
     :meth:`hit_by` decides which failures kill the worm.  A worm is
     ``arrived`` from its drain on, so no failure kills it after that,
-    and a release always finds it alive.
+    and a release always finds it alive.  A killed worm's cursor is
+    parked at the end of its route (:meth:`park`), so its pending hop
+    timer or waiter retry runs into :meth:`_drain`, the one place that
+    tests ``dead``.
 
     It declares no ``__slots__``, so the flags live in the instance
     dict: a second base adding slots to :class:`Worm` would conflict
@@ -413,11 +461,18 @@ class FaultAwareWorm(Worm):
         net.live[self] = None
 
     def _drain(self, first: int = 0) -> None:
+        if self.dead:
+            return
         self.arrived = True
         super()._drain(first)
 
     def held_channels(self) -> list:
         """The channels the worm holds now: what a kill releases."""
+        raise NotImplementedError
+
+    def park(self) -> None:
+        """Move the cursor past the last unit (after a kill), so the
+        next acquisition attempt drains."""
         raise NotImplementedError
 
     def header(self):
@@ -440,21 +495,21 @@ class FaultAwareWorm(Worm):
 
 
 class FaultyPathWorm(FaultAwareWorm, PathWorm):
-    """A :class:`PathWorm` that dies on faulted channels."""
+    """A :class:`PathWorm` that dies on faulted channels: a down
+    channel (capacity 0) is never free, so the header meets it in the
+    busy branch."""
 
-    def _try_advance(self) -> None:
-        if self.dead:
-            return
-        i = self.idx
-        if i < self.num_channels and self.net.fault_state.channel_down(
-            self.channels[i].key
-        ):
+    def _wait(self, ch) -> None:
+        if ch.capacity:
+            ch.waiters.append(self._advance)
+        else:
             self.net.kill_worm(self)
-            return
-        PathWorm._try_advance(self)
 
     def held_channels(self):
         return self.channels[max(0, self.idx - self.flits) : self.idx]
+
+    def park(self) -> None:
+        self.idx = self.num_channels
 
     def header(self):
         return self.nodes[self.idx]
@@ -464,11 +519,6 @@ class FaultyAdaptivePathWorm(FaultAwareWorm, AdaptivePathWorm):
     """An :class:`AdaptivePathWorm` that detours around faulted
     candidate channels at simulation time and dies only when every
     admissible candidate is faulted."""
-
-    def _try_advance(self) -> None:
-        if self.dead:
-            return
-        AdaptivePathWorm._try_advance(self)
 
     def _candidates(self, cur, target) -> list:
         """The R candidates on live links; when none is left, the full
@@ -505,19 +555,20 @@ class FaultyAdaptivePathWorm(FaultAwareWorm, AdaptivePathWorm):
     def header(self):
         return self.nodes[-1]
 
+    def park(self) -> None:
+        self.queue.clear()
+
 
 class FaultyTreeWorm(FaultAwareWorm, TreeWorm):
     """A lockstep :class:`TreeWorm` under faults: the nCUBE-2 rule
     needs *every* channel of the next level, so a faulted channel at
-    any level kills the whole tree."""
+    any level kills the whole tree, before any busy channel of the
+    level makes it wait."""
 
     def _try_advance(self) -> None:
-        if self.dead:
-            return
-        state = self.net.fault_state
-        if state.any_down and self.k < len(self.channels):
+        if self.net.fault_state.any_down and self.k < len(self.channels):
             for ch in self.channels[self.k]:
-                if state.channel_down(ch.key):
+                if not ch.capacity:
                     self.net.kill_worm(self)
                     return
         TreeWorm._try_advance(self)
@@ -532,6 +583,9 @@ class FaultyTreeWorm(FaultAwareWorm, TreeWorm):
         # a tree's frontier ends its held channels; a tree still at its
         # source holds none and dies at its next acquisition instead
         return None
+
+    def park(self) -> None:
+        self.k = len(self.channels)
 
 
 FaultyWormholeNetwork.path_worm_cls = FaultyPathWorm

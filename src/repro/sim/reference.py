@@ -119,8 +119,13 @@ class WormholeNetwork:
     def channel(self, key: Hashable, capacity: int | None = None) -> Channel:
         ch = self.channels.get(key)
         if ch is None:
-            ch = Channel(key, capacity or self.config.channels_per_link)
-            self.channels[key] = ch
+            ch = self._open(key, capacity or self.config.channels_per_link)
+        return ch
+
+    def _open(self, key: Hashable, capacity: int) -> Channel:
+        """Create and register the channel ``key``, on its first use:
+        the one place a channel is made."""
+        ch = self.channels[key] = Channel(key, capacity)
         return ch
 
     def release(self, ch: Channel) -> None:
@@ -161,7 +166,7 @@ class WormholeNetwork:
             key = (u, v) if channel_key is None else channel_key(u, v)
             ch = channels.get(key)
             if ch is None:
-                ch = channels[key] = Channel(key, cap)
+                ch = self._open(key, cap)
             chans.append(ch)
         worm = self.path_worm_cls(self, message_id, list(nodes), chans, destinations)
         if flits is not None:
@@ -337,7 +342,7 @@ class PathWorm(Worm):
             return
         ch = self.channels[i]
         if ch.in_use >= ch.capacity:
-            ch.waiters.append(self._advance)
+            self._wait(ch)
             return
         ch.in_use += 1
         self.idx = i + 1
@@ -345,6 +350,11 @@ class PathWorm(Worm):
         if j >= 0:
             self._release(j)
         self._sched(self.tf, self._advance)
+
+    def _wait(self, ch: Channel) -> None:
+        """The header's next channel ``ch`` is busy: queue as its
+        waiter, to retry when a unit of it is released."""
+        ch.waiters.append(self._advance)
 
 
 class AdaptivePathWorm(Worm):

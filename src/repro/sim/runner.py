@@ -18,7 +18,8 @@ demonstrations run through it.
 the reference model (:mod:`repro.sim.reference`) steps one worm object
 per event through the kernel, and the dense engine
 (:mod:`repro.sim.dense`) advances fault-free path worms as flat arrays
-on an integer flit clock.  The run talks to either only through the
+on an integer flit clock; it, and NumPy with it, is imported only by a
+run that picks it.  The run talks to either only through the
 surface the two share — ``schedule`` (delays in seconds),
 ``inject_path``, ``run_to_completion``, ``now``, the worm counts and
 ``delivery_latencies``.  The dense engine runs only where it agrees
@@ -48,7 +49,6 @@ from ..topology.base import Topology
 from ..wormhole.fault_tolerance import Unroutable
 from .circuit import inject_circuit_path
 from .config import InvalidConfigError, SimConfig
-from .dense import DenseEngine
 from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
 from .kernel import Environment
 from .reference import WormholeNetwork
@@ -389,7 +389,13 @@ def run_dynamic(
     auto: dict | None = None
     if engine == "auto":
         engine, auto = choose_engine(topology, router, config)
-    dense = DenseEngine(config) if engine == "dense" else None
+    dense = None
+    if engine == "dense":
+        # the one import of NumPy a simulation makes: runs on the
+        # reference engine never load it
+        from .dense import DenseEngine
+
+        dense = DenseEngine(config)
     net = dense or WormholeNetwork(Environment(), config)
     # capacity for path worms: pooled double channels when the network
     # is double-channel; tree worms always use their own tagged copies.

@@ -268,6 +268,70 @@ class TestFaultedRuns:
         assert hi.delivery_ratio < lo.delivery_ratio <= 1.0
 
 
+class TestDownChannels:
+    """A channel on a down link or node has capacity 0, so it refuses
+    acquisition; the worm whose header reaches it dies then."""
+
+    LINK = ((1, 0), (2, 0))
+
+    def _net(self, *events):
+        state = FaultState(FaultPlan(events=tuple(events), horizon=1.0))
+        net = FaultyWormholeNetwork(Environment(), SimConfig(seed=1), state, SimStats())
+        state.install(net)
+        return net
+
+    def test_worm_dies_on_a_link_that_failed_before_its_channel_existed(self):
+        net = self._net(FaultEvent(0.0, "link", self.LINK, True))
+        kills = []
+        net.drop_handler = lambda mid: kills.append((mid, net.now))
+        route = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        # injected after the failure fired: every channel of the route is new
+        net.schedule(0.0, lambda: net.inject_path(7, route, {(3, 0)}))
+        assert net.run_to_completion()
+        assert net.channels[self.LINK].capacity == 0
+        # the header took its first hop at 0 and met the down channel
+        # one flit time later, as the per-hop fault check found it
+        assert kills == [(7, net.config.flit_time)]
+        assert net.stats.killed_worms == 1 and net.stats.delivered == 0
+        assert all(ch.in_use == 0 for ch in net.channels.values())
+        assert not net.live and net.active_worms == 0
+
+    def test_repair_restores_the_channel_capacity(self):
+        node = (1, 0)
+        net = self._net(
+            FaultEvent(1e-6, "node", node, True),
+            FaultEvent(2e-6, "link", self.LINK, True),
+            FaultEvent(3e-6, "link", self.LINK, False),
+            FaultEvent(4e-6, "node", node, False),
+        )
+        plain = net.channel(self.LINK)
+        plane = net.channel((*self.LINK, 1), 2)
+        net.run_to_completion(2.5e-6)
+        late = net.channel((*self.LINK, "late"), 3)  # first used while down
+        assert (plain.capacity, plane.capacity, late.capacity) == (0, 0, 0)
+        net.run_to_completion(3.5e-6)
+        # the link is back, but its end node is still down
+        assert (plain.capacity, plane.capacity, late.capacity) == (0, 0, 0)
+        net.run_to_completion()
+        assert (plain.capacity, plane.capacity, late.capacity) == (1, 2, 3)
+        assert net.stats.repair_events == 2
+
+    def test_node_fault_takes_down_every_incident_channel(self):
+        node = (1, 1)
+        net = self._net(FaultEvent(0.0, "node", node, True))
+        incident = [
+            net.channel((node, (1, 2))),
+            net.channel(((0, 1), node)),
+            net.channel((node, (2, 1), "plane-1"), 2),
+            net.channel(((1, 0), node, 3)),
+        ]
+        other = net.channel(((0, 0), (1, 0)))
+        net.run_to_completion()
+        assert [ch.capacity for ch in incident] == [0, 0, 0, 0]
+        assert net.channel(((2, 1), node, "plane-0")).capacity == 0
+        assert other.capacity == 1 and other.free
+
+
 class TestFaultBlindScheme:
     """vct-tree has no fault-aware worm, so faults would never touch
     it: a faulted run is refused instead of reporting every message

@@ -1,0 +1,99 @@
+"""Import footprint: NumPy loads only where an array is computed.
+
+The package's figure functions, simulator, CLI, sweeps and routing
+service are pure Python; NumPy is needed only by the dense engine,
+the ``omt``/``steiner`` exact solvers and
+:meth:`Topology.distance_matrix`.  This process has NumPy loaded
+already (other tests use it), so every case runs its snippet in a
+fresh interpreter and reads ``"numpy" in sys.modules`` there.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _numpy_loaded_after(snippet: str) -> bool:
+    """Run ``snippet`` in a fresh interpreter with the package on its
+    path; return whether NumPy was imported by its end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = textwrap.dedent(snippet) + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_package_cli_figures_sweeps_and_service_run_without_numpy():
+    assert not _numpy_loaded_after("""
+        import contextlib, io
+        import repro, repro.cli, repro.experiments, repro.parallel, repro.service, repro.sim
+        from repro.cli import main
+        from repro.experiments import _algos, _static_sweep
+        from repro.sim import SimConfig, run_dynamic, run_resilient
+        from repro.topology import Mesh2D
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            main(["--help"])
+        mesh = Mesh2D(4, 4)
+        result = run_dynamic(mesh, "dual-path", SimConfig(num_messages=40, seed=1))
+        assert result.engine == "reference" and result.deliveries > 0
+        faulted = run_resilient(
+            mesh, "dual-path", SimConfig(num_messages=40, link_fault_rate=0.1, seed=3)
+        )
+        assert faulted.stats.link_fault_events > 0
+        algos = _algos({"sorted-MP": "sorted-mp", "multi-unicast": "multi-unicast"})
+        assert len(_static_sweep(Mesh2D(8, 8), algos, (5,), 1)) == 1
+    """)
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("""
+        from repro.sim import SimConfig, run_dynamic
+        from repro.topology import Mesh2D
+
+        cfg = SimConfig(num_messages=20, seed=1, bandwidth=2**21, flit_bytes=2,
+                        quantize_arrivals=True)
+        assert run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="dense").engine == "dense"
+    """, id="dense-run"),
+    pytest.param("""
+        from repro.models.request import MulticastRequest
+        from repro.registry import get
+        from repro.topology import Mesh2D
+
+        request = MulticastRequest(Mesh2D(4, 4), (0, 0), ((3, 3), (1, 2)))
+        assert get("omt").fn(request) == 6
+    """, id="omt-solve"),
+    pytest.param("""
+        from repro.topology import Mesh2D
+
+        assert Mesh2D(4, 4).distance_matrix()[0][15] == 6
+    """, id="distance-matrix"),
+])
+def test_array_work_loads_numpy(snippet):
+    assert _numpy_loaded_after(snippet)
+
+
+def test_dense_names_still_resolve_from_repro_sim():
+    import repro.sim
+    import repro.sim.dense
+
+    assert repro.sim.DenseEngine is repro.sim.dense.DenseEngine
+    assert repro.sim.EngineCounters is repro.sim.dense.EngineCounters
+    assert {"DenseEngine", "EngineCounters"} <= set(repro.sim.__all__)
+    namespace: dict = {}
+    exec("from repro.sim import *", namespace)
+    assert namespace["DenseEngine"] is repro.sim.dense.DenseEngine
+    with pytest.raises(AttributeError):
+        repro.sim.NoSuchEngine  # noqa: B018
