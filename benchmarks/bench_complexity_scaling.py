@@ -9,11 +9,14 @@ term dominates.  Greedy ST's replicate nodes each do O(k^2) work
 (Corollary 5.2).  That bound is about work, and greedy ST's inline
 edge scoring is cheap next to each route's linear work at small k, so
 its exponent is fitted to a work count: the virtual edges offered to
-the 2-D nearest-edge scan, counted by wrapping
-``greedy_st._box_nearest_2d``.  The count is exact, so the fit repeats
-for a seed.  The assertion is the separation: quadratic greedy ST vs
-sub-linear-saturating path schemes.  Every row still reports ms per
-route.
+Fig. 5.4's step-4a scan, counted by wrapping
+``greedy_st._box_nearest_2d`` with the node-coverage index off, so
+that every query runs the scan.  The count is exact, so the fit
+repeats for a seed.  The assertion is the separation: quadratic greedy
+ST vs sub-linear-saturating path schemes.  Every ms row times the code
+as shipped, index included.  A last row, reported but not asserted,
+counts the index's own work with it on for every build: the nodes its
+queries probe plus the edges its fallbacks scan.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def _time(algo, requests) -> float:
 
 
 def _scanned(algo, requests) -> float:
-    """Virtual edges offered to the 2-D nearest-edge scan, per route."""
+    """Virtual edges offered to the 2-D nearest-edge scan, per route,
+    with the coverage index off."""
     scan = greedy_st._box_nearest_2d
     offered = 0
 
@@ -51,10 +55,37 @@ def _scanned(algo, requests) -> float:
         offered += len(boxes)
         return scan(boxes, u)
 
-    with mock.patch.object(greedy_st, "_box_nearest_2d", counted):
+    with (mock.patch.object(greedy_st, "_box_nearest_2d", counted),
+          mock.patch.object(greedy_st, "INDEX_MIN_DESTS", math.inf)):
         for r in requests:
             algo(r)
     return offered / len(requests)
+
+
+def _probed(algo, requests) -> float:
+    """The coverage index's work per route, with it on for every build:
+    nodes probed (whole L1 shells, from distance 0 out) plus the edges
+    offered to the scan when a query falls back."""
+    scan, shell = greedy_st._box_nearest_2d, greedy_st._l1_shell
+    work = 0
+
+    def counted_scan(boxes, u):
+        nonlocal work
+        work += len(boxes)
+        return scan(boxes, u)
+
+    def counted_shell(stride, r):
+        nonlocal work
+        cells = shell(stride, r)
+        work += len(cells)
+        return cells
+
+    with (mock.patch.object(greedy_st, "_box_nearest_2d", counted_scan),
+          mock.patch.object(greedy_st, "_l1_shell", counted_shell),
+          mock.patch.object(greedy_st, "INDEX_MIN_DESTS", 1)):
+        for r in requests:
+            algo(r)
+    return work / len(requests)
 
 
 def _fit_exponent(ks, times) -> float:
@@ -80,16 +111,18 @@ def run():
     reps = scaled(8, minimum=4)
     rows = []
     for name, algo in algos.items():
-        times, scans = [], []
+        times, scans, probes = [], [], []
         for k in KS:
             requests = [random_multicast(mesh, k, rng) for _ in range(reps)]
             algo(requests[0])  # warm caches
             times.append(_time(algo, requests))
             if algo is greedy_st_route:
                 scans.append(_scanned(algo, requests))
+                probes.append(_probed(algo, requests))
         rows.append([name, "ms"] + [t * 1e3 for t in times] + [_fit_exponent(KS, times)])
         if scans:
             rows.append([name, "edges scanned"] + scans + [_fit_exponent(KS, scans)])
+            rows.append([name, "index probes"] + probes + [_fit_exponent(KS, probes)])
     return rows
 
 

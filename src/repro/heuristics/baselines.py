@@ -4,8 +4,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..models.request import MulticastRequest
 from ..models.results import MulticastTree
 from ..registry import register
@@ -48,17 +46,23 @@ def broadcast_route(request: MulticastRequest) -> MulticastTree:
 
     Traffic is always ``N - 1`` regardless of the destination count
     (§7.1: "for a broadcast with 1024 nodes, the traffic generated is
-    always 1023").
+    always 1023").  The BFS walks the topology's cached index tables;
+    ``neighbor_indices()`` keeps ``neighbors()`` order, so the arcs come
+    out in the order a BFS over ``neighbors()`` gives.
     """
     topo = request.topology
+    nodes = topo.node_list()
+    neighbors = topo.neighbor_indices()
+    source = topo.index(request.source)
     arcs: list[tuple[Node, Node]] = []
-    seen = {request.source}
-    frontier = deque([request.source])
-    while frontier:
-        u = frontier.popleft()
-        for v in topo.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                arcs.append((u, v))
-                frontier.append(v)
+    seen = bytearray(len(nodes))
+    seen[source] = 1
+    order = [source]  # the BFS queue, read as it grows
+    for i in order:
+        u = nodes[i]
+        for w in neighbors[i]:
+            if not seen[w]:
+                seen[w] = 1
+                arcs.append((u, nodes[w]))
+                order.append(w)
     return MulticastTree(topo, request.source, tuple(arcs))

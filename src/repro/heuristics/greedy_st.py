@@ -13,8 +13,11 @@ least as good as the KMB algorithm's in the worst case (§5.2).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, deque
 from collections.abc import Sequence
+from functools import lru_cache
+from itertools import combinations, count
 
 from ..models.request import MulticastRequest
 from ..models.results import MulticastTree
@@ -53,21 +56,29 @@ def build_virtual_tree(
     key — its bounding box in a mesh, its endpoint and agreeing-bit mask
     in a hypercube — against which every destination is scored inline.
     Ties go to the first minimal edge in list order, and a split edge is
-    replaced by its two halves at the end of the list.  A topology other
-    than a 2-D mesh, 3-D mesh or hypercube raises ``TypeError``.
+    replaced by its two halves at the end of the list.  From
+    ``INDEX_MIN_DESTS`` destinations on, a 2-D mesh or hypercube build
+    finds that edge with a node-coverage index instead of the scan
+    (:func:`_mesh_index`, :func:`_cube_index`); both find the same edge.
+    A topology other than a 2-D mesh, 3-D mesh or hypercube raises
+    ``TypeError``.
     """
     if not dests:
         return []
     if isinstance(topology, Hypercube):
-        key, nearest = _cube_key, _cube_nearest
+        key, nearest, index = _cube_key, _cube_nearest, _cube_index
     elif isinstance(topology, Mesh2D):
-        key, nearest = _box_2d, _box_nearest_2d
+        key, nearest, index = _box_2d, _box_nearest_2d, _mesh_index
     elif isinstance(topology, Mesh3D):
-        key, nearest = _box_3d, _box_nearest_3d
+        key, nearest, index = _box_3d, _box_nearest_3d, None
     else:
         raise TypeError(f"no O(1) shortest-path projection for {topology!r}")
     edges: list[tuple[Node, Node]] = [(root, dests[0])]
     keys = [key(root, dests[0])]
+    add = None
+    if index is not None and len(dests) >= INDEX_MIN_DESTS:
+        add, drop, nearest = index(topology, nearest)
+        add(keys[0])
     members = {root, dests[0]}  # every endpoint of an edge in ``edges``
     for u in dests[1:]:
         if u in members:
@@ -78,9 +89,15 @@ def build_virtual_tree(
             del edges[j], keys[j]
             edges += ((s, v), (v, t))
             keys += (key(s, v), key(v, t))
+            if add is not None:
+                drop(j)
+                add(keys[-2])
+                add(keys[-1])
         if u != v:
             edges.append((v, u))
             keys.append(key(v, u))
+            if add is not None:
+                add(keys[-1])
         members.add(u)
         members.add(v)
     return edges
@@ -172,6 +189,175 @@ def _cube_nearest(keys: list, u: Node) -> tuple[int, Node]:
                 break
     s, agree = keys[best_j]
     return best_j, (s & agree) | (u & ~agree)
+
+
+# Node-coverage indexes for build_virtual_tree.  Each edge gets an
+# insertion id.  A split deletes an edge and appends its halves, so the
+# edge list is in id order, and the scan's first minimal edge is the one
+# with the smallest (distance, id).  ``cells`` maps a node to the
+# ascending ids of the edges whose shortest-path region covers it: the
+# bounding box in a 2-D mesh, the subcube in a hypercube.  A split
+# edge's id leaves ``live`` at once and its cells lazily, when a probe
+# finds it at the front of a list.
+#
+# A query probes the shells of nodes at distance 0, 1, 2, ... from u.
+# The first shell that holds a live covering edge fixes the distance,
+# and its smallest live id is the first minimal edge; its list position
+# is found by bisection in the ids of the live edges.  When the nodes
+# probed would outnumber the live edges, the query runs the family's
+# scan instead, so every answer is the scan's.
+#
+# An index is built per call and pays for every node each edge covers,
+# which outweighs the shorter queries on sparse sets: a k = 64 set on
+# the 32x32 mesh routes slower with it (docs/PERFORMANCE.md §6).
+
+#: builds with fewer destinations than this scan every edge per query
+INDEX_MIN_DESTS = 96
+
+
+def _live_front(ids: list, live: set) -> int:
+    """Drop the dead ids at the front of a cell's ``ids``; its first
+    live id, or ``_FAR`` if none is left."""
+    while ids:
+        if ids[0] in live:
+            return ids[0]
+        del ids[0]
+    return _FAR
+
+
+@lru_cache(maxsize=None)
+def _l1_shell(stride: int, r: int) -> tuple[int, ...]:
+    """Cell offsets of the nodes at L1 distance r (4r of them, or the
+    node itself), for cells ``x * stride + y``."""
+    if not r:
+        return (0,)
+    shell = []
+    for dx in range(-r, r + 1):
+        dy = r - abs(dx)
+        shell.append(dx * stride + dy)
+        if dy:
+            shell.append(dx * stride - dy)
+    return tuple(shell)
+
+
+def _mesh_index(topology: Mesh2D, scan):
+    """``(add, drop, nearest)`` of a 2-D mesh build's coverage index:
+    ``add(box)`` appends an edge, ``drop(j)`` deletes the edge at list
+    position j, and ``nearest`` answers as ``scan`` does."""
+    # Node (x, y) has cell x * stride + y.  Radius r is probed only while
+    # 2r^2 < the live edges, fewer than 2wh, so r < (w + h) / 2 and no
+    # two probed nodes share a cell.
+    stride = 2 * (topology.width + topology.height)
+    cells: dict[int, list] = {}
+    get = cells.get
+    ids: list[int] = []  # ids of the live edges, in list order
+    live: set[int] = set()
+    new_id = count().__next__
+
+    def add(box: tuple[int, int, int, int]) -> None:
+        j = new_id()
+        ids.append(j)
+        live.add(j)
+        x0, x1, y0, y1 = box
+        for x in range(x0 * stride, x1 * stride + 1, stride):
+            for c in range(x + y0, x + y1 + 1):
+                covering = get(c)
+                if covering is None:
+                    cells[c] = [j]
+                else:
+                    covering.append(j)
+
+    def drop(position: int) -> None:
+        live.remove(ids.pop(position))
+
+    def nearest(boxes: list, u: Node) -> tuple[int, Node]:
+        ux, uy = u
+        c = ux * stride + uy
+        r = 0
+        while 2 * r * (r + 1) < len(ids):  # 2r(r + 1) + 1 nodes probed
+            best = _FAR
+            for d in _l1_shell(stride, r):
+                covering = get(c + d)
+                if covering:
+                    j = covering[0]
+                    if j not in live:
+                        j = _live_front(covering, live)
+                    if j < best:
+                        best = j
+            if best != _FAR:
+                j = bisect_left(ids, best)
+                x0, x1, y0, y1 = boxes[j]
+                return j, (
+                    x0 if ux < x0 else x1 if ux > x1 else ux,
+                    y0 if uy < y0 else y1 if uy > y1 else uy,
+                )
+            r += 1
+        return scan(boxes, u)
+
+    return add, drop, nearest
+
+
+@lru_cache(maxsize=None)
+def _hamming_shell(n: int, r: int) -> tuple[int, ...]:
+    """The n-bit masks of weight r (0 alone for r = 0)."""
+    return tuple(sum(1 << b for b in bits) for bits in combinations(range(n), r))
+
+
+def _cube_index(topology: Hypercube, scan):
+    """``(add, drop, nearest)`` of a hypercube build's coverage index,
+    as :func:`_mesh_index`; an edge covers its subcube, and the shells
+    are Hamming spheres."""
+    n = topology.n
+    cells: list = [None] * topology.num_nodes  # node -> covering ids
+    ids: list[int] = []
+    live: set[int] = set()
+    new_id = count().__next__
+
+    def add(key: tuple[int, int]) -> None:
+        j = new_id()
+        ids.append(j)
+        live.add(j)
+        s, agree = key
+        free = ~agree
+        base = s & agree
+        sub = free
+        while True:  # every submask of ``free``
+            covering = cells[base | sub]
+            if covering is None:
+                cells[base | sub] = [j]
+            else:
+                covering.append(j)
+            if not sub:
+                return
+            sub = (sub - 1) & free
+
+    def drop(position: int) -> None:
+        live.remove(ids.pop(position))
+
+    def nearest(keys: list, u: int) -> tuple[int, int]:
+        budget = len(ids)
+        probes = 0
+        for r in range(n + 1):
+            shell = _hamming_shell(n, r)
+            probes += len(shell)
+            if probes > budget:
+                break
+            best = _FAR
+            for m in shell:
+                covering = cells[u ^ m]
+                if covering:
+                    j = covering[0]
+                    if j not in live:
+                        j = _live_front(covering, live)
+                    if j < best:
+                        best = j
+            if best != _FAR:
+                j = bisect_left(ids, best)
+                s, agree = keys[j]
+                return j, (s & agree) | (u & ~agree)
+        return scan(keys, u)
+
+    return add, drop, nearest
 
 
 def _subtree_partition(

@@ -1,19 +1,27 @@
 """Parity of the greedy ST virtual-tree kernel with the original loop.
 
 :func:`repro.heuristics.greedy_st.build_virtual_tree` scores virtual
-edges inline, per topology family.  The loop it replaced is kept here
-verbatim as the reference: every edge projected through
-:func:`nearest_on_shortest_paths` and measured with
-``Topology.distance``, tree membership by a scan of the edge list.
+edges inline, per topology family, and from ``INDEX_MIN_DESTS``
+destinations on finds the nearest edge with a node-coverage index.
+The loop it replaced is kept here verbatim as the reference: every
+edge projected through :func:`nearest_on_shortest_paths` and measured
+with ``Topology.distance``, tree membership by a scan of the edge list.
 Both must return the same edge list, order included, on 2-D meshes
 (1xN and Nx1 too), 3-D meshes and hypercubes (n = 1 too), for every
 k from 1 to N-1, with destinations in message-preparation order and
 shuffled so that equidistant ties are exercised.  Whole routes must
 agree too: arcs and virtual edges.
+
+The drawn cases run twice: at the shipped crossover, and with it at
+its minimum, so that every build of every drawn family and k uses the
+index (its shells, dead-id skipping and fallback to the scan).  Fixed
+cases cover the figures' networks, the 32x32 mesh and the 10-cube, on
+both sides of the shipped crossover.
 """
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
@@ -27,7 +35,7 @@ from repro.heuristics.greedy_st import (
     greedy_st_route,
     nearest_on_shortest_paths,
 )
-from repro.models import MulticastRequest
+from repro.models import MulticastRequest, random_multicast
 from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
 
 
@@ -122,6 +130,11 @@ EDGE_CASES = [
 ]
 
 
+def index_always():
+    """Every build uses the coverage index (the crossover at its minimum)."""
+    return mock.patch.object(greedy_st, "INDEX_MIN_DESTS", 1)
+
+
 def assert_tree_parity(request, order):
     topo, root = request.topology, request.source
     assert build_virtual_tree(topo, root, order) == seed_build_virtual_tree(
@@ -147,11 +160,39 @@ class TestVirtualTreeParity:
         assert_tree_parity(req, greedy_st_prepare(req)[1:])
         assert_tree_parity(req, list(shuffled))
 
+    @settings(max_examples=500, deadline=None)
+    @given(requests_with_shuffle())
+    def test_edges_match_seed_loop_with_index_always(self, case):
+        req, shuffled = case
+        with index_always():
+            assert_tree_parity(req, greedy_st_prepare(req)[1:])
+            assert_tree_parity(req, list(shuffled))
+
     @pytest.mark.parametrize("req", EDGE_CASES)
     def test_edge_cases(self, req):
         prepared = greedy_st_prepare(req)[1:]
         assert_tree_parity(req, prepared)
         assert_tree_parity(req, prepared[::-1])
+        with index_always():
+            assert_tree_parity(req, prepared)
+            assert_tree_parity(req, prepared[::-1])
+
+    @pytest.mark.parametrize("k", [25, 100, 400, 700])
+    @pytest.mark.parametrize(
+        "topo", [Mesh2D(32, 32), Hypercube(10)], ids=["mesh32x32", "cube10"]
+    )
+    def test_figure_sets_match_seed_loop(self, topo, k):
+        """The first Fig 7.3/7.4 set at k, in preparation order and
+        shuffled, at the shipped crossover and with the index always on."""
+        req = random_multicast(topo, k, random.Random(10000 + k))
+        prepared = greedy_st_prepare(req)[1:]
+        shuffled = list(prepared)
+        random.Random(k).shuffle(shuffled)
+        for order in (prepared, shuffled):
+            expected = seed_build_virtual_tree(topo, req.source, order)
+            assert build_virtual_tree(topo, req.source, order) == expected
+            with index_always():
+                assert build_virtual_tree(topo, req.source, order) == expected
 
     def test_empty_destination_list(self):
         assert build_virtual_tree(Mesh2D(4, 4), (0, 0), []) == []
@@ -173,6 +214,12 @@ class TestRouteParity:
     @given(requests())
     def test_route_matches_seed(self, req):
         assert_route_parity(req)
+
+    @settings(max_examples=250, deadline=None)
+    @given(requests())
+    def test_route_matches_seed_with_index_always(self, req):
+        with index_always():
+            assert_route_parity(req)
 
     @pytest.mark.parametrize("req", EDGE_CASES)
     def test_edge_cases(self, req):
