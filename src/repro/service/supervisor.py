@@ -13,8 +13,8 @@ terminal :class:`RouteResponse`**, whatever the workers do:
   worker and are tagged ``cache_hit=True``;
 * **supervised workers** — each request runs in one of a fixed pool
   of persistent worker processes (:mod:`repro.service.worker`) over a
-  per-worker pipe.  The dispatcher detects death (``is_alive`` /
-  broken pipe) and hangs (stale heartbeats), SIGKILLs and restarts the
+  per-worker pipe.  The dispatcher detects death (end-of-file on the
+  pipe) and hangs (stale heartbeats), SIGKILLs and restarts the
   worker, and **requeues the in-flight request exactly once** with a
   seeded, deadline-capped backoff (:func:`repro.retry.retry_delay`);
 * **per-request deadline** — one budget spans all attempts; when it
@@ -32,9 +32,17 @@ terminal :class:`RouteResponse`**, whatever the workers do:
   robustness suite can prove the machinery above actually recovers.
 
 Threading model: ``submit()`` (any thread) only touches the intake
-queue, the cache, and the counters lock; all worker and breaker state
-belongs to the single dispatcher thread.  Futures are resolved exactly
-once, guarded by the dispatch record's ``resolved`` flag.
+queue, the cache, the counters lock and the wake-up socket; all worker
+and breaker state belongs to the single dispatcher thread.  Futures are
+resolved exactly once, guarded by the dispatch record's ``resolved``
+flag.
+
+The dispatcher runs on events: each pass ends in one
+:func:`multiprocessing.connection.wait` on the workers' pipes (a
+result, a heartbeat or end-of-file), the wake-up socket that
+``submit()`` and ``close()`` write, and a timeout to the nearest timer:
+a deadline, a staged chaos kill, a requeue backoff or a heartbeat
+expiry (:meth:`RouteService._next_timer`).
 
 The discipline is machine-checked: attributes carry ``# owned-by:
 dispatcher`` / ``# guarded-by: _lock`` annotations and dispatcher-only
@@ -49,10 +57,12 @@ from __future__ import annotations
 
 import os
 import queue
+import socket
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -245,8 +255,10 @@ class RouteService:
         self._workers: list[_WorkerHandle] = []  # owned-by: dispatcher
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}  # owned-by: dispatcher
         self._lock = threading.Lock()  # counters + seq + lifecycle flags
+        self._drained = threading.Condition(self._lock)  # _outstanding hit 0
         self._seq = 0  # guarded-by: _lock
         self._outstanding = 0  # guarded-by: _lock
+        self._wake_pending = False  # guarded-by: _lock
         self._counters = {  # guarded-by: _lock
             "submitted": 0,
             "completed": 0,  # terminal responses of any kind
@@ -279,6 +291,9 @@ class RouteService:
             if self._started:
                 return self
             self._started = True
+            # the dispatcher's wait reads what _wake writes
+            self._wake_r, self._wake_w = socket.socketpair()
+            self._wake_r.setblocking(False)
         from ..parallel import _pool_context
 
         ctx = _pool_context()
@@ -308,10 +323,14 @@ class RouteService:
                 self._stopped = True
                 return
             self._stopped = True
+        self._wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10.0)
         for handle in self._workers:
             handle.shutdown()
+        with self._lock:
+            self._wake_r.close()
+            self._wake_w.close()
 
     # -- admission ----------------------------------------------------
 
@@ -403,13 +422,30 @@ class RouteService:
             with self._lock:
                 self._outstanding -= 1
                 self._counters["shed"] += 1
+                if not self._outstanding:
+                    self._drained.notify_all()
             return self._admission_reject(
                 future,
                 request,
                 "overloaded",
                 f"intake queue full ({self.config.queue_bound} waiting)",
             )
+        self._wake()
         return future
+
+    def _wake(self) -> None:
+        """Wake the dispatcher's wait.  The flag and its one byte change
+        together under the lock, and the dispatcher takes both before it
+        drains the intake, so a request put after that drain always
+        finds a byte waiting to end the next wait."""
+        with self._lock:
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # closed: the dispatcher is gone
 
     def route(self, request: RouteRequest, timeout: float | None = None) -> RouteResponse:
         """Blocking convenience wrapper around :meth:`submit`."""
@@ -448,7 +484,7 @@ class RouteService:
     def _resolve(self, dispatch: _Dispatch, response: RouteResponse, cache_hit: bool = False) -> None:  # thread: dispatcher
         """The only place a dispatched request turns terminal — the
         ``resolved`` guard enforces exactly-once even if two failure
-        paths fire in one tick.  ``cache_hit`` marks a plan replayed
+        paths fire in one pass.  ``cache_hit`` marks a plan replayed
         from the cache."""
         if dispatch.resolved:
             return
@@ -457,6 +493,8 @@ class RouteService:
         self._account_terminal(response, cache_hit=cache_hit)
         with self._lock:
             self._outstanding -= 1
+            if not self._outstanding:
+                self._drained.notify_all()
         dispatch.future.set_result(response)
 
     def outstanding(self) -> int:
@@ -467,13 +505,11 @@ class RouteService:
     def drain(self, timeout: float | None = None) -> dict[str, Any]:
         """Wait until every admitted request is terminal, then return
         :meth:`report` (raises ``TimeoutError`` past ``timeout``)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.outstanding():
-            if deadline is not None and time.monotonic() > deadline:
+        with self._drained:
+            if not self._drained.wait_for(lambda: not self._outstanding, timeout):
                 raise TimeoutError(
-                    f"{self.outstanding()} requests still in flight after {timeout}s"
+                    f"{self._outstanding} requests still in flight after {timeout}s"
                 )
-            time.sleep(0.005)
         return self.report()
 
     def report(self) -> dict[str, Any]:
@@ -702,11 +738,36 @@ class RouteService:
             )
         self._pending = []
 
+    def _next_timer(self, now: float) -> float:  # thread: dispatcher
+        """When the dispatcher must next run without an event: the
+        earliest deadline, staged chaos kill, pending requeue backoff or
+        heartbeat expiry (``now`` for a worker whose send failed)."""
+        timeout = self.config.heartbeat_timeout
+        due = [
+            now if handle.pipe_broken else handle.last_heartbeat + timeout
+            for handle in self._workers
+        ]
+        for handle in self._workers:
+            dispatch = handle.busy
+            if dispatch is not None:
+                due.append(dispatch.deadline_abs)
+                if dispatch.kill_at is not None:
+                    due.append(dispatch.kill_at)
+        for dispatch in self._pending:
+            due.append(dispatch.deadline_abs)
+            if dispatch.not_before > now:
+                due.append(dispatch.not_before)
+        return min(due)
+
     def _dispatch_ticks(self) -> None:  # thread: dispatcher
         cfg = self.config
         while True:
             with self._lock:
                 stopping = self._stopped
+                if self._wake_pending:
+                    # take the byte with the flag (see _wake)
+                    self._wake_pending = False
+                    self._wake_r.recv(1)
             now = time.monotonic()
 
             # 1. pull admissions into the dispatcher-owned pending list
@@ -749,12 +810,14 @@ class RouteService:
                     dispatch.kill_at = None
                     kill_process(handle.process, hard=True)
 
-            # 4. worker health: death, then hangs
+            # 4. worker health: a death is end-of-file on the pipe
+            # (step 2); a silent worker is asked whether it is alive, to
+            # tell a hang from a death
             for handle in self._workers:
-                if handle.pipe_broken or not handle.process.is_alive():
+                if handle.pipe_broken:
                     self._reclaim(handle, now, hung=False)
                 elif now - handle.last_heartbeat > cfg.heartbeat_timeout:
-                    self._reclaim(handle, now, hung=True)
+                    self._reclaim(handle, now, hung=handle.process.is_alive())
 
             # 5. per-request deadlines — in flight and still queued
             for handle in self._workers:
@@ -805,7 +868,7 @@ class RouteService:
             # circuit-open rejections cost no worker, so each idle
             # worker keeps pulling until it lands a real job (else a
             # burst of cache hits would drain at one per worker per
-            # tick instead of resolving immediately).
+            # pass instead of resolving immediately).
             for handle in self._workers:
                 while handle.busy is None and not handle.pipe_broken:
                     index = next(
@@ -850,4 +913,11 @@ class RouteService:
                                 continue
                     self._send_job(handle, dispatch, now)
 
-            time.sleep(0.002)
+            # 7. block until a pipe turns readable (a result, a
+            # heartbeat or end-of-file), submit() or close() writes the
+            # wake-up byte, or the nearest timer falls due
+            due = self._next_timer(now)
+            wait(
+                [self._wake_r, *(handle.conn for handle in self._workers)],
+                max(0.0, due - time.monotonic()),
+            )

@@ -5,7 +5,7 @@ Each worker is a long-lived child process holding one end of a
 tuples and, from a daemon thread, streams ``("hb", n)`` heartbeats so
 the supervisor can tell a *hung* worker (stale heartbeat) from a
 *busy* one (fresh heartbeats, no result yet) from a *dead* one
-(``is_alive()`` false / broken pipe).
+(end-of-file on its pipe).
 
 Why a Pipe per worker instead of one shared queue: the chaos harness
 SIGKILLs workers mid-request, and a kill landing mid-``put`` on a

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -470,3 +471,132 @@ class TestSocketServer:
             assert all(r.ok for r in responses.values())
             client.shutdown()
         thread.join(timeout=10)
+
+
+#: heartbeats too rare to mask a timer the dispatcher's wait missed
+_QUIET = dict(workers=1, cache_capacity=0, heartbeat_interval=1.0, heartbeat_timeout=10.0)
+#: how late a lone timer may fire, fork and route included
+_SLACK = 0.15
+
+
+def _resolve_time(svc, request):
+    """Submit ``request``; returns (response, seconds until its result)."""
+    t0 = time.monotonic()
+    response = svc.submit(request).result(timeout=30)
+    return response, time.monotonic() - t0
+
+
+class TestDispatcherWait:
+    """The dispatcher has no tick: it blocks on the worker pipes, the
+    admission wake-up and the nearest timer.  Each timer below fires
+    alone, with heartbeats too rare to wake the dispatcher in time."""
+
+    def test_idle_service_costs_little_cpu(self):
+        # measured: 49-56 ms of CPU per idle second with a 2 ms poll,
+        # 5.7-6.5 ms waiting on events (20 heartbeats/s from each worker)
+        with RouteService(ServiceConfig(workers=2)) as svc:
+            svc.route(_mesh_request(1), timeout=30)
+            time.sleep(0.2)
+            start = time.process_time()
+            time.sleep(1.0)
+            idle = time.process_time() - start
+        assert idle < 0.018
+
+    def test_dropped_reply_times_out_at_its_deadline(self):
+        deadline = 0.3
+        config = ServiceConfig(
+            **_QUIET, request_deadline=deadline, chaos=ChaosPlan(seed=1, drop_rate=1.0)
+        )
+        with RouteService(config) as svc:
+            response, elapsed = _resolve_time(svc, _mesh_request(1))
+        assert response.error == "timeout"
+        assert deadline <= elapsed <= deadline + _SLACK
+
+    def test_stalled_worker_is_hung_after_heartbeat_timeout(self):
+        interval, timeout = 0.05, 0.3
+        config = ServiceConfig(
+            workers=1,
+            cache_capacity=0,
+            heartbeat_interval=interval,
+            heartbeat_timeout=timeout,
+            retry_limit=0,
+            chaos=ChaosPlan(seed=1, stall_rate=1.0),
+        )
+        with RouteService(config) as svc:
+            time.sleep(0.1)  # heartbeats flowing before the stall
+            response, elapsed = _resolve_time(svc, _mesh_request(1))
+            report = svc.drain(timeout=30)
+        assert response.error == "worker-crashed" and "hung" in response.detail
+        assert report["counters"]["hung_workers"] == 1
+        # the last heartbeat came at most one interval before the submit
+        assert timeout - interval - 0.02 <= elapsed <= timeout + _SLACK
+
+    def test_killed_request_is_dispatched_after_its_backoff(self):
+        hold, backoff = 0.2, 0.3
+        config = ServiceConfig(
+            **_QUIET,
+            retry_base=backoff,
+            retry_jitter=0.0,
+            chaos=ChaosPlan(seed=1, kill_rate=1.0, delay_s=hold),
+        )
+        with RouteService(config) as svc:
+            response, elapsed = _resolve_time(svc, _mesh_request(1))
+            report = svc.drain(timeout=30)
+        assert response.ok and response.attempts == 2
+        assert report["counters"]["worker_crashes"] == 1
+        # the staged SIGKILL lands half-way through the hold
+        assert hold / 2 + backoff <= elapsed <= hold / 2 + backoff + _SLACK
+
+    def test_concurrent_submits_never_lose_a_wake_up(self):
+        threads, rounds = 4, 50
+        config = ServiceConfig(
+            workers=2, cache_capacity=0, heartbeat_interval=2.0, heartbeat_timeout=10.0
+        )
+        barrier = threading.Barrier(threads)
+        results: list[tuple] = []
+
+        def submitter(index: int) -> None:
+            for r in range(rounds):
+                barrier.wait()
+                results.append(_resolve_time(svc, _mesh_request(r * threads + index)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings of submit and wait
+        try:
+            with RouteService(config) as svc:
+                workers = [
+                    threading.Thread(target=submitter, args=(i,)) for i in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == threads * rounds
+        assert all(response.ok for response, _ in results)
+        # a lost wake-up waits for the next heartbeat, 2 s away
+        assert max(elapsed for _, elapsed in results) < 0.5
+
+    def test_close_on_idle_service_returns_promptly(self):
+        svc = RouteService(ServiceConfig(**_QUIET)).start()
+        svc.route(_mesh_request(1), timeout=30)
+        time.sleep(0.1)
+        start = time.monotonic()
+        svc.close()
+        assert time.monotonic() - start < 0.5
+
+    def test_drain_waits_for_the_last_request(self):
+        config = ServiceConfig(
+            **_QUIET, request_deadline=0.3, chaos=ChaosPlan(seed=1, drop_rate=1.0)
+        )
+        with RouteService(config) as svc:
+            svc.submit(_mesh_request(1))
+            with pytest.raises(TimeoutError, match="1 requests still in flight"):
+                svc.drain(timeout=0.05)
+            start = time.monotonic()
+            report = svc.drain(timeout=30)
+            waited = time.monotonic() - start
+        assert report["outstanding"] == 0 and report["counters"]["timeouts"] == 1
+        assert waited < 0.3 + _SLACK
