@@ -15,14 +15,18 @@ bound, not an extrapolation.  Whenever the reference does finish, the
 cell asserts cost parity with the fast solver: a speedup that changed
 the optimum would be a bug, not a win.
 
+Every cell counts instances per *reference second*: CPU time divided
+by the host's slowdown, which ``benchmarks/e2e/hostclock.py`` measures
+with a fixed interpreter-bound kernel.  A wall-clock rate read the
+host's speed: the same code on a slower or busier host fell below half
+the committed rate, and three runs of one full-matrix cell read 935,
+609 and 325 instances per wall second.  The wall cap on a reference
+solve stays in wall seconds.
+
 The report also carries a fast-solver-only ``smoke_baseline`` section
 (tiny matrix) that CI's perf-smoke job compares fresh measurements
 against via ``--check-against``, failing on a >2x throughput
-regression.  Its cells count instances per *reference second*: CPU
-time divided by the host's slowdown, which
-``benchmarks/e2e/hostclock.py`` measures with a fixed interpreter-bound
-kernel.  A wall-clock rate read the host's speed: the same code on a
-slower or busier host fell below half the committed rate.
+regression.
 
 Run directly (``python benchmarks/bench_exact_throughput.py``,
 ``--smoke`` for the seconds-long CI variant, ``--check-against
@@ -39,7 +43,6 @@ import platform
 import random
 import signal
 import sys
-import time
 import zlib
 from pathlib import Path
 
@@ -117,9 +120,16 @@ def _requests(topology, k: int, count: int):
     return [random_multicast(topology, k, rng) for _ in range(count)]
 
 
-def _time_fast(fn, requests, repeats: int, now=time.perf_counter):
+def _reference_seconds():
+    """A clock of reference seconds: a fresh :class:`HostClock`'s
+    running total, read at a checkpoint."""
+    clock = HostClock()
+    return lambda: clock.checkpoint()[1]
+
+
+def _time_fast(fn, requests, repeats: int, now):
     """Best-of-``repeats`` time for solving all requests, on the clock
-    ``now`` (default: wall seconds); returns (seconds, costs)."""
+    ``now``; returns (seconds, costs)."""
     best = float("inf")
     costs = []
     for _ in range(repeats):
@@ -129,42 +139,42 @@ def _time_fast(fn, requests, repeats: int, now=time.perf_counter):
     return best, costs
 
 
-def measure_cell(topology, topology_spec: str, k: int, solver: str, params: dict) -> dict:
+def measure_cell(topology, topology_spec: str, k: int, solver: str, params: dict,
+                 now) -> dict:
+    """One matrix cell, timed on the reference-seconds clock ``now``."""
     requests = _requests(topology, k, params["instances"])
-    fast_wall, fast_costs = _time_fast(
-        get_spec(solver).fn, requests, params["repeats"]
+    fast_s, fast_costs = _time_fast(
+        get_spec(solver).fn, requests, params["repeats"], now
     )
 
     cap = params["ref_cap_s"]
     ref_fn = REFERENCE_FNS[solver]
-    ref_wall = 0.0
     capped = 0
     parity_checked = 0
+    t0 = now()
     for req, fast_cost in zip(requests, fast_costs):
-        t0 = time.perf_counter()
         try:
             with wall_cap(cap):
                 ref_cost = _cost(ref_fn(req))
         except (_WallCapExceeded, SearchBudgetExceeded):
             capped += 1
-            ref_wall += time.perf_counter() - t0
             continue
-        ref_wall += time.perf_counter() - t0
         parity_checked += 1
         assert ref_cost == fast_cost, (
             f"{solver} parity violation on {topology_spec} k={k}: "
             f"fast={fast_cost} reference={ref_cost}"
         )
+    ref_s = now() - t0
 
-    speedup = ref_wall / fast_wall if fast_wall > 0 else float("inf")
+    speedup = ref_s / fast_s if fast_s > 0 else float("inf")
     return {
         "topology": topology_spec,
         "k": k,
         "solver": solver,
         "instances": len(requests),
-        "fast_wall_s": round(fast_wall, 5),
-        "fast_per_sec": round(len(requests) / fast_wall, 2),
-        "ref_wall_s": round(ref_wall, 3),
+        "fast_ref_s": round(fast_s, 5),
+        "fast_per_ref_sec": round(len(requests) / fast_s, 2),
+        "reference_ref_s": round(ref_s, 3),
         "ref_capped_instances": capped,
         "speedup": round(speedup, 1),
         "speedup_is_floor": capped > 0,
@@ -174,14 +184,15 @@ def measure_cell(topology, topology_spec: str, k: int, solver: str, params: dict
 
 def _run_matrix(params: dict) -> list[dict]:
     cells = []
+    now = _reference_seconds()
     for spec in params["topologies"]:
         topology = parse_topology(spec)
         for k in params["ks"]:
             for solver in SOLVERS:
-                cell = measure_cell(topology, spec, k, solver, params)
+                cell = measure_cell(topology, spec, k, solver, params, now)
                 print(
                     f"{spec:>12} k={k:>2} {solver:>8}: "
-                    f"fast {cell['fast_per_sec']:>9.2f}/s, "
+                    f"fast {cell['fast_per_ref_sec']:>9.2f}/ref s, "
                     f"speedup {'>=' if cell['speedup_is_floor'] else '':>2}"
                     f"{cell['speedup']:.1f}x",
                     file=sys.stderr,
@@ -194,11 +205,7 @@ def _smoke_baseline() -> list[dict]:
     """Fast-solver throughput on the smoke matrix (no reference runs),
     in instances per reference second of the best of the repeats: the
     committed baseline CI compares against."""
-    clock = HostClock()
-
-    def reference_s() -> float:
-        return clock.checkpoint()[1]
-
+    reference_s = _reference_seconds()
     out = []
     for spec in SMOKE["topologies"]:
         topology = parse_topology(spec)

@@ -17,7 +17,13 @@ root:
    kernel is swapped in through the ``Environment`` attribute of
    :mod:`repro.sim.runner`).
 
-3. **Sweep wall time** — a Fig. 7.8-style load sweep run three ways:
+3. **Long-route run** — the ``sim-zero-load`` workload's cube:10
+   fixed-path cell (8 destinations, power-of-two flit time, quantized
+   arrivals, light load): the windowed kernel against the heap-only
+   one, which never opens a free-flight window, with the share of hops
+   the windows flew.
+
+4. **Sweep wall time** — a Fig. 7.8-style load sweep run three ways:
    serially on the *pre-optimization code path* (legacy kernel +
    uncached :class:`~repro.labeling.reference.ReferenceRouting` +
    per-message validation — the seed baseline, reconstructed in-repo
@@ -55,9 +61,10 @@ import repro.sim.runner as sim_runner
 from repro.parallel import SweepJob, run_sweep
 from repro.sim import LegacyEnvironment, SimConfig  # lint: ignore[no-legacy-environment]
 from repro.sim.kernel import Environment
+from repro.sim.reference import WormholeNetwork
 from repro.sim.runner import run_dynamic
 from repro.sim.traffic import Router
-from repro.topology import Mesh2D
+from repro.topology import Hypercube, Mesh2D
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_kernel.json"
@@ -75,6 +82,15 @@ FLIT_TIME = SimConfig().flit_time
 # Dynamic-run workload (Fig. 7.8 parameters, one load point).
 FULL_DYNAMIC = dict(messages=2000, interarrival_us=300)
 SMOKE_DYNAMIC = dict(messages=100, interarrival_us=300)
+
+# Long-route workload: the sim-zero-load cube:10 d8 cell (its seed is
+# the e2e golden seed, 29).
+FULL_LONG_ROUTE = dict(messages=1000)
+SMOKE_LONG_ROUTE = dict(messages=100)
+LONG_ROUTE_CONFIG = dict(
+    bandwidth=2**21, flit_bytes=2, quantize_arrivals=True,
+    mean_interarrival=0.36, channels_per_link=2, num_destinations=8, seed=29,
+)
 
 # Sweep workload (Fig. 7.8-style: scheme x load grid on the
 # double-channel 8x8 mesh, 10 destinations, seed 42).
@@ -185,6 +201,50 @@ def bench_dynamic_run(params: dict, repeats: int = 2) -> dict:
     }
 
 
+def _routed_hops(fn):
+    """``fn()`` and the hops of every path it injected."""
+    hops = [0]
+    inject = WormholeNetwork.inject_path
+
+    def counted(net, message_id, nodes, *args, **kwargs):
+        hops[0] += len(nodes) - 1
+        return inject(net, message_id, nodes, *args, **kwargs)
+
+    WormholeNetwork.inject_path = counted
+    try:
+        return fn(), hops[0]
+    finally:
+        WormholeNetwork.inject_path = inject
+
+
+def bench_long_route_run(params: dict, repeats: int = 2) -> dict:
+    cube = Hypercube(10)
+    cfg = SimConfig(num_messages=params["messages"], **LONG_ROUTE_CONFIG)
+    legacy_wall, legacy = _best_of(
+        lambda: _on_legacy_kernel(run_dynamic, cube, "fixed-path", cfg), repeats
+    )
+    fast_wall, fast = _best_of(lambda: run_dynamic(cube, "fixed-path", cfg), repeats)
+    _, hops = _routed_hops(lambda: run_dynamic(cube, "fixed-path", cfg))
+
+    def outcome(r):
+        return (r.latency, r.sim_time, r.deliveries, r.worms, r.injected_messages)
+
+    identical = outcome(legacy) == outcome(fast)
+    assert identical, "free-flight windows changed simulation results"
+    windows = fast.engine_stats["windows"]
+    return {
+        "workload": dict(params, scheme="fixed-path", topology="cube:10",
+                         worms=fast.worms, hops=hops,
+                         **{k: v for k, v in LONG_ROUTE_CONFIG.items() if k != "seed"}),
+        "legacy_s": round(legacy_wall, 3),
+        "windowed_s": round(fast_wall, 3),
+        "speedup": round(legacy_wall / fast_wall, 2),
+        "hops_flown_share": round(windows["hops_flown"] / hops, 4),
+        "windows": windows,
+        "results_identical": identical,
+    }
+
+
 def _sweep_jobs(params: dict):
     mesh = Mesh2D(8, 8)
     return [
@@ -265,6 +325,9 @@ def run_benchmark(smoke: bool = False) -> dict:
         "dynamic_run": bench_dynamic_run(
             SMOKE_DYNAMIC if smoke else FULL_DYNAMIC, repeats=1 if smoke else 3
         ),
+        "long_route_run": bench_long_route_run(
+            SMOKE_LONG_ROUTE if smoke else FULL_LONG_ROUTE, repeats=1 if smoke else 3
+        ),
         "sweep": bench_sweep(
             SMOKE_SWEEP if smoke else FULL_SWEEP, repeats=1 if smoke else 3
         ),
@@ -295,6 +358,7 @@ def test_kernel_fast_path_beats_legacy():
     report = run_benchmark(smoke=True)
     assert report["event_kernel"]["speedup"] > 1.0
     assert report["dynamic_run"]["results_identical"]
+    assert report["long_route_run"]["results_identical"]
     assert report["sweep"]["results_identical"]
     # the optimized serial path must beat the reconstructed seed path
     assert report["sweep"]["optimized_serial_vs_seed_ratio"] < 1.0

@@ -313,7 +313,9 @@ def _result_to_json(result) -> dict:
 
 
 def _engine_stats_from_json(stats: dict | None) -> dict | None:
-    """JSON turned ``window_hist``'s int keys into strings; turn them back."""
+    """JSON turned the int keys of ``window_hist``, in records a dense
+    run wrote before that engine was removed, into strings; turn them
+    back, so such a checkpoint resumes to the result it recorded."""
     if stats and "window_hist" in stats:
         stats["window_hist"] = {int(k): v for k, v in stats["window_hist"].items()}
     return stats

@@ -1,22 +1,15 @@
 """Discrete-event wormhole network simulation (§7.2's dynamic study).
 
 The CSIM-equivalent kernel lives in :mod:`repro.sim.kernel`; the
-reference flit-level wormhole model in :mod:`repro.sim.reference` (the
-vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
-parity-tested counterpart for fault-free path worms); routing adapters in
+flit-level wormhole model in :mod:`repro.sim.reference`, whose
+free-flight windows run uncontended plain path worms many hops per
+kernel dispatch, bit for bit; routing adapters in
 :mod:`repro.sim.traffic`; the experiment drivers in
 :mod:`repro.sim.runner`, one per run type, sharing one Poisson arrival
-process.  :func:`run_dynamic` picks its engine per run (``"auto"``)
-and takes ``engine="reference"`` or ``"dense"`` to force one; the
-other drivers run on the reference engine.
-
-The dense engine is the package's one NumPy user in a simulation, so
-:class:`DenseEngine` and :class:`EngineCounters` resolve on first
-access (a module ``__getattr__``): importing :mod:`repro.sim` loads
-no NumPy, and ``from repro.sim import DenseEngine`` loads it then.
+process.  Every driver runs that one model; :func:`run_dynamic`'s
+``engine`` argument takes ``"auto"`` or ``"reference"``, names of the
+same engine.  No simulation loads NumPy.
 """
-
-from typing import TYPE_CHECKING
 
 from .config import InvalidConfigError, SimConfig
 from .kernel import Environment, Event, LegacyEnvironment, Process, Timeout
@@ -24,6 +17,7 @@ from .reference import (
     AdaptivePathWorm,
     Channel,
     Delivery,
+    FreeFlight,
     PathWorm,
     TreeWorm,
     WormholeNetwork,
@@ -57,9 +51,6 @@ from .stats import SimStats, Summary, batch_means, t975
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 from .vct_tree import VCTTreeMulticast, inject_vct_tree, tree_chains
 
-if TYPE_CHECKING:
-    from .dense import DenseEngine, EngineCounters
-
 __all__ = [
     "AdaptivePathWorm",
     "AdaptiveSpec",
@@ -67,10 +58,8 @@ __all__ = [
     "CircuitMessage",
     "DeadlockDetected",
     "Delivery",
-    "DenseEngine",
     "DynamicResult",
     "ENGINES",
-    "EngineCounters",
     "Environment",
     "InvalidConfigError",
     "FaultEvent",
@@ -78,6 +67,7 @@ __all__ = [
     "FaultResult",
     "FaultState",
     "FaultyWormholeNetwork",
+    "FreeFlight",
     "LegacyEnvironment",
     "MixedResult",
     "Event",
@@ -112,16 +102,3 @@ __all__ = [
     "run_switching",
     "t975",
 ]
-
-#: names resolved from :mod:`repro.sim.dense` on first access
-_DENSE_NAMES = ("DenseEngine", "EngineCounters")
-
-
-def __getattr__(name: str) -> object:
-    if name in _DENSE_NAMES:
-        from . import dense
-
-        value = getattr(dense, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

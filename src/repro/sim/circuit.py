@@ -41,7 +41,7 @@ class CircuitMessage(Worm):
         # with L_c one flit
         ch = self.channels[self.idx]
         if not ch.free:
-            ch.waiters.append(self._advance)
+            self.net.wait(ch, self._advance)
             return
         ch.acquire()
         self.idx += 1

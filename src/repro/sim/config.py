@@ -87,10 +87,9 @@ class SimConfig:
 
     #: snap every traffic/retry/fault event time to the flit-time grid
     #: (each delay rounds to the nearest whole number of flit times, at
-    #: least one).  Off by default — the reference engine then matches
-    #: the seed simulator bit for bit.  Together with a power-of-two
-    #: flit time it puts a run on the :attr:`exact_grid`, the only
-    #: place the dense engine runs.
+    #: least one).  Off by default — the simulator then matches the
+    #: seed simulator bit for bit.  Together with a power-of-two flit
+    #: time it puts a run on the :attr:`exact_grid`.
     quantize_arrivals: bool = False
 
     def __post_init__(self):
@@ -155,8 +154,9 @@ class SimConfig:
     def exact_grid(self) -> bool:
         """Whether every event time is a whole number of flit times
         held exactly in a float: arrivals are quantized and the flit
-        time is a power of two.  Only there does the dense engine's
-        integer flit clock reproduce the reference calendar exactly."""
+        time is a power of two.  There a free-flight window times a
+        worm's hops by one multiplication each, which equals the
+        repeated addition of hop-by-hop dispatch; elsewhere it adds."""
         return self.quantize_arrivals and math.frexp(self.flit_time)[0] == 0.5
 
     @property

@@ -501,7 +501,7 @@ class FaultyPathWorm(FaultAwareWorm, PathWorm):
 
     def _wait(self, ch) -> None:
         if ch.capacity:
-            ch.waiters.append(self._advance)
+            self.net.wait(ch, self._advance)
         else:
             self.net.kill_worm(self)
 

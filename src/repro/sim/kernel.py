@@ -41,19 +41,35 @@ heads, so the execution order, and with it every simulation result, is
 bit-identical to a single-heap calendar, while the dominant entries
 cost an O(1) append and pop instead of two O(log n) sifts.
 
-:class:`LegacyEnvironment` retains the original heap-only calendar.
-It exists for benchmarking (``benchmarks/bench_kernel_throughput.py``
-measures the lanes' speedup against it) and for parity tests; it is
-not used by the simulators.  The benchmark and the parity tests swap
-it in for a whole run by replacing the ``Environment`` attribute of
-:mod:`repro.sim.runner`, whose run functions build every
-reference-engine calendar through it.
+Free-flight windows
+-------------------
+
+A network may install one *window* on the calendar
+(:meth:`Environment.set_window`): a callable the unbounded
+:meth:`Environment.run` offers the flit-lane head whenever that head
+is next to dispatch and the immediate lane is empty.  The window either
+declines, or runs every entry before some horizon itself and leaves
+the calendar, the clock and its own state exactly as dispatching them
+one by one would have (:class:`~repro.sim.reference.FreeFlight` runs
+uncontended path worms so).  A decline names the simulated time
+before which the kernel dispatches lane heads without offering them.
+Bounded runs (``run(until=...)``) never offer it.
+
+:class:`LegacyEnvironment` retains the original heap-only calendar,
+with no lanes and no window.  It exists for benchmarking
+(``benchmarks/bench_kernel_throughput.py`` measures the lanes' and the
+windows' speedup against it) and as the parity oracle; it is not used
+by the simulators.  The benchmark and the parity tests swap it in for
+a whole run by replacing the ``Environment`` attribute of
+:mod:`repro.sim.runner`, whose run functions build every calendar
+through it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
 from functools import partial
@@ -130,6 +146,12 @@ class Process(Event):
         target.wait(self._step)
 
 
+def _no_window(head: tuple) -> float:
+    """The window of a calendar no network installed one on: it
+    declines the first offer for good."""
+    return math.inf
+
+
 def _negative_delay(delay) -> ValueError:
     return ValueError(f"delay must be >= 0, got {delay!r}")
 
@@ -144,7 +166,7 @@ class Environment:
     lane, which preserves the seed kernel's strict scheduling order.
     """
 
-    __slots__ = ("now", "_queue", "_immediate", "_lane", "_lane_delay", "_seq")
+    __slots__ = ("now", "_queue", "_immediate", "_lane", "_lane_delay", "_seq", "_window")
 
     def __init__(self):
         self.now = 0.0
@@ -155,6 +177,7 @@ class Environment:
         # timed entry goes to the heap
         self._lane_delay = float("nan")
         self._seq = itertools.count(1).__next__
+        self._window: Callable | None = None
 
     def set_lane_delay(self, delay: float) -> None:
         """Send entries scheduled exactly ``delay`` ahead through the
@@ -169,6 +192,15 @@ class Environment:
                 heapq.heappush(self._queue, entry)
             self._lane.clear()
             self._lane_delay = delay
+
+    def set_window(self, window: Callable) -> None:
+        """Offer the flit-lane head to ``window`` (see the module
+        docstring) during unbounded runs.  ``window(head)`` returns a
+        negative number when it ran the entries up to its horizon
+        itself, else the time before which no lane head is offered.
+        The first window installed keeps the calendar."""
+        if self._window is None:
+            self._window = window
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` (>= 0) simulated time units."""
@@ -256,6 +288,8 @@ class Environment:
         current clock, so an immediate entry is overdue the moment it
         is observed; the only question is whether an *earlier-stamped*
         heap or flit-lane entry at the same timestamp must run first.
+        A flit-lane head due next with the immediate lane empty is
+        first offered to the window, if one is installed.
         """
         self._check_horizon(until)
         queue = self._queue
@@ -265,6 +299,9 @@ class Environment:
         popleft = immediate.popleft
         lane_pop = lane.popleft
         if until is None:
+            window = self._window or _no_window
+            # lane heads before this time are not offered to the window
+            resume = -1.0
             while True:
                 if immediate:
                     # an entry that beats the immediate head is stamped
@@ -284,7 +321,12 @@ class Environment:
                     entry = lane[0]
                     if queue and queue[0] < entry:
                         entry = heappop(queue)
+                    elif entry[0] < resume:
+                        lane_pop()
                     else:
+                        resume = window(entry)
+                        if resume < 0.0:
+                            continue
                         lane_pop()
                     self.now = entry[0]
                 elif queue:
@@ -323,10 +365,14 @@ class LegacyEnvironment(Environment):
     dispatch in strict ``(time, sequence)`` order), so a simulation run
     on either kernel produces bit-identical results; this class is the
     reference/baseline the throughput benchmark and parity tests
-    compare against.  It accepts a lane delay and ignores it.
+    compare against.  It accepts a lane delay and a window and ignores
+    both.
     """
 
     __slots__ = ()
+
+    def set_window(self, window: Callable) -> None:
+        pass
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         if not delay >= 0.0:

@@ -1,10 +1,9 @@
 """Reference flit-level wormhole network model (§2.2.4, §7.2).
 
-This is the authoritative coroutine/callback model: one worm object per
-message stepping through the event kernel.  It is the parity baseline
-for the vectorized structure-of-arrays engine in
-:mod:`repro.sim.dense`, exactly as :mod:`repro.exact.reference` and
-:mod:`repro.labeling.reference` anchor their optimised counterparts.
+This is the simulator's one wormhole model: one worm object per
+message stepping through the event kernel.  Uncontended plain path
+worms fly in free-flight windows (:class:`FreeFlight`), many hops per
+kernel dispatch, with exactly the outcome of stepping them hop by hop.
 
 Messages are *worms*: the header acquires one channel per flit time and
 the body follows in a pipeline; a blocked worm stays in the network,
@@ -43,13 +42,30 @@ routing on a double-channel network) or as per-subnetwork copies: a
 tree worm's channel is its arc tuple itself (``(u, v, quadrant)`` for
 the double-channel X-first tree), and a virtual-channel path worm maps
 each hop to ``(u, v, plane)``.
+
+Free-flight windows
+-------------------
+
+At light load most of a run is a few long path worms crossing an idle
+network, one kernel dispatch per hop.  When the flit lane holds
+nothing but such worms' hops and drain steps, :class:`FreeFlight`
+finds the longest interval in which they cannot affect one another —
+every acquisition finds its channel free whatever the interleaving, no
+release wakes a waiter, nothing else is due — and runs it worm by
+worm in slices instead of event by event.  The calendar, the channels,
+the delivery stream and the clock then stand exactly as hop-by-hop
+dispatch would leave them (PERFORMANCE.md §5 states the rules).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
+from heapq import heappop, heappush
+from itertools import accumulate, chain, compress, repeat
 
 from .config import SimConfig
 from .kernel import Environment
@@ -98,7 +114,10 @@ class WormholeNetwork:
     :class:`repro.sim.faults.FaultyWormholeNetwork` does exactly that.
     """
 
-    __slots__ = ("env", "config", "channels", "active_worms", "total_worms", "deliveries")
+    __slots__ = (
+        "env", "config", "channels", "active_worms", "total_worms", "deliveries",
+        "waiting", "flight",
+    )
 
     #: worm classes used by the inject_* methods (overridable).
     path_worm_cls: type
@@ -112,9 +131,18 @@ class WormholeNetwork:
         self.active_worms = 0
         self.total_worms = 0
         self.deliveries: list[Delivery] = []
+        #: callbacks queued on this network's channel waiter lists
+        self.waiting = 0
         # every hop timer is one flit time long: the calendar keeps
         # them in its flit lane
         env.set_lane_delay(config.flit_time)
+        #: the free-flight windows of this network's plain path worms;
+        #: None on subclasses, whose delivery, release or worm rules may
+        #: differ from the ones a window reproduces
+        self.flight: FreeFlight | None = None
+        if type(self) is WormholeNetwork:
+            self.flight = FreeFlight(self)
+            env.set_window(self.flight)
 
     def channel(self, key: Hashable, capacity: int | None = None) -> Channel:
         ch = self.channels.get(key)
@@ -128,6 +156,12 @@ class WormholeNetwork:
         ch = self.channels[key] = Channel(key, capacity)
         return ch
 
+    def wait(self, ch: Channel, callback) -> None:
+        """Queue ``callback`` on the busy channel ``ch``, to run when a
+        unit of it is released: the one way a worm waits."""
+        ch.waiters.append(callback)
+        self.waiting += 1
+
     def release(self, ch: Channel) -> None:
         """Release one unit of the channel and wake every waiter (in
         FIFO order).  Waiters re-attempt acquisition; a waiter that
@@ -135,6 +169,7 @@ class WormholeNetwork:
         stranded behind a blocked multi-channel (tree) waiter."""
         ch.in_use -= 1
         if ch.waiters:
+            self.waiting -= len(ch.waiters)
             self.env.wake_all(ch.waiters)
             ch.waiters.clear()
 
@@ -161,13 +196,15 @@ class WormholeNetwork:
         length (header modelling)."""
         channels = self.channels
         cap = capacity or self.config.channels_per_link
-        chans = []
-        for u, v in zip(nodes, nodes[1:]):
-            key = (u, v) if channel_key is None else channel_key(u, v)
-            ch = channels.get(key)
-            if ch is None:
-                ch = self._open(key, cap)
-            chans.append(ch)
+        hops = zip(nodes, nodes[1:])
+        keys = list(hops) if channel_key is None else [channel_key(u, v) for u, v in hops]
+        # a route's channels mostly exist already: look them all up in
+        # one pass, then open the missing ones in route order
+        chans = list(map(channels.get, keys))
+        if not all(chans):
+            for i, key in enumerate(keys):
+                if chans[i] is None:
+                    chans[i] = channels.get(key) or self._open(key, cap)
         worm = self.path_worm_cls(self, message_id, list(nodes), chans, destinations)
         if flits is not None:
             worm.flits = flits
@@ -224,8 +261,7 @@ class WormholeNetwork:
         self.active_worms -= 1
 
     # ------------------------------------------------------------------
-    # Engine surface shared with repro.sim.dense.DenseEngine:
-    # repro.sim.runner.run_dynamic uses either engine through these.
+    # The surface repro.sim.runner's drivers run a network through.
     # ------------------------------------------------------------------
 
     @property
@@ -327,13 +363,24 @@ class Worm:
 class PathWorm(Worm):
     """A single-path worm (see module docstring for the timing rules)."""
 
-    __slots__ = ("num_channels", "idx", "_sched")
+    __slots__ = ("num_channels", "idx", "_sched", "_dpos")
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
         super().__init__(net, message_id, nodes, channels, dests)
         self.num_channels = len(channels)
         self.idx = 0  # next channel index to acquire
         self._sched = net.env.schedule
+        # the destinations' positions on the route, found on the
+        # worm's first free flight
+        self._dpos: list[int] | None = None
+
+    def destination_positions(self) -> list[int]:
+        """The positions ``p`` on the route whose node latches a copy,
+        ascending: releasing unit ``p - 1`` delivers ``nodes[p]``."""
+        if self._dpos is None:
+            nodes = self.nodes
+            self._dpos = list(compress(range(len(nodes)), map(self.dests.__contains__, nodes)))
+        return self._dpos
 
     def _try_advance(self) -> None:
         i = self.idx
@@ -354,7 +401,7 @@ class PathWorm(Worm):
     def _wait(self, ch: Channel) -> None:
         """The header's next channel ``ch`` is busy: queue as its
         waiter, to retry when a unit of it is released."""
-        ch.waiters.append(self._advance)
+        self.net.wait(ch, self._advance)
 
 
 class AdaptivePathWorm(Worm):
@@ -416,7 +463,7 @@ class AdaptivePathWorm(Worm):
         if chosen is None:
             # block on the most-preferred candidate
             ch = self.net.channel((cur, candidates[0]), self.capacity)
-            ch.waiters.append(self._advance)
+            self.net.wait(ch, self._advance)
             return
         nxt, ch = chosen
         ch.acquire()
@@ -452,7 +499,7 @@ class TreeWorm(Worm):
         level = self.channels[k]
         for ch in level:
             if ch.in_use >= ch.capacity:
-                ch.waiters.append(self._advance)
+                self.net.wait(ch, self._advance)
                 return
         for ch in level:
             ch.in_use += 1
@@ -471,3 +518,357 @@ class TreeWorm(Worm):
 WormholeNetwork.path_worm_cls = PathWorm
 WormholeNetwork.adaptive_worm_cls = AdaptivePathWorm
 WormholeNetwork.tree_worm_cls = TreeWorm
+
+
+# ----------------------------------------------------------------------
+# Free-flight windows
+# ----------------------------------------------------------------------
+
+#: the calendar callbacks a window recognises: a plain path worm's hop,
+#: one of its drain releases and its finish
+_HOP = PathWorm._try_advance
+_RELEASE = Worm._release
+_FINISH = Worm._finished
+
+
+class _Flyer:
+    """One worm's part in a window: its hop entry in the flit lane
+    (``rank`` places it there), the times of its hops from that entry
+    on and ``n``, how many of them the window runs.
+
+    Hop ``k`` acquires unit ``idx + k`` at ``time(k)``: ``x0 + k * tf``
+    on the flit grid, where that sum is exact, and otherwise ``xs[k]``,
+    the repeated addition of ``tf`` that ``now + delay`` performs hop
+    by hop.  Hop ``r`` would start the drain."""
+
+    __slots__ = ("rank", "entry", "worm", "x0", "tf", "xs", "r", "n")
+
+    def __init__(self, rank: int, entry: tuple, worm: PathWorm, tf: float, on_grid: bool):
+        self.rank = rank
+        self.entry = entry
+        self.worm = worm
+        self.x0 = x0 = entry[0]
+        self.tf = tf
+        self.r = r = worm.num_channels - worm.idx
+        self.xs = None if on_grid else list(accumulate(repeat(tf, r), initial=x0))
+        self.n = 0
+
+    def time(self, k: int) -> float:
+        return self.x0 + k * self.tf if self.xs is None else self.xs[k]
+
+    def hops_before(self, horizon: float) -> int:
+        """How many of the hops ``0 .. r`` fall before ``horizon``."""
+        if self.xs is not None:
+            return bisect_left(self.xs, horizon)
+        x0, tf = self.x0, self.tf
+        if horizon <= x0:
+            return 0
+        n = math.ceil((horizon - x0) / tf)
+        while x0 + (n - 1) * tf >= horizon:
+            n -= 1
+        while x0 + n * tf < horizon:
+            n += 1
+        return n
+
+
+class FreeFlight:
+    """Free-flight windows for one :class:`WormholeNetwork`.
+
+    The kernel offers this object the flit-lane head whenever that head
+    is next to dispatch and nothing is immediate (see
+    :mod:`repro.sim.kernel`).  A window opens when every lane entry is a
+    plain :class:`PathWorm`'s hop, or a drain release or finish of one.
+    It runs every event before a horizon ``T``, the largest that keeps
+    the worms apart:
+
+    * no flying worm starts its drain before ``T``;
+    * every heap entry before ``T`` is a plain path worm's drain
+      release or finish: the window absorbs it;
+    * every channel the window acquires has ``in_use`` at the start
+      plus the window's acquisitions of it within its capacity, so each
+      acquisition succeeds whatever the interleaving;
+    * no channel acquired or released before ``T`` has a waiter (the
+      network's ``waiting`` count spares the look when it is 0).
+
+    Each worm then moves in slices: ``in_use`` takes only its net
+    change, and the deliveries come from the worm's destination
+    positions.  Every event keeps the ``(time, seq)`` key it would have
+    had, real for entries already on the calendar and virtual, after
+    every real one, for the hops the window creates, so deliveries
+    merge in dispatch order.  The lane is left as hop-by-hop dispatch
+    leaves it, each worm's next hop stamped with a fresh sequence
+    number in dispatch order, and the clock at the last event run.
+
+    A window that would fly fewer than :attr:`MIN_HOPS` hops is
+    declined, and each decline in a row doubles the flit times the
+    kernel lets pass before the next offer, up to
+    ``2**MAX_BACKOFF_SHIFT``: a contended network, where windows are
+    short, pays almost nothing for them.
+    """
+
+    #: fewest hops a window must fly to pay for its set-up
+    MIN_HOPS = 32
+    #: cap on the backoff, as a power of two of flit times
+    MAX_BACKOFF_SHIFT = 12
+
+    __slots__ = (
+        "net", "env", "tf", "grid", "_fails",
+        "windows", "hops_flown", "drains_absorbed", "attempts", "backoffs",
+    )
+
+    def __init__(self, net: WormholeNetwork):
+        self.net = net
+        self.env = net.env
+        self.tf = net.config.flit_time
+        # on a power-of-two flit time, a time on the flit grid plus k
+        # flit times is exact: the repeated addition gives the same
+        self.grid = math.frexp(self.tf)[0] == 0.5
+        self._fails = 0
+        #: windows run, hops they flew, drain steps they absorbed
+        self.windows = self.hops_flown = self.drains_absorbed = 0
+        #: offers taken (``attempts = windows + backoffs``)
+        self.attempts = self.backoffs = 0
+
+    def counters(self) -> dict[str, int]:
+        """The window counters, by name."""
+        return {
+            "windows": self.windows,
+            "hops_flown": self.hops_flown,
+            "drains_absorbed": self.drains_absorbed,
+            "attempts": self.attempts,
+            "backoffs": self.backoffs,
+        }
+
+    def __call__(self, head: tuple) -> float:
+        """The kernel's offer of the lane head ``head``: -1 after a
+        window, else the time before which no lane head is offered."""
+        self.attempts += 1
+        if self._fly(head):
+            self.windows += 1
+            self._fails = 0
+            return -1.0
+        self.backoffs += 1
+        self._fails = fails = min(self._fails + 1, self.MAX_BACKOFF_SHIFT)
+        return head[0] + ((1 << fails) - 1) * self.tf
+
+    def _fly(self, head: tuple) -> bool:
+        net = self.net
+        lane = self.env._lane
+        queue = self.env._queue
+        tf = self.tf
+        # the lane: hops of plain path worms and their drain steps only
+        hops: list = []
+        steps: list = []
+        for rank, entry in enumerate(lane):
+            fn = entry[2]
+            worm = getattr(fn, "__self__", None)
+            if type(worm) is not PathWorm or worm.net is not net:
+                return False
+            func = fn.__func__
+            if func is _HOP:
+                hops.append((rank, entry, worm))
+            elif func is _RELEASE or func is _FINISH:
+                steps.append(entry)
+            else:
+                return False
+        if not hops:
+            return False
+        # no drain starts in a window: decline at once when even that
+        # horizon, estimated by products, leaves too few hops, since
+        # each flyer flies at most one more hop than whole flit times
+        # fit before it
+        horizon = min(entry[0] + (worm.num_channels - worm.idx) * tf for _, entry, worm in hops)
+        room = sum(horizon - entry[0] for _, entry, _ in hops if entry[0] < horizon)
+        if room < (self.MIN_HOPS - len(hops)) * tf:
+            return False
+        on_grid = self.grid and not any(entry[0] % tf for _, entry, _ in hops)
+        flyers = [_Flyer(rank, entry, worm, tf, on_grid) for rank, entry, worm in hops]
+        horizon = min(f.time(f.r) for f in flyers)
+        # the lane's drain steps and the heap's before the horizon are
+        # absorbed, unless a release would wake a waiter; anything else
+        # due there ends the window
+        waiting = net.waiting
+        for entry in steps:
+            if entry[0] >= horizon:
+                break
+            fn = entry[2]
+            if waiting and fn.__func__ is _RELEASE and fn.__self__.channels[entry[3][0]].waiters:
+                horizon = entry[0]
+                break
+        absorbed: list = []
+        while queue:
+            entry = queue[0]
+            if entry[0] >= horizon:
+                break
+            fn = entry[2]
+            worm = getattr(fn, "__self__", None)
+            if type(worm) is not PathWorm or worm.net is not net:
+                horizon = entry[0]
+                break
+            func = fn.__func__
+            if func is _RELEASE:
+                if waiting and worm.channels[entry[3][0]].waiters:
+                    horizon = entry[0]
+                    break
+            elif func is not _FINISH:
+                horizon = entry[0]
+                break
+            absorbed.append(heappop(queue))
+        # no flyer meets another, or a waiter, before the horizon
+        if self._hops(flyers, horizon) >= self.MIN_HOPS:
+            conflict = self._conflict(flyers, waiting)
+            if conflict is not None:
+                horizon = conflict
+                while absorbed and absorbed[-1][0] >= horizon:
+                    heappush(queue, absorbed.pop())
+            if self._hops(flyers, horizon) >= self.MIN_HOPS:
+                self._commit(flyers, [e for e in steps if e[0] < horizon] + absorbed, horizon)
+                return True
+        for entry in absorbed:
+            heappush(queue, entry)
+        return False
+
+    @staticmethod
+    def _hops(flyers: list, horizon: float) -> int:
+        """Set every flyer's ``n`` to its hops before ``horizon``, and
+        return their sum."""
+        total = 0
+        for f in flyers:
+            f.n = f.hops_before(horizon)
+            total += f.n
+        return total
+
+    def _conflict(self, flyers: list, waiting: int) -> float | None:
+        """The time of the first hop, in dispatch order, within the
+        flyers' ``n`` that could interact: an acquisition past its
+        channel's capacity, counted from ``in_use`` at the start plus
+        every claim of the window before it (so it holds whatever the
+        interleaving), or an acquisition or release of a channel with
+        a waiter.  None when there is none.
+
+        The flit lane is a FIFO, so hop-by-hop dispatch runs the
+        flyers' hops round by round in lane order; the scan walks them
+        in that order."""
+        live = [f for f in flyers if f.n]
+        acquired = [f.worm.channels[f.worm.idx : f.worm.idx + f.n] for f in live]
+        rounds = min(f.n for f in live)
+        # every flyer's first `rounds` hops, round-major, then the
+        # flyers' last hop past them (each n differs by at most one
+        # from the least, all entries lying within one flit time)
+        order = list(chain.from_iterable(zip(*acquired)))
+        order += [a[rounds] for a in acquired if len(a) > rounds]
+        claims: dict = {}
+        get = claims.get
+        p = 0
+        for ch in order:
+            c = get(ch, 0) + 1
+            if ch.in_use + c > ch.capacity:
+                break
+            claims[ch] = c
+            p += 1
+        first = math.inf
+        if p < len(order):
+            first = self._hop_time(live, acquired, rounds, p)
+        if waiting:
+            for f, a in zip(live, acquired):
+                worm = f.worm
+                i = worm.idx
+                for k, ch in enumerate(a):
+                    if ch.waiters:
+                        first = min(first, f.time(k))
+                        break
+                lo = max(0, i - worm.flits)
+                released = worm.channels[lo : max(lo, i + f.n - worm.flits)]
+                for j, ch in enumerate(released):
+                    if ch.waiters:
+                        # hop k releases unit i + k - flits
+                        first = min(first, f.time(lo + j + worm.flits - i))
+                        break
+        return None if first == math.inf else first
+
+    @staticmethod
+    def _hop_time(live: list, acquired: list, rounds: int, p: int) -> float:
+        """The time of the ``p``-th hop of :meth:`_conflict`'s order."""
+        width = len(live)
+        if p < rounds * width:
+            return live[p % width].time(p // width)
+        tail = [f for f, a in zip(live, acquired) if len(a) > rounds]
+        return tail[p - rounds * width].time(rounds)
+
+    def _commit(self, flyers: list, drains: list, horizon: float) -> None:
+        """Run the window: every flyer's ``n`` hops and the drain steps
+        ``drains`` (in key order), then leave the lane, the deliveries
+        and the clock as hop-by-hop dispatch would."""
+        net = self.net
+        env = self.env
+        lane = env._lane
+        width = len(lane)
+        # (time, created?, order, delivery): created hops' virtual
+        # sequence numbers follow every real one, in dispatch order
+        found = []
+        pending = []
+        last = -math.inf
+        hops = 0
+        for f in flyers:
+            n = f.n
+            if not n:
+                continue
+            hops += n
+            worm = f.worm
+            i = worm.idx
+            flits = worm.flits
+            chans = worm.channels
+            end = i + n
+            # net in_use: units acquired and still held, units held
+            # before the window and released in it
+            for ch in chans[max(i, end - flits) : end]:
+                ch.in_use += 1
+            lo = max(0, i - flits)
+            hi = end - flits
+            for ch in chans[lo : max(lo, min(i, hi))]:
+                ch.in_use -= 1
+            if hi > lo:
+                dpos = worm.destination_positions()
+                a = bisect_left(dpos, lo + 1)
+                b = bisect_left(dpos, hi + 1)
+                if a < b:
+                    mid = worm.message_id
+                    nodes = worm.nodes
+                    injected = worm.injected_at
+                    seq = f.entry[1]
+                    rank = f.rank
+                    for p in dpos[a:b]:
+                        k = p - 1 + flits - i  # the hop releasing unit p - 1
+                        x = f.time(k)
+                        order = k * width + rank if k else seq
+                        found.append((x, k > 0, order, Delivery(mid, nodes[p], injected, x)))
+            worm.idx = end
+            x = f.time(n - 1)
+            if x > last:
+                last = x
+            pending.append((n, f.rank, f.time(n), worm._advance))
+        for x, seq, fn, args in drains:
+            worm = fn.__self__
+            if fn.__func__ is _RELEASE:
+                j = args[0]
+                worm.channels[j].in_use -= 1
+                node = worm.nodes[j + 1]
+                if node in worm.dests:
+                    found.append(
+                        (x, False, seq, Delivery(worm.message_id, node, worm.injected_at, x))
+                    )
+            else:
+                net.finish(worm)
+            if x > last:
+                last = x
+        if found:
+            found.sort()
+            net.deliveries.extend(d for _, _, _, d in found)
+        while lane and lane[0][0] < horizon:
+            lane.popleft()
+        pending.sort()
+        seq = env._seq
+        lane.extend((x, seq(), fn, ()) for _, _, x, fn in pending)
+        env.now = last
+        self.hops_flown += hops
+        self.drains_absorbed += len(drains)

@@ -14,26 +14,20 @@ draw (:func:`_destination_sampler`).
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
 
-:func:`run_dynamic` picks its engine per run (:func:`choose_engine`):
-the reference model (:mod:`repro.sim.reference`) steps one worm object
-per event through the kernel, and the dense engine
-(:mod:`repro.sim.dense`) advances fault-free path worms as flat arrays
-on an integer flit clock; it, and NumPy with it, is imported only by a
-run that picks it.  The run talks to either only through the
-surface the two share — ``schedule`` (delays in seconds),
-``inject_path``, ``run_to_completion``, ``now``, the worm counts and
-``delivery_latencies``.  The dense engine runs only where it agrees
-with the reference event for event (:func:`dense_refusal`): star
-worms on the exact flit grid (:attr:`SimConfig.exact_grid`), so the
-choice never changes a number.  ``engine="reference"`` and
-``engine="dense"`` force one engine, for parity oracles and engine
-benchmarks; a forced dense run the rule refuses, and any config with
-fault rates, raise :class:`~repro.sim.config.InvalidConfigError`
-(:func:`check_dynamic_run`).  The other drivers run on the reference
-engine, :func:`run_resilient` on its fault-aware subclass
-(:class:`~repro.sim.faults.FaultyWormholeNetwork`) and
-:func:`run_switching` also on the store-and-forward network
-(:class:`~repro.sim.saf.SAFNetwork`).
+:func:`run_dynamic` and the other drivers run the reference model
+(:mod:`repro.sim.reference`), one worm object per message stepping
+through the kernel, whose free-flight windows fly uncontended plain
+path worms many hops per dispatch with exactly the hop-by-hop outcome;
+:func:`run_dynamic` reports their counters in
+``result.engine_stats["windows"]``.  Its ``engine`` argument keeps the
+two names of that one engine: ``"auto"`` (the default, which also
+records :func:`choose_engine`'s decision) and ``"reference"``; any
+other name, and a config with fault rates, is refused
+(:func:`check_dynamic_run`).  :func:`run_resilient` runs on the
+fault-aware subclass (:class:`~repro.sim.faults.FaultyWormholeNetwork`)
+and :func:`run_switching` also on the store-and-forward network
+(:class:`~repro.sim.saf.SAFNetwork`); the fault-aware worms and those
+of the other switching models never fly.
 """
 
 from __future__ import annotations
@@ -57,109 +51,40 @@ from .stats import SimStats, Summary, batch_means
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
 from .vct import inject_vct_path
 
-ENGINES = ("reference", "dense", "auto")
-
-#: worm styles the dense engine has a kernel for (plain path worms)
-DENSE_WORM_STYLES = ("star",)
+#: the names ``run_dynamic(engine=...)`` accepts, both for the
+#: reference model
+ENGINES = ("reference", "auto")
 
 #: worm styles with no fault-aware worm: a fault would pass them by
 #: unnoticed, so :func:`check_resilient_run` refuses them under faults
 FAULT_BLIND_WORM_STYLES = ("vct-tree",)
-
-#: aggregate injection gap — mean flit ticks between successive
-#: injections network-wide — above which the dense engine's frontier
-#: windows have room to amortize their fixed per-commit cost (measured
-#: crossover, PERFORMANCE.md §5; winning cells sit near 370, the
-#: contended regime below ~110)
-AUTO_GAP_TICKS = 320
-
-#: minimum routed hops per message for ``engine="auto"`` to pick dense:
-#: short multicast paths put too few rows in each frontier window to
-#: clear the NumPy dispatch crossover (PERFORMANCE.md §5)
-AUTO_MIN_HOPS = 96
 
 
 class DeadlockDetected(RuntimeError):
     """The simulation stalled with unfinished worms and no events."""
 
 
-def dense_refusal(worm_style: str, config: SimConfig) -> str | None:
-    """Why the dense engine cannot run ``worm_style`` worms under
-    ``config`` — ``"worm-style"`` (it has a kernel for star worms
-    only) or ``"inexact-grid"`` (off :attr:`SimConfig.exact_grid` its
-    integer flit clock rounds event times the reference keeps) — or
-    None where it runs them exactly like the reference engine."""
-    if worm_style not in DENSE_WORM_STYLES:
-        return "worm-style"
-    if not config.exact_grid:
-        return "inexact-grid"
-    return None
-
-
-def _probe_route(topology, router, config) -> tuple[int, int]:
-    """Worms and routed hops of one representative multicast: a
-    mid-index source with destinations spread evenly over the whole
-    index range."""
-    nodes = topology.num_nodes
-    k = min(config.num_destinations, nodes - 1)
-    src_i = nodes // 2
-    sel: list[int] = []
-    for i in range(k + 1):
-        j = (i * nodes) // (k + 1)
-        if j != src_i and j not in sel:
-            sel.append(j)
-    dests = tuple(topology.node_at(j) for j in sel[:k])
-    specs = router(MulticastRequest.trusted(topology, topology.node_at(src_i), dests))
-    return len(specs), sum(len(s.nodes) - 1 for s in specs)
+#: worm styles whose worms are plain path worms, the only ones that fly
+FLYING_WORM_STYLES = ("star", "vc-star")
 
 
 def choose_engine(topology, router, config) -> tuple[str, dict]:
-    """Pick ``"dense"`` or ``"reference"`` for one run — the
-    ``engine="auto"`` policy.
+    """The ``engine="auto"`` decision for one run, with the features
+    behind it.
 
-    The dense engine runs only where :func:`dense_refusal` allows it,
-    and pays off only where its multi-tick frontier windows fire
-    (PERFORMANCE.md §5): injections sparse enough network-wide, and
-    routes long enough that windows span the ~100-row NumPy dispatch
-    crossover.  Worm style, grid and load come from the config; only a
-    star scheme on the exact grid at light load routes one
-    representative request to measure its route length.  Everything
-    else runs the reference kernel, which is the never-materially-worse
-    baseline.
-
-    Returns ``(engine, features)`` where ``features`` records every
-    input to the decision plus the decision itself (``route_hops`` and
-    ``worms_per_message`` are None when no probe ran); drivers surface
-    it as ``result.engine_stats["auto"]``.
+    One engine remains: the reference model, whose free-flight windows
+    engage at run time on what the run itself shows (PERFORMANCE.md
+    §5), never on a workload's identity.  So the decision is always
+    ``"reference"``; the record names the worm style, which decides
+    whether any worm can fly (plain path worms of the ``star`` and
+    ``vc-star`` styles only).  Drivers surface it as
+    ``result.engine_stats["auto"]``.
     """
-    gap = config.ticks(config.mean_interarrival)
-    nodes = topology.num_nodes
-    agg_gap = gap / max(1, nodes)
     style = router.spec.worm_style
-    worms: int | None = None
-    hops: int | None = None
-    reason = dense_refusal(style, config)
-    if reason is None and agg_gap < AUTO_GAP_TICKS:
-        reason = "saturated"
-    if reason is None:
-        worms, hops = _probe_route(topology, router, config)
-        if hops < AUTO_MIN_HOPS:
-            reason = "short-routes"
-    decision = "reference" if reason else "dense"
-    return decision, {
+    return "reference", {
         "worm_style": style,
-        "nodes": nodes,
-        "interarrival_ticks": gap,
-        "aggregate_gap_ticks": round(agg_gap, 3),
-        "gap_threshold_ticks": AUTO_GAP_TICKS,
-        "flits_per_message": config.flits_per_message,
-        "num_destinations": config.num_destinations,
-        "route_hops": hops,
-        "hops_threshold": AUTO_MIN_HOPS,
-        "worms_per_message": worms,
-        "exact_grid": config.exact_grid,
-        "decision": decision,
-        "reason": reason or "frontier-windows",
+        "decision": "reference",
+        "reason": "free-flight" if style in FLYING_WORM_STYLES else "worm-style",
     }
 
 
@@ -172,11 +97,11 @@ class DynamicResult:
     deliveries: int
     sim_time: float
     worms: int = 0
-    #: simulation engine that produced this result
+    #: simulation engine that produced this result (checkpoints from
+    #: before the dense engine's removal may name ``"dense"``)
     engine: str = "reference"
-    #: dense-engine counters (``DenseEngine.cache_stats()``) and the
-    #: ``engine="auto"`` decision record under ``"auto"``; None for
-    #: reference runs without an auto decision
+    #: the free-flight window counters under ``"windows"`` and the
+    #: ``engine="auto"`` decision record under ``"auto"``
     engine_stats: dict | None = None
 
     @property
@@ -246,31 +171,22 @@ def _make_router(topology, scheme, config, fault_state=None) -> Router:
 
 def check_dynamic_run(spec, config: SimConfig, engine: str = "auto") -> None:
     """Raise unless :func:`run_dynamic` can run ``spec``'s scheme under
-    ``config`` on ``engine``: ``ValueError`` for an unknown engine, and
-    :class:`InvalidConfigError` for fault rates (only
-    :func:`run_resilient` injects faults) or for ``engine="dense"``
-    where :func:`dense_refusal` refuses it."""
+    ``config`` on ``engine``: :class:`InvalidConfigError` for fault
+    rates (only :func:`run_resilient` injects faults) or for the
+    removed ``"dense"`` engine, and ``ValueError`` for any other
+    unknown engine."""
+    if engine == "dense":
+        raise InvalidConfigError(
+            "engine 'dense' was removed: the reference engine's free-flight "
+            "windows run its regime with identical results; use 'auto' or "
+            "'reference'"
+        )
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if config.faulty:
         raise InvalidConfigError(
             "run_dynamic simulates a fault-free network; a config with "
             "fault rates needs run_resilient"
-        )
-    if engine != "dense":
-        return
-    refusal = dense_refusal(spec.worm_style, config)
-    if refusal == "worm-style":
-        raise InvalidConfigError(
-            f"engine 'dense' runs path worms only; {spec.name} sends "
-            f"{spec.worm_style} worms"
-        )
-    if refusal == "inexact-grid":
-        raise InvalidConfigError(
-            "engine 'dense' runs only on the exact flit grid "
-            "(quantize_arrivals=True and a power-of-two flit time); "
-            f"flit time {config.flit_time!r} s with quantize_arrivals="
-            f"{config.quantize_arrivals} is off it"
         )
 
 
@@ -373,9 +289,9 @@ def run_dynamic(
     router: Router | None = None,
     engine: str = "auto",
 ) -> DynamicResult:
-    """Simulate Poisson multicast traffic under one routing scheme, on
-    the engine :func:`choose_engine` picks (``engine="auto"``) or on a
-    forced one.
+    """Simulate Poisson multicast traffic under one routing scheme on
+    the reference model; ``engine="auto"`` also records
+    :func:`choose_engine`'s decision.
 
     Raises :class:`DeadlockDetected` if the network wedges (only
     possible for the deliberately deadlock-prone tree schemes on single
@@ -386,17 +302,10 @@ def run_dynamic(
     check_dynamic_run(router.spec, config, engine)
     rng = random.Random(config.seed)
     draw_destinations = _destination_sampler(topology, rng, config.num_destinations)
-    auto: dict | None = None
+    engine_stats: dict = {}
     if engine == "auto":
-        engine, auto = choose_engine(topology, router, config)
-    dense = None
-    if engine == "dense":
-        # the one import of NumPy a simulation makes: runs on the
-        # reference engine never load it
-        from .dense import DenseEngine
-
-        dense = DenseEngine(config)
-    net = dense or WormholeNetwork(Environment(), config)
+        engine, engine_stats["auto"] = choose_engine(topology, router, config)
+    net = WormholeNetwork(Environment(), config)
     # capacity for path worms: pooled double channels when the network
     # is double-channel; tree worms always use their own tagged copies.
     path_capacity = config.channels_per_link
@@ -410,9 +319,8 @@ def run_dynamic(
     injected = _drive(net, topology, rng, config, send)
     cutoff = config.num_messages * config.warmup_fraction
     delivered = net.delivery_latencies()
-    engine_stats = dense.cache_stats() if dense is not None else {}
-    if auto is not None:
-        engine_stats["auto"] = auto
+    if net.flight is not None:  # a subclass of the network flies none
+        engine_stats["windows"] = net.flight.counters()
     return DynamicResult(
         latency=batch_means([lat for mid, lat in delivered if mid > cutoff]),
         injected_messages=injected,
@@ -420,7 +328,7 @@ def run_dynamic(
         sim_time=net.now,
         worms=net.total_worms,
         engine=engine,
-        engine_stats=engine_stats or None,
+        engine_stats=engine_stats,
     )
 
 

@@ -50,7 +50,7 @@ class VCTWorm(Worm):
                 first, last = self.seg_first_held, self.idx
                 self.env.schedule(drain, self._drain_segment, first, last)
                 self.seg_first_held = self.idx
-            ch.waiters.append(self._advance)
+            self.net.wait(ch, self._advance)
             return
         ch.acquire()
         i = self.idx

@@ -1,24 +1,22 @@
-"""Dense-engine parity: the vectorized SoA core must reproduce the
-coroutine reference model event for event.
+"""Engine parity on the exact flit grid: the windowed reference engine
+against the heap-only calendar.
 
-Every test runs the same workload through the reference model and its
-twin under a dyadic configuration (power-of-two bandwidth and flit size
-with ``quantize_arrivals=True``), where the reference engine's float
-calendar is exactly representable on the dense engine's integer
-flit-tick grid.  Parity then means *equality* — identical latency
-summaries, simulation time, and delivery counts, not approximate
-agreement.
+This file once held the parity suite of the NumPy dense engine, since
+removed; it keeps its name so its case ids stay stable.  The oracle is
+now :class:`~repro.sim.kernel.LegacyEnvironment`, which never opens a
+free-flight window: every case runs the same workload on the runner's
+windowed calendar and with the legacy one swapped in, under a dyadic
+configuration (power-of-two bandwidth and flit size with
+``quantize_arrivals=True``), and parity means *equality* — identical
+latency summaries, simulation time and delivery counts.
 
-The dense engine serves fault-free plain path worms (``worm_style``
-``star``) only, and only :func:`run_dynamic` selects it; a dense
-request for virtual-channel, tree, adaptive or VCT worms raises, and
-``engine="auto"`` runs them on the reference engine
-(:func:`test_dense_falls_back_to_reference`,
-:func:`test_dense_rejects_unserved_worm_styles`).  The twin of the
-other worm styles is their fault-aware subclass, whose parity cases
-live in ``tests/test_faults_sim.py``.  Bursts at time zero have no
-arrival process, so the static tests inject them into each network
-directly.
+Only plain path worms fly; tree, adaptive, VCT and virtual-channel
+worms run hop by hop (:func:`test_dense_falls_back_to_reference`), and
+the removed ``engine="dense"`` is refused for every worm style
+(:func:`test_dense_rejects_unserved_worm_styles`).  Bursts at time zero
+have no arrival process, so the static tests inject them into each
+network directly.  The wider window suite is
+``tests/test_free_flight_parity.py``.
 """
 
 from __future__ import annotations
@@ -27,12 +25,13 @@ import random
 
 import pytest
 
+import repro.sim.runner as sim_runner
 from repro import registry
 from repro.models.request import MulticastRequest
 from repro.sim import (
-    DenseEngine,
     Environment,
     InvalidConfigError,
+    LegacyEnvironment,
     Router,
     SimConfig,
     WormholeNetwork,
@@ -40,12 +39,11 @@ from repro.sim import (
     run_dynamic,
     run_resilient,
 )
-from repro.sim.runner import DENSE_WORM_STYLES
 from repro.topology import Hypercube, KAryNCube, Mesh2D
 
 # Dyadic parity base: 2-byte flits on a 2 MB/s channel give a flit time
 # of 2**-20 s, so every quantized event lands on an exactly-representable
-# float and both engines see the same calendar.
+# float.
 BASE = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
 
 
@@ -60,9 +58,20 @@ def _fingerprint(result):
     )
 
 
+def _hop_by_hop(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with the runner's calendars on the
+    heap-only kernel, which never opens a window."""
+    saved = sim_runner.Environment
+    sim_runner.Environment = LegacyEnvironment
+    try:
+        return run(*args, **kwargs)
+    finally:
+        sim_runner.Environment = saved
+
+
 def _run_both(topology, scheme, cfg):
-    ref = run_dynamic(topology, scheme, cfg, engine="reference")
-    return ref, run_dynamic(topology, scheme, cfg, engine="dense")
+    ref = _hop_by_hop(run_dynamic, topology, scheme, cfg)
+    return ref, run_dynamic(topology, scheme, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +117,7 @@ def test_moderate_load_parity(topology, scheme, kw):
     cfg = SimConfig(**BASE, **kw)
     ref, twin = _run_both(topology, scheme, cfg)
     assert _fingerprint(twin) == _fingerprint(ref)
-    assert twin.engine == "dense"
+    assert twin.engine == "reference"
 
 
 # ----------------------------------------------------------------------
@@ -157,9 +166,8 @@ def test_near_saturation_parity(scheme, ia, seed):
 
 def test_resilient_zero_rate_matches_dynamic():
     """With no faults configured the resilient runner degenerates to
-    the plain dynamic run: on the flit grid (``quantize_arrivals=True``)
-    the fault-aware reference network matches the dense engine's run
-    event for event."""
+    the plain dynamic run: on the flit grid the fault-aware network,
+    which never flies, matches the windowed run event for event."""
     cfg = SimConfig(
         **BASE, seed=5, mean_interarrival=250e-6,
         num_messages=200, num_destinations=5,
@@ -167,8 +175,8 @@ def test_resilient_zero_rate_matches_dynamic():
     resilient = run_resilient(Mesh2D(8, 8), "dual-path", cfg)
     assert (resilient.engine, resilient.engine_stats) == ("reference", None)
     assert resilient.stats.delivered == resilient.expected_deliveries
-    plain = run_dynamic(Mesh2D(8, 8), "dual-path", cfg, engine="dense")
-    assert plain.engine == "dense"
+    plain = run_dynamic(Mesh2D(8, 8), "dual-path", cfg, engine="reference")
+    assert plain.engine == "reference"
     assert _fingerprint(resilient) == _fingerprint(plain)
 
 
@@ -187,21 +195,22 @@ def _fig_6_4():
 
 
 def _burst_both(topology, scheme, requests, cfg):
-    """Inject ``requests`` at time zero into a fresh reference network
-    and a fresh dense engine and run both dry; their outcomes must
-    agree event for event.  Returns the reference outcome and the
-    dense engine."""
+    """Inject ``requests`` at time zero into a fresh network on each
+    calendar and run both dry; their outcomes must agree event for
+    event.  Returns the outcome and the windowed network."""
     router = Router(topology, scheme, channels_per_link=cfg.channels_per_link)
-    twin = DenseEngine(cfg)
     outcomes = []
-    for net in (WormholeNetwork(Environment(), cfg), twin):
+    nets = []
+    for env_cls in (Environment, LegacyEnvironment):
+        net = WormholeNetwork(env_cls(), cfg)
         for mid, request in enumerate(requests, start=1):
             inject_specs(net, mid, router(request), cfg.channels_per_link, router)
         completed = net.run_to_completion()
         outcomes.append((completed, net.active_worms, net.delivery_latencies(), net.now))
-    ref, other = outcomes
-    assert other == ref
-    return ref, twin
+        nets.append(net)
+    windowed, other = outcomes
+    assert other == windowed
+    return windowed, nets[0]
 
 
 @pytest.mark.parametrize("scheme,channels", [
@@ -218,8 +227,8 @@ def test_static_fix_parity(scheme, channels):
 
 
 def test_static_burst_parity_batches():
-    """A 64-source fixed-path burst on a 6-cube matches the reference
-    on the dense engine, which commits work in its kernels."""
+    """A 64-source fixed-path burst on a 6-cube matches hop-by-hop
+    dispatch on the windowed calendar."""
     cube = Hypercube(6)
     rng = random.Random(1)
     requests = [
@@ -228,12 +237,11 @@ def test_static_burst_parity_batches():
         )
         for s in cube.nodes()
     ]
-    (completed, _, delivered, _), dense = _burst_both(
+    (completed, _, delivered, _), net = _burst_both(
         cube, "fixed-path", requests, SimConfig(**BASE)
     )
     assert completed and len(delivered) == 64 * 16
-    stats = dense.cache_stats()
-    assert stats["events"] + stats["batched_events"] > 0
+    assert net.flight.attempts > 0
 
 
 # ----------------------------------------------------------------------
@@ -242,21 +250,20 @@ def test_static_burst_parity_batches():
 
 
 def test_engine_counters_exposed():
+    """Every run reports its free-flight window counters, which
+    reconcile: each offer taken either ran a window or backed off."""
     cfg = SimConfig(
-        **BASE, seed=3, mean_interarrival=250e-6,
+        **BASE, seed=3, mean_interarrival=25000e-6,
         num_messages=100, num_destinations=5,
     )
-    ref, dense = _run_both(Mesh2D(8, 8), "fixed-path", cfg)
-    assert ref.engine_stats is None
-    stats = dense.engine_stats
-    assert stats is not None
-    # every key benchmarks/e2e and bench_dense_core.py read, too
-    for key in ("events", "batched_events", "max_batch_width",
-                "windows", "window_aborts", "window_hist", "array_ops",
-                "blocks", "wakes", "deliveries", "worms",
-                "ticks", "channels"):
-        assert key in stats, key
-    assert stats["events"] + stats["batched_events"] > 0
+    ref, windowed = _run_both(Mesh2D(8, 8), "fixed-path", cfg)
+    assert _fingerprint(ref) == _fingerprint(windowed)
+    stats = windowed.engine_stats["windows"]
+    assert set(stats) == {"windows", "hops_flown", "drains_absorbed", "attempts", "backoffs"}
+    assert stats["attempts"] == stats["windows"] + stats["backoffs"]
+    assert stats["windows"] > 0 and stats["hops_flown"] > 0
+    # the heap-only calendar never offers a window
+    assert set(ref.engine_stats["windows"].values()) == {0}
 
 
 def test_unknown_engine_rejected():
@@ -265,7 +272,7 @@ def test_unknown_engine_rejected():
         run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="sparse")
 
 
-#: runs the dense engine does not serve
+#: runs whose worms never fly
 UNSERVED = [
     pytest.param(Mesh2D(8, 8), "vct-tree", {}, id="vct-tree"),
     pytest.param(Mesh2D(8, 8), "xfirst-tree", dict(channels_per_link=2), id="xfirst-tree"),
@@ -276,44 +283,43 @@ UNSERVED = [
 
 @pytest.mark.parametrize("topology,scheme,kw", UNSERVED)
 def test_dense_falls_back_to_reference(topology, scheme, kw):
-    """Tree, adaptive and VCT worms have no dense kernel: a dense
-    request raises, and ``engine="auto"`` falls back to the reference
-    engine, says why, and matches an explicit reference run."""
+    """Tree, adaptive and VCT worms are no plain path worms: the
+    removed dense engine is refused, ``engine="auto"`` records the
+    worm style as the reason no worm flies, and the run opens no
+    window and matches a hop-by-hop one."""
     cfg = SimConfig(seed=3, mean_interarrival=300e-6, num_messages=100,
                     num_destinations=4).replace(**kw)
-    with pytest.raises(InvalidConfigError, match="path worms only"):
+    with pytest.raises(InvalidConfigError, match="removed"):
         run_dynamic(topology, scheme, cfg, engine="dense")
     result = run_dynamic(topology, scheme, cfg, engine="auto")
     assert result.engine == "reference"
     assert result.engine_stats["auto"]["reason"] == "worm-style"
-    ref = run_dynamic(topology, scheme, cfg, engine="reference")
-    assert ref.engine_stats is None
+    assert result.engine_stats["windows"]["windows"] == 0
+    ref = _hop_by_hop(run_dynamic, topology, scheme, cfg, engine="reference")
+    assert "auto" not in ref.engine_stats
     assert _fingerprint(result) == _fingerprint(ref)
 
 
 def test_dense_rejects_unserved_worm_styles():
-    """Virtual-channel, tree, adaptive and VCT worms have no dense
-    kernel: a dense request raises, while ``engine="auto"`` runs them
-    on the reference engine."""
+    """The dense engine is gone: a dense request raises for every worm
+    style, while ``engine="auto"`` runs each on the reference engine."""
     cfg = SimConfig(**BASE, num_messages=10, num_destinations=4, channels_per_link=2)
-    unserved = [
-        spec for spec in registry.specs(simulable=True, include_families=False)
-        if spec.worm_style not in DENSE_WORM_STYLES
-    ] + [registry.get("virtual-channel-2")]
-    assert {s.worm_style for s in unserved} == {
-        "adaptive", "tree", "vc-star", "vct-tree", "xfirst-tree"
+    every = registry.specs(simulable=True, include_families=False) + [
+        registry.get("virtual-channel-2")
+    ]
+    assert {s.worm_style for s in every} == {
+        "adaptive", "star", "tree", "vc-star", "vct-tree", "xfirst-tree"
     }
-    for spec in unserved:
+    for spec in every:
         topology = Mesh2D(4, 4) if "mesh2d" in spec.topologies else Hypercube(4)
-        with pytest.raises(InvalidConfigError, match="path worms only"):
+        with pytest.raises(InvalidConfigError, match="removed"):
             run_dynamic(topology, spec.name, cfg, engine="dense")
         assert run_dynamic(topology, spec.name, cfg, engine="auto").engine == "reference"
 
 
 def test_sweepjob_engine_roundtrip():
-    """A dynamic sweep job runs on the engine the run picks: on a light
-    exact-grid load that is the dense engine, and every replication
-    agrees with its reference twin."""
+    """A dynamic sweep job on a light exact-grid load flies its worms,
+    and every replication agrees with its hop-by-hop twin."""
     from repro.parallel import SweepJob, replicate, run_sweep
 
     cfg = SimConfig(
@@ -322,8 +328,9 @@ def test_sweepjob_engine_roundtrip():
     )
     jobs = replicate(SweepJob(Hypercube(7), "fixed-path", cfg), 2)
     for job, swept in zip(jobs, run_sweep(jobs, workers=1)):
-        assert swept.engine == "dense"
-        ref = run_dynamic(job.topology, job.scheme, job.config, engine="reference")
+        assert swept.engine == "reference"
+        assert swept.engine_stats["windows"]["windows"] > 0
+        ref = _hop_by_hop(run_dynamic, job.topology, job.scheme, job.config)
         assert _fingerprint(swept) == _fingerprint(ref)
 
 

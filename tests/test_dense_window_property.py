@@ -1,14 +1,15 @@
-"""Property tests: frontier windows plus classic dispatch vs the
-reference model.
+"""Property tests: free-flight windows against hop-by-hop dispatch on
+randomized convoys.
 
-Each example builds one randomized convoy — path worms sharing ring
-segments, so duplicate same-tick channel touches, full channels and
-FIFO waiter queues all arise — and runs it on a raw
-:class:`DenseEngine` (every tick either commits in a frontier window or
-runs through the classic dispatcher) and on the coroutine reference
-:class:`WormholeNetwork`, through the surface the two engines share.
-The delivery streams must be identical event for event, as must the
-final clock, the worm count left in flight and the deadlock verdict.
+The file kept its name from the NumPy dense engine's frontier windows,
+which it checked until that engine was removed.  Each example builds
+one randomized convoy — path worms sharing ring segments, so duplicate
+same-tick channel touches, full channels and FIFO waiter queues all
+arise — and runs it on a :class:`WormholeNetwork` over the windowed
+:class:`Environment` and over the heap-only
+:class:`LegacyEnvironment`, which never opens a window.  The delivery
+streams must be identical event for event, as must the final clock,
+the worm count left in flight and the deadlock verdict.
 """
 
 from functools import partial
@@ -17,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import SimConfig
-from repro.sim.dense import DenseEngine
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, LegacyEnvironment
 from repro.sim.reference import WormholeNetwork
 
 DYADIC = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True)
@@ -62,9 +62,9 @@ def _outcome(net) -> tuple:
     return (completed, net.delivery_latencies(), net.now, net.active_worms)
 
 
-def _run(ring, worms, cap, flits, *, dense: bool):
+def _run(ring, worms, cap, flits, *, windowed: bool):
     config = _config(flits)
-    net = DenseEngine(config) if dense else WormholeNetwork(Environment(), config)
+    net = WormholeNetwork((Environment if windowed else LegacyEnvironment)(), config)
     _build(net, ring, worms, cap)
     return _outcome(net)
 
@@ -77,9 +77,9 @@ def _run(ring, worms, cap, flits, *, dense: bool):
     flits=st.integers(1, 5),
 )
 def test_windows_match_reference_model(ring, worms, cap, flits):
-    dense = _run(ring, worms, cap, flits, dense=True)
-    ref = _run(ring, worms, cap, flits, dense=False)
-    assert dense == ref
+    windowed = _run(ring, worms, cap, flits, windowed=True)
+    ref = _run(ring, worms, cap, flits, windowed=False)
+    assert windowed == ref
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,27 +93,27 @@ def test_windows_match_reference_model(ring, worms, cap, flits):
 )
 def test_single_channel_fifo_queue(worms, flits):
     """Every worm crosses the same capacity-1 channel: the waiter queue
-    must drain in exact FIFO order on both engines."""
+    must drain in exact FIFO order on both calendars."""
     ring = 8
     convoy = [(0, 4, when, d or 1) for when, d in worms]
-    dense = _run(ring, convoy, 1, flits, dense=True)
-    ref = _run(ring, convoy, 1, flits, dense=False)
-    assert dense == ref
+    windowed = _run(ring, convoy, 1, flits, windowed=True)
+    ref = _run(ring, convoy, 1, flits, windowed=False)
+    assert windowed == ref
 
 
 def test_wide_convoy_commits_windows():
-    """A 140-worm convoy commits frontier windows and still matches."""
+    """A 140-worm convoy flies free-flight windows and still matches."""
     # 140 lightly-overlapping segments (stride 6 < length) on a large
     # ring: most rows advance together, the overlaps still convoy
     worms = [((i * 6) % 1024, 8 + (i % 5), i % 3, 1 + (i % 6)) for i in range(140)]
     ring = 1024
 
-    eng = DenseEngine(_config(3))
-    _build(eng, ring, worms, 2)
-    dense = _outcome(eng)
-    assert eng.counters.windows > 0  # a window actually committed
-    assert eng.counters.batched_events > 0
+    net = WormholeNetwork(Environment(), _config(3))
+    _build(net, ring, worms, 2)
+    windowed = _outcome(net)
+    assert net.flight.windows > 0  # a window actually flew
+    assert net.flight.hops_flown > 0
 
-    ref = WormholeNetwork(Environment(), _config(3))
+    ref = WormholeNetwork(LegacyEnvironment(), _config(3))
     _build(ref, ring, worms, 2)
-    assert dense == _outcome(ref)
+    assert windowed == _outcome(ref)

@@ -1,9 +1,8 @@
 """Import footprint: NumPy loads only where an array is computed.
 
 The package's figure functions, simulator, CLI, sweeps and routing
-service are pure Python; NumPy is needed only by the dense engine,
-the ``omt``/``steiner`` exact solvers and
-:meth:`Topology.distance_matrix`.  This process has NumPy loaded
+service are pure Python; NumPy is needed only by the ``omt``/``steiner``
+exact solvers and :meth:`Topology.distance_matrix`.  This process has NumPy loaded
 already (other tests use it), so every case runs its snippet in a
 fresh interpreter and reads ``"numpy" in sys.modules`` there.
 """
@@ -58,15 +57,22 @@ def test_package_cli_figures_sweeps_and_service_run_without_numpy():
     """)
 
 
-@pytest.mark.parametrize("snippet", [
-    pytest.param("""
+def test_sim_zero_load_cells_run_without_numpy():
+    """The light-load, long-route cells of the sim-zero-load workload,
+    on the default ``engine="auto"``, at a reduced message count."""
+    assert not _numpy_loaded_after("""
+        from repro.cli import parse_topology
         from repro.sim import SimConfig, run_dynamic
-        from repro.topology import Mesh2D
 
-        cfg = SimConfig(num_messages=20, seed=1, bandwidth=2**21, flit_bytes=2,
-                        quantize_arrivals=True)
-        assert run_dynamic(Mesh2D(4, 4), "dual-path", cfg, engine="dense").engine == "dense"
-    """, id="dense-run"),
+        base = dict(bandwidth=2**21, flit_bytes=2, quantize_arrivals=True,
+                    mean_interarrival=0.36, channels_per_link=2, num_messages=40)
+        for spec, k, seed in (("cube:10", 8, 29), ("cube:10", 32, 29), ("mesh:32x32", 16, 31)):
+            cfg = SimConfig(**base, num_destinations=k, seed=seed)
+            assert run_dynamic(parse_topology(spec), "fixed-path", cfg).deliveries == 40 * k
+    """)
+
+
+@pytest.mark.parametrize("snippet", [
     pytest.param("""
         from repro.models.request import MulticastRequest
         from repro.registry import get
@@ -85,15 +91,11 @@ def test_array_work_loads_numpy(snippet):
     assert _numpy_loaded_after(snippet)
 
 
-def test_dense_names_still_resolve_from_repro_sim():
+def test_the_dense_engine_is_gone():
     import repro.sim
-    import repro.sim.dense
 
-    assert repro.sim.DenseEngine is repro.sim.dense.DenseEngine
-    assert repro.sim.EngineCounters is repro.sim.dense.EngineCounters
-    assert {"DenseEngine", "EngineCounters"} <= set(repro.sim.__all__)
-    namespace: dict = {}
-    exec("from repro.sim import *", namespace)
-    assert namespace["DenseEngine"] is repro.sim.dense.DenseEngine
+    assert "DenseEngine" not in repro.sim.__all__
     with pytest.raises(AttributeError):
-        repro.sim.NoSuchEngine  # noqa: B018
+        repro.sim.DenseEngine  # noqa: B018
+    with pytest.raises(ImportError):
+        import repro.sim.dense  # noqa: F401
