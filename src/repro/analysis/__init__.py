@@ -32,93 +32,45 @@ Front ends: ``python -m repro certify [--all]`` and
 ``python -m repro lint``; both run in CI (the ``analyze`` job).
 """
 
-from .certify import (
-    REPRESENTATIVE_TOPOLOGIES,
-    Certificate,
-    CertificationError,
-    Counterexample,
-    certificate_status,
-    certify_all,
-    certify_claim,
-    certify_spec,
-    fig_6_1_counterexample,
-    fig_6_4_counterexample,
-    load_artifact,
-    refute,
-    search_counterexample,
-)
-from .graph import (
-    CycleError,
-    find_cycle,
-    is_acyclic,
-    shortest_cycle,
-    topological_order,
-)
-from .invariants import (
-    InvariantViolation,
-    check_label_monotonicity,
-    check_partition_soundness,
-    check_quadrant_coverage,
-    check_reachability,
-    check_spec_invariants,
-    check_vc_layering,
-)
-from .lint import LintFinding, lint_paths, rule, rules
-from .model import (
-    MACHINES,
-    Machine,
-    ModelCertificate,
-    ModelCheckResult,
-    SafetyProperty,
-    Transition,
-    UnknownMachineError,
-    Violation,
-    build_machines,
-    check_conformance,
-    check_machine,
-    modelcheck_all,
-)
+from __future__ import annotations
 
-__all__ = [
-    "MACHINES",
-    "Machine",
-    "ModelCertificate",
-    "ModelCheckResult",
-    "SafetyProperty",
-    "Transition",
-    "UnknownMachineError",
-    "Violation",
-    "build_machines",
-    "check_conformance",
-    "check_machine",
-    "modelcheck_all",
-    "REPRESENTATIVE_TOPOLOGIES",
-    "Certificate",
-    "CertificationError",
-    "Counterexample",
-    "CycleError",
-    "InvariantViolation",
-    "LintFinding",
-    "certificate_status",
-    "certify_all",
-    "certify_claim",
-    "certify_spec",
-    "check_label_monotonicity",
-    "check_partition_soundness",
-    "check_quadrant_coverage",
-    "check_reachability",
-    "check_spec_invariants",
-    "check_vc_layering",
-    "fig_6_1_counterexample",
-    "fig_6_4_counterexample",
-    "find_cycle",
-    "is_acyclic",
-    "lint_paths",
-    "load_artifact",
-    "refute",
-    "rule",
-    "rules",
-    "search_counterexample",
-    "shortest_cycle",
-    "topological_order",
-]
+import importlib
+
+#: the submodule that defines each public name; the package resolves
+#: them on first use (PEP 562), so a caller of one submodule (the
+#: wormhole CDG code imports :mod:`repro.analysis.graph`) loads none of
+#: the others
+_SOURCES = {
+    "certify": (
+        "REPRESENTATIVE_TOPOLOGIES", "Certificate", "CertificationError", "Counterexample",
+        "certificate_status", "certify_all", "certify_claim", "certify_spec",
+        "fig_6_1_counterexample", "fig_6_4_counterexample", "load_artifact", "refute",
+        "search_counterexample",
+    ),
+    "graph": ("CycleError", "find_cycle", "is_acyclic", "shortest_cycle", "topological_order"),
+    "invariants": (
+        "InvariantViolation", "check_label_monotonicity", "check_partition_soundness",
+        "check_quadrant_coverage", "check_reachability", "check_spec_invariants",
+        "check_vc_layering",
+    ),
+    "lint": ("LintFinding", "lint_paths", "rule", "rules"),
+    "model": (
+        "MACHINES", "Machine", "ModelCertificate", "ModelCheckResult", "SafetyProperty",
+        "Transition", "UnknownMachineError", "Violation", "build_machines",
+        "check_conformance", "check_machine", "modelcheck_all",
+    ),
+}
+_EXPORTS = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SOURCES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

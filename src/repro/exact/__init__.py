@@ -10,33 +10,38 @@ implementations are preserved verbatim in :mod:`repro.exact.reference`
 as the parity/benchmark baseline.
 """
 
-from . import reference
-from .bitmask import RequestTables
-from .errors import InfeasibleRoute, SearchBudgetExceeded
-from .omp import (
-    held_karp_closed_walk_cost,
-    held_karp_walk_cost,
-    optimal_multicast_cycle,
-    optimal_multicast_path,
-    solve_path_mask,
-)
-from .oms import optimal_multicast_star_cost, star_lower_bound
-from .omt import optimal_multicast_tree_cost, shortest_path_dag
-from .steiner import minimal_steiner_tree_cost
+from __future__ import annotations
 
-__all__ = [
-    "InfeasibleRoute",
-    "RequestTables",
-    "SearchBudgetExceeded",
-    "held_karp_closed_walk_cost",
-    "held_karp_walk_cost",
-    "minimal_steiner_tree_cost",
-    "optimal_multicast_cycle",
-    "optimal_multicast_path",
-    "optimal_multicast_star_cost",
-    "optimal_multicast_tree_cost",
-    "reference",
-    "shortest_path_dag",
-    "solve_path_mask",
-    "star_lower_bound",
-]
+import importlib
+
+#: each public name and the submodule that defines it; the package
+#: resolves them on first use (PEP 562), so importing one submodule,
+#: such as ``repro.exact.errors``, loads no solver
+_EXPORTS = {
+    "RequestTables": "bitmask",
+    "InfeasibleRoute": "errors",
+    "SearchBudgetExceeded": "errors",
+    "held_karp_closed_walk_cost": "omp",
+    "held_karp_walk_cost": "omp",
+    "optimal_multicast_cycle": "omp",
+    "optimal_multicast_path": "omp",
+    "solve_path_mask": "omp",
+    "optimal_multicast_star_cost": "oms",
+    "star_lower_bound": "oms",
+    "optimal_multicast_tree_cost": "omt",
+    "shortest_path_dag": "omt",
+    "minimal_steiner_tree_cost": "steiner",
+}
+
+__all__ = sorted([*_EXPORTS, "reference"])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name == "reference":
+        value = importlib.import_module(".reference", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

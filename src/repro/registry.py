@@ -273,7 +273,10 @@ def _ensure_loaded() -> None:
     if _LOADED:
         return
     _LOADED = True
-    import repro.exact  # noqa: F401  (registers Ch. 4 solvers)
+    import repro.exact.omp  # noqa: F401  (registers the Ch. 4 solvers)
+    import repro.exact.oms  # noqa: F401
+    import repro.exact.omt  # noqa: F401
+    import repro.exact.steiner  # noqa: F401
     import repro.heuristics  # noqa: F401  (registers Ch. 5 heuristics)
     import repro.sim.traffic  # noqa: F401  (registers the VCT tree scheme)
     import repro.wormhole  # noqa: F401  (registers Ch. 6 schemes)

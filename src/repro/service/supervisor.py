@@ -296,6 +296,9 @@ class RouteService:
             self._wake_r.setblocking(False)
         from ..parallel import _pool_context
 
+        # load the scheme catalogue before the workers fork, so that no
+        # request pays for its imports, at admission or in a worker
+        registry.known_names()
         ctx = _pool_context()
         # happens-before: the pool is built before the dispatcher
         # thread exists, so this write cannot race it

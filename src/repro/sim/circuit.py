@@ -55,7 +55,7 @@ class CircuitMessage(Worm):
         transfer = self.net.config.message_time
         tf = self.tf
         for i in range(len(self.channels)):
-            self.env.schedule(transfer + (i + 1) * tf, self._rel, i)
+            self.env.schedule(transfer + (i + 1) * tf, self._release, i)
         self.env.schedule(transfer + len(self.channels) * tf, self._finished)
 
 

@@ -25,11 +25,13 @@ and for each of them a plain FIFO deque is already sorted, so
   waiter retries, :meth:`Event.succeed` wake-ups and :class:`Process`
   steps.  Each is stamped with the current clock;
 * the *flit lane* holds entries scheduled exactly one lane delay ahead:
-  a worm's hop timer, and the drain steps that fall one flit time out.
-  The delay is the flit time of the
+  a worm's hop timer.  The delay is the flit time of the
   :class:`~repro.sim.reference.WormholeNetwork` built on the calendar
   (:meth:`Environment.set_lane_delay`);
-* the heap holds every other delay.
+* the heap holds every other delay, and every entry stamped with a
+  sequence number taken ahead by :meth:`Environment.reserve`: a worm's
+  tail drain is one such entry, a cursor that re-pushes itself at the
+  stamp each released unit would have had as an entry of its own.
 
 Why a lane needs no sorting: sequence numbers only grow, and the clock
 never runs backwards (:meth:`Environment.run` refuses a horizon before
@@ -214,6 +216,17 @@ class Environment:
             self._immediate.append((self.now, self._seq(), fn, args))
         else:
             raise _negative_delay(delay)
+
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` sequence numbers as one block and return
+        the first; the next :meth:`schedule` gets ``first + n``.  The
+        caller pushes entries stamped with them on the heap itself
+        (``heapq.heappush(env._queue, (time, seq, fn, args))``), when
+        it likes and in any order: the heap sorts them among the rest
+        (see the module docstring)."""
+        first = self._seq()
+        self._seq = itertools.count(first + n).__next__
+        return first
 
     def wake_all(self, callbacks: Iterable[Callable], args: tuple = ()) -> None:
         """Append ``cb(*args)`` for each callback to the immediate lane

@@ -16,9 +16,12 @@ latches its copy as the tail enters it, so a lone worm delivers
 
 That release rule is :class:`Worm`'s: the injection stamp, ``start``,
 the release that latches a destination, the F-flit tail drain and the
-finish.  The worm shapes add only how the header gets its channels, in
-one callback (``_try_advance``) that is both the hop timer, one flit
-time after each acquisition, and the channel-waiter retry:
+finish.  A drain is one calendar entry, a cursor (:class:`_Drain`) that
+releases one unit per dispatch, each at the key it would have had as
+an entry of its own.  The worm shapes add only how the header gets its
+channels, in one callback (``_try_advance``) that is both the hop
+timer, one flit time after each acquisition, and the channel-waiter
+retry:
 
 * :class:`PathWorm` — the multicast path/star model: one header, a
   linear channel sequence, intermediate destinations latch a copy as
@@ -48,13 +51,14 @@ Free-flight windows
 
 At light load most of a run is a few long path worms crossing an idle
 network, one kernel dispatch per hop.  When the flit lane holds
-nothing but such worms' hops and drain steps, :class:`FreeFlight`
-finds the longest interval in which they cannot affect one another —
-every acquisition finds its channel free whatever the interleaving, no
-release wakes a waiter, nothing else is due — and runs it worm by
-worm in slices instead of event by event.  The calendar, the channels,
-the delivery stream and the clock then stand exactly as hop-by-hop
-dispatch would leave them (PERFORMANCE.md §5 states the rules).
+nothing but such worms' hops, :class:`FreeFlight` finds the longest
+interval in which they and the drains due in it cannot affect one
+another — every acquisition finds its channel free whatever the
+interleaving, no release wakes a waiter, nothing else is due — and
+runs it worm by worm in slices instead of event by event, the drains
+the flyers start included.  The calendar, the channels, the delivery
+stream and the clock then stand exactly as hop-by-hop dispatch would
+leave them (PERFORMANCE.md §5 states the rules).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
 from heapq import heappop, heappush
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat, zip_longest
 
 from .config import SimConfig
 from .kernel import Environment
@@ -116,7 +120,7 @@ class WormholeNetwork:
 
     __slots__ = (
         "env", "config", "channels", "active_worms", "total_worms", "deliveries",
-        "waiting", "flight",
+        "waiting", "drain_steps", "flight",
     )
 
     #: worm classes used by the inject_* methods (overridable).
@@ -133,6 +137,10 @@ class WormholeNetwork:
         self.deliveries: list[Delivery] = []
         #: callbacks queued on this network's channel waiter lists
         self.waiting = 0
+        #: units released by the worms' drain cursors (:class:`_Drain`)
+        #: themselves, not by a free-flight window, added as each cursor
+        #: finishes or a window takes it
+        self.drain_steps = 0
         # every hop timer is one flit time long: the calendar keeps
         # them in its flit lane
         env.set_lane_delay(config.flit_time)
@@ -296,18 +304,20 @@ class Worm:
     ``i`` is released as the tail passes it, and the destination it
     leads into latches its copy then (:meth:`_release`): ``flits``
     acquisitions later while the header advances, or in the F-flit
-    drain after the header's last hop (:meth:`_drain`).  A subclass
-    supplies only its acquisition rule, ``_try_advance``: it takes the
-    next unit and sets the hop timer, queues as a channel waiter, or,
-    once the header holds its last unit, starts the drain.  The hop
-    timer and the waiter retry are both ``_advance``, that method
-    prebound.  Every destination's delivery passes through
-    ``_release``.
+    drain after the header's last hop (:meth:`_drain`, one calendar
+    entry for the whole drain).  A subclass supplies only its
+    acquisition rule, ``_try_advance``: it takes the next unit and sets
+    the hop timer, queues as a channel waiter, or, once the header
+    holds its last unit, starts the drain.  The hop timer and the
+    waiter retry are both ``_advance``, that method prebound.  Every
+    destination's delivery passes through ``_release``, except the
+    ones a free-flight window finds from a path worm's destination
+    positions (:meth:`FreeFlight._commit`).
     """
 
     __slots__ = (
         "net", "env", "message_id", "nodes", "channels", "dests",
-        "injected_at", "flits", "tf", "_rel", "_advance",
+        "injected_at", "flits", "tf", "_advance",
     )
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
@@ -320,9 +330,7 @@ class Worm:
         self.injected_at = net.env.now
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
-        # prebound callbacks: the drain schedules _rel once per
-        # released unit, and every hop and waiter retry is _advance
-        self._rel = self._release
+        # prebound: every hop and waiter retry is _advance
         self._advance = self._try_advance
 
     def start(self) -> None:
@@ -346,18 +354,118 @@ class Worm:
         """The header has been consumed at its last node: the flits
         behind it drain at one per flit time, releasing the units still
         held (the last F, none before ``first``) oldest-first, and the
-        worm finishes with the last flit."""
+        worm finishes with the last flit.
+
+        Over D units, unit ``i`` is released ``(i + F − D)`` flit times
+        from now and the finish falls with the last release, ``F − 1``
+        flit times out.  The drain takes one block of sequence numbers
+        (:meth:`Environment.reserve`) for its D′ releases and the finish
+        and puts one :class:`_Drain` cursor on the calendar, at each
+        release's own ``(time, seq)`` key in turn, so the calendar runs
+        exactly what D′ + 1 separate entries would have run."""
         D = len(self.channels)
         F = self.flits
-        sched = self.env.schedule
-        tf = self.tf
-        rel = self._rel
-        for i in range(max(first, D - F), D):
-            sched((i + F - D) * tf, rel, i)
-        sched((F - 1) * tf, self._finished)
+        lo = max(first, D - F)
+        if lo == D:  # nothing left to release: the finish alone
+            self.env.schedule((F - 1) * self.tf, self._finished)
+            return
+        _Drain(self, self.env.now, lo, self.env.reserve(D - lo + 1)).push()
 
     def _finished(self) -> None:
         self.net.finish(self)
+
+
+def _first_at(t0: float, tf: float, lo: int, hi: int, horizon: float) -> int:
+    """The first ``k`` in ``lo .. hi - 1`` whose time ``t0 + k * tf``
+    is at or after ``horizon``, else ``hi``: a quotient's estimate,
+    corrected against the products themselves."""
+    if horizon > t0 + (hi - 1) * tf:
+        return hi
+    k = min(hi, max(lo, math.ceil((horizon - t0) / tf)))
+    while k > lo and t0 + (k - 1) * tf >= horizon:
+        k -= 1
+    while k < hi and t0 + k * tf < horizon:
+        k += 1
+    return k
+
+
+class _Drain:
+    """A worm's tail drain as one calendar entry: a cursor on the next
+    unit to release.
+
+    Unit ``j`` (``lo <= j < end``, ``end`` the worm's D units) has the
+    key ``(t0 + (j + F − D)·tf, base + j)``: the time ``now + delay``
+    gave its own entry when the drain scheduled one per unit, and the
+    sequence number of the drain's reserved block.  The heap holds the
+    cursor at its next unit's key; each dispatch (:meth:`step`)
+    releases that unit through the worm's ``_release`` and re-pushes
+    the next key.  The finish's entry would have had the last
+    release's time and the next sequence number, so nothing could run
+    between the two: the last unit's dispatch also finishes the worm.
+    A free-flight window may release a run of units itself and advance
+    ``j`` (:meth:`FreeFlight._commit`).  The units the cursor released
+    itself since ``mark`` are added to the network's ``drain_steps``
+    when it finishes or a window takes it, not one by one."""
+
+    __slots__ = (
+        "worm", "net", "queue", "release", "again", "j", "mark", "end", "t0", "shift", "tf",
+        "base",
+    )
+
+    def __init__(self, worm: Worm, t0: float, lo: int, seq: int):
+        """The drain that starts at ``t0`` with unit ``lo``, whose
+        sequence block starts at ``seq``; :meth:`push` puts it on the
+        calendar."""
+        self.worm = worm
+        self.net = worm.net
+        self.queue = worm.env._queue
+        # prebound: every dispatch releases through the worm's own
+        # _release and re-pushes this cursor's step
+        self.release = worm._release
+        self.again = self.step
+        self.j = self.mark = lo
+        self.end = D = len(worm.channels)
+        self.t0 = t0
+        self.shift = worm.flits - D
+        self.tf = worm.tf
+        self.base = seq - lo
+
+    def push(self) -> None:
+        """Put the cursor on the heap at its next unit's key."""
+        j = self.j
+        heappush(self.queue, (self.t0 + (j + self.shift) * self.tf, self.base + j, self.again, ()))
+
+    def time(self, j: int) -> float:
+        """When unit ``j`` is released."""
+        return self.t0 + (j + self.shift) * self.tf
+
+    def step(self) -> None:
+        """Release the next unit; then re-push at the unit after it, or
+        count the units stepped and finish the worm after the last."""
+        j = self.j
+        self.release(j)
+        j += 1
+        if j < self.end:
+            self.j = j
+            heappush(self.queue, (self.t0 + (j + self.shift) * self.tf, self.base + j, self.again, ()))
+            return
+        self.net.drain_steps += j - self.mark
+        self.worm._finished()
+
+    def stop_before(self, horizon: float) -> int:
+        """The first unit from ``j`` on released at or after
+        ``horizon`` (``end`` when every one falls before it)."""
+        shift = self.shift
+        return _first_at(self.t0, self.tf, self.j + shift, self.end + shift, horizon) - shift
+
+    def waiter_at(self, horizon: float) -> float:
+        """The time of the first unit before ``horizon`` whose channel
+        has a waiter, else ``horizon``."""
+        chans = self.worm.channels
+        for u in range(self.j, self.stop_before(horizon)):
+            if chans[u].waiters:
+                return self.time(u)
+        return horizon
 
 
 class PathWorm(Worm):
@@ -524,11 +632,8 @@ WormholeNetwork.tree_worm_cls = TreeWorm
 # Free-flight windows
 # ----------------------------------------------------------------------
 
-#: the calendar callbacks a window recognises: a plain path worm's hop,
-#: one of its drain releases and its finish
+#: the lane callback a window flies: a plain path worm's hop
 _HOP = PathWorm._try_advance
-_RELEASE = Worm._release
-_FINISH = Worm._finished
 
 
 class _Flyer:
@@ -536,12 +641,12 @@ class _Flyer:
     (``rank`` places it there), the times of its hops from that entry
     on and ``n``, how many of them the window runs.
 
-    Hop ``k`` acquires unit ``idx + k`` at ``time(k)``: ``x0 + k * tf``
-    on the flit grid, where that sum is exact, and otherwise ``xs[k]``,
-    the repeated addition of ``tf`` that ``now + delay`` performs hop
-    by hop.  Hop ``r`` would start the drain."""
+    Hop ``k < r`` acquires unit ``idx + k`` and hop ``r`` starts the
+    drain, at ``time(k)``: ``x0 + k * tf`` on the flit grid, where that
+    sum is exact, and otherwise ``xs[k]``, the repeated addition of
+    ``tf`` that ``now + delay`` performs hop by hop."""
 
-    __slots__ = ("rank", "entry", "worm", "x0", "tf", "xs", "r", "n")
+    __slots__ = ("rank", "entry", "worm", "x0", "tf", "xs", "r", "n", "cursor")
 
     def __init__(self, rank: int, entry: tuple, worm: PathWorm, tf: float, on_grid: bool):
         self.rank = rank
@@ -552,6 +657,7 @@ class _Flyer:
         self.r = r = worm.num_channels - worm.idx
         self.xs = None if on_grid else list(accumulate(repeat(tf, r), initial=x0))
         self.n = 0
+        self.cursor: _Drain | None = None
 
     def time(self, k: int) -> float:
         return self.x0 + k * self.tf if self.xs is None else self.xs[k]
@@ -560,15 +666,16 @@ class _Flyer:
         """How many of the hops ``0 .. r`` fall before ``horizon``."""
         if self.xs is not None:
             return bisect_left(self.xs, horizon)
-        x0, tf = self.x0, self.tf
-        if horizon <= x0:
-            return 0
-        n = math.ceil((horizon - x0) / tf)
-        while x0 + (n - 1) * tf >= horizon:
-            n -= 1
-        while x0 + n * tf < horizon:
-            n += 1
-        return n
+        return _first_at(self.x0, self.tf, 0, self.r + 1, horizon)
+
+    def drain(self) -> _Drain:
+        """The drain hop ``r`` starts: a cursor on its first unit, off
+        the calendar until the window takes its sequence block."""
+        if self.cursor is None:
+            worm = self.worm
+            lo = max(0, worm.num_channels - worm.flits)
+            self.cursor = _Drain(worm, self.time(self.r), lo, 0)
+        return self.cursor
 
 
 class FreeFlight:
@@ -577,27 +684,31 @@ class FreeFlight:
     The kernel offers this object the flit-lane head whenever that head
     is next to dispatch and nothing is immediate (see
     :mod:`repro.sim.kernel`).  A window opens when every lane entry is a
-    plain :class:`PathWorm`'s hop, or a drain release or finish of one.
-    It runs every event before a horizon ``T``, the largest that keeps
-    the worms apart:
+    plain :class:`PathWorm`'s hop.  It runs every event before a horizon
+    ``T``, the largest that keeps the worms apart:
 
-    * no flying worm starts its drain before ``T``;
-    * every heap entry before ``T`` is a plain path worm's drain
-      release or finish: the window absorbs it;
+    * every heap entry before ``T`` is a plain path worm's drain cursor
+      (:class:`_Drain`): the window absorbs its units before ``T``;
     * every channel the window acquires has ``in_use`` at the start
       plus the window's acquisitions of it within its capacity, so each
       acquisition succeeds whatever the interleaving;
     * no channel acquired or released before ``T`` has a waiter (the
       network's ``waiting`` count spares the look when it is 0).
 
-    Each worm then moves in slices: ``in_use`` takes only its net
-    change, and the deliveries come from the worm's destination
+    A flyer whose header reaches its last node before ``T`` starts its
+    drain inside the window, which releases the drain's units before
+    ``T`` too.  Each worm moves in slices: ``in_use`` takes only its
+    net change, and the deliveries come from the worm's destination
     positions.  Every event keeps the ``(time, seq)`` key it would have
-    had, real for entries already on the calendar and virtual, after
-    every real one, for the hops the window creates, so deliveries
-    merge in dispatch order.  The lane is left as hop-by-hop dispatch
-    leaves it, each worm's next hop stamped with a fresh sequence
-    number in dispatch order, and the clock at the last event run.
+    had, real for hops already on the calendar and for the units of
+    drains already on it (their reserved blocks), and virtual, after
+    every real one, for the entries the window creates, ordered by the
+    dispatch that created them, so deliveries merge in dispatch order.
+    The lane is left as hop-by-hop dispatch leaves it, and the heap
+    holds every unfinished drain at its next unit's key: each worm's
+    next hop takes a fresh sequence number, and each drain the window
+    started its block, in the order hop-by-hop dispatch created them.
+    The clock stands at the last event run.
 
     A window that would fly fewer than :attr:`MIN_HOPS` hops is
     declined, and each decline in a row doubles the flit times the
@@ -624,17 +735,20 @@ class FreeFlight:
         # flit times is exact: the repeated addition gives the same
         self.grid = math.frexp(self.tf)[0] == 0.5
         self._fails = 0
-        #: windows run, hops they flew, drain steps they absorbed
+        #: windows run, hops they flew, drain units they released
         self.windows = self.hops_flown = self.drains_absorbed = 0
         #: offers taken (``attempts = windows + backoffs``)
         self.attempts = self.backoffs = 0
 
     def counters(self) -> dict[str, int]:
-        """The window counters, by name."""
+        """The window counters, by name: ``drains_absorbed`` drain units
+        the windows released and ``drain_steps`` the ones the network's
+        drain cursors released between windows."""
         return {
             "windows": self.windows,
             "hops_flown": self.hops_flown,
             "drains_absorbed": self.drains_absorbed,
+            "drain_steps": self.net.drain_steps,
             "attempts": self.attempts,
             "backoffs": self.backoffs,
         }
@@ -651,80 +765,73 @@ class FreeFlight:
         self._fails = fails = min(self._fails + 1, self.MAX_BACKOFF_SHIFT)
         return head[0] + ((1 << fails) - 1) * self.tf
 
+    def _cursor(self, entry: tuple) -> _Drain | None:
+        """The drain cursor of a plain path worm of this network behind
+        the heap entry ``entry``, else None."""
+        drain = getattr(entry[2], "__self__", None)
+        if type(drain) is _Drain and type(drain.worm) is PathWorm and drain.net is self.net:
+            return drain
+        return None
+
     def _fly(self, head: tuple) -> bool:
         net = self.net
-        lane = self.env._lane
         queue = self.env._queue
         tf = self.tf
-        # the lane: hops of plain path worms and their drain steps only
+        # the lane: hops of plain path worms only
         hops: list = []
-        steps: list = []
-        for rank, entry in enumerate(lane):
+        for rank, entry in enumerate(self.env._lane):
             fn = entry[2]
             worm = getattr(fn, "__self__", None)
-            if type(worm) is not PathWorm or worm.net is not net:
+            if type(worm) is not PathWorm or worm.net is not net or fn.__func__ is not _HOP:
                 return False
-            func = fn.__func__
-            if func is _HOP:
-                hops.append((rank, entry, worm))
-            elif func is _RELEASE or func is _FINISH:
-                steps.append(entry)
-            else:
-                return False
-        if not hops:
-            return False
-        # no drain starts in a window: decline at once when even that
-        # horizon, estimated by products, leaves too few hops, since
-        # each flyer flies at most one more hop than whole flit times
-        # fit before it
-        horizon = min(entry[0] + (worm.num_channels - worm.idx) * tf for _, entry, worm in hops)
-        room = sum(horizon - entry[0] for _, entry, _ in hops if entry[0] < horizon)
+            hops.append((rank, entry, worm))
+        # a heap head that is no drain cursor bounds the window: decline
+        # at once when even that bound, estimated by products, leaves
+        # too few hops, since a flyer runs at most its r + 1 hops and at
+        # most one more than whole flit times fit before the bound
+        bound = math.inf
+        if queue and self._cursor(queue[0]) is None:
+            bound = queue[0][0]
+        room = sum(
+            min((worm.num_channels - worm.idx) * tf, bound - entry[0])
+            for _, entry, worm in hops if entry[0] < bound
+        )
         if room < (self.MIN_HOPS - len(hops)) * tf:
             return False
         on_grid = self.grid and not any(entry[0] % tf for _, entry, _ in hops)
         flyers = [_Flyer(rank, entry, worm, tf, on_grid) for rank, entry, worm in hops]
-        horizon = min(f.time(f.r) for f in flyers)
-        # the lane's drain steps and the heap's before the horizon are
-        # absorbed, unless a release would wake a waiter; anything else
-        # due there ends the window
+        # the drains due before the horizon are absorbed, up to a unit
+        # whose release would wake a waiter; anything else due there
+        # ends the window
+        horizon = bound
         waiting = net.waiting
-        for entry in steps:
-            if entry[0] >= horizon:
-                break
-            fn = entry[2]
-            if waiting and fn.__func__ is _RELEASE and fn.__self__.channels[entry[3][0]].waiters:
-                horizon = entry[0]
-                break
-        absorbed: list = []
+        drains: list = []
         while queue:
             entry = queue[0]
             if entry[0] >= horizon:
                 break
-            fn = entry[2]
-            worm = getattr(fn, "__self__", None)
-            if type(worm) is not PathWorm or worm.net is not net:
+            drain = self._cursor(entry)
+            if drain is None:
                 horizon = entry[0]
                 break
-            func = fn.__func__
-            if func is _RELEASE:
-                if waiting and worm.channels[entry[3][0]].waiters:
-                    horizon = entry[0]
+            if waiting:
+                horizon = drain.waiter_at(horizon)
+                if horizon == entry[0]:
                     break
-            elif func is not _FINISH:
-                horizon = entry[0]
-                break
-            absorbed.append(heappop(queue))
+            drains.append(heappop(queue))
         # no flyer meets another, or a waiter, before the horizon
         if self._hops(flyers, horizon) >= self.MIN_HOPS:
-            conflict = self._conflict(flyers, waiting)
+            conflict = self._conflict(flyers, waiting, horizon)
             if conflict is not None:
                 horizon = conflict
-                while absorbed and absorbed[-1][0] >= horizon:
-                    heappush(queue, absorbed.pop())
             if self._hops(flyers, horizon) >= self.MIN_HOPS:
-                self._commit(flyers, [e for e in steps if e[0] < horizon] + absorbed, horizon)
+                # a cursor taken off before the horizon fell to its key,
+                # here or at a later entry of the same tick, goes back
+                while drains and drains[-1][0] >= horizon:
+                    heappush(queue, drains.pop())
+                self._commit(flyers, drains, horizon)
                 return True
-        for entry in absorbed:
+        for entry in drains:
             heappush(queue, entry)
         return False
 
@@ -738,25 +845,21 @@ class FreeFlight:
             total += f.n
         return total
 
-    def _conflict(self, flyers: list, waiting: int) -> float | None:
-        """The time of the first hop, in dispatch order, within the
-        flyers' ``n`` that could interact: an acquisition past its
-        channel's capacity, counted from ``in_use`` at the start plus
-        every claim of the window before it (so it holds whatever the
-        interleaving), or an acquisition or release of a channel with
-        a waiter.  None when there is none.
+    def _conflict(self, flyers: list, waiting: int, horizon: float) -> float | None:
+        """The time of the first event, in dispatch order, within the
+        flyers' ``n`` hops and the drains they start that could
+        interact: an acquisition past its channel's capacity, counted
+        from ``in_use`` at the start plus every claim of the window
+        before it (so it holds whatever the interleaving), or an
+        acquisition or release of a channel with a waiter.  None when
+        there is none before ``horizon``.
 
         The flit lane is a FIFO, so hop-by-hop dispatch runs the
-        flyers' hops round by round in lane order; the scan walks them
-        in that order."""
+        flyers' hops round by round in lane order, a flyer dropping out
+        after its drain starts; the scan walks them in that order."""
         live = [f for f in flyers if f.n]
-        acquired = [f.worm.channels[f.worm.idx : f.worm.idx + f.n] for f in live]
-        rounds = min(f.n for f in live)
-        # every flyer's first `rounds` hops, round-major, then the
-        # flyers' last hop past them (each n differs by at most one
-        # from the least, all entries lying within one flit time)
-        order = list(chain.from_iterable(zip(*acquired)))
-        order += [a[rounds] for a in acquired if len(a) > rounds]
+        acquired = [f.worm.channels[f.worm.idx : f.worm.idx + min(f.n, f.r)] for f in live]
+        order = list(filter(None, chain.from_iterable(zip_longest(*acquired))))
         claims: dict = {}
         get = claims.get
         p = 0
@@ -768,7 +871,7 @@ class FreeFlight:
             p += 1
         first = math.inf
         if p < len(order):
-            first = self._hop_time(live, acquired, rounds, p)
+            first = self._hop_time(live, acquired, p)
         if waiting:
             for f, a in zip(live, acquired):
                 worm = f.worm
@@ -778,49 +881,66 @@ class FreeFlight:
                         first = min(first, f.time(k))
                         break
                 lo = max(0, i - worm.flits)
-                released = worm.channels[lo : max(lo, i + f.n - worm.flits)]
+                released = worm.channels[lo : max(lo, i + len(a) - worm.flits)]
                 for j, ch in enumerate(released):
                     if ch.waiters:
                         # hop k releases unit i + k - flits
                         first = min(first, f.time(lo + j + worm.flits - i))
                         break
-        return None if first == math.inf else first
+                if f.n > f.r:
+                    first = min(first, f.drain().waiter_at(horizon))
+        return None if first >= horizon else first
 
     @staticmethod
-    def _hop_time(live: list, acquired: list, rounds: int, p: int) -> float:
-        """The time of the ``p``-th hop of :meth:`_conflict`'s order."""
-        width = len(live)
-        if p < rounds * width:
-            return live[p % width].time(p // width)
-        tail = [f for f, a in zip(live, acquired) if len(a) > rounds]
-        return tail[p - rounds * width].time(rounds)
+    def _hop_time(live: list, acquired: list, p: int) -> float:
+        """The time of the ``p``-th acquisition of :meth:`_conflict`'s
+        order: round ``k`` holds the flyers with more than ``k``."""
+        k = 0
+        for length in sorted(set(map(len, acquired))):
+            width = sum(1 for a in acquired if len(a) > k)
+            span = (length - k) * width
+            if p < span:
+                k += p // width
+                row = [f for f, a in zip(live, acquired) if len(a) > k]
+                return row[p % width].time(k)
+            p -= span
+            k = length
+        raise AssertionError("acquisition out of range")
 
     def _commit(self, flyers: list, drains: list, horizon: float) -> None:
-        """Run the window: every flyer's ``n`` hops and the drain steps
-        ``drains`` (in key order), then leave the lane, the deliveries
-        and the clock as hop-by-hop dispatch would."""
+        """Run the window: every flyer's ``n`` hops, then the units
+        before ``horizon`` of the drains whose heap entries ``drains``
+        holds and of the drains the flyers start, and leave the
+        calendar, the deliveries and the clock as hop-by-hop dispatch
+        would."""
         net = self.net
         env = self.env
         lane = env._lane
         width = len(lane)
-        # (time, created?, order, delivery): created hops' virtual
-        # sequence numbers follow every real one, in dispatch order
+        # (time, created?, order, delivery): an entry the window creates
+        # is ordered after every real one, by the dispatch that created
+        # it (a flyer's hop k by its hop k - 1, a drain's block by the
+        # hop that started it) and then by its place in that block
         found = []
-        pending = []
+        created = []
+        # every drain the window runs: None for one already on the heap,
+        # else the creation order of the drain a flyer starts
+        ran = [(entry[2].__self__, None) for entry in drains]
         last = -math.inf
         hops = 0
         for f in flyers:
             n = f.n
             if not n:
                 continue
-            hops += n
             worm = f.worm
             i = worm.idx
             flits = worm.flits
             chans = worm.channels
-            end = i + n
-            # net in_use: units acquired and still held, units held
-            # before the window and released in it
+            a = min(n, f.r)
+            hops += a
+            end = i + a
+            # net in_use of the hops: units acquired and still held,
+            # units held before the window and released in it
             for ch in chans[max(i, end - flits) : end]:
                 ch.in_use += 1
             lo = max(0, i - flits)
@@ -829,46 +949,80 @@ class FreeFlight:
                 ch.in_use -= 1
             if hi > lo:
                 dpos = worm.destination_positions()
-                a = bisect_left(dpos, lo + 1)
-                b = bisect_left(dpos, hi + 1)
-                if a < b:
+                b = bisect_left(dpos, lo + 1)
+                e = bisect_left(dpos, hi + 1)
+                if b < e:
                     mid = worm.message_id
                     nodes = worm.nodes
                     injected = worm.injected_at
                     seq = f.entry[1]
                     rank = f.rank
-                    for p in dpos[a:b]:
+                    for p in dpos[b:e]:
                         k = p - 1 + flits - i  # the hop releasing unit p - 1
                         x = f.time(k)
-                        order = k * width + rank if k else seq
+                        order = (k * width + rank, 0) if k else seq
                         found.append((x, k > 0, order, Delivery(mid, nodes[p], injected, x)))
             worm.idx = end
             x = f.time(n - 1)
             if x > last:
                 last = x
-            pending.append((n, f.rank, f.time(n), worm._advance))
-        for x, seq, fn, args in drains:
-            worm = fn.__self__
-            if fn.__func__ is _RELEASE:
-                j = args[0]
-                worm.channels[j].in_use -= 1
-                node = worm.nodes[j + 1]
-                if node in worm.dests:
-                    found.append(
-                        (x, False, seq, Delivery(worm.message_id, node, worm.injected_at, x))
-                    )
+            if n > f.r:  # hop r started the drain
+                ran.append((f.drain(), (f.r + 1) * width + f.rank))
             else:
-                net.finish(worm)
+                created.append((n * width + f.rank, f.time(n), worm._advance))
+        units = 0
+        for drain, made in ran:
+            worm = drain.worm
+            j = drain.j
+            net.drain_steps += j - drain.mark  # units it stepped since it was last taken
+            stop = drain.stop_before(horizon)
+            if stop == j:  # a drain started too late for any unit
+                assert made is not None, "a heap cursor due at or after the horizon"
+                created.append((made, None, drain))
+                continue
+            units += stop - j
+            for ch in worm.channels[j:stop]:
+                ch.in_use -= 1
+            # releasing unit p - 1 delivers the node at position p
+            dpos = worm.destination_positions()
+            b = bisect_left(dpos, j + 1)
+            e = bisect_left(dpos, stop + 1)
+            if b < e:
+                mid = worm.message_id
+                nodes = worm.nodes
+                injected = worm.injected_at
+                base = drain.base
+                for p in dpos[b:e]:
+                    x = drain.time(p - 1)
+                    order = base + p - 1 if made is None else (made, p)
+                    found.append((x, made is not None, order, Delivery(mid, nodes[p], injected, x)))
+            x = drain.time(stop - 1)
             if x > last:
                 last = x
+            if stop == drain.end:
+                net.finish(worm)
+                continue
+            drain.j = drain.mark = stop
+            if made is None:
+                drain.push()
+            else:
+                created.append((made, None, drain))
         if found:
             found.sort()
             net.deliveries.extend(d for _, _, _, d in found)
         while lane and lane[0][0] < horizon:
             lane.popleft()
-        pending.sort()
-        seq = env._seq
-        lane.extend((x, seq(), fn, ()) for _, _, x, fn in pending)
+        # the next hops and the blocks of the unfinished drains the
+        # window started take sequence numbers in the order hop-by-hop
+        # dispatch created them
+        created.sort()
+        for _, x, item in created:
+            if x is None:
+                lo = max(0, -item.shift)
+                item.base = env.reserve(item.end - lo + 1) - lo
+                item.push()
+            else:
+                lane.append((x, env._seq(), item, ()))
         env.now = last
         self.hops_flown += hops
-        self.drains_absorbed += len(drains)
+        self.drains_absorbed += units

@@ -259,11 +259,16 @@ def test_engine_counters_exposed():
     ref, windowed = _run_both(Mesh2D(8, 8), "fixed-path", cfg)
     assert _fingerprint(ref) == _fingerprint(windowed)
     stats = windowed.engine_stats["windows"]
-    assert set(stats) == {"windows", "hops_flown", "drains_absorbed", "attempts", "backoffs"}
+    assert set(stats) == {
+        "windows", "hops_flown", "drains_absorbed", "drain_steps", "attempts", "backoffs"
+    }
     assert stats["attempts"] == stats["windows"] + stats["backoffs"]
     assert stats["windows"] > 0 and stats["hops_flown"] > 0
-    # the heap-only calendar never offers a window
-    assert set(ref.engine_stats["windows"].values()) == {0}
+    # the heap-only calendar never offers a window, so its drain
+    # cursors release every unit the windowed run's windows absorbed
+    legacy = dict(ref.engine_stats["windows"])
+    assert legacy.pop("drain_steps") == stats["drain_steps"] + stats["drains_absorbed"]
+    assert set(legacy.values()) == {0}
 
 
 def test_unknown_engine_rejected():

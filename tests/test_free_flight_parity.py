@@ -17,6 +17,7 @@ windows' edges: the three ``sim-zero-load`` cells, where fixed-path
 leaders and followers share capacity-2 channels; a window cut short by
 an arrival; a worm blocked beside a window; drains a window absorbs,
 one of them under a waiter; and a fault-aware run, which never flies.
+The window counters must reconcile on the zero-load cells.
 """
 
 from __future__ import annotations
@@ -217,6 +218,32 @@ def _routed_hops(run) -> tuple:
     finally:
         WormholeNetwork.inject_path = inject
     return result, hops[0]
+
+
+def test_zero_load_counters_reconcile():
+    """Every drained unit is counted once, by the window that released
+    it (``drains_absorbed``) or by its drain cursor (``drain_steps``):
+    Σ min(D, F) over the run's path worms.  Every offer taken ran a
+    window or backed off."""
+    inject = WormholeNetwork.inject_path
+    for spec, k, seed in ZERO_LOAD_CELLS:
+        units = [0]
+
+        def counted(net, message_id, nodes, *args, **kwargs):
+            worm = inject(net, message_id, nodes, *args, **kwargs)
+            units[0] += min(len(nodes) - 1, worm.flits)
+            return worm
+
+        topology, config = _zero_load(spec, k, seed, 60)
+        WormholeNetwork.inject_path = counted
+        try:
+            result = run_dynamic(topology, "fixed-path", config)
+        finally:
+            WormholeNetwork.inject_path = inject
+        windows = result.engine_stats["windows"]
+        assert windows["drains_absorbed"] + windows["drain_steps"] == units[0]
+        assert windows["drains_absorbed"] > 0 and windows["drain_steps"] > 0
+        assert windows["attempts"] == windows["windows"] + windows["backoffs"]
 
 
 def test_coverage_most_hops_fly_at_zero_load_almost_none_on_fig_7_10():

@@ -5,6 +5,10 @@ service are pure Python; NumPy is needed only by the ``omt``/``steiner``
 exact solvers and :meth:`Topology.distance_matrix`.  This process has NumPy loaded
 already (other tests use it), so every case runs its snippet in a
 fresh interpreter and reads ``"numpy" in sys.modules`` there.
+
+The ``repro.analysis`` and ``repro.exact`` packages resolve their names
+on first use, so the same entry points load neither the certifier,
+linter and model checker nor any exact solver.
 """
 
 from __future__ import annotations
@@ -70,6 +74,63 @@ def test_sim_zero_load_cells_run_without_numpy():
             cfg = SimConfig(**base, num_destinations=k, seed=seed)
             assert run_dynamic(parse_topology(spec), "fixed-path", cfg).deliveries == 40 * k
     """)
+
+
+def test_entry_points_load_no_certifier_linter_model_checker_or_exact_solver():
+    """``repro.analysis`` and ``repro.exact`` resolve their names on first
+    use: the wormhole CDG code's ``analysis.graph`` and the CLI's and
+    workers' ``exact.errors`` load nothing else of either package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import repro.sim, repro.experiments, repro.parallel, repro.service, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('repro.analysis', 'repro.exact'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["repro.analysis", "repro.analysis.graph", "repro.exact", "repro.exact.errors"]
+    assert proc.stdout.strip() == str(loaded)
+
+
+def test_a_route_service_loads_the_scheme_catalogue_before_its_workers_fork():
+    """Importing the service loads no exact solver, but starting one
+    loads the scheme catalogue first: the workers fork with it, so no
+    request pays for those imports, at admission or in a worker."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from repro.service import RouteService, ServiceConfig\n"
+        "print('repro.exact.omp' in sys.modules)\n"
+        "with RouteService(ServiceConfig(workers=1)):\n"
+        "    print('repro.exact.omp' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_lazy_packages_keep_every_name():
+    import repro.analysis
+    import repro.exact
+    from repro.analysis import certify, graph, invariants, lint, model
+
+    for package in (repro.analysis, repro.exact):
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+        with pytest.raises(AttributeError):
+            package.no_such_name  # noqa: B018
+    assert repro.analysis.certify_all is certify.certify_all
+    assert repro.analysis.find_cycle is graph.find_cycle
+    assert repro.analysis.check_spec_invariants is invariants.check_spec_invariants
+    assert repro.analysis.lint_paths is lint.lint_paths
+    assert repro.analysis.modelcheck_all is model.modelcheck_all
+    assert repro.exact.reference.__name__ == "repro.exact.reference"
 
 
 @pytest.mark.parametrize("snippet", [

@@ -6,8 +6,10 @@ computation:
 
 * the kernel's flit lane: :class:`repro.sim.kernel.Environment` keeps
   entries scheduled exactly one lane delay ahead in a FIFO deque beside
-  its heap and its immediate lane.  Random schedules must dispatch in
-  the order, and at the clock values, of the heap-only
+  its heap and its immediate lane.  Random schedules, with blocks of
+  sequence numbers taken ahead (:meth:`Environment.reserve`) and pushed
+  on the heap out of order among them, must dispatch in the order, and
+  at the clock values, of the heap-only
   :class:`~repro.sim.kernel.LegacyEnvironment`;
 * the destination draw: ``_destination_sampler`` calls
   ``getrandbits`` where the original loop (kept verbatim below) called
@@ -20,6 +22,7 @@ computation:
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import statistics
@@ -41,7 +44,7 @@ from repro.topology import Mesh2D
 #: rounds), a power-of-two flit and a coarse one
 TICKS = (1e-7, 2.0**-21, 0.3)
 
-KINDS = ("call", "timeout", "event", "process", "hops")
+KINDS = ("call", "timeout", "event", "process", "hops", "reserve")
 
 
 @st.composite
@@ -109,6 +112,13 @@ def replay(env_cls, tick, script, horizons):
             env.schedule(delay, ev.succeed)
         elif kind == "process":
             env.process(proc(delay, n, label)).wait(lambda ev: fire(ev.value))
+        elif kind == "reserve":
+            # a drain-like block: n entries one tick apart, stamped
+            # from one reserved block and pushed last first
+            first = env.reserve(n)
+            for i in reversed(range(n)):
+                entry = (env.now + (delay + i * tick), first + i, fire, (f"{label}/r{i}",))
+                heapq.heappush(env._queue, entry)
         else:  # a worm-like chain: n hops, one tick apart
             def hop(remaining):
                 log.append((f"{label}/hop{remaining}", env.now))
@@ -136,6 +146,20 @@ def test_lane_dispatch_order_matches_heap_kernel(schedule):
     assert replay(Environment, tick, script, horizons) == replay(
         LegacyEnvironment, tick, script, horizons
     )
+
+
+@pytest.mark.parametrize("env_cls", [Environment, LegacyEnvironment])
+@pytest.mark.parametrize("n", [0, 1, 65])
+def test_schedule_after_reserve_takes_first_plus_n(env_cls, n):
+    env = env_cls()
+    env.set_lane_delay(0.5)
+    env.schedule(1.0, lambda: None)
+    first = env.reserve(n)
+    assert first == 2
+    for delay in (0.0, 0.5, 2.0):  # one entry per lane
+        env.schedule(delay, lambda: None)
+    seqs = sorted(entry[1] for lane in (env._queue, env._lane, env._immediate) for entry in lane)
+    assert seqs == [1, first + n, first + n + 1, first + n + 2]
 
 
 def test_hop_timers_take_the_lane():
