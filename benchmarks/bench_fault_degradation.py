@@ -4,7 +4,8 @@ Sweeps fault-tolerant schemes (``dual-path``, ``dual-path-adaptive``
 — detour routing at injection, adaptive detours in flight, bounded
 source retry) and the non-fault-tolerant ``fixed-path`` baseline
 across permanent link-fault rates, and writes ``BENCH_faults.json``
-at the repo root.
+at the repo root (``--smoke`` writes to the system's temporary
+directory instead, never over that committed full-mode record).
 
 Every (scheme, rate) point runs several independent replications
 through :func:`repro.experiments.fault_degradation`, the study
@@ -36,6 +37,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -46,7 +48,10 @@ from repro.sim import SimConfig
 from repro.topology import Mesh2D
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: the committed full-mode record
 OUTPUT = REPO_ROOT / "BENCH_faults.json"
+#: where a smoke run writes without ``--output``
+SMOKE_OUTPUT = Path(tempfile.gettempdir()) / "BENCH_faults.smoke.json"
 
 SCHEMES = ("dual-path", "dual-path-adaptive", "fixed-path")
 FAULT_TOLERANT = ("dual-path", "dual-path-adaptive")
@@ -132,13 +137,15 @@ def main(argv=None) -> int:
                         help="seconds-long CI variant of the workload")
     parser.add_argument("--workers", type=int, default=None,
                         help="sweep workers (default: cpu count)")
-    parser.add_argument("--output", type=Path, default=OUTPUT,
-                        help=f"where to write the JSON report (default {OUTPUT})")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"where to write the JSON report (default {OUTPUT}, "
+                             f"or {SMOKE_OUTPUT} with --smoke)")
     args = parser.parse_args(argv)
+    output = args.output or (SMOKE_OUTPUT if args.smoke else OUTPUT)
     report = run_benchmark(smoke=args.smoke, workers=args.workers)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
+    print(f"\nwrote {output}")
     return 0
 
 

@@ -420,24 +420,11 @@ def names(**filters) -> list[str]:
 
 
 def topology_family(topology) -> str | None:
-    """The registry family key of a topology instance (None if the
-    instance belongs to no known family)."""
-    from .topology.grid import GridGraph
-    from .topology.hypercube import Hypercube
-    from .topology.karyncube import KAryNCube
-    from .topology.mesh import Mesh2D, Mesh3D
-
-    if isinstance(topology, Mesh2D):
-        return "mesh2d"
-    if isinstance(topology, Mesh3D):
-        return "mesh3d"
-    if isinstance(topology, Hypercube):
-        return "hypercube"
-    if isinstance(topology, KAryNCube):
-        return "torus"
-    if isinstance(topology, GridGraph):
-        return "grid"
-    return None
+    """The registry family key of a topology instance: the ``family``
+    its class declares (None if the instance belongs to no known
+    family)."""
+    family = getattr(topology, "family", None)
+    return family if family in TOPOLOGY_FAMILIES else None
 
 
 def _flag(value: bool | None) -> str:

@@ -215,16 +215,18 @@ class FaultState:
     ``down_links`` holds directed channels ``(u, v)``; ``down_nodes``
     holds nodes.  A channel key of any arity is checked by its first
     two elements (worm channel keys are ``(u, v)``, ``(u, v, plane)``
-    or ``(u, v, tag)`` tuples, all link-prefixed).
+    or ``(u, v, tag)`` tuples, all link-prefixed).  ``version`` counts
+    the fault events applied, so two queries under one version see the
+    same sets.
     """
 
-    __slots__ = ("plan", "down_links", "down_nodes", "_version", "_blocked_cache")
+    __slots__ = ("plan", "down_links", "down_nodes", "version", "_blocked_cache")
 
     def __init__(self, plan: FaultPlan | None = None):
         self.plan = plan or FaultPlan()
         self.down_links: set = set()
         self.down_nodes: set = set()
-        self._version = 0
+        self.version = 0
         self._blocked_cache: tuple | None = None  # (version, frozenset)
 
     def install(self, net) -> None:
@@ -237,7 +239,7 @@ class FaultState:
             net.schedule(ev.time, self._apply, net, ev)
 
     def _apply(self, net, ev: FaultEvent) -> None:
-        self._version += 1
+        self.version += 1
         self._blocked_cache = None
         group = self.down_links if ev.kind == "link" else self.down_nodes
         if ev.down:
@@ -288,7 +290,7 @@ class FaultState:
         if not (self.down_links or self.down_nodes):
             return frozenset()
         cached = self._blocked_cache
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == self.version:
             return cached[1]
         bad = set(self.down_links)
         for v in self.down_nodes:
@@ -296,7 +298,7 @@ class FaultState:
                 bad.add((u, v))
                 bad.add((v, u))
         blocked = frozenset(bad)
-        self._blocked_cache = (self._version, blocked)
+        self._blocked_cache = (self.version, blocked)
         return blocked
 
 

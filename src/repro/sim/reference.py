@@ -64,10 +64,11 @@ leave them (PERFORMANCE.md §5 states the rules).
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, repeat, zip_longest
 
@@ -116,11 +117,18 @@ class WormholeNetwork:
     definitions below) so a subclass can substitute fault-aware worms
     without re-implementing the injection methods —
     :class:`repro.sim.faults.FaultyWormholeNetwork` does exactly that.
+
+    A finished run holds no reference cycle, so reference counting
+    frees the network, its worms and its deliveries as soon as the
+    caller lets go: a worm drops its prebound hop callback when it
+    finishes (:meth:`finish`), a drain cursor its own once its last
+    unit is out (:class:`_Drain`), and the window holds the network
+    only weakly.
     """
 
     __slots__ = (
         "env", "config", "channels", "active_worms", "total_worms", "deliveries",
-        "waiting", "drain_steps", "flight",
+        "waiting", "drain_steps", "flight", "__weakref__",
     )
 
     #: worm classes used by the inject_* methods (overridable).
@@ -266,7 +274,13 @@ class WormholeNetwork:
         return worm
 
     def finish(self, worm) -> None:
+        """Count ``worm`` out: every finish meets here (the last drain
+        unit, a source-only route, a kill, a window's commit).  The worm
+        drops its prebound ``_advance``, the one reference back to
+        itself; a hop timer or waiter retry still pending holds that
+        method and so the worm until it runs."""
         self.active_worms -= 1
+        worm._advance = None
 
     # ------------------------------------------------------------------
     # The surface repro.sim.runner's drivers run a network through.
@@ -309,7 +323,8 @@ class Worm:
     acquisition rule, ``_try_advance``: it takes the next unit and sets
     the hop timer, queues as a channel waiter, or, once the header
     holds its last unit, starts the drain.  The hop timer and the
-    waiter retry are both ``_advance``, that method prebound.  Every
+    waiter retry are both ``_advance``, that method prebound until the
+    worm finishes (:meth:`WormholeNetwork.finish`).  Every
     destination's delivery passes through ``_release``, except the
     ones a free-flight window finds from a path worm's destination
     positions (:meth:`FreeFlight._commit`).
@@ -405,7 +420,12 @@ class _Drain:
     A free-flight window may release a run of units itself and advance
     ``j`` (:meth:`FreeFlight._commit`).  The units the cursor released
     itself since ``mark`` are added to the network's ``drain_steps``
-    when it finishes or a window takes it, not one by one."""
+    when it finishes or a window takes it, not one by one.
+
+    ``again``, the prebound ``step`` every push hands the heap, is a
+    reference back to the cursor: it is bound when the cursor is
+    pushed and dropped with the last unit, so a finished cursor, or
+    one a declined window built and never pushed, is no cycle."""
 
     __slots__ = (
         "worm", "net", "queue", "release", "again", "j", "mark", "end", "t0", "shift", "tf",
@@ -420,9 +440,9 @@ class _Drain:
         self.net = worm.net
         self.queue = worm.env._queue
         # prebound: every dispatch releases through the worm's own
-        # _release and re-pushes this cursor's step
+        # _release and re-pushes this cursor's step, bound by push
         self.release = worm._release
-        self.again = self.step
+        self.again: Callable[[], None] | None = None
         self.j = self.mark = lo
         self.end = D = len(worm.channels)
         self.t0 = t0
@@ -433,7 +453,8 @@ class _Drain:
     def push(self) -> None:
         """Put the cursor on the heap at its next unit's key."""
         j = self.j
-        heappush(self.queue, (self.t0 + (j + self.shift) * self.tf, self.base + j, self.again, ()))
+        self.again = again = self.again or self.step
+        heappush(self.queue, (self.t0 + (j + self.shift) * self.tf, self.base + j, again, ()))
 
     def time(self, j: int) -> float:
         """When unit ``j`` is released."""
@@ -449,6 +470,7 @@ class _Drain:
             self.j = j
             heappush(self.queue, (self.t0 + (j + self.shift) * self.tf, self.base + j, self.again, ()))
             return
+        self.again = None
         self.net.drain_steps += j - self.mark
         self.worm._finished()
 
@@ -715,6 +737,11 @@ class FreeFlight:
     kernel lets pass before the next offer, up to
     ``2**MAX_BACKOFF_SHIFT``: a contended network, where windows are
     short, pays almost nothing for them.
+
+    The network holds the window (``flight``) and its calendar holds it
+    too, so the window reaches them through a weak reference to the
+    network and keeps neither alive; its counters stay readable on
+    ``net.flight`` after the run.
     """
 
     #: fewest hops a window must fly to pay for its set-up
@@ -723,13 +750,12 @@ class FreeFlight:
     MAX_BACKOFF_SHIFT = 12
 
     __slots__ = (
-        "net", "env", "tf", "grid", "_fails",
+        "_net", "tf", "grid", "_fails",
         "windows", "hops_flown", "drains_absorbed", "attempts", "backoffs",
     )
 
     def __init__(self, net: WormholeNetwork):
-        self.net = net
-        self.env = net.env
+        self._net = weakref.ref(net)
         self.tf = net.config.flit_time
         # on a power-of-two flit time, a time on the flit grid plus k
         # flit times is exact: the repeated addition gives the same
@@ -739,6 +765,13 @@ class FreeFlight:
         self.windows = self.hops_flown = self.drains_absorbed = 0
         #: offers taken (``attempts = windows + backoffs``)
         self.attempts = self.backoffs = 0
+
+    @property
+    def net(self) -> WormholeNetwork:
+        """The network, while it lives."""
+        net = self._net()
+        assert net is not None, "the window outlived its network"
+        return net
 
     def counters(self) -> dict[str, int]:
         """The window counters, by name: ``drains_absorbed`` drain units
@@ -765,21 +798,22 @@ class FreeFlight:
         self._fails = fails = min(self._fails + 1, self.MAX_BACKOFF_SHIFT)
         return head[0] + ((1 << fails) - 1) * self.tf
 
-    def _cursor(self, entry: tuple) -> _Drain | None:
-        """The drain cursor of a plain path worm of this network behind
-        the heap entry ``entry``, else None."""
+    @staticmethod
+    def _cursor(entry: tuple, net: WormholeNetwork) -> _Drain | None:
+        """The drain cursor of a plain path worm of ``net`` behind the
+        heap entry ``entry``, else None."""
         drain = getattr(entry[2], "__self__", None)
-        if type(drain) is _Drain and type(drain.worm) is PathWorm and drain.net is self.net:
+        if type(drain) is _Drain and type(drain.worm) is PathWorm and drain.net is net:
             return drain
         return None
 
     def _fly(self, head: tuple) -> bool:
         net = self.net
-        queue = self.env._queue
+        queue = net.env._queue
         tf = self.tf
         # the lane: hops of plain path worms only
         hops: list = []
-        for rank, entry in enumerate(self.env._lane):
+        for rank, entry in enumerate(net.env._lane):
             fn = entry[2]
             worm = getattr(fn, "__self__", None)
             if type(worm) is not PathWorm or worm.net is not net or fn.__func__ is not _HOP:
@@ -790,7 +824,7 @@ class FreeFlight:
         # too few hops, since a flyer runs at most its r + 1 hops and at
         # most one more than whole flit times fit before the bound
         bound = math.inf
-        if queue and self._cursor(queue[0]) is None:
+        if queue and self._cursor(queue[0], net) is None:
             bound = queue[0][0]
         room = sum(
             min((worm.num_channels - worm.idx) * tf, bound - entry[0])
@@ -810,7 +844,7 @@ class FreeFlight:
             entry = queue[0]
             if entry[0] >= horizon:
                 break
-            drain = self._cursor(entry)
+            drain = self._cursor(entry, net)
             if drain is None:
                 horizon = entry[0]
                 break
@@ -914,7 +948,7 @@ class FreeFlight:
         calendar, the deliveries and the clock as hop-by-hop dispatch
         would."""
         net = self.net
-        env = self.env
+        env = net.env
         lane = env._lane
         width = len(lane)
         # (time, created?, order, delivery): an entry the window creates
@@ -1000,6 +1034,7 @@ class FreeFlight:
             if x > last:
                 last = x
             if stop == drain.end:
+                drain.again = None
                 net.finish(worm)
                 continue
             drain.j = drain.mark = stop

@@ -160,6 +160,15 @@ def inject_specs(net, message_id: int, specs, capacity: int, router: "Router | N
             raise TypeError(f"unknown worm spec {spec!r}")
 
 
+def _route_key(router: Router, request: MulticastRequest) -> tuple:
+    """What a message's route depends on besides its source: the
+    destinations it serves and, when ``router`` routes around faults,
+    the fault state's version.  Routers draw no random numbers, so an
+    equal key gives an equal route."""
+    version = router.fault_state.version if router.routes_around_faults else None
+    return request.destinations, version
+
+
 def _make_router(topology, scheme, config, fault_state=None) -> Router:
     return Router(
         topology,
@@ -274,7 +283,12 @@ def _drive(net, topology, rng: random.Random, config: SimConfig, send) -> int:
 
     for node in topology.nodes():
         arm(node)
-    _run_to_completion(net)
+    try:
+        _run_to_completion(net)
+    finally:
+        # arm and arrive call each other: unbind them, so reference
+        # counting frees the run they reach (ARCHITECTURE.md)
+        del arm, arrive
     return sent
 
 
@@ -380,6 +394,10 @@ def run_resilient(
     currently-down channels, both at the source (static reroute) and —
     for the adaptive scheme — per hop at simulation time.
 
+    A retransmission routes its message again only when the route can
+    have changed (:func:`_route_key`); otherwise it re-sends the specs
+    of the message's last attempt.
+
     Traffic comes from :func:`run_dynamic`'s arrival process and
     destination draw, and the fault schedule uses an independent RNG,
     so with zero fault rates the result matches :func:`run_dynamic`
@@ -410,6 +428,17 @@ def run_resilient(
     origins: dict = {}
     attempts: dict = {}
     pending_retry: set = set()
+    #: message id -> (route key, specs) of its last routed attempt
+    routes: dict[int, tuple] = {}
+
+    def route(message_id, request):
+        key = _route_key(router, request)
+        last = routes.get(message_id)
+        if last is not None and last[0] == key:
+            return last[1]
+        specs = router(request)
+        routes[message_id] = (key, specs)
+        return specs
 
     def handle_drop(message_id):
         # coalesce: dual-path injects two worms per message, and both
@@ -448,7 +477,7 @@ def run_resilient(
         # time, so its latency spans the whole retry history
         net.origin_time = origins[message_id]
         try:
-            inject_specs(net, message_id, router(request), path_capacity, router)
+            inject_specs(net, message_id, route(message_id, request), path_capacity, router)
         except Unroutable:
             stats.injection_failures += 1
             handle_drop(message_id)
@@ -467,12 +496,18 @@ def run_resilient(
             handle_drop(mid)
             return
         try:
-            inject_specs(net, mid, router(request), path_capacity, router)
+            inject_specs(net, mid, route(mid, request), path_capacity, router)
         except Unroutable:
             stats.injection_failures += 1
             handle_drop(mid)
 
-    injected = _drive(net, topology, rng, config, send)
+    try:
+        injected = _drive(net, topology, rng, config, send)
+    finally:
+        # handle_drop and retry call each other, and the network holds
+        # handle_drop: unbind them, as _drive does its own
+        net.drop_handler = None
+        del handle_drop, retry
     cutoff = config.num_messages * config.warmup_fraction
     delivered = net.delivery_latencies()
     latencies = [lat for mid, lat in delivered if mid > cutoff]

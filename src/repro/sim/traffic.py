@@ -120,9 +120,8 @@ def _star_worms(router: "Router", request: MulticastRequest) -> list:
     # path routes are computed per message and used unchecked, like
     # every route inside the program: the tests, the registry
     # conformance suite and `certify --all` check the routers.
-    fault_state = router.fault_state
-    if fault_state is not None and router.spec.fault_tolerant:
-        blocked = fault_state.blocked_links(router.topology)
+    if router.routes_around_faults:
+        blocked = router.fault_state.blocked_links(router.topology)
         if blocked:
             from ..wormhole.fault_tolerance import Unroutable
 
@@ -229,7 +228,9 @@ class Router:
     :class:`repro.sim.faults.FaultState`) makes fault-tolerant schemes
     route each message around the *currently* blocked channels; schemes
     without the ``fault_tolerant`` capability ignore it (their worms
-    simply die on faults).
+    simply die on faults).  ``routes_around_faults`` says which: only
+    then can a route change with the fault state, between two calls
+    for the same request.
     """
 
     def __init__(
@@ -252,6 +253,7 @@ class Router:
         self.channels_per_link = channels_per_link
         self.num_planes = spec.params.get("planes", 0)
         self.fault_state = fault_state
+        self.routes_around_faults = fault_state is not None and spec.fault_tolerant
         if labeling is None and spec.requires_labeling:
             labeling = canonical_labeling(topology)
         self.labeling = labeling

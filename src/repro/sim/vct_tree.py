@@ -26,24 +26,27 @@ from .vct import inject_vct_path
 def tree_chains(arcs, source):
     """Decompose a multicast tree into root/branch-to-branch chains:
     maximal paths whose interior nodes have exactly one child."""
-    children = defaultdict(list)
+    children: defaultdict = defaultdict(list)
     for u, v in arcs:
         children[u].append(v)
-    chains = []
-
-    def walk(start):
-        for child in children[start]:
-            chain = [start, child]
-            node = child
-            while len(children[node]) == 1:
-                node = children[node][0]
-                chain.append(node)
-            chains.append(chain)
-            if children[node]:
-                walk(node)
-
-    walk(source)
+    chains: list = []
+    _walk(children, source, chains)
     return chains
+
+
+def _walk(children, start, chains: list) -> None:
+    """Append the chains below ``start`` to ``chains``, depth first (a
+    module function: a nested one recursing through its own closure
+    would be a reference cycle)."""
+    for child in children[start]:
+        chain = [start, child]
+        node = child
+        while len(children[node]) == 1:
+            node = children[node][0]
+            chain.append(node)
+        chains.append(chain)
+        if children[node]:
+            _walk(children, node, chains)
 
 
 class VCTTreeMulticast:

@@ -35,6 +35,10 @@ class Topology(ABC):
     next hop in closed form.
     """
 
+    #: the registry's family key (:func:`repro.registry.topology_family`),
+    #: None for a topology of no registered family
+    family: str | None = None
+
     @property
     @abstractmethod
     def num_nodes(self) -> int:

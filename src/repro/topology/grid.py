@@ -26,6 +26,9 @@ class GridGraph:
     implied by unit adjacency.
     """
 
+    #: the registry's family key (:func:`repro.registry.topology_family`)
+    family = "grid"
+
     def __init__(self, vertices: Iterable[Point]):
         vs = set()
         for v in vertices:

@@ -20,6 +20,8 @@ def popcount(x: int) -> int:
 class Hypercube(Topology):
     """An n-dimensional hypercube; node addresses are ints in ``[0, 2**n)``."""
 
+    family = "hypercube"
+
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("hypercube dimension must be >= 1")

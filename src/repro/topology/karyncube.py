@@ -17,6 +17,8 @@ from .base import Node, Topology
 class KAryNCube(Topology):
     """A k-ary n-cube (torus); node addresses are n-tuples of ints mod k."""
 
+    family = "torus"
+
     def __init__(self, k: int, n: int):
         if k < 2:
             raise ValueError("radix k must be >= 2")

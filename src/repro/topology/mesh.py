@@ -17,6 +17,8 @@ from .base import Node, Topology
 class Mesh2D(Topology):
     """A 2D ``width x height`` mesh; node addresses are ``(x, y)`` tuples."""
 
+    family = "mesh2d"
+
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
             raise ValueError("mesh dimensions must be positive")
@@ -88,6 +90,8 @@ class Mesh2D(Topology):
 
 class Mesh3D(Topology):
     """A 3D ``width x height x depth`` mesh; addresses are ``(x, y, z)``."""
+
+    family = "mesh3d"
 
     def __init__(self, width: int, height: int, depth: int):
         if min(width, height, depth) < 1:

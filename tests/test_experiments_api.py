@@ -189,3 +189,23 @@ class TestFaultDegradation:
         assert [(r["scheme"], r["fault_rate"]) for r in records] == [
             (s, rate) for s in schemes for rate in rates
         ]
+
+    def test_bench_smoke_run_leaves_the_committed_record_untouched(self, monkeypatch, tmp_path):
+        """``bench_fault_degradation.py --smoke`` without ``--output``
+        writes to a scratch path, not over the committed full-mode
+        ``BENCH_faults.json``."""
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "benchmarks" / "bench_fault_degradation.py"
+        spec = importlib.util.spec_from_file_location("bench_fault_degradation", path)
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        assert not bench.SMOKE_OUTPUT.resolve().is_relative_to(bench.REPO_ROOT)
+        committed = bench.OUTPUT.read_bytes()
+        monkeypatch.setattr(bench, "SMOKE_OUTPUT", tmp_path / "smoke.json")
+        assert bench.main(["--smoke", "--workers", "1"]) == 0
+        assert bench.OUTPUT.read_bytes() == committed
+        assert json.loads((tmp_path / "smoke.json").read_text())["mode"] == "smoke"

@@ -163,7 +163,7 @@ class TestFaultState:
     def test_blocked_links_covers_node_incidence(self):
         state = FaultState()
         state.down_nodes.add((1, 1))
-        state._version += 1
+        state.version += 1
         blocked = state.blocked_links(SMALL)
         for nbr in SMALL.neighbors((1, 1)):
             assert ((1, 1), nbr) in blocked
@@ -607,3 +607,78 @@ class TestFaultAwareTwin:
             mesh, scheme, requests, SimConfig(**BASE, channels_per_link=channels)
         )
         assert completed and blocked == 0 and len(delivered) == 4
+
+
+# ----------------------------------------------------------------------
+# Retransmissions reuse an unchanged route: a retry routes its message
+# again only when its destinations, or the fault state a fault-tolerant
+# router reads, changed since its last attempt.
+# ----------------------------------------------------------------------
+
+
+class TestRouteReuse:
+    @staticmethod
+    def _routed(monkeypatch, scheme, cfg, reuse=True):
+        """``run_resilient`` on the 8x8 mesh, with every router call
+        recorded as ``(source, destinations, fault-state version)``;
+        ``reuse=False`` gives every attempt a fresh route key, so each
+        one routes again."""
+        import repro.sim.runner as runner
+
+        calls = []
+        route = Router.__call__
+
+        def recording(self, request):
+            calls.append((request.source, request.destinations, self.fault_state.version))
+            return route(self, request)
+
+        with monkeypatch.context() as m:
+            m.setattr(Router, "__call__", recording)
+            if not reuse:
+                m.setattr(runner, "_route_key", lambda router, request: object())
+            result = run_resilient(Mesh2D(8, 8), scheme, cfg)
+        return result, calls
+
+    @pytest.mark.parametrize("rate", [0.05, 0.15])
+    @pytest.mark.parametrize(
+        "scheme", ["dual-path", "multi-path", "fixed-path", "dual-path-adaptive"]
+    )
+    def test_reuse_changes_no_result(self, monkeypatch, scheme, rate):
+        cfg = SimConfig(
+            num_messages=120, num_destinations=6, link_fault_rate=rate, seed=7,
+            mean_interarrival=300e-6, max_retries=3,
+        )
+        reused, calls = self._routed(monkeypatch, scheme, cfg)
+        fresh, fresh_calls = self._routed(monkeypatch, scheme, cfg, reuse=False)
+        assert reused == fresh
+        assert reused.stats.retries > 0
+        assert len(calls) < len(fresh_calls)
+        # no attempt routes what an earlier one routed under the same
+        # fault state (a router that ignores faults: under any state)
+        router = Router(MESH, scheme, fault_state=FaultState())
+        keys = calls if router.routes_around_faults else [call[:2] for call in calls]
+        assert len(set(keys)) == len(keys)
+
+    def test_a_fault_between_attempts_forces_a_fresh_route(self, monkeypatch):
+        """A message dual-path retries after a fault changed the fault
+        state is routed again, around the new fault, even to the same
+        destinations; fixed-path ignores faults and re-sends its
+        route."""
+        cfg = SimConfig(
+            num_messages=120, num_destinations=6, link_fault_rate=0.15, seed=7,
+            mean_interarrival=300e-6, max_retries=3,
+        )
+        _, calls = self._routed(monkeypatch, "dual-path", cfg)
+        versions: dict = {}
+        for src, dests, version in calls:
+            versions.setdefault((src, dests), []).append(version)
+        again = [v for v in versions.values() if len(v) > 1]
+        assert again and all(len(set(v)) == len(v) for v in again)
+        _, calls = self._routed(monkeypatch, "fixed-path", cfg)
+        assert len({(src, dests) for src, dests, _ in calls}) == len(calls)
+
+    def test_router_predicate(self):
+        state = FaultState()
+        assert Router(MESH, "dual-path", fault_state=state).routes_around_faults
+        assert not Router(MESH, "dual-path").routes_around_faults
+        assert not Router(MESH, "fixed-path", fault_state=state).routes_around_faults

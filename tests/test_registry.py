@@ -19,6 +19,7 @@ from repro.sim import SimConfig, run_dynamic
 from repro.sim.runner import DeadlockDetected
 from repro.sim.traffic import Router
 from repro.topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
+from repro.topology.grid import GridGraph
 from repro.wormhole.cdg import is_acyclic
 
 # One small instance per topology family, big enough for every scheme
@@ -66,6 +67,30 @@ def test_alias_resolves_to_the_same_spec_object():
 )
 def test_exact_solver_aliases(alias, canonical):
     assert get(alias) is get(canonical)
+
+
+def _family_by_isinstance(topology):
+    """``registry.topology_family`` as five ``isinstance`` checks wrote
+    it before each topology class carried its key."""
+    for cls, family in ((Mesh2D, "mesh2d"), (Mesh3D, "mesh3d"), (Hypercube, "hypercube"),
+                        (KAryNCube, "torus"), (GridGraph, "grid")):
+        if isinstance(topology, cls):
+            return family
+    return None
+
+
+class _WideMesh(Mesh2D):
+    """A subclass inherits its family."""
+
+
+@pytest.mark.parametrize("topology", [
+    Mesh2D(4, 3), _WideMesh(6, 2), Mesh3D(2, 2, 2), Hypercube(3), KAryNCube(3, 2),
+    GridGraph([(0, 0), (0, 1)]), None, 7, object(), "mesh2d", Router,
+], ids=repr)
+def test_topology_family_is_the_class_key(topology):
+    """Every kind gets the family its class declares, and an unknown
+    object none, as the isinstance checks answered."""
+    assert registry.topology_family(topology) == _family_by_isinstance(topology)
 
 
 def test_family_resolution_parses_parameters():
